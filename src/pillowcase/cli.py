@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .families import builtin_model, MODEL_NAMES
@@ -104,23 +104,23 @@ def parse_gluing(spec, model1: KnotExteriorModel | None = None,
         raise ContractError(str(exc)) from exc
 
 
-def _config_from_args(args) -> SolverConfig:
-    base = SolverConfig.from_json(args.config) if getattr(args, "config", None) \
-        else SolverConfig()
-    updates = {}
-    env_threads = os.environ.get("PILLOWCASE_THREADS")
-    if env_threads:
-        try:
-            updates["threads"] = int(env_threads)
-        except ValueError as exc:
-            raise InputError(f"bad PILLOWCASE_THREADS value {env_threads!r}") from exc
-    for name in ("tol", "restarts", "seed", "resolution", "threads"):
-        val = getattr(args, name, None)
-        if val is not None:
-            updates[name] = val
-    if getattr(args, "deterministic", False):
-        updates["deterministic"] = True
-    return SolverConfig(**{**base.__dict__, **updates})
+# Job-file keys that set solver fields; any other job key is ignored.
+_JOB_CONFIG_KEYS = ("tol", "restarts", "seed", "resolution", "min_gap")
+_FLAG_CONFIG_KEYS = ("tol", "restarts", "seed", "resolution")
+
+
+def _config_from_args(args, job: dict | None = None) -> SolverConfig:
+    """Solver config: the --config file, then job fields, then CLI flags."""
+    path = getattr(args, "config", None)
+    try:
+        config = SolverConfig.from_json(path) if path else SolverConfig()
+    except (OSError, TypeError, ValueError) as exc:
+        raise InputError(f"invalid solver config {path}: {exc}") from exc
+    if job:
+        config = replace(config, **{k: job[k] for k in _JOB_CONFIG_KEYS if k in job})
+    flags = {k: getattr(args, k) for k in _FLAG_CONFIG_KEYS
+             if getattr(args, k, None) is not None}
+    return replace(config, **flags)
 
 
 def _emit(data: dict, as_json: bool, text: str) -> None:
@@ -257,20 +257,7 @@ def cmd_splice(args) -> int:
     except ContractError as exc:
         # a malformed gluing makes the whole job malformed
         raise InputError(str(exc)) from exc
-    config_fields = {k: job[k] for k in
-                     ("tol", "restarts", "seed", "resolution", "min_gap",
-                      "threads", "deterministic") if k in job}
-    env_threads = os.environ.get("PILLOWCASE_THREADS")
-    if env_threads:
-        try:
-            config_fields["threads"] = int(env_threads)
-        except ValueError as exc:
-            raise InputError(f"bad PILLOWCASE_THREADS value {env_threads!r}") from exc
-    if args.threads is not None:
-        config_fields["threads"] = args.threads
-    if args.deterministic:
-        config_fields["deterministic"] = True
-    config = SolverConfig(**{**SolverConfig().__dict__, **config_fields})
+    config = _config_from_args(args, job)
     spliced = splice(m1, m2, g)
     result = search_nonabelian_rep(spliced, config)
     payload = {
@@ -328,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_img.add_argument("--restarts", type=int, default=None)
     p_img.add_argument("--tol", type=float, default=None)
     p_img.add_argument("--seed", type=int, default=None)
-    p_img.add_argument("--threads", type=int, default=None)
     p_img.add_argument("--config", default=None, help="solver config JSON file")
     p_img.add_argument("--out-svg", default=None)
     p_img.add_argument("--out-csv", default=None)
@@ -374,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_spl.add_argument("job", help="job spec JSON file")
     p_spl.add_argument("--out", default=None, help="write result JSON here")
     p_spl.add_argument("--svg", default=None, help="write combined image SVG")
-    p_spl.add_argument("--threads", type=int, default=None)
-    p_spl.add_argument("--deterministic", action="store_true")
     p_spl.set_defaults(func=cmd_splice)
 
     return parser

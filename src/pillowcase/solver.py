@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +50,6 @@ class SolverConfig:
     polish_steps: int = 5
     dedup_tol: float = 1e-6
     chain_factor: float = 8.0
-    threads: int = 1
-    deterministic: bool = True
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverConfig":
@@ -102,81 +99,94 @@ def _eval_batch(params, word):
 
 
 def _residuals(params, words, targets):
-    cols = [_eval_batch(params, w) - t for w, t in zip(words, targets)]
-    return np.concatenate(cols, axis=1)
+    """Word values minus targets; targets has shape (B, 4 * len(words))."""
+    return np.concatenate([_eval_batch(params, w) for w in words], axis=1) - targets
 
 
 def _renorm(params):
     return params / np.linalg.norm(params, axis=2, keepdims=True)
 
 
+def _solve_rows(A, b):
+    """x with A[i] x[i] = b[i] for a stack of square systems.
+
+    A singular system falls back to the pseudo-inverse on its own row only,
+    so each row's result is independent of the other rows in the stack.
+    """
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        pass
+    out = np.empty_like(b)
+    for i in range(len(A)):
+        try:
+            out[i] = np.linalg.solve(A[i:i + 1], b[i:i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            out[i] = np.linalg.pinv(A[i]) @ b[i]
+    return out
+
+
 def _lm_minimize(words, targets, params0, tol, max_iter, polish_steps):
-    """Batched LM on the word system; returns (params, per_item_max_residual)."""
+    """Batched LM on the word system; returns (params, per_item_max_residual).
+
+    targets holds one row of 4 * len(words) target components per item.
+    Every row evolves independently of the others in the batch.
+    """
     params = _renorm(params0.copy())
     B, n, _ = params.shape
     npar = 4 * n
     m = 4 * len(words)
     lam = np.full(B, 1e-3)
     fd = 1e-7
-    eye = np.eye(npar)
+    diag = np.arange(npar)
 
-    def cost_of(p):
-        F = _residuals(p, words, targets)
+    def cost_of(p, t):
+        F = _residuals(p, words, t)
         return F, np.einsum("bm,bm->b", F, F)
 
-    F, cost = cost_of(params)
+    F, cost = cost_of(params, targets)
     target2 = (0.25 * tol) ** 2
     polish_left = np.full(B, polish_steps, dtype=int)
     for _ in range(max_iter + polish_steps):
         converged = cost <= target2
         dead = lam > 1e9
         done = (converged & (polish_left <= 0)) | (dead & ~converged)
-        active = ~done
-        if not active.any():
+        idx = np.nonzero(~done)[0]
+        if not len(idx):
             break
-        idx = np.nonzero(active)[0]
-        sub = params[idx]
+        b = len(idx)
+        T = targets[idx]
         Fs = F[idx]
-        J = np.empty((len(idx), m, npar))
-        flat = sub.reshape(len(idx), npar)
-        for j in range(npar):
-            pert = flat.copy()
-            pert[:, j] += fd
-            Fp = _residuals(pert.reshape(len(idx), n, 4), words, targets)
-            J[:, :, j] = (Fp - Fs) / fd
-        lam_sub = np.where(converged[idx], 1e-12, lam[idx])
-        JTJ = np.einsum("bmp,bmq->bpq", J, J)
+        flat = params[idx].reshape(b, npar)
+        # all npar forward-difference probes in one residual evaluation
+        pert = np.repeat(flat[None], npar, axis=0)
+        pert[diag, :, diag] += fd
+        Fp = _residuals(pert.reshape(npar * b, n, 4), words, np.tile(T, (npar, 1)))
+        # einsum's summation order follows the operand strides: a contiguous
+        # (b, m, npar) J keeps JtJ and JtF the same bits as column-by-column J
+        J = np.ascontiguousarray(
+            ((Fp.reshape(npar, b, m) - Fs) / fd).transpose(1, 2, 0))
+        A = np.einsum("bmp,bmq->bpq", J, J)
         JTF = np.einsum("bmp,bm->bp", J, Fs)
-        A = JTJ + lam_sub[:, None, None] * eye
-        try:
-            delta = -np.linalg.solve(A, JTF[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            delta = -np.einsum("bpq,bq->bp", np.linalg.pinv(A), JTF)
-        trial = _renorm((flat + delta).reshape(len(idx), n, 4))
-        Ft, cost_t = cost_of(trial)
+        del J
+        conv = converged[idx]
+        A[:, diag, diag] += np.where(conv, 1e-12, lam[idx])[:, None]
+        delta = -_solve_rows(A, JTF)
+        trial = _renorm((flat + delta).reshape(b, n, 4))
+        Ft, cost_t = cost_of(trial, T)
         better = cost_t < cost[idx]
-        for local, gi in enumerate(idx):
-            if converged[gi]:
-                polish_left[gi] -= 1
-                if better[local]:
-                    params[gi] = trial[local]
-                    F[gi] = Ft[local]
-                    cost[gi] = cost_t[local]
-                continue
-            if better[local]:
-                params[gi] = trial[local]
-                F[gi] = Ft[local]
-                cost[gi] = cost_t[local]
-                lam[gi] = max(lam[gi] * 0.35, 1e-12)
-            else:
-                lam[gi] = lam[gi] * 8.0
-    max_res = np.empty(B)
-    for b in range(B):
-        worst = 0.0
-        for wi in range(len(words)):
-            seg = F[b, 4 * wi:4 * wi + 4]
-            worst = max(worst, float(np.linalg.norm(seg)))
-        max_res[b] = worst
+        take = idx[better]
+        params[take] = trial[better]
+        F[take] = Ft[better]
+        cost[take] = cost_t[better]
+        polish_left[idx[conv]] -= 1
+        up = idx[~conv & better]
+        lam[up] = np.maximum(lam[up] * 0.35, 1e-12)
+        lam[idx[~conv & ~better]] *= 8.0
+    # per-word residual norms; a (1, 4) @ (4, 1) matmul is the same BLAS dot
+    # that np.linalg.norm takes on one 4-vector, so the values match it exactly
+    seg = F.reshape(B, len(words), 1, 4)
+    max_res = np.sqrt(seg @ seg.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3), initial=0.0)
     return params, max_res
 
 
@@ -197,30 +207,14 @@ def _invariant_signature(rep: Representation, pres: GroupPresentation):
     return tuple(vals)
 
 
-def solve_at_meridian_angle(pres: GroupPresentation, alpha: float,
-                            config: SolverConfig | None = None,
-                            _seed_extra: int | None = None) -> list[Representation]:
-    """Representations with rho(meridian) = e^{i alpha}, up to conjugation.
+def _distinct_solutions(pres: GroupPresentation, params, max_res,
+                        config: SolverConfig) -> list[Representation]:
+    """One node's restarts, filtered by residual and deduplicated.
 
-    Random restarts of the batched LM solver, accepting relator residuals
-    below config.tol and deduplicating by conjugation invariants.  An empty
-    list means none were found, which is evidence rather than proof.
+    Rows with relator residuals below config.tol are kept unless their
+    conjugation invariants match an earlier row; the survivors are sorted by
+    decreasing irreducibility gap.
     """
-    config = config or SolverConfig()
-    if not (0.0 <= alpha <= math.pi + 1e-12):
-        raise ValueError("alpha must lie in [0, pi]")
-    n = pres.generator_count
-    if n == 0:
-        return [Representation(())] if abs(alpha) < 1e-12 else []
-    words = list(pres.relators) + [pres.meridian]
-    one = np.array([1.0, 0.0, 0.0, 0.0])
-    targets = [one] * len(pres.relators) + [
-        np.array([math.cos(alpha), math.sin(alpha), 0.0, 0.0])]
-    key = _seed_extra if _seed_extra is not None else int(round(alpha * 1e9))
-    rng = np.random.default_rng([config.seed, key & 0x7FFFFFFF])
-    params0 = rng.standard_normal((config.restarts, n, 4))
-    params, max_res = _lm_minimize(words, targets, params0, config.tol,
-                                   config.max_iter, config.polish_steps)
     accepted: list[tuple[tuple, Representation]] = []
     for b in range(params.shape[0]):
         if max_res[b] >= config.tol:
@@ -238,6 +232,61 @@ def solve_at_meridian_angle(pres: GroupPresentation, alpha: float,
     return reps
 
 
+# Upper bound on the rows (node x restart) of one stacked LM batch.  Bigger
+# blocks cut more numpy call overhead but raise peak memory; at 256 rows the
+# sweep's peak RSS stays within a few per cent of a one-node batch.
+_BLOCK_ROWS = 256
+
+
+def _sweep(pres: GroupPresentation, alphas, keys,
+           config: SolverConfig) -> list[list[Representation]]:
+    """Solutions at each meridian angle alphas[i], one list per node.
+
+    Node i draws its restarts from default_rng([config.seed, keys[i]]).  The
+    restarts of whole nodes are stacked into shared LM batches of at most
+    _BLOCK_ROWS rows, each row with its own meridian target; rows evolve
+    independently, so every node's result is the one it gets alone.
+    """
+    n = pres.generator_count
+    if n == 0:
+        return [[Representation(())] if abs(a) < 1e-12 else [] for a in alphas]
+    words = list(pres.relators) + [pres.meridian]
+    relator_targets = [1.0, 0.0, 0.0, 0.0] * len(pres.relators)
+    restarts = config.restarts
+    per_block = max(1, _BLOCK_ROWS // max(restarts, 1))
+    out = []
+    for start in range(0, len(alphas), per_block):
+        block = range(start, min(start + per_block, len(alphas)))
+        params0 = np.concatenate([
+            np.random.default_rng([config.seed, keys[i] & 0x7FFFFFFF])
+            .standard_normal((restarts, n, 4)) for i in block])
+        targets = np.repeat(np.array([
+            relator_targets + [math.cos(alphas[i]), math.sin(alphas[i]), 0.0, 0.0]
+            for i in block]), restarts, axis=0)
+        params, max_res = _lm_minimize(words, targets, params0, config.tol,
+                                       config.max_iter, config.polish_steps)
+        for k in range(len(block)):
+            rows = slice(k * restarts, (k + 1) * restarts)
+            out.append(_distinct_solutions(pres, params[rows], max_res[rows], config))
+    return out
+
+
+def solve_at_meridian_angle(pres: GroupPresentation, alpha: float,
+                            config: SolverConfig | None = None,
+                            _seed_extra: int | None = None) -> list[Representation]:
+    """Representations with rho(meridian) = e^{i alpha}, up to conjugation.
+
+    Random restarts of the batched LM solver, accepting relator residuals
+    below config.tol and deduplicating by conjugation invariants.  An empty
+    list means none were found, which is evidence rather than proof.
+    """
+    config = config or SolverConfig()
+    if not (0.0 <= alpha <= math.pi + 1e-12):
+        raise ValueError("alpha must lie in [0, pi]")
+    key = _seed_extra if _seed_extra is not None else int(round(alpha * 1e9))
+    return _sweep(pres, [alpha], [key], config)[0]
+
+
 def refine_representation(pres: GroupPresentation, seed_rep: Representation,
                           config: SolverConfig | None = None,
                           extra_relators: tuple[Word, ...] = ()) -> Representation | None:
@@ -249,8 +298,7 @@ def refine_representation(pres: GroupPresentation, seed_rep: Representation,
     words = list(working.relators)
     if not words:
         return seed_rep
-    one = np.array([1.0, 0.0, 0.0, 0.0])
-    targets = [one] * len(words)
+    targets = np.array([[1.0, 0.0, 0.0, 0.0] * len(words)])
     params0 = np.array([[[q.w, q.x, q.y, q.z] for q in seed_rep.images]])
     params, max_res = _lm_minimize(words, targets, params0, config.tol,
                                    config.max_iter, config.polish_steps)
@@ -439,14 +487,7 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
     grid = np.linspace(0.0, math.pi, resolution)
     grid_step = float(grid[1] - grid[0])
 
-    def solve_node(i):
-        return solve_at_meridian_angle(pres, float(grid[i]), config, _seed_extra=i)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            all_sols = list(pool.map(solve_node, range(resolution)))
-    else:
-        all_sols = [solve_node(i) for i in range(resolution)]
+    all_sols = _sweep(pres, [float(a) for a in grid], range(resolution), config)
 
     records = []
     for i, sols in enumerate(all_sols):

@@ -99,6 +99,15 @@ class TestImageCommand:
         code, _, err = run(capsys, "image", str(bad))
         assert code == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("text", ['{"threads": 2}', '{"tol": 1e-9,'],
+                             ids=["unknown-key", "invalid-json"])
+    def test_malformed_config_exit_2(self, capsys, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, _, err = run(capsys, "image", "unknot", "--config", str(cfg))
+        assert code == EXIT_BAD_INPUT
+        assert "invalid solver config" in err
+
     def test_model_json_loading(self, tmp_path):
         model = torus_knot_model(2, 3)
         path = tmp_path / "trefoil.json"
@@ -119,6 +128,15 @@ class TestSpliceCommand:
         assert data["found"] is True
         assert data["gap"] > 0.1
         assert data["residual"] < 1e-8
+
+    def test_legacy_job_keys_ignored(self, capsys, tmp_path):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({
+            "model1": "trefoil", "model2": "trefoil", "gluing": "swap",
+            "resolution": 40, "seed": 1, "threads": 4, "deterministic": True}))
+        code, out, _ = run(capsys, "splice", str(job))
+        assert code == EXIT_OK
+        assert json.loads(out)["found"] is True
 
     def test_motegi_job_exit_1(self, capsys, tmp_path):
         job = tmp_path / "job.json"

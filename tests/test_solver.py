@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from pillowcase.families import (klein_bottle_model, torus_knot_model,
@@ -10,7 +11,7 @@ from pillowcase.solver import (PillowcaseImage, SolverConfig,
                                corner_diagnostics, extract_essential_curve,
                                find_surgery_representation, lift_to_cut_open,
                                reducible_lines, sample_pillowcase_image,
-                               solve_at_meridian_angle)
+                               solve_at_meridian_angle, _solve_rows)
 from pillowcase.su2 import (Representation, UnitQuaternion, boundary_angles,
                             irreducibility_gap, relator_residual)
 
@@ -229,13 +230,6 @@ class TestDiagnosticsAndDeterminism:
         img2 = sample_pillowcase_image(tre, 25, CFG)
         assert [r.point for r in img1.points] == [r.point for r in img2.points]
 
-    def test_threads_match_serial(self):
-        tre = torus_knot_model(2, 3)
-        img1 = sample_pillowcase_image(tre, 25, CFG)
-        cfg2 = SolverConfig(threads=4)
-        img2 = sample_pillowcase_image(tre, 25, cfg2)
-        assert [r.point for r in img1.points] == [r.point for r in img2.points]
-
     def test_config_io(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"tol": 1e-9, "restarts": 5, "seed": 3}')
@@ -243,3 +237,34 @@ class TestDiagnosticsAndDeterminism:
         assert cfg.tol == 1e-9 and cfg.restarts == 5 and cfg.seed == 3
         with pytest.raises(ValueError):
             SolverConfig.from_dict({"bogus": 1})
+
+
+def _witness_bytes(reps):
+    return np.array([[(q.w, q.x, q.y, q.z) for q in rep.images]
+                     for rep in reps]).tobytes()
+
+
+class TestSweepEngine:
+    @pytest.mark.parametrize("model", [torus_knot_model(2, 3), klein_bottle_model()],
+                             ids=["trefoil", "klein"])
+    def test_batched_sweep_matches_per_node(self, model):
+        # 25 nodes x 20 restarts = 500 rows: two full blocks and a short one
+        img = sample_pillowcase_image(model, 25, CFG)
+        grid = np.linspace(0.0, PI, 25)
+        per_node = [rep for i in range(25) for rep in solve_at_meridian_angle(
+            model.presentation, float(grid[i]), CFG, _seed_extra=i)]
+        assert len(img.points) == len(per_node) > 0
+        assert _witness_bytes(r.witness for r in img.points) == _witness_bytes(per_node)
+
+    def test_singular_row_falls_back_alone(self):
+        rng = np.random.default_rng(0)
+        M = rng.standard_normal((5, 8, 8))
+        A = M @ M.transpose(0, 2, 1) + np.eye(8)
+        A[2, 0, :] = 0.0
+        A[2, :, 0] = 0.0
+        b = rng.standard_normal((5, 8))
+        x = _solve_rows(A, b)
+        regular = [0, 1, 3, 4]
+        expected = np.linalg.solve(A[regular], b[regular][..., None])[..., 0]
+        assert x[regular].tobytes() == expected.tobytes()
+        assert x[2].tobytes() == (np.linalg.pinv(A[2]) @ b[2]).tobytes()
