@@ -11,16 +11,16 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .families import builtin_model, MODEL_NAMES
-from .geometry import GluingMatrix, essential_class
+from .geometry import GluingMatrix, essential_class, induced_boundary_transform
 from .gluer import search_nonabelian_rep, splice
 from .homology import (enumerate_standard_tuples, filling_homology,
                        glue_homology, seifert_h1, standard_form_reduce)
 from .presentations import KnotExteriorModel
-from .render import image_to_csv, image_to_svg
+from .render import image_to_csv, image_to_svg, mark_points, polylines_to_svg
 from .solver import (SolverConfig, corner_diagnostics, extract_essential_curve,
                      lift_to_cut_open, sample_pillowcase_image)
 
@@ -117,7 +117,11 @@ def _config_from_args(args, job: dict | None = None) -> SolverConfig:
     except (OSError, TypeError, ValueError) as exc:
         raise InputError(f"invalid solver config {path}: {exc}") from exc
     if job:
-        config = replace(config, **{k: job[k] for k in _JOB_CONFIG_KEYS if k in job})
+        fields = {k: job[k] for k in _JOB_CONFIG_KEYS if k in job}
+        try:
+            config = SolverConfig.from_dict({**asdict(config), **fields})
+        except ValueError as exc:
+            raise InputError(f"invalid job: {exc}") from exc
     flags = {k: getattr(args, k) for k in _FLAG_CONFIG_KEYS
              if getattr(args, k, None) is not None}
     return replace(config, **flags)
@@ -259,7 +263,9 @@ def cmd_splice(args) -> int:
         raise InputError(str(exc)) from exc
     config = _config_from_args(args, job)
     spliced = splice(m1, m2, g)
-    result = search_nonabelian_rep(spliced, config)
+    img1 = sample_pillowcase_image(m1, config.resolution, config)
+    img2 = sample_pillowcase_image(m2, config.resolution, config)
+    result = search_nonabelian_rep(spliced, config, image1=img1, image2=img2)
     payload = {
         "model1": m1.name,
         "model2": m2.name,
@@ -286,10 +292,6 @@ def cmd_splice(args) -> int:
         Path(args.out).write_text(text + "\n")
     print(text)
     if args.svg:
-        img1 = sample_pillowcase_image(m1, config.resolution, config)
-        img2 = sample_pillowcase_image(m2, config.resolution, config)
-        from .geometry import induced_boundary_transform
-        from .render import mark_points, polylines_to_svg
         curves = list(img1.arcs) + list(
             img2.transform_arcs(lambda v: induced_boundary_transform(g, v)))
         svg = polylines_to_svg(curves, title=f"{m1.name} glued to {m2.name}")

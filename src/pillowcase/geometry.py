@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,17 +82,16 @@ def canonicalize(alpha_raw: float, beta_raw: float) -> PillowcasePoint:
 P_POINT = canonicalize(0.0, math.pi)
 Q_POINT = canonicalize(math.pi, math.pi)
 
-_ODD_PRIME_LIMIT = 10**6
 
-
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
+def _is_prime(p: int) -> bool:
+    """Trial-division primality test for the small integers of gluings."""
+    if p < 2:
         return False
-    d = 3
+    d = 2
     while d * d <= p:
         if p % d == 0:
             return False
-        d += 2
+        d += 1
     return True
 
 
@@ -106,7 +108,7 @@ def apply_involution(kind: str, pt: PillowcasePoint, p: int | None = None) -> Pi
     if kind == "tau":
         return canonicalize(math.pi - a, TWO_PI - b)
     if kind == "sigma_p":
-        if p is None or not _is_odd_prime(p):
+        if p is None or p == 2 or not _is_prime(p):
             raise ValueError(f"sigma_p needs an odd prime, got {p}")
         return canonicalize(-a, p * a + b)
     raise ValueError(f"unknown involution kind: {kind}")
@@ -208,6 +210,24 @@ def _reps_near(pt: PillowcasePoint, x: float, y: float):
     return out
 
 
+def _reps_near_array(pt: PillowcasePoint, x: np.ndarray, y: np.ndarray):
+    """_reps_near for a column of anchors: two (n, 18) arrays of lifts.
+
+    Same float operations as _reps_near (np.round and round both round
+    half to even), so every lift is bitwise one of _reps_near's.
+    """
+    xs, ys = [], []
+    for s in (1.0, -1.0):
+        ax, ay = s * pt.alpha, s * pt.beta
+        m0 = np.round((x - ax) / TWO_PI)
+        n0 = np.round((y - ay) / TWO_PI)
+        for dm in (-1, 0, 1):
+            for dn in (-1, 0, 1):
+                xs.append(ax + TWO_PI * (m0 + dm))
+                ys.append(ay + TWO_PI * (n0 + dn))
+    return np.hstack(xs), np.hstack(ys)
+
+
 def pillowcase_distance(p1: PillowcasePoint, p2: PillowcasePoint) -> float:
     """Flat orbifold metric distance.
 
@@ -265,13 +285,8 @@ class PillowcasePolyline:
     def segment_count(self) -> int:
         return len(self.vertices) - 1 + (1 if self.closed else 0)
 
-    def lifted_vertices(self) -> list[tuple[float, float]]:
-        """Continuous plane lift starting at the first vertex's canonical rep.
-
-        For a closed polyline the returned list has one extra point: the
-        lift of the first vertex reached after going all the way around
-        (a deck translate of the start).
-        """
+    @cached_property
+    def _lifts(self) -> tuple[tuple[float, float], ...]:
         first = self.vertices[0]
         lifts = [(first.alpha, first.beta)]
         seq = list(self.vertices[1:])
@@ -279,10 +294,27 @@ class PillowcasePolyline:
             seq.append(first)
         for v in seq:
             lifts.append(nearest_lift(v, lifts[-1]))
-        return lifts
+        return tuple(lifts)
+
+    @cached_property
+    def _lift_array(self) -> np.ndarray:
+        """The lifted vertices as a read-only (segments + 1, 2) array."""
+        xy = np.array(self._lifts)
+        xy.flags.writeable = False
+        return xy
+
+    def lifted_vertices(self) -> list[tuple[float, float]]:
+        """Continuous plane lift starting at the first vertex's canonical rep.
+
+        For a closed polyline the returned list has one extra point: the
+        lift of the first vertex reached after going all the way around
+        (a deck translate of the start).  The lift is computed once per
+        polyline and cached.
+        """
+        return list(self._lifts)
 
     def lifted_segments(self) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-        lifts = self.lifted_vertices()
+        lifts = self._lifts
         return list(zip(lifts[:-1], lifts[1:]))
 
     def length(self) -> float:
@@ -292,9 +324,25 @@ class PillowcasePolyline:
         return PillowcasePolyline(tuple(reversed(self.vertices)), closed=self.closed)
 
     def min_distance_to(self, pt: PillowcasePoint) -> float:
-        """Distance from the marked point to the polyline's segments."""
+        """Distance from the marked point to the polyline's segments.
+
+        Numpy evaluates every (segment, nearby lift of pt) distance with the
+        operations of _point_segment_distance; only np.hypot may differ from
+        math.hypot, by an ulp or two.  The scalar code then re-runs on the
+        segments within 1e-9 of the numpy minimum, which hold the segment
+        of the scalar minimum, so the value returned is the scalar one.
+        """
+        xy = self._lift_array
+        xa, ya, xb, yb = xy[:-1, 0, None], xy[:-1, 1, None], xy[1:, 0, None], xy[1:, 1, None]
+        dx, dy = xb - xa, yb - ya
+        px, py = _reps_near_array(pt, 0.5 * (xa + xb), 0.5 * (ya + yb))
+        L2 = dx * dx + dy * dy
+        t = np.clip(((px - xa) * dx + (py - ya) * dy) / np.where(L2 == 0.0, 1.0, L2),
+                    0.0, 1.0)
+        seg_min = np.hypot(px - (xa + t * dx), py - (ya + t * dy)).min(axis=1)
         best = math.inf
-        for (x1, y1), (x2, y2) in self.lifted_segments():
+        for i in np.flatnonzero(seg_min <= seg_min.min() + 1e-9).tolist():
+            (x1, y1), (x2, y2) = self._lifts[i], self._lifts[i + 1]
             for (px, py) in _reps_near(pt, 0.5 * (x1 + x2), 0.5 * (y1 + y2)):
                 best = min(best, _point_segment_distance(px, py, x1, y1, x2, y2))
         return best
@@ -388,6 +436,59 @@ def _deck_images(seg, xlo, xhi, ylo, yhi):
     return out
 
 
+def _padded_boxes(c: PillowcasePolyline, tol: float) -> np.ndarray:
+    """(segments, 4) lifted segment boxes [xlo, xhi, ylo, yhi], padded.
+
+    If _segment_intersection(a, b, tol) reports anything, the boxes of a
+    and b lie within tol * (2 + |a| + |b|) of each other in exact
+    arithmetic: a transversal hit is within tol of both segments (t and u
+    overshoot [0, 1] by at most tol / length); a collinear hit has b within
+    tol * (1 + |b|) of the line of a (offset and direction checks) and the
+    projections within tol * |a| along it (hi >= lo - tol).  Rounding moves
+    the hit by at most ~4 eps (|a| + |b|) / |unit_cross| < 4 eps (|a| + |b|)
+    / tol, the near-parallel transversal worst case, plus an ulp of the
+    coordinates.  Padding each box by (tol + 64 eps / tol) (1 + length)
+    covers all of it: the two pads sum to at least tol * (2 + |a| + |b|)
+    + 64 eps (|a| + |b|) / tol, and to at least 4 sqrt(64 eps) ~ 5e-7,
+    far above an ulp of any lift reached here.
+    """
+    xy = c._lift_array
+    x, y = xy[:, 0], xy[:, 1]
+    length = np.hypot(x[1:] - x[:-1], y[1:] - y[:-1])
+    if tol > 0.0:
+        pad = (tol + 64.0 * np.finfo(float).eps / tol) * (1.0 + length)
+    else:
+        pad = np.full_like(length, np.inf)
+    return np.stack([np.minimum(x[:-1], x[1:]) - pad, np.maximum(x[:-1], x[1:]) + pad,
+                     np.minimum(y[:-1], y[1:]) - pad, np.maximum(y[:-1], y[1:]) + pad],
+                    axis=1)
+
+
+def _shift_overlap(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+    """(S1, S2) mask: some 2pi k shift of [lo_b, hi_b] meets [lo_a, hi_a]."""
+    k_lo = np.ceil((lo_a[:, None] - hi_b[None, :]) / TWO_PI)
+    k_hi = np.floor((hi_a[:, None] - lo_b[None, :]) / TWO_PI)
+    return k_lo <= k_hi
+
+
+def _candidate_pairs(c1: PillowcasePolyline, c2: PillowcasePolyline,
+                     tol: float) -> list[tuple[int, int]]:
+    """Segment pairs (i1, i2) that some deck image can make intersect.
+
+    Broad phase of detailed_intersections: a pair is dropped only when no
+    sign and no 2pi shifts bring the padded boxes together, so every deck
+    image _segment_intersection would see for it returns nothing.  Pairs
+    come in the all-pairs loop order, i1 then i2 ascending.
+    """
+    a = _padded_boxes(c1, tol)
+    b = _padded_boxes(c2, tol)
+    keep = np.zeros((len(a), len(b)), dtype=bool)
+    for sb in (b, -b[:, [1, 0, 3, 2]]):
+        keep |= (_shift_overlap(a[:, 0], a[:, 1], sb[:, 0], sb[:, 1])
+                 & _shift_overlap(a[:, 2], a[:, 3], sb[:, 2], sb[:, 3]))
+    return list(zip(*(idx.tolist() for idx in np.nonzero(keep))))
+
+
 def detailed_intersections(c1: PillowcasePolyline, c2: PillowcasePolyline,
                            tol: float = 1e-9):
     """All orbifold intersections with segment indices and parameters.
@@ -398,16 +499,16 @@ def detailed_intersections(c1: PillowcasePolyline, c2: PillowcasePolyline,
     segs1 = c1.lifted_segments()
     segs2 = c2.lifted_segments()
     found = []
-    for i1, seg_a in enumerate(segs1):
+    for i1, i2 in _candidate_pairs(c1, c2, tol):
+        seg_a = segs1[i1]
         (x1, y1), (x2, y2) = seg_a
         xlo, xhi = min(x1, x2) - tol, max(x1, x2) + tol
         ylo, yhi = min(y1, y2) - tol, max(y1, y2) + tol
-        for i2, seg_b in enumerate(segs2):
-            for img in _deck_images(seg_b, xlo, xhi, ylo, yhi):
-                for (x, y, trans, ta, tb) in _segment_intersection(
-                        seg_a[0], seg_a[1], img[0], img[1], tol):
-                    pt = canonicalize(x, y)
-                    found.append((pt, trans, i1, ta, i2, tb))
+        for img in _deck_images(segs2[i2], xlo, xhi, ylo, yhi):
+            for (x, y, trans, ta, tb) in _segment_intersection(
+                    seg_a[0], seg_a[1], img[0], img[1], tol):
+                pt = canonicalize(x, y)
+                found.append((pt, trans, i1, ta, i2, tb))
     # dedup by orbifold distance, transversal crossings take precedence
     found.sort(key=lambda rec: (rec[0].alpha, rec[0].beta, not rec[1]))
     kept = []

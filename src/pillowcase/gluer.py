@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import (GluingMatrix, PillowcasePoint, PillowcasePolyline,
-                       _is_odd_prime, canonicalize, essential_class,
+                       _is_prime, canonicalize, essential_class,
                        induced_boundary_transform, line_offset,
                        pillowcase_distance, polyline_intersections, sigma_p,
                        TWO_PI)
@@ -94,8 +94,7 @@ class SpliceSearchResult:
     diagnostics: tuple = ()
 
 
-def _candidate_points(img1: PillowcaseImage, arcs2_transformed,
-                      gluing: GluingMatrix):
+def _candidate_points(img1: PillowcaseImage, arcs2_transformed):
     """Intersection candidates of image 1 with the transformed image 2."""
     out = []
     for a1 in img1.arcs:
@@ -144,7 +143,7 @@ def search_nonabelian_rep(spliced: SplicedManifold, config: SolverConfig | None 
     img2 = image2 or sample_pillowcase_image(spliced.model2, config.resolution, config)
     g = spliced.gluing
     arcs2 = img2.transform_arcs(lambda v: induced_boundary_transform(g, v))
-    candidates = _candidate_points(img1, arcs2, g)
+    candidates = _candidate_points(img1, arcs2)
 
     scored = []
     for pt in candidates:
@@ -334,7 +333,7 @@ def p_avoiding_certificate(curve: PillowcasePolyline, p: int,
     """Certify (or refute) that a closed curve is slope-p avoiding."""
     if not curve.closed:
         raise ValueError("certificate needs a closed curve")
-    if not _is_odd_prime(p):
+    if p == 2 or not _is_prime(p):
         raise ValueError("p must be an odd prime >= 3")
     ess = essential_class(curve)
     corners = (canonicalize(0.0, 0.0), canonicalize(math.pi, 0.0))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .geometry import GluingMatrix
+from .geometry import GluingMatrix, _is_prime
 from .presentations import GroupPresentation, KnotExteriorModel, exponent_vector
 
 __all__ = [
@@ -451,17 +451,6 @@ def seifert_h1(data) -> SeifertHomology:
 
 # ---------------------------------------------------------------------------
 # standard form of torus gluings
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
 
 @dataclass(frozen=True)
 class StandardFormResult:

@@ -53,10 +53,20 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(data) - known
+        """Config from a JSON object; unknown keys or mistyped values raise ValueError.
+
+        Int fields take ints only (not bools); float fields take ints or floats.
+        """
+        fields = cls.__dataclass_fields__
+        extra = set(data) - set(fields)
         if extra:
             raise ValueError(f"unknown solver config keys: {sorted(extra)}")
+        for key, value in data.items():
+            kind = type(fields[key].default)
+            allowed = (int, float) if kind is float else (kind,)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"solver config {key!r} must be {kind.__name__}, "
+                                 f"got {value!r}")
         return cls(**data)
 
     @classmethod

@@ -5,7 +5,9 @@ import pytest
 from pillowcase.cli import (EXIT_BAD_INPUT, EXIT_CONTRACT, EXIT_NOT_FOUND,
                             EXIT_OK, load_model, main, parse_gluing)
 from pillowcase.families import torus_knot_model
-from pillowcase.render import image_to_csv, image_to_svg
+from pillowcase.geometry import PillowcasePoint, induced_boundary_transform
+from pillowcase.render import (image_to_csv, image_to_svg, mark_points,
+                               polylines_to_svg)
 from pillowcase.solver import SolverConfig, sample_pillowcase_image
 
 
@@ -99,14 +101,23 @@ class TestImageCommand:
         code, _, err = run(capsys, "image", str(bad))
         assert code == EXIT_BAD_INPUT
 
-    @pytest.mark.parametrize("text", ['{"threads": 2}', '{"tol": 1e-9,'],
-                             ids=["unknown-key", "invalid-json"])
+    @pytest.mark.parametrize("text", ['{"threads": 2}', '{"tol": 1e-9,',
+                                      '{"restarts": "5"}', '{"restarts": true}',
+                                      '{"tol": "1e-9"}'],
+                             ids=["unknown-key", "invalid-json", "str-for-int",
+                                  "bool-for-int", "str-for-float"])
     def test_malformed_config_exit_2(self, capsys, tmp_path, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         code, _, err = run(capsys, "image", "unknot", "--config", str(cfg))
         assert code == EXIT_BAD_INPUT
         assert "invalid solver config" in err
+
+    def test_config_value_types(self):
+        cfg = SolverConfig.from_dict({"tol": 1, "min_gap": 0.2, "restarts": 5})
+        assert (cfg.tol, cfg.min_gap, cfg.restarts) == (1, 0.2, 5)
+        with pytest.raises(ValueError, match="'seed' must be int"):
+            SolverConfig.from_dict({"seed": 1.0})
 
     def test_model_json_loading(self, tmp_path):
         model = torus_knot_model(2, 3)
@@ -137,6 +148,44 @@ class TestSpliceCommand:
         code, out, _ = run(capsys, "splice", str(job))
         assert code == EXIT_OK
         assert json.loads(out)["found"] is True
+
+    def test_mistyped_job_field_exit_2(self, capsys, tmp_path):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({
+            "model1": "trefoil", "model2": "trefoil", "resolution": "40"}))
+        code, _, err = run(capsys, "splice", str(job))
+        assert code == EXIT_BAD_INPUT
+        assert "'resolution' must be int" in err
+
+    def test_svg_reuses_search_images(self, capsys, tmp_path, monkeypatch):
+        from pillowcase import cli, gluer
+        calls = []
+
+        def counting_sweep(*args, **kwargs):
+            calls.append(args[0].name)
+            return sample_pillowcase_image(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample_pillowcase_image", counting_sweep)
+        monkeypatch.setattr(gluer, "sample_pillowcase_image", counting_sweep)
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({
+            "model1": "trefoil", "model2": "trefoil-neg", "gluing": "skew:3",
+            "resolution": 40, "seed": 1}))
+        svg_path = tmp_path / "splice.svg"
+        code, out, _ = run(capsys, "splice", str(job), "--svg", str(svg_path))
+        assert code == EXIT_OK
+        assert calls == ["torus(2,3)", "torus(-2,3)"]
+        # the same drawing as from images swept apart from the search
+        cfg = SolverConfig(resolution=40, seed=1)
+        img1 = sample_pillowcase_image(load_model("trefoil"), 40, cfg)
+        img2 = sample_pillowcase_image(load_model("trefoil-neg"), 40, cfg)
+        g = parse_gluing("skew:3")
+        svg = polylines_to_svg(
+            list(img1.arcs) + list(img2.transform_arcs(
+                lambda v: induced_boundary_transform(g, v))),
+            title="torus(2,3) glued to torus(-2,3)")
+        svg = mark_points(svg, [PillowcasePoint(*json.loads(out)["boundary_point"])])
+        assert svg_path.read_text() == svg
 
     def test_motegi_job_exit_1(self, capsys, tmp_path):
         job = tmp_path / "job.json"

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from pillowcase.geometry import (GluingMatrix, DegenerateCurveError, P_POINT,
-                                 Q_POINT, TWO_PI, apply_integer_matrix,
-                                 apply_involution, canonicalize,
+                                 Q_POINT, TWO_PI, _candidate_pairs,
+                                 _deck_images, _point_segment_distance,
+                                 _reps_near, _segment_intersection,
+                                 apply_integer_matrix, apply_involution,
+                                 canonicalize, detailed_intersections,
                                  essential_class, induced_boundary_transform,
                                  line_offset, multiply_matrices,
                                  pillowcase_distance, polyline,
@@ -167,6 +170,137 @@ class TestPolylineIntersections:
         c1 = polyline([(0.3, 1.0), (0.4, 1.0)])
         c2 = polyline([(2.0, 2.0), (2.1, 2.0)])
         assert polyline_intersections(c1, c2) == []
+
+
+def _reference_detailed_intersections(c1, c2, tol):
+    """The all-pairs loop that detailed_intersections must reproduce exactly."""
+    segs1 = c1.lifted_segments()
+    segs2 = c2.lifted_segments()
+    found = []
+    for i1, seg_a in enumerate(segs1):
+        (x1, y1), (x2, y2) = seg_a
+        xlo, xhi = min(x1, x2) - tol, max(x1, x2) + tol
+        ylo, yhi = min(y1, y2) - tol, max(y1, y2) + tol
+        for i2, seg_b in enumerate(segs2):
+            for img in _deck_images(seg_b, xlo, xhi, ylo, yhi):
+                for (x, y, trans, ta, tb) in _segment_intersection(
+                        seg_a[0], seg_a[1], img[0], img[1], tol):
+                    found.append((canonicalize(x, y), trans, i1, ta, i2, tb))
+    found.sort(key=lambda rec: (rec[0].alpha, rec[0].beta, not rec[1]))
+    kept = []
+    for rec in found:
+        if not any(rec[0].is_close(other[0], tol=1e-7) and rec[2] == other[2]
+                   and rec[4] == other[4] for other in kept):
+            kept.append(rec)
+    return kept
+
+
+def _reference_min_distance(curve, pt):
+    """The all-segments scalar loop that min_distance_to must reproduce."""
+    best = math.inf
+    for (x1, y1), (x2, y2) in curve.lifted_segments():
+        for (px, py) in _reps_near(pt, 0.5 * (x1 + x2), 0.5 * (y1 + y2)):
+            best = min(best, _point_segment_distance(px, py, x1, y1, x2, y2))
+    return best
+
+
+def _walk(rng, n):
+    """Plane points of a random walk with short, medium and wrapping steps."""
+    steps = rng.normal(size=(n - 1, 2)) * rng.choice([0.03, 0.4, 1.5], size=(n - 1, 1))
+    start = rng.uniform(-2 * TWO_PI, 2 * TWO_PI, size=2)
+    return np.vstack([start, start + np.cumsum(steps, axis=0)])
+
+
+def _with_repeats(rng, pts):
+    """Repeat a few points in place, giving zero-length segments."""
+    dup = set(rng.integers(0, len(pts), size=2).tolist())
+    return np.array([q for i, p in enumerate(pts) for q in ([p, p] if i in dup else [p])])
+
+
+def _deck_move(rng, pts):
+    """A random deck transformation: sign and 2pi lattice shift."""
+    return rng.choice([-1.0, 1.0]) * pts + TWO_PI * rng.integers(-3, 4, size=2)
+
+
+def _companion(rng, c1, kind, tol):
+    """A polyline placed against c1 to hit one case of the narrow phase."""
+    lifts = np.array(c1.lifted_vertices())
+    j = int(rng.integers(0, len(lifts) - 2))
+    run = lifts[j:j + int(rng.integers(2, 6))]
+    if kind == "collinear":
+        # sub-segments of a run of c1, overlapping it along its own lines
+        a, b = rng.uniform(0.0, 0.9, size=2)
+        pts = np.vstack([run[0] + a * (run[1] - run[0]), run[1:-1],
+                         run[-2] + (1 - b) * (run[-1] - run[-2])])
+    elif kind == "near-parallel":
+        # the same run nudged by a few tol, so |unit_cross| lands near tol
+        scale = tol * rng.choice([0.3, 1.0, 3.0, 30.0], size=(len(run), 1))
+        pts = run + scale * rng.choice([-1.0, 1.0], size=run.shape)
+    elif kind == "touching":
+        # vertices within a fraction of tol of c1's vertices
+        pts = run + 0.5 * tol * rng.uniform(-1.0, 1.0, size=run.shape)
+    else:
+        # a random walk through some of c1's vertices, shared exactly
+        pts = _walk(rng, 8)
+        pts[::3] = lifts[rng.integers(0, len(lifts), size=len(pts[::3]))]
+    return polyline([tuple(p) for p in _deck_move(rng, _with_repeats(rng, pts))],
+                    closed=bool(rng.integers(0, 2)) and len(pts) > 2)
+
+
+class TestBroadPhaseEquivalence:
+    KINDS = ("collinear", "near-parallel", "touching", "shared")
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    def test_matches_all_pairs_loop(self, tol):
+        rng = np.random.default_rng(2024)
+        flags, pairs, kept = set(), 0, 0
+        for case in range(24):
+            c1 = polyline([tuple(p) for p in _with_repeats(rng, _walk(rng, 30))],
+                          closed=bool(case % 2))
+            walk = polyline([tuple(p) for p in _walk(rng, 25)], closed=True)
+            companions = [_companion(rng, c1, kind, tol) for kind in self.KINDS]
+            for a, b in [(c1, c1), (c1, walk)] + [(c2, c1) for c2 in companions]:
+                got = detailed_intersections(a, b, tol=tol)
+                assert repr(got) == repr(_reference_detailed_intersections(a, b, tol))
+                flags.update(rec[1] for rec in got)
+                pairs += a.segment_count() * b.segment_count()
+                kept += len(_candidate_pairs(a, b, tol))
+        # both narrow-phase branches were reached, and pairs were pruned
+        assert flags == {True, False}
+        assert kept < 0.2 * pairs
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    def test_hits_at_the_tolerance_boundary(self, tol):
+        # a transversal hit reaches tol past a segment's end, and a collinear
+        # one tol * |a| along it, so boxes tol apart must still be paired
+        hits = 0
+        for frac in (0.5, 0.9, 0.99, 1.01, 1.5):
+            for x0, y0 in ((0.4, 1.1), (-5.0, 7.3), (2.0 + TWO_PI, -0.6)):
+                a = polyline([(x0, y0), (x0 + 2.5, y0)])
+                short = polyline([(x0 + 1.0, y0 + frac * tol), (x0 + 1.0, y0 + 0.5)])
+                beyond = polyline([(x0 + 2.5 + frac * tol * 2.5, y0), (x0 + 3.0, y0)])
+                for c1, c2 in ((a, short), (short, a), (a, beyond), (beyond, a)):
+                    got = detailed_intersections(c1, c2, tol=tol)
+                    assert repr(got) == repr(_reference_detailed_intersections(c1, c2, tol))
+                    hits += len(got)
+        assert hits
+
+    def test_min_distance_matches_scalar_loop(self):
+        rng = np.random.default_rng(77)
+        for case in range(40):
+            curve = polyline([tuple(p) for p in _with_repeats(rng, _walk(rng, 40))],
+                             closed=bool(case % 2))
+            lifts = np.array(curve.lifted_vertices())
+            i = int(rng.integers(0, len(lifts) - 1))
+            on_segment = lifts[i] + rng.uniform() * (lifts[i + 1] - lifts[i])
+            pts = [P_POINT, Q_POINT, canonicalize(0.0, 0.0), canonicalize(PI, 0.0),
+                   curve.vertices[int(rng.integers(0, len(curve)))],
+                   canonicalize(*on_segment),
+                   canonicalize(*(on_segment + 1e-7 * rng.normal(size=2)))]
+            pts += [canonicalize(*rng.uniform(-10, 10, size=2)) for _ in range(5)]
+            for pt in pts:
+                assert repr(curve.min_distance_to(pt)) == \
+                    repr(_reference_min_distance(curve, pt))
 
 
 class TestEssentialClass:

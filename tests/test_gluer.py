@@ -84,7 +84,7 @@ class TestSearch:
         g = GluingMatrix.skew(2)
         arcs2 = trefoil_image.transform_arcs(
             lambda v: induced_boundary_transform(g, v))
-        cands = _candidate_points(trefoil_image, arcs2, g)
+        cands = _candidate_points(trefoil_image, arcs2)
         assert cands
         for pt in cands:
             assert min(pillowcase_distance(tau(pt), q) for q in cands) \
