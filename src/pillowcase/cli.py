@@ -45,7 +45,7 @@ def load_model(ref: str) -> KnotExteriorModel:
             raise InputError(f"model file not found: {ref}")
         try:
             return KnotExteriorModel.from_json(path.read_text())
-        except (ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise InputError(f"invalid model JSON {ref}: {exc}") from exc
     try:
         return builtin_model(ref)
@@ -65,6 +65,8 @@ def parse_gluing(spec, model1: KnotExteriorModel | None = None,
             return GluingMatrix(**entries)
         except ValueError as exc:
             raise ContractError(str(exc)) from exc
+    if not isinstance(spec, str):
+        raise InputError(f"gluing must be a string or a mapping: {spec!r}")
     if spec == "swap":
         return GluingMatrix.swap()
     if spec in ("skew", "sigma"):
@@ -95,7 +97,7 @@ def parse_gluing(spec, model1: KnotExteriorModel | None = None,
         except ValueError as exc:
             raise ContractError(str(exc)) from exc
     try:
-        a, b, p, c = (int(v) for v in str(spec).split(","))
+        a, b, p, c = (int(v) for v in spec.split(","))
     except ValueError as exc:
         raise InputError(f"cannot parse gluing {spec!r}") from exc
     try:
@@ -249,13 +251,17 @@ def cmd_splice(args) -> int:
         raise InputError(f"job file not found: {args.job}")
     try:
         job = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"invalid job JSON: {exc}") from exc
-    try:
-        m1 = load_model(job["model1"])
-        m2 = load_model(job["model2"])
-    except KeyError as exc:
-        raise InputError(f"job is missing {exc}") from exc
+    if not isinstance(job, dict):
+        raise InputError("job JSON must be an object")
+    for key in ("model1", "model2"):
+        if key not in job:
+            raise InputError(f"job is missing {key!r}")
+        if not isinstance(job[key], str):
+            raise InputError(f"job {key} must be a string: {job[key]!r}")
+    m1 = load_model(job["model1"])
+    m2 = load_model(job["model2"])
     try:
         g = parse_gluing(job.get("gluing", "swap"), m1, m2)
     except ContractError as exc:

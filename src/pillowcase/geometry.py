@@ -616,6 +616,47 @@ def line_offset(pt: PillowcasePoint, coef_alpha: float, coef_beta: float,
     return abs(math.remainder(val, TWO_PI))
 
 
+def line_crossings(curve: PillowcasePolyline, ca: float, cb: float,
+                   target: float = 0.0, period: float = TWO_PI) -> list[PillowcasePoint]:
+    """Points where the curve meets ca*alpha + cb*beta = target mod period.
+
+    Each lifted segment is scanned for the line's translates: with f the
+    linear form minus target at the two ends, a translate k*period is met
+    where the segment parameter t = (k*period - f1)/(f2 - f1) lies in
+    [-1e-9, 1 + 1e-9], so the k-window is widened by 1e-9*|f2 - f1| on
+    each side.  A segment parallel to the line (|f2 - f1| < 1e-15) gives
+    both its ends when it lies on the line (|remainder(f1, period)| < 1e-9)
+    and nothing otherwise.  Canonical points come in segment order, not
+    deduplicated; a hit at a shared vertex appears once per segment.
+    """
+    hits = []
+    for (x1, y1), (x2, y2) in curve.lifted_segments():
+        f1 = ca * x1 + cb * y1 - target
+        f2 = ca * x2 + cb * y2 - target
+        df = f2 - f1
+        if abs(df) < 1e-15:
+            if abs(math.remainder(f1, period)) < 1e-9:
+                hits.append(canonicalize(x1, y1))
+                hits.append(canonicalize(x2, y2))
+            continue
+        w = 1e-9 * abs(df)
+        lo, hi = (f1 - w, f2 + w) if df > 0 else (f2 - w, f1 + w)
+        for k in range(math.ceil(lo / period), math.floor(hi / period) + 1):
+            t = (period * k - f1) / df
+            if -1e-9 <= t <= 1 + 1e-9:
+                hits.append(canonicalize(x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
+    return hits
+
+
+def distinct_points(points, tol: float = 1e-6) -> list[PillowcasePoint]:
+    """First occurrences, in input order, of points tol apart or more."""
+    kept = []
+    for pt in points:
+        if not any(pillowcase_distance(pt, q) < tol for q in kept):
+            kept.append(pt)
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

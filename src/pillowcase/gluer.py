@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 
 from .geometry import (GluingMatrix, PillowcasePoint, PillowcasePolyline,
-                       _is_prime, canonicalize, essential_class,
-                       induced_boundary_transform, line_offset,
-                       pillowcase_distance, polyline_intersections, sigma_p,
-                       TWO_PI)
+                       _is_prime, canonicalize, distinct_points,
+                       essential_class, induced_boundary_transform,
+                       line_crossings, line_offset, pillowcase_distance,
+                       polyline_intersections, sigma_p, TWO_PI)
 from .presentations import (GroupPresentation, KnotExteriorModel, concat,
                             invert_word, pow_word, shift_word)
 from .solver import (ImagePoint, PillowcaseImage, SolverConfig,
@@ -101,12 +101,7 @@ def _candidate_points(img1: PillowcaseImage, arcs2_transformed):
         for a2 in arcs2_transformed:
             for (pt, trans) in polyline_intersections(a1, a2, tol=1e-9):
                 out.append(pt)
-    # dedup
-    kept = []
-    for pt in out:
-        if not any(pillowcase_distance(pt, q) < 1e-6 for q in kept):
-            kept.append(pt)
-    return kept
+    return distinct_points(out)
 
 
 def _side2_angles(gluing: GluingMatrix, pt: PillowcasePoint) -> tuple[float, float]:
@@ -114,16 +109,6 @@ def _side2_angles(gluing: GluingMatrix, pt: PillowcasePoint) -> tuple[float, flo
     inv = gluing.inverse().rows()
     return (inv[0][0] * pt.alpha + inv[0][1] * pt.beta,
             inv[1][0] * pt.alpha + inv[1][1] * pt.beta)
-
-
-def _nearest_record(img: PillowcaseImage, pt: PillowcasePoint):
-    best, best_d = None, math.inf
-    for rec in img.points:
-        d = pillowcase_distance(rec.point, pt)
-        if d < best_d:
-            best_d = d
-            best = rec
-    return best, best_d
 
 
 def search_nonabelian_rep(spliced: SplicedManifold, config: SolverConfig | None = None,
@@ -152,8 +137,8 @@ def search_nonabelian_rep(spliced: SplicedManifold, config: SolverConfig | None 
         delta_zero = abs(math.remainder(delta, TWO_PI)) < 1e-6
         if beta_zero and delta_zero:
             continue  # both restrictions would be forced abelian
-        rec1, d1 = _nearest_record(img1, pt)
-        rec2, d2 = _nearest_record(img2, canonicalize(gamma, delta))
+        rec1, d1 = img1.nearest_point(pt)
+        rec2, d2 = img2.nearest_point(canonicalize(gamma, delta))
         if rec1 is None or rec2 is None:
             continue
         if d1 > 2 * img1.chain_threshold or d2 > 2 * img2.chain_threshold:
@@ -237,24 +222,8 @@ def _points_on_line(img: PillowcaseImage, ca: float, cb: float, target: float,
         for v in arc.vertices:
             if line_offset(v, ca, cb, target) < tol:
                 pts.append(v)
-        for (x1, y1), (x2, y2) in arc.lifted_segments():
-            f1 = ca * x1 + cb * y1 - target
-            f2 = ca * x2 + cb * y2 - target
-            lo, hi = min(f1, f2), max(f1, f2)
-            k_lo = math.ceil(lo / TWO_PI)
-            k_hi = math.floor(hi / TWO_PI)
-            for k in range(k_lo, k_hi + 1):
-                if abs(f2 - f1) < 1e-15:
-                    continue
-                t = (TWO_PI * k - f1) / (f2 - f1)
-                if -1e-9 <= t <= 1 + 1e-9:
-                    pts.append(canonicalize(x1 + t * (x2 - x1),
-                                            y1 + t * (y2 - y1)))
-    kept = []
-    for pt in pts:
-        if not any(pillowcase_distance(pt, q) < 1e-6 for q in kept):
-            kept.append(pt)
-    return kept
+        pts += line_crossings(arc, ca, cb, target)
+    return distinct_points(pts)
 
 
 def slope_line_certificates(img: PillowcaseImage, p: int,
@@ -370,41 +339,12 @@ def _meets_line(curve: PillowcasePolyline, ca, cb, target, tol) -> bool:
     for v in curve.vertices:
         if line_offset(v, ca, cb, target) < tol:
             return True
-    # check segment crossings of the line as well
-    for (x1, y1), (x2, y2) in curve.lifted_segments():
-        f1 = ca * x1 + cb * y1 - target
-        f2 = ca * x2 + cb * y2 - target
-        k_lo = math.ceil(min(f1, f2) / TWO_PI)
-        k_hi = math.floor(max(f1, f2) / TWO_PI)
-        if k_hi >= k_lo:
-            return True
-    return False
+    return bool(line_crossings(curve, ca, cb, target))
 
 
 def _line_touch_points(curve: PillowcasePolyline, p: int):
     """Points of the curve on the lines p*alpha + beta = 0 mod pi."""
-    hits = []
-    for (x1, y1), (x2, y2) in curve.lifted_segments():
-        f1 = p * x1 + y1
-        f2 = p * x2 + y2
-        lo, hi = min(f1, f2), max(f1, f2)
-        k_lo = math.ceil(lo / math.pi - 1e-9)
-        k_hi = math.floor(hi / math.pi + 1e-9)
-        for k in range(k_lo, k_hi + 1):
-            target = math.pi * k
-            if abs(f2 - f1) < 1e-15:
-                if abs(f1 - target) < 1e-9:
-                    hits.append(canonicalize(x1, y1))
-                    hits.append(canonicalize(x2, y2))
-                continue
-            t = (target - f1) / (f2 - f1)
-            if -1e-9 <= t <= 1 + 1e-9:
-                hits.append(canonicalize(x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
-    kept = []
-    for pt in hits:
-        if not any(pillowcase_distance(pt, q) < 1e-6 for q in kept):
-            kept.append(pt)
-    return kept
+    return distinct_points(line_crossings(curve, p, 1, period=math.pi))
 
 
 def _is_allowed_touch(pt: PillowcasePoint, p: int, tol: float) -> bool:

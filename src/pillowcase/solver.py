@@ -20,8 +20,8 @@ import numpy as np
 
 from .geometry import (DegenerateCurveError, PillowcasePoint,
                        PillowcasePolyline, canonicalize, detailed_intersections,
-                       essential_class, line_offset, pillowcase_distance,
-                       TWO_PI, _reps_near)
+                       essential_class, line_crossings, line_offset,
+                       pillowcase_distance, TWO_PI, _reps_near)
 from .homology import smith_normal_form, abelianization
 from .presentations import (GroupPresentation, KnotExteriorModel, Word,
                             concat, pow_word)
@@ -345,6 +345,20 @@ class PillowcaseImage:
 
     def irreducible_points(self, gap_threshold: float = 1e-4):
         return [p for p in self.points if p.gap > gap_threshold]
+
+    def nearest_point(self, pt: PillowcasePoint, min_gap: float = -math.inf):
+        """(record, distance) of the first closest point with gap > min_gap.
+
+        (None, inf) when no point qualifies.
+        """
+        best, best_d = None, math.inf
+        for rec in self.points:
+            if rec.gap <= min_gap:
+                continue
+            d = pillowcase_distance(rec.point, pt)
+            if d < best_d:
+                best, best_d = rec, d
+        return best, best_d
 
     def transform_arcs(self, mapper) -> tuple[PillowcasePolyline, ...]:
         """Apply a pointwise pillowcase map to every arc."""
@@ -843,26 +857,9 @@ def find_surgery_representation(img: PillowcaseImage, p: int, q: int,
     config = config or SolverConfig()
     pres = img.model.presentation
     filling = concat(pow_word(pres.meridian, p), pow_word(pres.longitude, q))
-    candidates = []
-    for ai, arc in enumerate(img.arcs):
-        segs = arc.lifted_segments()
-        for si, ((x1, y1), (x2, y2)) in enumerate(segs):
-            f1 = p * x1 + q * y1
-            f2 = p * x2 + q * y2
-            lo, hi = min(f1, f2), max(f1, f2)
-            k_lo = math.ceil(lo / TWO_PI - 1e-12)
-            k_hi = math.floor(hi / TWO_PI + 1e-12)
-            for k in range(k_lo, k_hi + 1):
-                target = TWO_PI * k
-                if abs(f2 - f1) < 1e-15:
-                    continue
-                t = (target - f1) / (f2 - f1)
-                if not (-1e-9 <= t <= 1 + 1e-9):
-                    continue
-                pt = canonicalize(x1 + t * (x2 - x1), y1 + t * (y2 - y1))
-                candidates.append((ai, si, k, pt))
+    candidates = [pt for arc in img.arcs for pt in line_crossings(arc, p, q)]
     tried = []
-    for (ai, si, k, pt) in candidates:
+    for pt in candidates:
         witness = _nearest_witness(img, pt, config)
         if witness is None:
             continue
@@ -881,15 +878,7 @@ def find_surgery_representation(img: PillowcaseImage, p: int, q: int,
 
 def _nearest_witness(img: PillowcaseImage, pt: PillowcasePoint,
                      config: SolverConfig):
-    best = None
-    best_d = math.inf
-    for rec in img.points:
-        if rec.gap <= config.irreducible_gap:
-            continue
-        d = pillowcase_distance(rec.point, pt)
-        if d < best_d:
-            best_d = d
-            best = rec
+    best, best_d = img.nearest_point(pt, min_gap=config.irreducible_gap)
     if best is not None and best_d < 2 * img.chain_threshold:
         return best
     return None

@@ -205,6 +205,29 @@ class TestSpliceCommand:
         code, _, err = run(capsys, "splice", str(job))
         assert code == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("content", [
+        [1, 2],
+        {"model1": 5, "model2": "trefoil"},
+        {"model1": "trefoil", "model2": 5},
+        {"model1": "trefoil", "model2": "trefoil", "gluing": 7},
+        {"model1": "trefoil", "model2": "DIR/"},
+        "DIR",
+    ], ids=["not-an-object", "int-model1", "int-model2", "int-gluing",
+            "model-path-is-directory", "job-path-is-directory"])
+    def test_malformed_job_exit_2(self, capsys, tmp_path, content):
+        # a traceback would exit 1, the code of a search that found nothing
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        if content == "DIR":
+            path = folder
+        else:
+            path = tmp_path / "job.json"
+            text = json.dumps(content).replace("DIR/", str(folder) + "/")
+            path.write_text(text)
+        code, _, err = run(capsys, "splice", str(path))
+        assert code == EXIT_BAD_INPUT
+        assert err.startswith("error: ")
+
     def test_missing_job_exit_2(self, capsys):
         code, _, _ = run(capsys, "splice", "/nonexistent/job.json")
         assert code == EXIT_BAD_INPUT

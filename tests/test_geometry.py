@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from pillowcase.geometry import (GluingMatrix, DegenerateCurveError, P_POINT,
                                  _reps_near, _segment_intersection,
                                  apply_integer_matrix, apply_involution,
                                  canonicalize, detailed_intersections,
-                                 essential_class, induced_boundary_transform,
+                                 distinct_points, essential_class,
+                                 induced_boundary_transform, line_crossings,
                                  line_offset, multiply_matrices,
                                  pillowcase_distance, polyline,
                                  polyline_intersections, polyline_to_csv,
@@ -301,6 +303,237 @@ class TestBroadPhaseEquivalence:
             for pt in pts:
                 assert repr(curve.min_distance_to(pt)) == \
                     repr(_reference_min_distance(curve, pt))
+
+
+def _reference_surgery_candidates(curve, p, q):
+    """The old scan of find_surgery_representation, on one arc."""
+    out = []
+    for (x1, y1), (x2, y2) in curve.lifted_segments():
+        f1 = p * x1 + q * y1
+        f2 = p * x2 + q * y2
+        lo, hi = min(f1, f2), max(f1, f2)
+        k_lo = math.ceil(lo / TWO_PI - 1e-12)
+        k_hi = math.floor(hi / TWO_PI + 1e-12)
+        for k in range(k_lo, k_hi + 1):
+            if abs(f2 - f1) < 1e-15:
+                continue
+            t = (TWO_PI * k - f1) / (f2 - f1)
+            if -1e-9 <= t <= 1 + 1e-9:
+                out.append(canonicalize(x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
+    return out
+
+
+def _reference_dedup(points):
+    kept = []
+    for pt in points:
+        if not any(pillowcase_distance(pt, q) < 1e-6 for q in kept):
+            kept.append(pt)
+    return kept
+
+
+def _reference_points_on_line(img, ca, cb, target, tol):
+    """The old gluer._points_on_line."""
+    pts = [rec.point for rec in img.points
+           if line_offset(rec.point, ca, cb, target) < tol]
+    for arc in img.arcs:
+        for v in arc.vertices:
+            if line_offset(v, ca, cb, target) < tol:
+                pts.append(v)
+        for (x1, y1), (x2, y2) in arc.lifted_segments():
+            f1 = ca * x1 + cb * y1 - target
+            f2 = ca * x2 + cb * y2 - target
+            for k in range(math.ceil(min(f1, f2) / TWO_PI),
+                           math.floor(max(f1, f2) / TWO_PI) + 1):
+                if abs(f2 - f1) < 1e-15:
+                    continue
+                t = (TWO_PI * k - f1) / (f2 - f1)
+                if -1e-9 <= t <= 1 + 1e-9:
+                    pts.append(canonicalize(x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
+    return _reference_dedup(pts)
+
+
+def _reference_meets_line(curve, ca, cb, target, tol):
+    """The old gluer._meets_line."""
+    if any(line_offset(v, ca, cb, target) < tol for v in curve.vertices):
+        return True
+    for (x1, y1), (x2, y2) in curve.lifted_segments():
+        f1 = ca * x1 + cb * y1 - target
+        f2 = ca * x2 + cb * y2 - target
+        if math.floor(max(f1, f2) / TWO_PI) >= math.ceil(min(f1, f2) / TWO_PI):
+            return True
+    return False
+
+
+def _reference_line_touch_points(curve, p):
+    """The old gluer._line_touch_points."""
+    hits = []
+    for (x1, y1), (x2, y2) in curve.lifted_segments():
+        f1 = p * x1 + y1
+        f2 = p * x2 + y2
+        lo, hi = min(f1, f2), max(f1, f2)
+        for k in range(math.ceil(lo / PI - 1e-9), math.floor(hi / PI + 1e-9) + 1):
+            target = PI * k
+            if abs(f2 - f1) < 1e-15:
+                if abs(f1 - target) < 1e-9:
+                    hits.append(canonicalize(x1, y1))
+                    hits.append(canonicalize(x2, y2))
+                continue
+            t = (target - f1) / (f2 - f1)
+            if -1e-9 <= t <= 1 + 1e-9:
+                hits.append(canonicalize(x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
+    return _reference_dedup(hits)
+
+
+def _line_walk(rng, kind, ca, cb, target, period, scale=1.0):
+    """A random walk with vertices put on, or just off, ca*a + cb*b = target."""
+    pts = _walk(rng, 24)
+    pts = pts[0] + scale * (pts - pts[0])
+
+    def form(i):
+        return ca * pts[i, 0] + cb * pts[i, 1] - target
+
+    def move(i, offset):
+        want = period * round(form(i) / period) + offset + target
+        if cb:
+            pts[i, 1] = (want - ca * pts[i, 0]) / cb
+        else:
+            pts[i, 0] = want / ca
+
+    idx = rng.choice(len(pts) - 1, size=6, replace=False)
+    if kind == "on-line":
+        for i in idx:
+            move(i, 0.0)
+        # neighbours on the line make runs of segments parallel to it
+        move(idx[0] + 1, 0.0)
+    elif kind == "zero-length":
+        for i in idx:
+            move(i, 0.0)
+        pts = np.insert(pts, idx[:2], pts[idx[:2]], axis=0)
+    elif kind == "near-hit":
+        # the next segment meets the line at t = -u * 1e-9; u > 1 misses it
+        for i, u in zip(idx, (0.2, 0.6, 0.95, 1.05, 2.0, 0.6)):
+            sign = math.copysign(1.0, form(i + 1) - form(i))
+            move(i, 0.0)
+            move(i, sign * u * 1e-9 * abs(form(i + 1) - form(i)))
+    return polyline([tuple(p) for p in pts], closed=bool(rng.integers(0, 2)))
+
+
+def _gains_at_line_vertices(old, new, curve, ca, cb, target, period):
+    """Check that new is old plus points at vertices on the line's t-window.
+
+    old must be a subsequence of new, and each extra point must sit within
+    1e-9 of a segment length of a vertex whose form is within 1e-9 of a
+    segment's |f2 - f1| of the line.  Returns the number of extra points.
+    """
+    extra, it = [], iter(map(repr, old))
+    want = next(it, None)
+    for pt in new:
+        if repr(pt) == want:
+            want = next(it, None)
+        else:
+            extra.append(pt)
+    assert want is None, "an old crossing was lost"
+    segs = curve.lifted_segments()
+    reach = 1e-9 * max(math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in segs)
+    slack = 1e-9 * max(abs(ca * (b[0] - a[0]) + cb * (b[1] - a[1])) for a, b in segs)
+    on_line = [v for v in curve.vertices if abs(math.remainder(
+        ca * v.alpha + cb * v.beta - target, period)) <= slack + 1e-12]
+    for pt in extra:
+        assert any(pillowcase_distance(pt, v) <= reach + 1e-12 for v in on_line), pt
+    return len(extra)
+
+
+class TestLineCrossings:
+    """line_crossings against the four scans it replaces.
+
+    _points_on_line and _meets_line give what they gave before.  The
+    surgery scan and _line_touch_points keep every old point, in order, and
+    may gain points only at vertices on the line or within its t-window:
+    the surgery scan now takes the ends of segments lying on the line and
+    widens its k-window from 1e-12 of a period to 1e-9 of |f2 - f1|, and
+    the touch scan's k-window of 1e-9 of a period (pi) is narrower than
+    the t-window only on segments longer than pi in f.
+    """
+
+    KINDS = ("generic", "on-line", "zero-length", "near-hit")
+    LINES = ((1, 1), (0, 1), (1, 0), (3, 1), (2, -1), (5, 2), (13, 1))
+
+    def _curves(self, seed, target, period, lines=LINES):
+        rng = np.random.default_rng(seed)
+        for case in range(48):
+            ca, cb = lines[case % len(lines)]
+            kind = self.KINDS[case % len(self.KINDS)]
+            scale = 0.02 if case % 3 == 0 else 1.0
+            yield kind, ca, cb, _line_walk(rng, kind, ca, cb, target, period, scale)
+
+    @pytest.mark.parametrize("target", [0.0, PI])
+    def test_points_on_line_and_meets_line_unchanged(self, target):
+        from pillowcase.gluer import _meets_line, _points_on_line
+        for kind, ca, cb, curve in self._curves(31, target, TWO_PI):
+            other = polyline([(0.4, 0.3), (2.9, 5.1), (1.7, 2.2)])
+            img = types.SimpleNamespace(points=(), arcs=(curve, other))
+            for tol in (1e-6, 0.01):
+                assert repr(_points_on_line(img, ca, cb, target, tol)) == \
+                    repr(_reference_points_on_line(img, ca, cb, target, tol))
+                assert _meets_line(curve, ca, cb, target, tol) == \
+                    _reference_meets_line(curve, ca, cb, target, tol)
+
+    def test_surgery_candidates(self):
+        gained = {kind: 0 for kind in self.KINDS}
+        for kind, p, q, curve in self._curves(32, 0.0, TWO_PI):
+            old = _reference_surgery_candidates(curve, p, q)
+            new = line_crossings(curve, p, q)
+            if kind == "generic":
+                assert repr(new) == repr(old)
+            gained[kind] += _gains_at_line_vertices(old, new, curve, p, q, 0.0, TWO_PI)
+        # parallel runs and zero-length segments on the line give their ends,
+        # and near-vertex hits past the old 1e-12 window are kept
+        assert gained["generic"] == 0
+        assert gained["on-line"] and gained["zero-length"] and gained["near-hit"]
+
+    def test_line_touch_points(self):
+        from pillowcase.gluer import _line_touch_points
+        short = 0
+        for kind, p, _, curve in self._curves(33, 0.0, PI, [(3, 1), (5, 1), (13, 1)]):
+            old = _reference_line_touch_points(curve, p)
+            new = _line_touch_points(curve, p)
+            longest = max(abs(p * (b[0] - a[0]) + (b[1] - a[1]))
+                          for a, b in curve.lifted_segments())
+            if kind == "generic" or longest <= PI:
+                short += longest <= PI
+                assert repr(new) == repr(old)
+            _gains_at_line_vertices(old, new, curve, p, 1, 0.0, PI)
+        assert short
+        # 13a + b runs over 5.3 > pi on each side of the tip, which stops 4e-9
+        # short of the line 13a + b = 2pi: inside the t-window of 5.3e-9,
+        # outside the old k-window of 1e-9 * pi
+        a = (TWO_PI - 4e-9 - 1.0) / 13
+        curve = polyline([(a - 0.4, 0.9), (a, 1.0), (a - 0.4, 1.1)], closed=True)
+        old, new = _reference_line_touch_points(curve, 13), _line_touch_points(curve, 13)
+        assert not any(close(pt, curve.vertices[1], 1e-8) for pt in old)
+        assert [pt for pt in new if close(pt, curve.vertices[1], 1e-8)]
+        assert len(new) == len(old) + 1
+
+    def test_rule(self):
+        # t in [-1e-9, 1 + 1e-9]; a segment on the line gives both ends
+        for period in (PI, TWO_PI):
+            for t, hit in ((-0.9e-9, True), (-1.1e-9, False),
+                           (1 + 0.9e-9, True), (1 + 1.1e-9, False)):
+                # 3a + b runs from 2.5 to 3.5 and meets the line at t
+                seg = polyline([(0.5, 1.0), (0.5, 2.0)])
+                got = line_crossings(seg, 3, 1, target=2.5 + t + period,
+                                     period=period)
+                assert bool(got) == hit, (period, t)
+            run = polyline([(0.25, PI - 0.75), (0.5, PI - 1.5), (0.75, PI - 2.25)])
+            assert repr(line_crossings(run, 3, 1, target=PI, period=period)) == repr(
+                [run.vertices[0], run.vertices[1], run.vertices[1], run.vertices[2]])
+            assert line_crossings(run, 3, 1, target=PI + 1e-8, period=period) == []
+
+    def test_distinct_points(self):
+        a, b = canonicalize(1.0, 1.0), canonicalize(1.0 + 5e-7, 1.0)
+        c = canonicalize(-1.0, -1.0 - 2e-6)
+        assert distinct_points([a, b, c, a]) == [a, c]
+        assert distinct_points([b, a], tol=1e-7) == [b, a]
 
 
 class TestEssentialClass:

@@ -228,6 +228,18 @@ class TestPAvoidingCertificate:
         assert pillowcase_distance(pt, canonicalize(2 * PI / 3, 0.0)) < 1e-9
         assert trans  # sigma_3 maps the flat arc to slope -3, crossing it
 
+    def test_run_along_the_line_touches_at_every_vertex(self):
+        # three segments lie on 3a + b = pi; only the segment scan's
+        # parallel rule sees the two inner vertices of the run
+        run = [(0.25 * i, PI - 0.75 * i) for i in (1, 2, 3, 4)]
+        curve = polyline(run + [(1.6, 0.5), (1.6, 2.6)], closed=True)
+        forms = [3 * x + y for x, y in curve.lifted_vertices()[:4]]
+        assert max(forms) - min(forms) < 1e-15
+        report = p_avoiding_certificate(curve, 3)
+        touches = report.touch_points + report.disallowed_touches
+        for v in curve.vertices[:4]:
+            assert any(pillowcase_distance(pt, v) < 1e-12 for pt in touches), v
+
     def test_open_curve_rejected(self):
         with pytest.raises(ValueError):
             p_avoiding_certificate(polyline([(1.0, 1.0), (1.2, 1.0)]), 3)

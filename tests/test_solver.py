@@ -219,6 +219,21 @@ class TestSurgery:
         with pytest.raises(ValueError):
             find_surgery_representation(trefoil_image, 2, 4, CFG)
 
+    def test_nearest_point(self):
+        from pillowcase.solver import ImagePoint
+        rep = Representation((UnitQuaternion(1.0, 0.0, 0.0, 0.0),))
+        recs = [ImagePoint(canonicalize(1.0, 1.0 + d), rep, gap)
+                for d, gap in ((0.25, 0.5), (0.125, 0.0), (-0.125, 0.2), (0.125, 0.2))]
+        img = PillowcaseImage(model=unknot_model(), resolution=8, grid_step=0.4,
+                              chain_threshold=0.8, points=tuple(recs), arcs=())
+        pt = canonicalize(1.0, 1.0)
+        # the first of equally near points wins; gap <= min_gap is skipped
+        rec, d = img.nearest_point(pt)
+        assert rec is recs[1] and d == pillowcase_distance(recs[1].point, pt)
+        assert img.nearest_point(pt, min_gap=0.0)[0] is recs[2]
+        assert img.nearest_point(pt, min_gap=0.2)[0] is recs[0]
+        assert img.nearest_point(pt, min_gap=0.5) == (None, math.inf)
+
 
 class TestDiagnosticsAndDeterminism:
     def test_corner_diagnostics_trefoil(self, trefoil_image):
