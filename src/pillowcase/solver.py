@@ -26,7 +26,7 @@ from .homology import smith_normal_form, abelianization
 from .presentations import (GroupPresentation, KnotExteriorModel, Word,
                             concat, pow_word)
 from .su2 import (Representation, UnitQuaternion, boundary_angles,
-                  evaluate_word, irreducibility_gap, relator_residual)
+                  irreducibility_gap, relator_residual)
 
 __all__ = [
     "SolverConfig", "PillowcaseImage", "ImagePoint", "LiftResult",
@@ -77,40 +77,62 @@ class SolverConfig:
 
 # ---------------------------------------------------------------------------
 # batched quaternion arithmetic
+#
+# Batches run component-major: a batch of quaternions is a (w, x, y, z)
+# tuple of contiguous 1-D arrays, and a batch of parameter stacks is an
+# (n, 4, B) array of component rows.
 
 def _qmul(a, b):
-    w1, x1, y1, z1 = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    w2, x2, y2, z2 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
-    return np.stack([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ], axis=1)
+    """Product of (w, x, y, z) quaternions, term for term UnitQuaternion.__mul__.
 
-
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-
-
-def _eval_batch(params, word):
-    """rho(word) for a batch of parameter stacks, normalized at the end.
-
-    params has shape (B, n, 4).  Overall scale factors cancel after the
-    final normalization, so the residual is invariant along radial
-    directions of the ambient parametrization.
+    Takes floats or arrays of rows, so batches round exactly as the scalar
+    product does.
     """
-    B = params.shape[0]
-    out = np.zeros((B, 4))
-    out[:, 0] = 1.0
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
+
+
+def _components(params):
+    """(B, n, 4) parameter stacks as contiguous (n, 4, B) component rows."""
+    return np.ascontiguousarray(params.transpose(1, 2, 0))
+
+
+def _word_product(comps, word):
+    """Unnormalized product along the word on (n, 4, B) component rows.
+
+    It starts from 1, as evaluate_word does: 1 * g can differ from g in the
+    sign of a zero component.
+    """
+    factors = {}
+    for k in set(word):
+        w, x, y, z = comps[abs(k) - 1]
+        factors[k] = (w, x, y, z) if k > 0 else (w, -x, -y, -z)
+    B = comps.shape[2]
+    out = (np.ones(B), np.zeros(B), np.zeros(B), np.zeros(B))
     for k in word:
-        g = params[:, abs(k) - 1, :]
-        out = _qmul(out, g if k > 0 else g * _CONJ)
+        out = _qmul(out, factors[k])
+    return out
+
+
+def _eval_batch(comps, word):
+    """rho(word) as (B, 4) rows for (n, 4, B) component rows, normalized at the end.
+
+    Overall scale factors cancel after the final normalization, so the
+    residual is invariant along radial directions of the ambient
+    parametrization.
+    """
+    out = np.stack(_word_product(comps, word), axis=1)
     return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
 def _residuals(params, words, targets):
     """Word values minus targets; targets has shape (B, 4 * len(words))."""
-    return np.concatenate([_eval_batch(params, w) for w in words], axis=1) - targets
+    comps = _components(params)
+    return np.concatenate([_eval_batch(comps, w) for w in words], axis=1) - targets
 
 
 def _renorm(params):
@@ -205,41 +227,78 @@ def _rep_from_params(row) -> Representation:
         UnitQuaternion.from_components(*row[i]) for i in range(row.shape[0])))
 
 
-def _invariant_signature(rep: Representation, pres: GroupPresentation):
-    """Conjugation invariants: generator and pair-product traces, meridian angle."""
-    vals = [q.w for q in rep.images]
-    n = len(rep.images)
-    for i in range(n):
-        for j in range(i + 1, n):
-            vals.append((rep.images[i] * rep.images[j]).w)
-    vals.append(evaluate_word(rep, pres.meridian).w)
-    vals.append(abs(evaluate_word(rep, pres.meridian).x))
-    return tuple(vals)
+def _unit(q):
+    """UnitQuaternion.from_components on (w, x, y, z) component arrays."""
+    w, x, y, z = q
+    n = np.sqrt(w * w + x * x + y * y + z * z)
+    if (n == 0.0).any():
+        raise ValueError("zero quaternion cannot be normalized")
+    return w / n, x / n, y / n, z / n
+
+
+def _relator_residuals(units, relators):
+    """su2.relator_residual of each row of (n, 4, B) unit component rows.
+
+    dist_to_one squares with **, which is C pow: it differs from x * x in
+    the last bit for about 0.1% of inputs.  np.float_power calls that pow;
+    np.power and ** on arrays would square by x * x or by a SIMD pow.
+    """
+    worst = np.zeros(units.shape[2])
+    for r in relators:
+        w, x, y, z = _unit(_word_product(units, r))
+        d = np.sqrt(np.float_power(w - 1.0, 2) + np.float_power(x, 2)
+                    + np.float_power(y, 2) + np.float_power(z, 2))
+        worst = np.where(d > worst, d, worst)  # max(worst, d), as Python takes it
+    return worst
+
+
+def _signatures(units, meridian):
+    """Conjugation invariants of each row, one column each.
+
+    Generator and pair-product traces, then the meridian's w and |x|.
+    """
+    n = units.shape[0]
+    cols = [units[i, 0] for i in range(n)]
+    cols += [_qmul(units[i], units[j])[0] for i in range(n) for j in range(i + 1, n)]
+    w, x, _, _ = _unit(_word_product(units, meridian))
+    cols += [w, np.abs(x)]
+    return np.stack(cols, axis=1)
 
 
 def _distinct_solutions(pres: GroupPresentation, params, max_res,
-                        config: SolverConfig) -> list[Representation]:
-    """One node's restarts, filtered by residual and deduplicated.
+                        config: SolverConfig, nodes: int) -> list[list[Representation]]:
+    """Solutions of each node in a block of rows, filtered and deduplicated.
 
-    Rows with relator residuals below config.tol are kept unless their
-    conjugation invariants match an earlier row; the survivors are sorted by
+    params holds one group of equally many restarts per node, in node order.
+    A row is accepted when its LM residual and its relator residual are below
+    config.tol; the relator residual is recomputed as su2.relator_residual
+    does, on the generators renormalized as UnitQuaternion.from_components
+    does.  An accepted row is dropped when its conjugation invariants match
+    an earlier row of its node.  Each node's survivors are sorted by
     decreasing irreducibility gap.
     """
-    accepted: list[tuple[tuple, Representation]] = []
-    for b in range(params.shape[0]):
-        if max_res[b] >= config.tol:
-            continue
-        rep = _rep_from_params(params[b])
-        if relator_residual(rep, pres) >= config.tol:
-            continue
-        sig = _invariant_signature(rep, pres)
+    per_node = len(params) // nodes
+    # ~(r >= tol) rather than r < tol, so a NaN residual passes as it does
+    # in the scalar checks
+    rows = np.nonzero(~(max_res >= config.tol))[0]
+    units = np.stack(_unit(_components(params[rows]).swapaxes(0, 1)), axis=1)
+    ok = ~(_relator_residuals(units, pres.relators) >= config.tol)
+    sigs = _signatures(units, pres.meridian).tolist()
+    kept = [[] for _ in range(nodes)]
+    for k in np.nonzero(ok)[0].tolist():
+        sig = tuple(sigs[k])
+        node = kept[rows[k] // per_node]
         if any(all(abs(u - v) < config.dedup_tol for u, v in zip(sig, other))
-               for other, _ in accepted):
+               for other, _ in node):
             continue
-        accepted.append((sig, rep))
-    reps = [rep for _, rep in accepted]
-    reps.sort(key=lambda r: (-irreducibility_gap(r), _invariant_signature(r, pres)))
-    return reps
+        node.append((sig, k))
+    out = []
+    for node in kept:
+        reps = [(sig, Representation(tuple(UnitQuaternion(*q) for q in units[:, :, k])))
+                for sig, k in node]
+        reps.sort(key=lambda item: (-irreducibility_gap(item[1]), item[0]))
+        out.append([rep for _, rep in reps])
+    return out
 
 
 # Upper bound on the rows (node x restart) of one stacked LM batch.  Bigger
@@ -275,9 +334,7 @@ def _sweep(pres: GroupPresentation, alphas, keys,
             for i in block]), restarts, axis=0)
         params, max_res = _lm_minimize(words, targets, params0, config.tol,
                                        config.max_iter, config.polish_steps)
-        for k in range(len(block)):
-            rows = slice(k * restarts, (k + 1) * restarts)
-            out.append(_distinct_solutions(pres, params[rows], max_res[rows], config))
+        out.extend(_distinct_solutions(pres, params, max_res, config, len(block)))
     return out
 
 
@@ -857,7 +914,9 @@ def find_surgery_representation(img: PillowcaseImage, p: int, q: int,
     config = config or SolverConfig()
     pres = img.model.presentation
     filling = concat(pow_word(pres.meridian, p), pow_word(pres.longitude, q))
-    candidates = [pt for arc in img.arcs for pt in line_crossings(arc, p, q)]
+    # exact repeats (a vertex shared by two crossing segments) would rerun
+    # the same witness scan and refine, so only first occurrences are tried
+    candidates = dict.fromkeys(pt for arc in img.arcs for pt in line_crossings(arc, p, q))
     tried = []
     for pt in candidates:
         witness = _nearest_witness(img, pt, config)

@@ -3,17 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from pillowcase import solver
 from pillowcase.families import (klein_bottle_model, torus_knot_model,
                                  unknot_model)
-from pillowcase.geometry import (canonicalize, essential_class, line_offset,
+from pillowcase.geometry import (GluingMatrix, canonicalize, essential_class,
+                                 line_crossings, line_offset,
                                  pillowcase_distance, polyline, tau)
+from pillowcase.gluer import splice
+from pillowcase.presentations import concat, pow_word
 from pillowcase.solver import (PillowcaseImage, SolverConfig,
                                corner_diagnostics, extract_essential_curve,
                                find_surgery_representation, lift_to_cut_open,
                                reducible_lines, sample_pillowcase_image,
-                               solve_at_meridian_angle, _solve_rows)
+                               solve_at_meridian_angle, _components,
+                               _distinct_solutions, _eval_batch, _lm_minimize,
+                               _qmul, _rep_from_params, _relator_residuals,
+                               _solve_rows)
 from pillowcase.su2 import (Representation, UnitQuaternion, boundary_angles,
-                            irreducibility_gap, relator_residual)
+                            evaluate_word, irreducibility_gap, relator_residual)
 
 PI = math.pi
 CFG = SolverConfig()
@@ -192,6 +199,25 @@ class TestEssentialCurve:
         assert found is not None and abs(essential_class(found)) == 1
 
 
+def _surgery_reference(img, p, q, config):
+    """find_surgery_representation scanning every raw crossing, repeats too."""
+    pres = img.model.presentation
+    filling = concat(pow_word(pres.meridian, p), pow_word(pres.longitude, q))
+    for pt in [pt for arc in img.arcs for pt in line_crossings(arc, p, q)]:
+        witness = solver._nearest_witness(img, pt, config)
+        if witness is None:
+            continue
+        refined = solver.refine_representation(pres, witness.witness, config,
+                                               extra_relators=(filling,))
+        if refined is None:
+            continue
+        gap = irreducibility_gap(refined)
+        res = relator_residual(refined, pres.with_relator(filling))
+        if res < config.tol and gap > config.irreducible_gap:
+            return refined, boundary_angles(refined, pres)
+    return None
+
+
 class TestSurgery:
     def test_trefoil_1_1(self, trefoil_image):
         res = find_surgery_representation(trefoil_image, 1, 1, CFG)
@@ -218,6 +244,29 @@ class TestSurgery:
     def test_invalid_slope(self, trefoil_image):
         with pytest.raises(ValueError):
             find_surgery_representation(trefoil_image, 2, 4, CFG)
+
+    @pytest.mark.parametrize("name, p, q", [("trefoil", 1, 1), ("trefoil", 1, 0),
+                                            ("trefoil", 0, 1), ("klein", 0, 1)])
+    def test_repeated_crossings_scanned_once(self, request, monkeypatch, name, p, q):
+        img = request.getfixturevalue(f"{name}_image")
+        scanned = []
+        scan = solver._nearest_witness
+
+        def counting(img, pt, config):
+            scanned.append(pt)
+            return scan(img, pt, config)
+
+        monkeypatch.setattr(solver, "_nearest_witness", counting)
+        expected = _surgery_reference(img, p, q, CFG)
+        reference_scans = len(scanned)
+        scanned.clear()
+        assert repr(find_surgery_representation(img, p, q, CFG)) == repr(expected)
+        raw = [pt for arc in img.arcs for pt in line_crossings(arc, p, q)]
+        distinct = list(dict.fromkeys(raw))
+        assert scanned == distinct[:len(scanned)]
+        assert len(scanned) <= reference_scans
+        if expected is None:
+            assert reference_scans == len(raw) and len(scanned) == len(distinct)
 
     def test_nearest_point(self):
         from pillowcase.solver import ImagePoint
@@ -283,3 +332,167 @@ class TestSweepEngine:
         expected = np.linalg.solve(A[regular], b[regular][..., None])[..., 0]
         assert x[regular].tobytes() == expected.tobytes()
         assert x[2].tobytes() == (np.linalg.pinv(A[2]) @ b[2]).tobytes()
+
+
+# axis units whose zero components carry both signs
+_SIGNED_UNITS = np.array([(1.0, -0.0, 0.0, -0.0), (-0.0, 1.0, -0.0, 0.0),
+                          (0.0, -0.0, -1.0, 0.0), (-0.0, 0.0, 0.0, -1.0)])
+
+
+def _random_stacks(rng, B, n):
+    """(B, n, 4) normal draws with about a third replaced by signed-zero units."""
+    params = rng.standard_normal((B, n, 4))
+    pick = rng.random((B, n)) < 0.35
+    params[pick] = _SIGNED_UNITS[rng.integers(0, 4, int(pick.sum()))]
+    return params
+
+
+def _reprs(values):
+    return [repr(float(v)) for v in values]
+
+
+def _components_of(q):
+    return (q.w, q.x, q.y, q.z)
+
+
+class TestQuaternionKernel:
+    def test_qmul_matches_scalar_product(self):
+        rng = np.random.default_rng(1)
+        a, b = _random_stacks(rng, 500, 2).transpose(1, 2, 0)
+        batched = _qmul(tuple(a), tuple(b))
+        for i in range(500):
+            qa = UnitQuaternion(*a[:, i].tolist())
+            qb = UnitQuaternion(*b[:, i].tolist())
+            expected = _reprs(_components_of(qa * qb))
+            assert _reprs(c[i] for c in batched) == expected
+            assert _reprs(_qmul(_components_of(qa), _components_of(qb))) == expected
+
+    @pytest.mark.parametrize("B", [1, 2048])
+    def test_eval_batch_matches_evaluate_word(self, B):
+        rng = np.random.default_rng(B)
+        params = _random_stacks(rng, B, 3)
+        reps = [Representation(tuple(UnitQuaternion(*q) for q in row))
+                for row in params.tolist()]
+        comps = _components(params)
+        zero_signs = set()
+        for word in [(), (1,), (-2,), (1, 1, -2, -2, -2), (3, -1, 2, -3, -3, 1, -2)]:
+            got = _eval_batch(comps, word)
+            for b in range(B):
+                assert _reprs(got[b]) == _reprs(_components_of(evaluate_word(reps[b], word)))
+            zero_signs |= {math.copysign(1.0, v) for v in got[got == 0.0]}
+        if B > 1:
+            assert zero_signs == {1.0, -1.0}
+
+
+def _invariant_signature_reference(rep, pres):
+    vals = [q.w for q in rep.images]
+    n = len(rep.images)
+    for i in range(n):
+        for j in range(i + 1, n):
+            vals.append((rep.images[i] * rep.images[j]).w)
+    vals.append(evaluate_word(rep, pres.meridian).w)
+    vals.append(abs(evaluate_word(rep, pres.meridian).x))
+    return tuple(vals)
+
+
+def _distinct_solutions_reference(pres, params, max_res, config):
+    """The scalar accept/dedup/sort of one node's rows."""
+    accepted = []
+    for b in range(params.shape[0]):
+        if max_res[b] >= config.tol:
+            continue
+        rep = _rep_from_params(params[b])
+        if relator_residual(rep, pres) >= config.tol:
+            continue
+        sig = _invariant_signature_reference(rep, pres)
+        if any(all(abs(u - v) < config.dedup_tol for u, v in zip(sig, other))
+               for other, _ in accepted):
+            continue
+        accepted.append((sig, rep))
+    reps = [rep for _, rep in accepted]
+    reps.sort(key=lambda r: (-irreducibility_gap(r), _invariant_signature_reference(r, pres)))
+    return reps
+
+
+def _lm_block(model, alphas, config):
+    """The LM-solved restarts of one sweep block, node i at meridian angle alphas[i]."""
+    pres = model.presentation
+    params0 = np.concatenate([
+        np.random.default_rng([config.seed, i]).standard_normal(
+            (config.restarts, pres.generator_count, 4)) for i in range(len(alphas))])
+    targets = np.repeat([[1.0, 0.0, 0.0, 0.0] * len(pres.relators)
+                         + [math.cos(a), math.sin(a), 0.0, 0.0] for a in alphas],
+                        config.restarts, axis=0)
+    return _lm_minimize(list(pres.relators) + [pres.meridian], targets, params0,
+                        config.tol, config.max_iter, config.polish_steps)
+
+
+def _matches_reference(pres, params, max_res, nodes):
+    per = len(params) // nodes
+    expected = [_distinct_solutions_reference(pres, params[k * per:(k + 1) * per],
+                                              max_res[k * per:(k + 1) * per], CFG)
+                for k in range(nodes)]
+    got = _distinct_solutions(pres, params, max_res, CFG, nodes)
+    assert repr(got) == repr(expected)
+    return got
+
+
+def _assert_residuals_bitwise(pres, params):
+    reps = [_rep_from_params(row) for row in params]
+    units = _components(np.array([[_components_of(q) for q in rep.images] for rep in reps]))
+    expected = [relator_residual(rep, pres) for rep in reps]
+    assert _relator_residuals(units, pres.relators).tolist() == expected
+
+
+class TestAcceptPass:
+    @pytest.mark.parametrize("model", [torus_knot_model(2, 3), klein_bottle_model()],
+                             ids=["trefoil", "klein"])
+    def test_real_block_matches_scalar_pass(self, model):
+        params, max_res = _lm_block(model, np.linspace(0.0, PI, 12), CFG)
+        got = _matches_reference(model.presentation, params, max_res, 12)
+        # rows were accepted, and some of them dropped as duplicates
+        assert 0 < sum(map(len, got)) < int((max_res < CFG.tol).sum())
+
+    @pytest.mark.parametrize("pres", [
+        torus_knot_model(2, 3).presentation, klein_bottle_model().presentation,
+        splice(torus_knot_model(2, 3), torus_knot_model(-2, 3),
+               GluingMatrix.swap()).amalgamated], ids=["trefoil", "klein", "splice"])
+    def test_relator_residuals_bitwise(self, pres):
+        rng = np.random.default_rng(3)
+        _assert_residuals_bitwise(pres, rng.standard_normal((1000, pres.generator_count, 4)))
+
+    def test_relator_residual_squares_like_scalar(self):
+        # odd 27-bit components on a real part of 1: half of their squares
+        # are rounding ties, where x * x and the scalar ** part ways
+        rng = np.random.default_rng(4)
+        params = np.zeros((1000, 1, 4))
+        params[:, 0, 0] = 1.0
+        params[:, 0, 1:3] = (rng.integers(2**26, 2**27, (1000, 2)) | 1) * 2.0**-56
+        _assert_residuals_bitwise(unknot_model().presentation.with_relator((1,)), params)
+
+    def test_constructed_rows(self):
+        model = torus_knot_model(2, 3)
+        pres = model.presentation
+        params, max_res = _lm_block(model, [PI / 3, PI / 12], CFG)
+        good = [b for b in range(len(params)) if max_res[b] < CFG.tol]
+        irreducible = [b for b in good
+                       if irreducibility_gap(_rep_from_params(params[b])) > 0.1]
+        reducible = [b for b in good if b not in irreducible]
+        base = params[irreducible[0]]
+        # u -> -u keeps the relator u^2 v^-3 and the gap, bit for bit, but
+        # changes the signature
+        flipped = base.copy()
+        flipped[0] *= -1.0
+        near = base + 1e-10 * np.random.default_rng(7).standard_normal(base.shape)
+        junk = np.random.default_rng(8).standard_normal(base.shape)
+        other = params[reducible[0]]
+        rows = [base, base, near, flipped, junk,     # node 0
+                flipped, junk, other, base, other]   # node 1
+        res = [0.0, 0.0, 0.0, 0.0, 0.0,
+               0.0, 0.0, CFG.tol, 0.0, 0.5 * CFG.tol]
+        assert irreducibility_gap(_rep_from_params(flipped)) == \
+            irreducibility_gap(_rep_from_params(base))
+        # only the relator re-check can reject the junk rows
+        assert relator_residual(_rep_from_params(junk), pres) >= CFG.tol
+        got = _matches_reference(pres, np.array(rows), np.array(res), 2)
+        assert [len(node) for node in got] == [2, 3]
