@@ -187,13 +187,6 @@ def induced_boundary_transform(g: GluingMatrix, pt: PillowcasePoint) -> Pillowca
     return apply_integer_matrix(g.rows(), pt)
 
 
-def multiply_matrices(rows1, rows2):
-    (a1, b1), (c1, d1) = rows1
-    (a2, b2), (c2, d2) = rows2
-    return ((a1 * a2 + b1 * c2, a1 * b2 + b1 * d2),
-            (c1 * a2 + d1 * c2, c1 * b2 + d1 * d2))
-
-
 # ---------------------------------------------------------------------------
 # distances and lifts
 
@@ -246,6 +239,28 @@ def pillowcase_distance(p1: PillowcasePoint, p2: PillowcasePoint) -> float:
         if d < best:
             best = d
     return best
+
+
+_SIGNS = np.array([[1.0], [-1.0]])
+
+
+def _wrap_2pi(d: np.ndarray) -> np.ndarray:
+    return d - TWO_PI * np.round(d / TWO_PI)
+
+
+def pillowcase_distances(xy: np.ndarray, pt: PillowcasePoint) -> np.ndarray:
+    """pillowcase_distance from every row (alpha, beta) of an (n, 2) array to pt.
+
+    The sign and lattice rule of the scalar function, wrapping each
+    difference d by d - 2pi round(d / 2pi) where it calls math.remainder,
+    and np.hypot for math.hypot (equal points still give 0.0).  A value may
+    differ from the scalar one by a few ulps, so callers re-check with
+    pillowcase_distance the rows within 1e-9 of the minimum or of a
+    threshold; their verdicts are then the scalar ones.
+    """
+    x, y = xy[:, 0], xy[:, 1]
+    return np.hypot(_wrap_2pi(x - _SIGNS * pt.alpha),
+                    _wrap_2pi(y - _SIGNS * pt.beta)).min(axis=0)
 
 
 def nearest_lift(pt: PillowcasePoint, anchor: tuple[float, float]) -> tuple[float, float]:
@@ -323,14 +338,14 @@ class PillowcasePolyline:
     def reversed(self) -> "PillowcasePolyline":
         return PillowcasePolyline(tuple(reversed(self.vertices)), closed=self.closed)
 
-    def min_distance_to(self, pt: PillowcasePoint) -> float:
-        """Distance from the marked point to the polyline's segments.
+    def _lift_distances(self, pt: PillowcasePoint) -> np.ndarray:
+        """(segments, 18) distances from each segment to the lifts of pt near it.
 
-        Numpy evaluates every (segment, nearby lift of pt) distance with the
-        operations of _point_segment_distance; only np.hypot may differ from
-        math.hypot, by an ulp or two.  The scalar code then re-runs on the
-        segments within 1e-9 of the numpy minimum, which hold the segment
-        of the scalar minimum, so the value returned is the scalar one.
+        Row i holds the distances from segment i to the 18 lifts that
+        _reps_near gives around its midpoint, in that order, with the
+        operations of _point_segment_distance (a zero-length segment gives
+        the distance to its end); only np.hypot may differ from math.hypot,
+        by an ulp or two.
         """
         xy = self._lift_array
         xa, ya, xb, yb = xy[:-1, 0, None], xy[:-1, 1, None], xy[1:, 0, None], xy[1:, 1, None]
@@ -339,7 +354,16 @@ class PillowcasePolyline:
         L2 = dx * dx + dy * dy
         t = np.clip(((px - xa) * dx + (py - ya) * dy) / np.where(L2 == 0.0, 1.0, L2),
                     0.0, 1.0)
-        seg_min = np.hypot(px - (xa + t * dx), py - (ya + t * dy)).min(axis=1)
+        return np.hypot(px - (xa + t * dx), py - (ya + t * dy))
+
+    def min_distance_to(self, pt: PillowcasePoint) -> float:
+        """Distance from the marked point to the polyline's segments.
+
+        The scalar code re-runs on the segments whose _lift_distances come
+        within 1e-9 of their minimum, which hold the segment of the scalar
+        minimum, so the value returned is the scalar one.
+        """
+        seg_min = self._lift_distances(pt).min(axis=1)
         best = math.inf
         for i in np.flatnonzero(seg_min <= seg_min.min() + 1e-9).tolist():
             (x1, y1), (x2, y2) = self._lifts[i], self._lifts[i + 1]

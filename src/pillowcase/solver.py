@@ -15,13 +15,15 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import (DegenerateCurveError, PillowcasePoint,
                        PillowcasePolyline, canonicalize, detailed_intersections,
                        essential_class, line_crossings, line_offset,
-                       pillowcase_distance, TWO_PI, _reps_near)
+                       pillowcase_distance, pillowcase_distances, TWO_PI,
+                       _reps_near)
 from .homology import smith_normal_form, abelianization
 from .presentations import (GroupPresentation, KnotExteriorModel, Word,
                             concat, pow_word)
@@ -339,8 +341,7 @@ def _sweep(pres: GroupPresentation, alphas, keys,
 
 
 def solve_at_meridian_angle(pres: GroupPresentation, alpha: float,
-                            config: SolverConfig | None = None,
-                            _seed_extra: int | None = None) -> list[Representation]:
+                            config: SolverConfig | None = None) -> list[Representation]:
     """Representations with rho(meridian) = e^{i alpha}, up to conjugation.
 
     Random restarts of the batched LM solver, accepting relator residuals
@@ -350,8 +351,7 @@ def solve_at_meridian_angle(pres: GroupPresentation, alpha: float,
     config = config or SolverConfig()
     if not (0.0 <= alpha <= math.pi + 1e-12):
         raise ValueError("alpha must lie in [0, pi]")
-    key = _seed_extra if _seed_extra is not None else int(round(alpha * 1e9))
-    return _sweep(pres, [alpha], [key], config)[0]
+    return _sweep(pres, [alpha], [int(round(alpha * 1e9))], config)[0]
 
 
 def refine_representation(pres: GroupPresentation, seed_rep: Representation,
@@ -403,18 +403,32 @@ class PillowcaseImage:
     def irreducible_points(self, gap_threshold: float = 1e-4):
         return [p for p in self.points if p.gap > gap_threshold]
 
+    @cached_property
+    def _point_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The points as a read-only (n, 2) array, and their gaps."""
+        xy = np.array([r.point.as_tuple() for r in self.points]).reshape(-1, 2)
+        gap = np.array([r.gap for r in self.points], dtype=float)
+        xy.flags.writeable = gap.flags.writeable = False
+        return xy, gap
+
     def nearest_point(self, pt: PillowcasePoint, min_gap: float = -math.inf):
         """(record, distance) of the first closest point with gap > min_gap.
 
-        (None, inf) when no point qualifies.
+        (None, inf) when no point qualifies.  pillowcase_distances ranks the
+        qualifying points; the scalar distance decides, in point order,
+        among those within 1e-9 of the least.
         """
+        xy, gap = self._point_arrays
+        idx = np.flatnonzero(~(gap <= min_gap))
         best, best_d = None, math.inf
-        for rec in self.points:
-            if rec.gap <= min_gap:
-                continue
-            d = pillowcase_distance(rec.point, pt)
-            if d < best_d:
-                best, best_d = rec, d
+        if idx.size == 0:
+            return best, best_d
+        d = pillowcase_distances(xy[idx], pt)
+        for i in idx[d <= d.min() + 1e-9].tolist():
+            rec = self.points[i]
+            di = pillowcase_distance(rec.point, pt)
+            if di < best_d:
+                best, best_d = rec, di
         return best, best_d
 
     def transform_arcs(self, mapper) -> tuple[PillowcasePolyline, ...]:
@@ -496,17 +510,26 @@ def _line_polyline(a_coef, b_coef, c_mu, c_lam, samples_per_turn):
 
 
 def _chain_points(records, threshold):
-    """Greedy nearest-neighbor chaining of witness points into polylines."""
+    """Greedy nearest-neighbor chaining of witness points into polylines.
+
+    Distances come from pillowcase_distances, one row at a time; a pair
+    within 1e-9 of the threshold, and a walk step within 1e-9 of the
+    nearest, is decided by the scalar pillowcase_distance.
+    """
     pts = [r.point for r in records]
     n = len(pts)
     if n == 0:
         return [], []
+    xy = np.array([p.as_tuple() for p in pts])
     adj = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pillowcase_distance(pts[i], pts[j]) < threshold:
-                adj[i].append(j)
-                adj[j].append(i)
+    for i in range(n - 1):
+        d = pillowcase_distances(xy[i + 1:], pts[i])
+        edge = d < threshold - 1e-9
+        for k in np.flatnonzero(~edge & (d < threshold + 1e-9)).tolist():
+            edge[k] = pillowcase_distance(pts[i], pts[i + 1 + k]) < threshold
+        for j in (np.flatnonzero(edge) + (i + 1)).tolist():
+            adj[i].append(j)
+            adj[j].append(i)
     seen = [False] * n
     arcs = []
     isolated = []
@@ -530,20 +553,22 @@ def _chain_points(records, threshold):
 
         def walk(start, pool):
             order = [start]
-            left = set(pool) - {start}
-            while left:
+            left = np.array(sorted(set(pool) - {start}), dtype=np.intp)
+            while left.size:
                 last = order[-1]
-                nxt = min(left, key=lambda j: (pillowcase_distance(pts[last], pts[j]), j))
-                if pillowcase_distance(pts[last], pts[nxt]) > 3 * threshold:
+                d = pillowcase_distances(xy[left], pts[last])
+                dist, nxt = min((pillowcase_distance(pts[last], pts[j]), j)
+                                for j in left[d <= d.min() + 1e-9].tolist())
+                if dist > 3 * threshold:
                     break
                 order.append(nxt)
-                left.remove(nxt)
-            return order, left
+                left = left[left != nxt]
+            return order, left.tolist()
 
         # first walk finds one end of the chain, second walk spans it
         probe, _ = walk(min(comp), comp)
         order, remaining = walk(probe[-1], comp)
-        for leftover in sorted(remaining):
+        for leftover in remaining:
             isolated.append(records[leftover])
         closed = (len(order) > 3 and
                   pillowcase_distance(pts[order[0]], pts[order[-1]]) < threshold)
@@ -684,7 +709,13 @@ def _split_polyline(curve: PillowcasePolyline, cuts):
 
 
 def _project_endpoint_cuts(curves, node_tol):
-    """Cuts where some curve's endpoint lands on another curve's interior."""
+    """Cuts where some curve's endpoint lands on another curve's interior.
+
+    Each cut is at the first closest (segment, lift) within node_tol,
+    zero-length segments skipped.  _lift_distances ranks the segments; the
+    scalar loop decides among those within 1e-9 of the least distance or of
+    node_tol, whichever is smaller.
+    """
     cuts = {i: [] for i in range(len(curves))}
     endpoints = []
     for i, c in enumerate(curves):
@@ -693,14 +724,18 @@ def _project_endpoint_cuts(curves, node_tol):
             endpoints.append(c.vertices[-1])
     for j, c in enumerate(curves):
         segs = c.lifted_segments()
+        step = np.diff(c._lift_array, axis=0)
+        degenerate = step[:, 0] * step[:, 0] + step[:, 1] * step[:, 1] == 0
         for pt in endpoints:
+            seg_min = c._lift_distances(pt).min(axis=1)
+            seg_min[degenerate] = math.inf
+            near = seg_min <= min(seg_min.min(), node_tol) + 1e-9
             best = None
-            for si, ((x1, y1), (x2, y2)) in enumerate(segs):
+            for si in np.flatnonzero(near).tolist():
+                (x1, y1), (x2, y2) = segs[si]
+                dx, dy = x2 - x1, y2 - y1
+                L2 = dx * dx + dy * dy
                 for (px, py) in _reps_near(pt, 0.5 * (x1 + x2), 0.5 * (y1 + y2)):
-                    dx, dy = x2 - x1, y2 - y1
-                    L2 = dx * dx + dy * dy
-                    if L2 == 0:
-                        continue
                     t = ((px - x1) * dx + (py - y1) * dy) / L2
                     t = min(max(t, 0.0), 1.0)
                     d = math.hypot(px - (x1 + t * dx), py - (y1 + t * dy))

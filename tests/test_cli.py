@@ -95,6 +95,14 @@ class TestImageCommand:
         # reducible line plus the two slanted runs of the folded branch
         assert svg.count("<polyline") >= 3
 
+    def test_image_json_deterministic(self, capsys):
+        args = ("image", "trefoil", "--resolution", "25", "--json")
+        code1, out1, _ = run(capsys, *args)
+        code2, out2, _ = run(capsys, *args)
+        assert code1 == code2 == EXIT_OK
+        assert out1 == out2
+        assert json.loads(out1)["resolution"] == 25
+
     def test_invalid_model_json_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"generators": 2}')
@@ -139,6 +147,17 @@ class TestSpliceCommand:
         assert data["found"] is True
         assert data["gap"] > 0.1
         assert data["residual"] < 1e-8
+
+    def test_splice_json_deterministic(self, capsys, tmp_path):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({
+            "model1": "trefoil", "model2": "trefoil", "gluing": "swap",
+            "resolution": 40, "seed": 1}))
+        code1, out1, _ = run(capsys, "splice", str(job))
+        code2, out2, _ = run(capsys, "splice", str(job))
+        assert code1 == code2 == EXIT_OK
+        assert out1 == out2
+        assert json.loads(out1)["found"] is True
 
     def test_legacy_job_keys_ignored(self, capsys, tmp_path):
         job = tmp_path / "job.json"

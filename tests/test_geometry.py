@@ -12,8 +12,8 @@ from pillowcase.geometry import (GluingMatrix, DegenerateCurveError, P_POINT,
                                  canonicalize, detailed_intersections,
                                  distinct_points, essential_class,
                                  induced_boundary_transform, line_crossings,
-                                 line_offset, multiply_matrices,
-                                 pillowcase_distance, polyline,
+                                 line_offset, pillowcase_distance,
+                                 pillowcase_distances, polyline,
                                  polyline_intersections, polyline_to_csv,
                                  sigma, sigma_p, tau)
 
@@ -128,7 +128,7 @@ class TestGluingMatrix:
     def test_inverse(self):
         g = GluingMatrix(-6, 1, 37, -6)
         gi = g.inverse()
-        assert multiply_matrices(g.rows(), gi.rows()) == ((1, 0), (0, 1))
+        assert (np.array(g.rows()) @ np.array(gi.rows())).tolist() == [[1, 0], [0, 1]]
 
     def test_composition_property(self):
         rng = np.random.default_rng(5)
@@ -138,7 +138,7 @@ class TestGluingMatrix:
             m1 = mats[rng.integers(len(mats))]
             m2 = mats[rng.integers(len(mats))]
             pt = canonicalize(rng.uniform(0, PI), rng.uniform(0, TWO_PI))
-            lhs = apply_integer_matrix(multiply_matrices(m1, m2), pt)
+            lhs = apply_integer_matrix((np.array(m1) @ np.array(m2)).tolist(), pt)
             rhs = apply_integer_matrix(m1, apply_integer_matrix(m2, pt))
             assert close(lhs, rhs, tol=1e-9)
 
@@ -303,6 +303,46 @@ class TestBroadPhaseEquivalence:
             for pt in pts:
                 assert repr(curve.min_distance_to(pt)) == \
                     repr(_reference_min_distance(curve, pt))
+
+
+def _wrap_points():
+    """Points on and near the edges alpha in {0, pi} and the seam beta = 0 ~ 2pi."""
+    return [canonicalize(a, b) for a in (0.0, 1e-9, 0.5, PI - 1e-9, PI)
+            for b in (0.0, 1e-9, 3e-9, PI, TWO_PI - 3e-9, TWO_PI - 1e-9)]
+
+
+class TestPointDistanceKernel:
+    def test_matches_scalar_distance(self):
+        rng = np.random.default_rng(11)
+        pts = [canonicalize(*rng.uniform(-10, 10, size=2)) for _ in range(300)]
+        pts += _wrap_points() + [tau(p) for p in pts[:20]] + pts[:10]
+        xy = np.array([p.as_tuple() for p in pts])
+        unequal = 0
+        for q in pts[::7] + _wrap_points() + [canonicalize(PI / 2, PI)]:
+            got = pillowcase_distances(xy, q)
+            expected = np.array([pillowcase_distance(p, q) for p in pts])
+            # far inside the 1e-9 window that callers re-check in scalar
+            assert np.abs(got - expected).max() <= 1e-14
+            assert (got[expected == 0.0] == 0.0).all()
+            unequal += int((got != expected).sum())
+        # the two do differ in the last bits, hence the re-check
+        assert unequal > 0
+
+    def test_empty(self):
+        assert pillowcase_distances(np.empty((0, 2)), P_POINT).shape == (0,)
+
+    def test_lift_distances_match_point_segment_distance(self):
+        rng = np.random.default_rng(12)
+        for case in range(10):
+            curve = polyline([tuple(p) for p in _with_repeats(rng, _walk(rng, 30))],
+                             closed=bool(case % 2))
+            queries = _wrap_points()[::3] + [canonicalize(*rng.uniform(-10, 10, size=2))]
+            for pt in queries:
+                expected = [[_point_segment_distance(px, py, x1, y1, x2, y2)
+                             for px, py in _reps_near(pt, 0.5 * (x1 + x2), 0.5 * (y1 + y2))]
+                            for (x1, y1), (x2, y2) in curve.lifted_segments()]
+                np.testing.assert_allclose(curve._lift_distances(pt), expected,
+                                           rtol=1e-15, atol=0.0)
 
 
 def _reference_surgery_candidates(curve, p, q):

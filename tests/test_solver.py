@@ -6,19 +6,22 @@ import pytest
 from pillowcase import solver
 from pillowcase.families import (klein_bottle_model, torus_knot_model,
                                  unknot_model)
-from pillowcase.geometry import (GluingMatrix, canonicalize, essential_class,
+from pillowcase.geometry import (GluingMatrix, PillowcasePoint,
+                                 PillowcasePolyline, TWO_PI, _reps_near,
+                                 canonicalize, essential_class,
                                  line_crossings, line_offset,
-                                 pillowcase_distance, polyline, tau)
+                                 pillowcase_distance, pillowcase_distances,
+                                 polyline, tau)
 from pillowcase.gluer import splice
 from pillowcase.presentations import concat, pow_word
-from pillowcase.solver import (PillowcaseImage, SolverConfig,
+from pillowcase.solver import (ImagePoint, PillowcaseImage, SolverConfig,
                                corner_diagnostics, extract_essential_curve,
                                find_surgery_representation, lift_to_cut_open,
                                reducible_lines, sample_pillowcase_image,
                                solve_at_meridian_angle, _components,
                                _distinct_solutions, _eval_batch, _lm_minimize,
-                               _qmul, _rep_from_params, _relator_residuals,
-                               _solve_rows)
+                               _chain_points, _project_endpoint_cuts, _qmul,
+                               _rep_from_params, _relator_residuals, _solve_rows)
 from pillowcase.su2 import (Representation, UnitQuaternion, boundary_angles,
                             evaluate_word, irreducibility_gap, relator_residual)
 
@@ -269,7 +272,6 @@ class TestSurgery:
             assert reference_scans == len(raw) and len(scanned) == len(distinct)
 
     def test_nearest_point(self):
-        from pillowcase.solver import ImagePoint
         rep = Representation((UnitQuaternion(1.0, 0.0, 0.0, 0.0),))
         recs = [ImagePoint(canonicalize(1.0, 1.0 + d), rep, gap)
                 for d, gap in ((0.25, 0.5), (0.125, 0.0), (-0.125, 0.2), (0.125, 0.2))]
@@ -315,8 +317,8 @@ class TestSweepEngine:
         # 25 nodes x 20 restarts = 500 rows: two full blocks and a short one
         img = sample_pillowcase_image(model, 25, CFG)
         grid = np.linspace(0.0, PI, 25)
-        per_node = [rep for i in range(25) for rep in solve_at_meridian_angle(
-            model.presentation, float(grid[i]), CFG, _seed_extra=i)]
+        per_node = [rep for i in range(25)
+                    for rep in solver._sweep(model.presentation, [float(grid[i])], [i], CFG)[0]]
         assert len(img.points) == len(per_node) > 0
         assert _witness_bytes(r.witness for r in img.points) == _witness_bytes(per_node)
 
@@ -496,3 +498,354 @@ class TestAcceptPass:
         assert relator_residual(_rep_from_params(junk), pres) >= CFG.tol
         got = _matches_reference(pres, np.array(rows), np.array(res), 2)
         assert [len(node) for node in got] == [2, 3]
+
+
+# ---------------------------------------------------------------------------
+# the point-distance kernel behind nearest_point, _chain_points and
+# _project_endpoint_cuts, against the scalar scans it replaced
+
+def _nearest_point_reference(img, pt, min_gap=-math.inf):
+    """The old scalar scan of PillowcaseImage.nearest_point."""
+    best, best_d = None, math.inf
+    for rec in img.points:
+        if rec.gap <= min_gap:
+            continue
+        d = pillowcase_distance(rec.point, pt)
+        if d < best_d:
+            best, best_d = rec, d
+    return best, best_d
+
+
+def _project_endpoint_cuts_reference(curves, node_tol):
+    """The old scalar scan of _project_endpoint_cuts."""
+    cuts = {i: [] for i in range(len(curves))}
+    endpoints = []
+    for i, c in enumerate(curves):
+        if not c.closed:
+            endpoints.append(c.vertices[0])
+            endpoints.append(c.vertices[-1])
+    for j, c in enumerate(curves):
+        segs = c.lifted_segments()
+        for pt in endpoints:
+            best = None
+            for si, ((x1, y1), (x2, y2)) in enumerate(segs):
+                for (px, py) in _reps_near(pt, 0.5 * (x1 + x2), 0.5 * (y1 + y2)):
+                    dx, dy = x2 - x1, y2 - y1
+                    L2 = dx * dx + dy * dy
+                    if L2 == 0:
+                        continue
+                    t = ((px - x1) * dx + (py - y1) * dy) / L2
+                    t = min(max(t, 0.0), 1.0)
+                    d = math.hypot(px - (x1 + t * dx), py - (y1 + t * dy))
+                    if d < node_tol and (best is None or d < best[0]):
+                        best = (d, si, t)
+            if best is not None:
+                cuts[j].append((best[1], best[2]))
+    return cuts
+
+
+def _chain_points_reference(records, threshold):
+    """The old scalar adjacency and greedy walk of _chain_points."""
+    pts = [r.point for r in records]
+    n = len(pts)
+    if n == 0:
+        return [], []
+    adj = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if pillowcase_distance(pts[i], pts[j]) < threshold:
+                adj[i].append(j)
+                adj[j].append(i)
+    seen = [False] * n
+    arcs = []
+    isolated = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        comp = []
+        stack = [start]
+        seen[start] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for u in adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append(u)
+        if len(comp) == 1:
+            isolated.append(records[comp[0]])
+            continue
+
+        def walk(start, pool):
+            order = [start]
+            left = set(pool) - {start}
+            while left:
+                last = order[-1]
+                nxt = min(left, key=lambda j: (pillowcase_distance(pts[last], pts[j]), j))
+                if pillowcase_distance(pts[last], pts[nxt]) > 3 * threshold:
+                    break
+                order.append(nxt)
+                left.remove(nxt)
+            return order, left
+
+        probe, _ = walk(min(comp), comp)
+        order, remaining = walk(probe[-1], comp)
+        for leftover in sorted(remaining):
+            isolated.append(records[leftover])
+        closed = (len(order) > 3 and
+                  pillowcase_distance(pts[order[0]], pts[order[-1]]) < threshold)
+        arcs.append(PillowcasePolyline(
+            tuple(pts[i] for i in order), closed=closed))
+    return arcs, isolated
+
+
+_ONE = Representation((UnitQuaternion(1.0, 0.0, 0.0, 0.0),))
+
+# equal distances from (1, 2) in exact arithmetic: dyadic offsets mirrored
+# through it
+_CENTRE = (1.0, 2.0)
+_MIRRORED = [canonicalize(_CENTRE[0] + sx * u, _CENTRE[1] + sy * v)
+             for u, v in ((0.25, 0.5), (0.5, 0.25), (0.125, 0.125))
+             for sx in (1.0, -1.0) for sy in (1.0, -1.0)]
+
+
+def _wrap_points():
+    """Points on and near the edges alpha in {0, pi} and the seam beta = 0 ~ 2pi."""
+    pts = [canonicalize(a, b) for a in (0.0, 1e-9, 0.5, PI - 1e-9, PI)
+           for b in (0.0, 1e-9, 3e-9, PI, TWO_PI - 3e-9, TWO_PI - 1e-9)]
+    # non-canonical pairs just below 2pi: the scans take any finite angles
+    return pts + [PillowcasePoint(0.0, TWO_PI - 1e-9), PillowcasePoint(PI, TWO_PI - 1e-9)]
+
+
+def _cloud(rng, n):
+    """Random points with exact duplicates, mirrored ties and edge points, shuffled."""
+    pts = [canonicalize(*rng.uniform(-2 * PI, 2 * PI, size=2)) for _ in range(n)]
+    pts += [pts[i] for i in rng.integers(0, n, size=n // 8).tolist()]
+    pts += [tau(p) for p in pts[:n // 8]] + _MIRRORED + _MIRRORED[:4] + _wrap_points()
+    return [pts[i] for i in rng.permutation(len(pts)).tolist()]
+
+
+def _image_of(points, gaps):
+    return PillowcaseImage(
+        model=unknot_model(), resolution=8, grid_step=0.4, chain_threshold=0.8,
+        points=tuple(ImagePoint(p, _ONE, g) for p, g in zip(points, gaps)), arcs=())
+
+
+def _picked(img, result):
+    """(index by identity, repr of distance) of a nearest_point answer."""
+    rec, d = result
+    return (next((i for i, r in enumerate(img.points) if r is rec), None), repr(d))
+
+
+def _queries(rng, cloud):
+    return (cloud[::5] + _wrap_points() + [canonicalize(*_CENTRE), canonicalize(PI / 2, PI)]
+            + [canonicalize(*rng.uniform(-2 * PI, 2 * PI, size=2)) for _ in range(60)])
+
+
+def _records(points):
+    return [ImagePoint(p, _ONE, float(i)) for i, p in enumerate(points)]
+
+
+def _threshold_pairs(rng, cloud):
+    """Pairs whose kernel distance sits below or above their scalar distance."""
+    xy = np.array([p.as_tuple() for p in cloud])
+    low, high = [], []
+    for i in rng.permutation(len(cloud)).tolist():
+        d = pillowcase_distances(xy, cloud[i])
+        for j in range(len(cloud)):
+            s = pillowcase_distance(cloud[i], cloud[j])
+            if d[j] != s and s > 0.0:
+                (low if d[j] < s else high).append((cloud[i], cloud[j], s))
+        if len(low) >= 3 and len(high) >= 3:
+            return low[:3] + high[:3]
+    raise AssertionError("no pair where the kernel and the scalar distance differ")
+
+
+def _open_curves(rng, k):
+    """Open random walks, some with zero-length segments."""
+    out = []
+    for _ in range(k):
+        steps = rng.normal(size=(14, 2)) * rng.choice([0.05, 0.5, 2.0], size=(14, 1))
+        steps[rng.integers(0, 14)] = 0.0
+        pts = rng.uniform(-PI, PI, size=2) + np.vstack([[0.0, 0.0], np.cumsum(steps, 0)])
+        out.append(polyline([tuple(p) for p in pts]))
+    return out
+
+
+def _touching_curves(rng, curves):
+    """Curves starting on a vertex, a segment interior or a wrapped point of others."""
+    out = []
+    for c in curves:
+        lifts = np.array(c.lifted_vertices())
+        i = int(rng.integers(1, len(lifts) - 1))
+        on_seg = lifts[i] + rng.uniform() * (lifts[i + 1] - lifts[i])
+        for start in (lifts[i], on_seg, on_seg + TWO_PI * np.array([1.0, -2.0]),
+                      -on_seg):
+            out.append(polyline([tuple(start), tuple(start + rng.normal(size=2))]))
+    return out
+
+
+def _patch_kernels(monkeypatch, change):
+    """Route the scans' numpy distances through change(distances)."""
+    lift_distances = PillowcasePolyline._lift_distances
+    monkeypatch.setattr(solver, "pillowcase_distances",
+                        lambda xy, pt: change(pillowcase_distances(xy, pt)))
+    monkeypatch.setattr(PillowcasePolyline, "_lift_distances",
+                        lambda self, pt: change(lift_distances(self, pt)))
+
+
+def _raise_first_least(d):
+    """Raise the first least entry by the whole 1e-9 re-check window."""
+    if d.size:
+        i = np.unravel_index(np.argmin(d), d.shape)
+        d[i] = d[i] + 1e-9
+    return d
+
+
+class TestPointKernelScans:
+    def test_nearest_point_matches_scalar_scan(self):
+        rng = np.random.default_rng(31)
+        cloud = _cloud(rng, 120)
+        gaps = rng.choice([0.0, 0.1, 0.2, 0.5, math.nan], size=len(cloud)).tolist()
+        img = _image_of(cloud, gaps)
+        ties = 0
+        for pt in _queries(rng, cloud):
+            # gaps exactly at min_gap are skipped; a nan gap is never <= min_gap
+            for min_gap in (-math.inf, 0.0, 0.1, 0.2, 0.5, 1.0):
+                expected = _nearest_point_reference(img, pt, min_gap)
+                assert _picked(img, img.nearest_point(pt, min_gap)) == \
+                    _picked(img, expected)
+                ties += sum(pillowcase_distance(r.point, pt) == expected[1]
+                            for r in img.points if not r.gap <= min_gap) > 1
+        assert ties > 0
+
+    def test_nearest_point_empty_image(self):
+        img = _image_of([], [])
+        assert img.nearest_point(canonicalize(0.0, PI)) == (None, math.inf)
+        assert img.nearest_point(canonicalize(0.0, PI), min_gap=0.0) == (None, math.inf)
+
+    def test_nearest_point_where_kernel_and_scalar_differ(self):
+        rng = np.random.default_rng(32)
+        cloud = _cloud(rng, 80)
+        img = _image_of(cloud, [0.0] * len(cloud))
+        xy = np.array([p.as_tuple() for p in cloud])
+        differ = 0
+        for pt in cloud + [canonicalize(*rng.uniform(-2 * PI, 2 * PI, size=2))
+                           for _ in range(400)]:
+            expected = _nearest_point_reference(img, pt)
+            assert _picked(img, img.nearest_point(pt)) == _picked(img, expected)
+            differ += pillowcase_distances(xy, pt).min() != expected[1]
+        # some answers are not the kernel's minimum, bit for bit
+        assert differ > 0
+
+    def test_chain_points_matches_scalar_chaining(self):
+        rng = np.random.default_rng(33)
+        cloud = _cloud(rng, 100)
+        records = _records(cloud)
+        for threshold in (0.05, 0.3, 0.9, 2.5):
+            assert repr(_chain_points(records, threshold)) == \
+                repr(_chain_points_reference(records, threshold))
+
+    def test_chain_threshold_one_ulp_either_side(self):
+        rng = np.random.default_rng(34)
+        cloud = _cloud(rng, 40)
+        for a, b, s in _threshold_pairs(rng, cloud):
+            # the pair alone, next to a neighbour of b, and inside the cloud
+            c = canonicalize(b.alpha + 1e-3, b.beta)
+            for threshold in (math.nextafter(s, 0.0), s, math.nextafter(s, math.inf)):
+                for pts in ([a, b], [b, a], [a, b, c], [c, a, b]):
+                    records = _records(pts)
+                    assert repr(_chain_points(records, threshold)) == \
+                        repr(_chain_points_reference(records, threshold))
+            records = _records(cloud + [a, b])
+            assert repr(_chain_points(records, s)) == \
+                repr(_chain_points_reference(records, s))
+
+    def test_chain_points_empty_and_single(self):
+        assert _chain_points([], 0.5) == ([], [])
+        records = _records([canonicalize(0.0, PI)])
+        assert repr(_chain_points(records, 0.5)) == repr(([], records))
+
+    def test_project_endpoint_cuts_matches_scalar_scan(self):
+        rng = np.random.default_rng(35)
+        curves = _open_curves(rng, 6)
+        curves += _touching_curves(rng, curves[:3])
+        curves.append(polyline([(0.2, 0.3), (0.2, 2.0), (1.5, 2.0)], closed=True))
+        for node_tol in (1e-7, 0.3, 1.5):
+            assert repr(_project_endpoint_cuts(curves, node_tol)) == \
+                repr(_project_endpoint_cuts_reference(curves, node_tol))
+
+    def test_project_endpoint_cuts_at_node_tol(self):
+        # node_tol at an endpoint's scalar distance to a curve, and one ulp
+        # either side, where the numpy distance differs from the scalar one
+        rng = np.random.default_rng(36)
+        cases = 0
+        for c in _open_curves(rng, 4):
+            for _ in range(100):
+                pt = canonicalize(*rng.uniform(-PI, PI, size=2))
+                s = c.min_distance_to(pt)
+                if c._lift_distances(pt).min() == s:
+                    continue
+                cases += 1
+                pair = [c, polyline([pt, canonicalize(pt.alpha + 0.5, pt.beta + 2.0)])]
+                for node_tol in (math.nextafter(s, 0.0), s, math.nextafter(s, math.inf)):
+                    assert repr(_project_endpoint_cuts(pair, node_tol)) == \
+                        repr(_project_endpoint_cuts_reference(pair, node_tol))
+        assert cases > 0
+
+    @pytest.mark.parametrize("model", [torus_knot_model(2, 3), klein_bottle_model()],
+                             ids=["trefoil", "klein"])
+    def test_real_images(self, model):
+        img = sample_pillowcase_image(model, 25, CFG)
+        queries = [r.point for r in img.points]
+        queries += [v for arc in img.arcs for v in arc.vertices[::7]]
+        for pt in queries:
+            for min_gap in (-math.inf, CFG.irreducible_gap):
+                assert _picked(img, img.nearest_point(pt, min_gap)) == \
+                    _picked(img, _nearest_point_reference(img, pt, min_gap))
+        records = list(img.points)
+        for threshold in (img.chain_threshold, 0.25 * img.chain_threshold):
+            assert repr(_chain_points(records, threshold)) == \
+                repr(_chain_points_reference(records, threshold))
+        curves = list(img.arcs)
+        assert repr(_project_endpoint_cuts(curves, img.chain_threshold)) == \
+            repr(_project_endpoint_cuts_reference(curves, img.chain_threshold))
+
+    def test_scans_hold_under_kernel_error_below_half_window(self, monkeypatch):
+        # the scalar re-check decides every near tie, so a kernel that is off
+        # by up to 4e-10 still gives the scalar answers
+        rng = np.random.default_rng(37)
+        cloud = _cloud(rng, 60)
+        img = _image_of(cloud, rng.choice([0.0, 0.2], size=len(cloud)).tolist())
+        curves = _open_curves(rng, 4)
+        curves += _touching_curves(rng, curves[:2])
+        expected = ([_picked(img, _nearest_point_reference(img, pt, g))
+                     for pt in cloud for g in (-math.inf, 0.0)],
+                    repr(_chain_points_reference(_records(cloud), 0.4)),
+                    repr(_project_endpoint_cuts_reference(curves, 0.3)))
+        noise = np.random.default_rng(38)
+        _patch_kernels(monkeypatch, lambda d: d + noise.uniform(-4e-10, 4e-10, size=d.shape))
+        got = ([_picked(img, img.nearest_point(pt, g))
+                for pt in cloud for g in (-math.inf, 0.0)],
+               repr(_chain_points(_records(cloud), 0.4)),
+               repr(_project_endpoint_cuts(curves, 0.3)))
+        assert got == expected
+
+    def test_window_is_closed(self, monkeypatch):
+        # a tied winner whose numpy distance is exactly the window above the
+        # least is still re-checked, and wins as the first of the tie
+        centre = canonicalize(*_CENTRE)
+        img = _image_of(_MIRRORED, [0.0] * len(_MIRRORED))
+        records = _records([centre] + _MIRRORED)
+        # the end (1, 2) of the open curve is 0.5 from the loop's first two
+        # segments, at the vertex they share
+        curves = [polyline([(0.5, 1.5), (1.0, 1.5), (1.5, 1.5), (1.0, 0.5)], closed=True),
+                  polyline([_CENTRE, (1.0, 3.0)])]
+        expected = (_picked(img, _nearest_point_reference(img, centre)),
+                    repr(_chain_points_reference(records, 0.6)),
+                    repr(_project_endpoint_cuts_reference(curves, 1.0)))
+        assert expected[2].startswith("{0: [(0, 1.0)], ")
+        _patch_kernels(monkeypatch, _raise_first_least)
+        assert (_picked(img, img.nearest_point(centre)),
+                repr(_chain_points(records, 0.6)),
+                repr(_project_endpoint_cuts(curves, 1.0))) == expected
