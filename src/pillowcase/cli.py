@@ -126,7 +126,10 @@ def _config_from_args(args, job: dict | None = None) -> SolverConfig:
             raise InputError(f"invalid job: {exc}") from exc
     flags = {k: getattr(args, k) for k in _FLAG_CONFIG_KEYS
              if getattr(args, k, None) is not None}
-    return replace(config, **flags)
+    try:
+        return replace(config, **flags)
+    except ValueError as exc:
+        raise InputError(f"invalid option: {exc}") from exc
 
 
 def _emit(data: dict, as_json: bool, text: str) -> None:

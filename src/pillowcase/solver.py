@@ -38,6 +38,14 @@ __all__ = [
 ]
 
 
+_CONFIG_RANGES = (
+    ("tol", ">", 0), ("restarts", ">=", 1), ("seed", ">=", 0),
+    ("resolution", ">=", 2), ("min_gap", ">=", 0), ("irreducible_gap", ">=", 0),
+    ("max_iter", ">=", 0), ("polish_steps", ">=", 0), ("dedup_tol", ">=", 0),
+    ("chain_factor", ">", 0),
+)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Tunable solver parameters; defaults suit the built-in models."""
@@ -52,6 +60,14 @@ class SolverConfig:
     polish_steps: int = 5
     dedup_tol: float = 1e-6
     chain_factor: float = 8.0
+
+    def __post_init__(self):
+        for name, op, bound in _CONFIG_RANGES:
+            value = getattr(self, name)
+            # a NaN fails both comparisons, so it is out of range too
+            if not (value > bound if op == ">" else value >= bound):
+                raise ValueError(f"solver config {name!r} must be {op} {bound}, "
+                                 f"got {value!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverConfig":
@@ -160,66 +176,103 @@ def _solve_rows(A, b):
     return out
 
 
+# Upper bound on the rows of one LM step.  A row leaves the window when it
+# finishes and the next queued row takes its slot, so every numpy call but
+# the last few of a sweep runs on a full window.  A bigger window cuts more
+# call overhead but raises peak memory: on a trefoil r=200 sweep, 512 rows
+# ran about 10% faster than 256 for 2 MB more peak RSS.
+_BLOCK_ROWS = 256
+
+
 def _lm_minimize(words, targets, params0, tol, max_iter, polish_steps):
     """Batched LM on the word system; returns (params, per_item_max_residual).
 
     targets holds one row of 4 * len(words) target components per item.
-    Every row evolves independently of the others in the batch.
+    Every row evolves independently of the others: it takes up to
+    max_iter + polish_steps steps, stopping early once it has converged and
+    spent its polish_steps or once its damping exceeds 1e9 unconverged.
+    At most _BLOCK_ROWS rows step at a time, and a finished row's slot goes
+    to the next row in order.  The forward-difference normal equations of a
+    row are probed again only after a step moved it; a rejected unconverged
+    step keeps them and retries with more damping.  A rejected polish step
+    finishes its row, since its state and its 1e-12 damping would repeat
+    the same rejected trial on every later polish step.
     """
-    params = _renorm(params0.copy())
-    B, n, _ = params.shape
+    params = _renorm(params0)
+    R, n, _ = params.shape
     npar = 4 * n
     m = 4 * len(words)
-    lam = np.full(B, 1e-3)
     fd = 1e-7
     diag = np.arange(npar)
-
-    def cost_of(p, t):
-        F = _residuals(p, words, t)
-        return F, np.einsum("bm,bm->b", F, F)
-
-    F, cost = cost_of(params, targets)
     target2 = (0.25 * tol) ** 2
-    polish_left = np.full(B, polish_steps, dtype=int)
-    for _ in range(max_iter + polish_steps):
-        converged = cost <= target2
-        dead = lam > 1e9
-        done = (converged & (polish_left <= 0)) | (dead & ~converged)
-        idx = np.nonzero(~done)[0]
-        if not len(idx):
+    F = _residuals(params, words, targets)
+    cost = np.einsum("bm,bm->b", F, F)
+    lam = np.full(R, 1e-3)
+    steps_left = np.full(R, max_iter + polish_steps)
+    polish_left = np.full(R, polish_steps)
+
+    def finished(rows):
+        conv = cost[rows] <= target2
+        return ((steps_left[rows] <= 0) | (conv & (polish_left[rows] <= 0))
+                | (~conv & (lam[rows] > 1e9)))
+
+    # rows done before their first step never enter the window
+    queue = np.flatnonzero(~finished(np.arange(R)))
+    queued = 0
+    # rows in the window, whether their normal equations need a probe, and
+    # the JtJ (undamped) and JtF of each slot
+    window = np.empty(0, dtype=np.intp)
+    stale = np.empty(0, dtype=bool)
+    JTJ = np.empty((0, npar, npar))
+    JTF = np.empty((0, npar))
+    while True:
+        new = queue[queued:queued + _BLOCK_ROWS - len(window)]
+        queued += len(new)
+        window = np.concatenate([window, new])
+        stale = np.concatenate([stale, np.ones(len(new), dtype=bool)])
+        JTJ = np.concatenate([JTJ, np.empty((len(new), npar, npar))])
+        JTF = np.concatenate([JTF, np.empty((len(new), npar))])
+        if not len(window):
             break
-        b = len(idx)
-        T = targets[idx]
-        Fs = F[idx]
-        flat = params[idx].reshape(b, npar)
-        # all npar forward-difference probes in one residual evaluation
-        pert = np.repeat(flat[None], npar, axis=0)
-        pert[diag, :, diag] += fd
-        Fp = _residuals(pert.reshape(npar * b, n, 4), words, np.tile(T, (npar, 1)))
-        # einsum's summation order follows the operand strides: a contiguous
-        # (b, m, npar) J keeps JtJ and JtF the same bits as column-by-column J
-        J = np.ascontiguousarray(
-            ((Fp.reshape(npar, b, m) - Fs) / fd).transpose(1, 2, 0))
-        A = np.einsum("bmp,bmq->bpq", J, J)
-        JTF = np.einsum("bmp,bm->bp", J, Fs)
-        del J
-        conv = converged[idx]
-        A[:, diag, diag] += np.where(conv, 1e-12, lam[idx])[:, None]
+        probe = window[stale]
+        if len(probe):
+            b = len(probe)
+            Fs = F[probe]
+            # all npar forward-difference probes in one residual evaluation
+            pert = np.repeat(params[probe].reshape(1, b, npar), npar, axis=0)
+            pert[diag, :, diag] += fd
+            Fp = _residuals(pert.reshape(npar * b, n, 4), words,
+                            np.tile(targets[probe], (npar, 1)))
+            # einsum's summation order follows the operand strides: a contiguous
+            # (b, m, npar) J keeps JtJ and JtF the same bits as column-by-column J
+            J = np.ascontiguousarray(
+                ((Fp.reshape(npar, b, m) - Fs) / fd).transpose(1, 2, 0))
+            JTJ[stale] = np.einsum("bmp,bmq->bpq", J, J)
+            JTF[stale] = np.einsum("bmp,bm->bp", J, Fs)
+            del J
+        conv = cost[window] <= target2
+        A = JTJ.copy()
+        A[:, diag, diag] += np.where(conv, 1e-12, lam[window])[:, None]
         delta = -_solve_rows(A, JTF)
-        trial = _renorm((flat + delta).reshape(b, n, 4))
-        Ft, cost_t = cost_of(trial, T)
-        better = cost_t < cost[idx]
-        take = idx[better]
+        trial = _renorm((params[window].reshape(-1, npar) + delta).reshape(-1, n, 4))
+        Ft = _residuals(trial, words, targets[window])
+        cost_t = np.einsum("bm,bm->b", Ft, Ft)
+        better = cost_t < cost[window]
+        take = window[better]
         params[take] = trial[better]
         F[take] = Ft[better]
         cost[take] = cost_t[better]
-        polish_left[idx[conv]] -= 1
-        up = idx[~conv & better]
+        steps_left[window] -= 1
+        polish_left[window[conv]] -= 1
+        up = window[~conv & better]
         lam[up] = np.maximum(lam[up] * 0.35, 1e-12)
-        lam[idx[~conv & ~better]] *= 8.0
+        lam[window[~conv & ~better]] *= 8.0
+        keep = ~(finished(window) | (conv & ~better))
+        window, stale = window[keep], better[keep]
+        JTJ, JTF = JTJ[keep], JTF[keep]
     # per-word residual norms; a (1, 4) @ (4, 1) matmul is the same BLAS dot
     # that np.linalg.norm takes on one 4-vector, so the values match it exactly
-    seg = F.reshape(B, len(words), 1, 4)
+    seg = F.reshape(R, len(words), 1, 4)
     max_res = np.sqrt(seg @ seg.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3), initial=0.0)
     return params, max_res
 
@@ -303,20 +356,15 @@ def _distinct_solutions(pres: GroupPresentation, params, max_res,
     return out
 
 
-# Upper bound on the rows (node x restart) of one stacked LM batch.  Bigger
-# blocks cut more numpy call overhead but raise peak memory; at 256 rows the
-# sweep's peak RSS stays within a few per cent of a one-node batch.
-_BLOCK_ROWS = 256
-
-
 def _sweep(pres: GroupPresentation, alphas, keys,
            config: SolverConfig) -> list[list[Representation]]:
     """Solutions at each meridian angle alphas[i], one list per node.
 
     Node i draws its restarts from default_rng([config.seed, keys[i]]).  The
-    restarts of whole nodes are stacked into shared LM batches of at most
-    _BLOCK_ROWS rows, each row with its own meridian target; rows evolve
-    independently, so every node's result is the one it gets alone.
+    restarts of all nodes run as the rows of one _lm_minimize call, each row
+    with its own meridian target; rows evolve independently, so every node's
+    result is the one it gets alone.  The accept and dedup pass then runs on
+    groups of _BLOCK_ROWS // restarts nodes, which bounds its temporaries.
     """
     n = pres.generator_count
     if n == 0:
@@ -324,19 +372,20 @@ def _sweep(pres: GroupPresentation, alphas, keys,
     words = list(pres.relators) + [pres.meridian]
     relator_targets = [1.0, 0.0, 0.0, 0.0] * len(pres.relators)
     restarts = config.restarts
-    per_block = max(1, _BLOCK_ROWS // max(restarts, 1))
+    params0 = np.concatenate([
+        np.random.default_rng([config.seed, key & 0x7FFFFFFF])
+        .standard_normal((restarts, n, 4)) for key in keys])
+    targets = np.repeat(np.array([
+        relator_targets + [math.cos(a), math.sin(a), 0.0, 0.0] for a in alphas]),
+        restarts, axis=0)
+    params, max_res = _lm_minimize(words, targets, params0, config.tol,
+                                   config.max_iter, config.polish_steps)
+    per_group = max(1, _BLOCK_ROWS // restarts)
     out = []
-    for start in range(0, len(alphas), per_block):
-        block = range(start, min(start + per_block, len(alphas)))
-        params0 = np.concatenate([
-            np.random.default_rng([config.seed, keys[i] & 0x7FFFFFFF])
-            .standard_normal((restarts, n, 4)) for i in block])
-        targets = np.repeat(np.array([
-            relator_targets + [math.cos(alphas[i]), math.sin(alphas[i]), 0.0, 0.0]
-            for i in block]), restarts, axis=0)
-        params, max_res = _lm_minimize(words, targets, params0, config.tol,
-                                       config.max_iter, config.polish_steps)
-        out.extend(_distinct_solutions(pres, params, max_res, config, len(block)))
+    for start in range(0, len(alphas), per_group):
+        nodes = min(per_group, len(alphas) - start)
+        rows = slice(start * restarts, (start + nodes) * restarts)
+        out.extend(_distinct_solutions(pres, params[rows], max_res[rows], config, nodes))
     return out
 
 

@@ -121,6 +121,43 @@ class TestImageCommand:
         assert code == EXIT_BAD_INPUT
         assert "invalid solver config" in err
 
+    @pytest.mark.parametrize("name, value", [
+        ("restarts", "-1"), ("restarts", "0"), ("seed", "-1"), ("resolution", "1"),
+        ("tol", "0"), ("tol", "-1e-9"), ("tol", "nan")],
+        ids=["restarts-negative", "restarts-zero", "seed-negative", "resolution-1",
+             "tol-zero", "tol-negative", "tol-nan"])
+    def test_out_of_range_flag_exit_2(self, capsys, name, value):
+        code, out, err = run(capsys, "image", "unknot", f"--{name}={value}")
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert f"solver config {name!r} must be" in err
+
+    @pytest.mark.parametrize("text", [
+        '{"tol": -1.0}', '{"dedup_tol": -1}', '{"min_gap": -0.5}',
+        '{"irreducible_gap": -1e-4}', '{"max_iter": -1}', '{"polish_steps": -1}',
+        '{"chain_factor": 0}', '{"resolution": 0}'],
+        ids=["tol", "dedup_tol", "min_gap", "irreducible_gap", "max_iter",
+             "polish_steps", "chain_factor", "resolution"])
+    def test_out_of_range_config_exit_2(self, capsys, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, _, err = run(capsys, "image", "unknot", "--config", str(cfg))
+        assert code == EXIT_BAD_INPUT
+        assert "invalid solver config" in err and "must be" in err
+
+    def test_config_range_bounds(self):
+        # every bound itself is accepted where it is inclusive
+        SolverConfig(tol=1e-300, restarts=1, seed=0, resolution=2, min_gap=0.0,
+                     irreducible_gap=0.0, max_iter=0, polish_steps=0, dedup_tol=0.0,
+                     chain_factor=1e-300)
+        for field, value in [("tol", 0.0), ("restarts", 0), ("seed", -1),
+                             ("resolution", 1), ("min_gap", -1e-300),
+                             ("irreducible_gap", float("nan")), ("max_iter", -1),
+                             ("polish_steps", -1), ("dedup_tol", -1e-300),
+                             ("chain_factor", 0.0)]:
+            with pytest.raises(ValueError, match=f"'{field}' must be"):
+                SolverConfig(**{field: value})
+
     def test_config_value_types(self):
         cfg = SolverConfig.from_dict({"tol": 1, "min_gap": 0.2, "restarts": 5})
         assert (cfg.tol, cfg.min_gap, cfg.restarts) == (1, 0.2, 5)
@@ -167,6 +204,14 @@ class TestSpliceCommand:
         code, out, _ = run(capsys, "splice", str(job))
         assert code == EXIT_OK
         assert json.loads(out)["found"] is True
+
+    def test_out_of_range_job_field_exit_2(self, capsys, tmp_path):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({
+            "model1": "trefoil", "model2": "trefoil", "restarts": 0}))
+        code, _, err = run(capsys, "splice", str(job))
+        assert code == EXIT_BAD_INPUT
+        assert "invalid job" in err and "'restarts' must be >= 1" in err
 
     def test_mistyped_job_field_exit_2(self, capsys, tmp_path):
         job = tmp_path / "job.json"

@@ -314,7 +314,8 @@ class TestSweepEngine:
     @pytest.mark.parametrize("model", [torus_knot_model(2, 3), klein_bottle_model()],
                              ids=["trefoil", "klein"])
     def test_batched_sweep_matches_per_node(self, model):
-        # 25 nodes x 20 restarts = 500 rows: two full blocks and a short one
+        # 25 nodes x 20 restarts = 500 rows: the 256-row window refills in
+        # mid-node, and the dedup pass runs on groups of 12, 12 and 1 nodes
         img = sample_pillowcase_image(model, 25, CFG)
         grid = np.linspace(0.0, PI, 25)
         per_node = [rep for i in range(25)
@@ -416,17 +417,23 @@ def _distinct_solutions_reference(pres, params, max_res, config):
     return reps
 
 
-def _lm_block(model, alphas, config):
-    """The LM-solved restarts of one sweep block, node i at meridian angle alphas[i]."""
-    pres = model.presentation
+def _sweep_rows(pres, alphas, keys, config):
+    """The words, targets and starting params of _sweep's node x restart rows."""
     params0 = np.concatenate([
-        np.random.default_rng([config.seed, i]).standard_normal(
-            (config.restarts, pres.generator_count, 4)) for i in range(len(alphas))])
+        np.random.default_rng([config.seed, key & 0x7FFFFFFF]).standard_normal(
+            (config.restarts, pres.generator_count, 4)) for key in keys])
     targets = np.repeat([[1.0, 0.0, 0.0, 0.0] * len(pres.relators)
                          + [math.cos(a), math.sin(a), 0.0, 0.0] for a in alphas],
                         config.restarts, axis=0)
-    return _lm_minimize(list(pres.relators) + [pres.meridian], targets, params0,
-                        config.tol, config.max_iter, config.polish_steps)
+    return list(pres.relators) + [pres.meridian], targets, params0
+
+
+def _lm_block(model, alphas, config):
+    """The LM-solved restarts of one sweep block, node i at meridian angle alphas[i]."""
+    words, targets, params0 = _sweep_rows(model.presentation, alphas,
+                                          range(len(alphas)), config)
+    return _lm_minimize(words, targets, params0, config.tol, config.max_iter,
+                        config.polish_steps)
 
 
 def _matches_reference(pres, params, max_res, nodes):
@@ -849,3 +856,226 @@ class TestPointKernelScans:
         assert (_picked(img, img.nearest_point(centre)),
                 repr(_chain_points(records, 0.6)),
                 repr(_project_endpoint_cuts(curves, 1.0))) == expected
+
+
+# ---------------------------------------------------------------------------
+# the LM sweep engine against the fixed-block loop it replaced
+
+def _lm_minimize_reference(words, targets, params0, tol, max_iter, polish_steps,
+                           on_step=None):
+    """The old _lm_minimize: every row of the batch steps until the slowest is done.
+
+    It probes the normal equations on every step and runs rejected polish
+    steps to the end.  on_step(idx, conv, better, params, F, cost,
+    polish_left) sees the state after each step.
+    """
+    params = solver._renorm(params0.copy())
+    B, n, _ = params.shape
+    npar = 4 * n
+    m = 4 * len(words)
+    lam = np.full(B, 1e-3)
+    fd = 1e-7
+    diag = np.arange(npar)
+
+    def cost_of(p, t):
+        F = solver._residuals(p, words, t)
+        return F, np.einsum("bm,bm->b", F, F)
+
+    F, cost = cost_of(params, targets)
+    target2 = (0.25 * tol) ** 2
+    polish_left = np.full(B, polish_steps, dtype=int)
+    for _ in range(max_iter + polish_steps):
+        converged = cost <= target2
+        dead = lam > 1e9
+        done = (converged & (polish_left <= 0)) | (dead & ~converged)
+        idx = np.nonzero(~done)[0]
+        if not len(idx):
+            break
+        b = len(idx)
+        T = targets[idx]
+        Fs = F[idx]
+        flat = params[idx].reshape(b, npar)
+        pert = np.repeat(flat[None], npar, axis=0)
+        pert[diag, :, diag] += fd
+        Fp = solver._residuals(pert.reshape(npar * b, n, 4), words, np.tile(T, (npar, 1)))
+        J = np.ascontiguousarray(
+            ((Fp.reshape(npar, b, m) - Fs) / fd).transpose(1, 2, 0))
+        A = np.einsum("bmp,bmq->bpq", J, J)
+        JTF = np.einsum("bmp,bm->bp", J, Fs)
+        del J
+        conv = converged[idx]
+        A[:, diag, diag] += np.where(conv, 1e-12, lam[idx])[:, None]
+        delta = -solver._solve_rows(A, JTF)
+        trial = solver._renorm((flat + delta).reshape(b, n, 4))
+        Ft, cost_t = cost_of(trial, T)
+        better = cost_t < cost[idx]
+        take = idx[better]
+        params[take] = trial[better]
+        F[take] = Ft[better]
+        cost[take] = cost_t[better]
+        polish_left[idx[conv]] -= 1
+        up = idx[~conv & better]
+        lam[up] = np.maximum(lam[up] * 0.35, 1e-12)
+        lam[idx[~conv & ~better]] *= 8.0
+        if on_step is not None:
+            on_step(idx, conv, better, params, F, cost, polish_left)
+    seg = F.reshape(B, len(words), 1, 4)
+    max_res = np.sqrt(seg @ seg.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3), initial=0.0)
+    return params, max_res
+
+
+def _sweep_reference(pres, alphas, keys, config):
+    """The old _sweep: one reference LM call per block of whole nodes."""
+    per_block = max(1, solver._BLOCK_ROWS // config.restarts)
+    out = []
+    for start in range(0, len(alphas), per_block):
+        block = range(start, min(start + per_block, len(alphas)))
+        words, targets, params0 = _sweep_rows(
+            pres, [alphas[i] for i in block], [keys[i] for i in block], config)
+        params, max_res = _lm_minimize_reference(words, targets, params0, config.tol,
+                                                 config.max_iter, config.polish_steps)
+        out.extend(_distinct_solutions(pres, params, max_res, config, len(block)))
+    return out
+
+
+def _refine_reference(pres, seed_rep, config, extra_relators=()):
+    """The old refine_representation, on the reference LM."""
+    for w in extra_relators:
+        pres = pres.with_relator(w)
+    words = list(pres.relators)
+    targets = np.array([[1.0, 0.0, 0.0, 0.0] * len(words)])
+    params0 = np.array([[[q.w, q.x, q.y, q.z] for q in seed_rep.images]])
+    params, max_res = _lm_minimize_reference(words, targets, params0, config.tol,
+                                             config.max_iter, config.polish_steps)
+    return _rep_from_params(params[0]) if max_res[0] < config.tol else None
+
+
+def _assert_same_lm(words, targets, params0, config=CFG):
+    args = (config.tol, config.max_iter, config.polish_steps)
+    params, max_res = _lm_minimize(words, targets, params0, *args)
+    ref_params, ref_max_res = _lm_minimize_reference(words, targets, params0, *args)
+    assert params.tobytes() == ref_params.tobytes()
+    assert max_res.tobytes() == ref_max_res.tobytes()
+    return params, max_res
+
+
+_SWEEP_MODELS = [torus_knot_model(2, 3), torus_knot_model(-2, 3), klein_bottle_model()]
+
+
+class TestWindowedLM:
+    @pytest.mark.parametrize("restarts, nodes", [(20, 25), (7, 60)])
+    @pytest.mark.parametrize("model", _SWEEP_MODELS, ids=["trefoil", "trefoil-neg", "klein"])
+    def test_sweep_matches_block_loop(self, model, restarts, nodes):
+        # 500 or 420 rows: the 256-row window refills in mid-node and out of
+        # step with the dedup groups of 12 or 36 nodes, which are the
+        # reference's blocks
+        config = SolverConfig(restarts=restarts)
+        pres = model.presentation
+        alphas = [float(a) for a in np.linspace(0.0, PI, nodes)]
+        got = solver._sweep(pres, alphas, range(nodes), config)
+        assert repr(got) == repr(_sweep_reference(pres, alphas, range(nodes), config))
+        assert sum(map(len, got)) > 0
+        # the rows of all nodes in one call, against the reference per block
+        per_block = solver._BLOCK_ROWS // restarts
+        words, targets, params0 = _sweep_rows(pres, alphas, range(nodes), config)
+        params, max_res = _lm_minimize(words, targets, params0, config.tol,
+                                       config.max_iter, config.polish_steps)
+        for start in range(0, len(params0), per_block * restarts):
+            rows = slice(start, start + per_block * restarts)
+            ref = _lm_minimize_reference(words, targets[rows], params0[rows], config.tol,
+                                         config.max_iter, config.polish_steps)
+            assert params[rows].tobytes() == ref[0].tobytes()
+            assert max_res[rows].tobytes() == ref[1].tobytes()
+
+    def test_one_node_sweep(self):
+        pres = torus_knot_model(2, 3).presentation
+        key = [int(round(PI / 3 * 1e9))]
+        got = solver._sweep(pres, [PI / 3], key, CFG)
+        assert repr(got) == repr(_sweep_reference(pres, [PI / 3], key, CFG))
+        assert got[0]
+
+    @pytest.mark.parametrize("rows", [1, solver._BLOCK_ROWS, solver._BLOCK_ROWS + 1])
+    def test_lm_minimize_rows(self, rows):
+        pres = torus_knot_model(2, 3).presentation
+        alphas = np.random.default_rng(rows).uniform(0.0, PI, rows)
+        words, targets, params0 = _sweep_rows(pres, alphas, range(rows),
+                                              SolverConfig(restarts=1))
+        _, max_res = _assert_same_lm(words, targets, params0)
+        assert (max_res < CFG.tol).any()
+
+    def test_rows_finished_on_entry(self):
+        # converged rows with no polish steps left never step; with no steps
+        # at all, no row does
+        pres = torus_knot_model(2, 3).presentation
+        words, targets, params0 = _sweep_rows(pres, [PI / 3, PI / 2], [1, 2], CFG)
+        params, max_res = _lm_minimize(words, targets, params0, CFG.tol, 60, 5)
+        # solved rows at even places, their random starts at odd ones
+        start = np.where(((max_res < CFG.tol) & (np.arange(len(params)) % 2 == 0))
+                         [:, None, None], params, params0)
+        F = solver._residuals(solver._renorm(start), words, targets)
+        converged = np.einsum("bm,bm->b", F, F) <= (0.25 * CFG.tol) ** 2
+        assert converged.any() and not converged.all()
+        for max_iter, polish_steps in [(60, 0), (0, 0), (0, 3)]:
+            _assert_same_lm(words, targets, start,
+                            SolverConfig(max_iter=max_iter, polish_steps=polish_steps))
+
+    def test_refine_from_swap_splice_seeds(self, monkeypatch):
+        from pillowcase import gluer
+        seeds = []
+
+        def record(pres, seed_rep, config=None, extra_relators=()):
+            seeds.append((pres, seed_rep))
+            return None  # so the search goes on to every candidate
+
+        monkeypatch.setattr(gluer, "refine_representation", record)
+        cfg = SolverConfig(resolution=40, seed=1)
+        tre = torus_knot_model(2, 3)
+        gluer.search_nonabelian_rep(splice(tre, tre, GluingMatrix.swap()), cfg)
+        assert len(seeds) >= 3
+        results = [solver.refine_representation(pres, seed, cfg) for pres, seed in seeds]
+        assert repr(results) == repr([_refine_reference(pres, seed, cfg)
+                                      for pres, seed in seeds])
+
+    def test_rejected_polish_step_is_repeated(self):
+        # once the reference rejects a converged row's polish step, every
+        # later step of that row leaves its params, F and cost as they were
+        pres = torus_knot_model(2, 3).presentation
+        alphas = [float(a) for a in np.linspace(0.0, PI, 12)]
+        words, targets, params0 = _sweep_rows(pres, alphas, range(12), CFG)
+        frozen = {}
+        repeated = set()
+
+        def on_step(idx, conv, better, params, F, cost, polish_left):
+            for row in idx[conv & ~better].tolist():
+                state = (params[row].tobytes(), F[row].tobytes(), cost[row].tobytes())
+                if row in frozen:
+                    assert state == frozen[row]
+                    repeated.add(row)
+                else:
+                    frozen[row] = state
+
+        _lm_minimize_reference(words, targets, params0, CFG.tol, CFG.max_iter,
+                               CFG.polish_steps, on_step)
+        assert len(repeated) > 10
+
+    def test_fewer_solves_and_residual_rows(self, monkeypatch):
+        counts = {}
+
+        def counting(name):
+            inner = getattr(solver, name)
+
+            def wrapped(*args):
+                calls, rows = counts.get(name, (0, 0))
+                counts[name] = (calls + 1, rows + len(args[0]))
+                return inner(*args)
+            return wrapped
+
+        monkeypatch.setattr(solver, "_solve_rows", counting("_solve_rows"))
+        monkeypatch.setattr(solver, "_residuals", counting("_residuals"))
+        pres = torus_knot_model(2, 3).presentation
+        alphas = [float(a) for a in np.linspace(0.0, PI, 25)]
+        solver._sweep(pres, alphas, range(25), CFG)
+        new, counts = counts, {}
+        _sweep_reference(pres, alphas, range(25), CFG)
+        assert new["_solve_rows"][0] < counts["_solve_rows"][0]
+        assert new["_residuals"][1] < counts["_residuals"][1]
