@@ -148,7 +148,7 @@ def cmd_image(args) -> int:
     img = sample_pillowcase_image(model, config.resolution, config)
     curve = extract_essential_curve(img)
     lift = lift_to_cut_open(img)
-    corners = corner_diagnostics(img)
+    corners = corner_diagnostics(img, gap_threshold=config.irreducible_gap)
     summary = {
         "model": model.name,
         "resolution": img.resolution,

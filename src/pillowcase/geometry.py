@@ -18,12 +18,12 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-#: absolute angle tolerance for all pillowcase comparisons
-ANGLE_TOL = 1e-9
-
 #: snap-to-edge width applied during canonicalization; keeps exact images of
 #: the corner points bitwise exact despite float remainders
 _SNAP = 1e-12
+
+#: intersection hits at most 1e-7 apart are one hit (distinct_indices tests <)
+_DEDUP_TOL = math.nextafter(1e-7, math.inf)
 
 
 class DegenerateCurveError(ValueError):
@@ -52,9 +52,6 @@ class PillowcasePoint:
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.alpha, self.beta)
-
-    def is_close(self, other: "PillowcasePoint", tol: float = ANGLE_TOL) -> bool:
-        return pillowcase_distance(self, other) <= tol
 
     def __str__(self):
         return f"({self.alpha:.6f}, {self.beta:.6f})"
@@ -261,6 +258,18 @@ def pillowcase_distances(xy: np.ndarray, pt: PillowcasePoint) -> np.ndarray:
     x, y = xy[:, 0], xy[:, 1]
     return np.hypot(_wrap_2pi(x - _SIGNS * pt.alpha),
                     _wrap_2pi(y - _SIGNS * pt.beta)).min(axis=0)
+
+
+def pillowcase_distance_matrix(xy: np.ndarray) -> np.ndarray:
+    """(n, n) distances between the rows (alpha, beta) of an (n, 2) array.
+
+    Row i is pillowcase_distances(xy, point i) bit for bit: the same
+    operations, broadcast over the points.  The matrix is symmetric, since
+    negating a difference negates its wrap exactly.
+    """
+    x, y = xy[:, 0], xy[:, 1]
+    return np.hypot(_wrap_2pi(x - _SIGNS[:, :, None] * x[:, None]),
+                    _wrap_2pi(y - _SIGNS[:, :, None] * y[:, None])).min(axis=0)
 
 
 def nearest_lift(pt: PillowcasePoint, anchor: tuple[float, float]) -> tuple[float, float]:
@@ -533,18 +542,12 @@ def detailed_intersections(c1: PillowcasePolyline, c2: PillowcasePolyline,
                     seg_a[0], seg_a[1], img[0], img[1], tol):
                 pt = canonicalize(x, y)
                 found.append((pt, trans, i1, ta, i2, tb))
-    # dedup by orbifold distance, transversal crossings take precedence
+    # dedup by orbifold distance <= 1e-7 per segment pair, transversal
+    # crossings taking precedence
     found.sort(key=lambda rec: (rec[0].alpha, rec[0].beta, not rec[1]))
-    kept = []
-    for rec in found:
-        dup = False
-        for other in kept:
-            if rec[0].is_close(other[0], tol=1e-7) and rec[2] == other[2] and rec[4] == other[4]:
-                dup = True
-                break
-        if not dup:
-            kept.append(rec)
-    return kept
+    keep = distinct_indices([rec[0] for rec in found], _DEDUP_TOL,
+                            keys=[(rec[2], rec[4]) for rec in found])
+    return [found[i] for i in keep]
 
 
 def polyline_intersections(c1: PillowcasePolyline, c2: PillowcasePolyline,
@@ -555,16 +558,10 @@ def polyline_intersections(c1: PillowcasePolyline, c2: PillowcasePolyline,
     above tol; tangential overlaps are reported as non-transversal with a
     representative point of the overlap interval.
     """
-    out = []
-    for (pt, trans, *_rest) in detailed_intersections(c1, c2, tol=tol):
-        dup = False
-        for (q, qtrans) in out:
-            if pt.is_close(q, tol=1e-7) and trans == qtrans:
-                dup = True
-                break
-        if not dup:
-            out.append((pt, trans))
-    return out
+    hits = [(pt, trans) for (pt, trans, *_rest) in detailed_intersections(c1, c2, tol=tol)]
+    keep = distinct_indices([pt for pt, _ in hits], _DEDUP_TOL,
+                            keys=[trans for _, trans in hits])
+    return [hits[i] for i in keep]
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +571,7 @@ def polyline_intersections(c1: PillowcasePolyline, c2: PillowcasePolyline,
 _REFERENCE_EPSILONS = (1e-8, 2.3e-8, 3.7e-8, 5.1e-8, 7.3e-8, 1.1e-7, 1e-6, 1e-5)
 
 
-def essential_class(curve: PillowcasePolyline, marked_tol: float = 1e-7) -> int:
+def essential_class(curve: PillowcasePolyline) -> int:
     """Signed crossings with the arc from P to Q along {beta = pi}.
 
     The count is the homology class of the curve in the twice-punctured
@@ -582,12 +579,12 @@ def essential_class(curve: PillowcasePolyline, marked_tol: float = 1e-7) -> int:
     convention: crossing the arc upward (beta increasing, in canonical
     coordinates) counts +1.  The reference arc is perturbed by a tiny
     deterministic epsilon so crossings at vertices are unambiguous; curves
-    passing within marked_tol of P or Q raise DegenerateCurveError.
+    passing within 1e-7 of P or Q raise DegenerateCurveError.
     """
     if not curve.closed:
         raise ValueError("essential_class needs a closed polyline")
     for marked in (P_POINT, Q_POINT):
-        if curve.min_distance_to(marked) <= marked_tol:
+        if curve.min_distance_to(marked) <= 1e-7:
             raise DegenerateCurveError(f"curve passes through marked point {marked}")
     segs = curve.lifted_segments()
     for eps in _REFERENCE_EPSILONS:
@@ -672,13 +669,64 @@ def line_crossings(curve: PillowcasePolyline, ca: float, cb: float,
     return hits
 
 
+def _close_pairs(points, radius: float) -> list[tuple[int, int]]:
+    """Index pairs (i, j), i != j, of points closer than radius, row by row.
+
+    A pair within 1e-9 of radius is decided by the scalar pillowcase_distance,
+    so every verdict is the scalar one.  d <= r is d < nextafter(r, inf).
+    """
+    d = pillowcase_distance_matrix(
+        np.array([p.as_tuple() for p in points]).reshape(len(points), 2))
+    near = zip(*(idx.tolist() for idx in np.nonzero(d < radius + 1e-9)))
+    return [(i, j) for i, j in near
+            if i != j and (d[i, j] < radius - 1e-9
+                           or pillowcase_distance(points[i], points[j]) < radius)]
+
+
+def distance_components(points, radius: float) -> list[list[int]]:
+    """Components of the graph joining points closer than radius.
+
+    Each component is a sorted list of indices; components come in order
+    of their least index.
+    """
+    neighbours = [[] for _ in points]
+    for i, j in _close_pairs(points, radius):
+        neighbours[i].append(j)
+    seen = [False] * len(points)
+    components = []
+    for start in range(len(points)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp, stack = [], [start]
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for u in neighbours[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append(u)
+        components.append(sorted(comp))
+    return components
+
+
+def distinct_indices(points, tol: float, keys=None) -> list[int]:
+    """Indices of first occurrences, in input order.
+
+    Point i is dropped when an earlier kept point lies closer than tol and,
+    if per-point keys are given, has a key equal to its own.
+    """
+    dropped = set()
+    for i, j in _close_pairs(points, tol):
+        if j < i and j not in dropped and (keys is None or keys[i] == keys[j]):
+            dropped.add(i)
+    return [i for i in range(len(points)) if i not in dropped]
+
+
 def distinct_points(points, tol: float = 1e-6) -> list[PillowcasePoint]:
     """First occurrences, in input order, of points tol apart or more."""
-    kept = []
-    for pt in points:
-        if not any(pillowcase_distance(pt, q) < tol for q in kept):
-            kept.append(pt)
-    return kept
+    points = list(points)
+    return [points[i] for i in distinct_indices(points, tol)]
 
 
 # ---------------------------------------------------------------------------

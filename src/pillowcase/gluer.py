@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass
 
 from .geometry import (GluingMatrix, PillowcasePoint, PillowcasePolyline,
-                       _is_prime, canonicalize, distinct_points,
-                       essential_class, induced_boundary_transform,
-                       line_crossings, line_offset, pillowcase_distance,
+                       _is_prime, canonicalize, distance_components,
+                       distinct_points, essential_class,
+                       induced_boundary_transform, line_crossings,
+                       line_offset, pillowcase_distance,
                        polyline_intersections, sigma_p, TWO_PI)
 from .presentations import (GroupPresentation, KnotExteriorModel, concat,
                             invert_word, pow_word, shift_word)
@@ -253,20 +254,14 @@ def slope_line_certificates(img: PillowcaseImage, p: int,
 
 
 def _connected_at_scale(points, scale: float) -> tuple[bool, float]:
-    """Single-chain test: union of balls of the given radius is connected."""
+    """Single-chain test: points joined at distance <= scale are connected.
+
+    Otherwise the gap is the least distance from the first point's component.
+    """
     if len(points) <= 1:
         return True, 0.0
-    remaining = list(range(len(points)))
-    component = {remaining.pop(0)}
-    grew = True
-    while grew and remaining:
-        grew = False
-        for idx in list(remaining):
-            if any(pillowcase_distance(points[idx], points[c]) <= scale
-                   for c in component):
-                component.add(idx)
-                remaining.remove(idx)
-                grew = True
+    component = distance_components(points, math.nextafter(scale, math.inf))[0]
+    remaining = set(range(len(points))) - set(component)
     if not remaining:
         return True, 0.0
     gap = min(pillowcase_distance(points[i], points[c])

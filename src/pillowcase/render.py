@@ -17,6 +17,7 @@ __all__ = ["image_to_svg", "image_to_csv", "polylines_to_svg", "mark_points"]
 _W = 320.0   # pixels for alpha in [0, pi]
 _H = 640.0   # pixels for beta in [0, 2pi]
 _MARGIN = 30.0
+_SAMPLES_PER_SEGMENT = 8  # drawn points per polyline segment, so folds show as breaks
 
 
 def _xy(alpha: float, beta: float) -> tuple[float, float]:
@@ -76,14 +77,14 @@ def _frame() -> list[str]:
     return parts
 
 
-def _fold_curve_paths(curve: PillowcasePolyline, samples_per_segment: int = 8):
+def _fold_curve_paths(curve: PillowcasePolyline):
     """Sample a polyline and break it where it folds across the domain edges."""
     runs = []
     current = []
     prev = None
     for (x1, y1), (x2, y2) in curve.lifted_segments():
-        for i in range(samples_per_segment + 1):
-            t = i / samples_per_segment
+        for i in range(_SAMPLES_PER_SEGMENT + 1):
+            t = i / _SAMPLES_PER_SEGMENT
             pt = canonicalize(x1 + t * (x2 - x1), y1 + t * (y2 - y1))
             xy = _xy(pt.alpha, pt.beta)
             if prev is not None and math.hypot(xy[0] - prev[0], xy[1] - prev[1]) > 40:

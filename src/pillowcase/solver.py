@@ -21,9 +21,9 @@ import numpy as np
 
 from .geometry import (DegenerateCurveError, PillowcasePoint,
                        PillowcasePolyline, canonicalize, detailed_intersections,
-                       essential_class, line_crossings, line_offset,
-                       pillowcase_distance, pillowcase_distances, TWO_PI,
-                       _reps_near)
+                       distance_components, essential_class, line_crossings,
+                       line_offset, pillowcase_distance, pillowcase_distance_matrix,
+                       pillowcase_distances, TWO_PI, _reps_near)
 from .homology import smith_normal_form, abelianization
 from .presentations import (GroupPresentation, KnotExteriorModel, Word,
                             concat, pow_word)
@@ -489,8 +489,10 @@ class PillowcaseImage:
         return tuple(out)
 
 
-def reducible_lines(model: KnotExteriorModel,
-                    samples_per_turn: int = 96) -> list[PillowcasePolyline]:
+_SAMPLES_PER_TURN = 96  # line vertices per 2pi of the free angle, at rate 1
+
+
+def reducible_lines(model: KnotExteriorModel) -> list[PillowcasePolyline]:
     """Boundary image of the diagonal (abelian) representations, exactly.
 
     Diagonal representations are angle assignments theta with
@@ -517,7 +519,7 @@ def reducible_lines(model: KnotExteriorModel,
     if len(free_idx) != 1:
         # not a knot-exterior shape; fall back to the nullhomologous line
         if all(v == 0 for v in lam):
-            return [_line_polyline(1, 0, 0.0, 0.0, samples_per_turn)]
+            return [_line_polyline(1, 0, 0.0, 0.0)]
         raise ValueError("model does not have a single free H1 coordinate")
     f = free_idx[0]
     lines = []
@@ -537,65 +539,47 @@ def reducible_lines(model: KnotExteriorModel,
         if key in seen:
             continue
         seen.add(key)
-        line = _line_polyline(a_coef, b_coef, c_mu, c_lam, samples_per_turn)
+        line = _line_polyline(a_coef, b_coef, c_mu, c_lam)
         if line is not None:
             lines.append(line)
     return lines
 
 
-def _line_polyline(a_coef, b_coef, c_mu, c_lam, samples_per_turn):
+def _line_polyline(a_coef, b_coef, c_mu, c_lam):
     rate = max(abs(a_coef), abs(b_coef), 1)
-    steps = int(samples_per_turn * rate)
+    steps = int(_SAMPLES_PER_TURN * rate)
     ts = np.linspace(0.0, TWO_PI, steps, endpoint=False)
-    pts = [canonicalize(a_coef * t + c_mu, b_coef * t + c_lam) for t in ts]
-    # collapse consecutive duplicates (constant lines in one coordinate)
-    cleaned = [pts[0]]
-    for p in pts[1:]:
-        if pillowcase_distance(cleaned[-1], p) > 1e-12:
-            cleaned.append(p)
+    # constant lines in one coordinate repeat their points
+    cleaned = _drop_repeats([canonicalize(a_coef * t + c_mu, b_coef * t + c_lam)
+                             for t in ts])
     if len(cleaned) < 2:
         return None
     return PillowcasePolyline(tuple(cleaned), closed=True)
 
 
+def _drop_repeats(pts):
+    """pts without each point within 1e-12 of the last one kept before it."""
+    cleaned = [pts[0]]
+    for p in pts[1:]:
+        if pillowcase_distance(cleaned[-1], p) > 1e-12:
+            cleaned.append(p)
+    return cleaned
+
+
 def _chain_points(records, threshold):
     """Greedy nearest-neighbor chaining of witness points into polylines.
 
-    Distances come from pillowcase_distances, one row at a time; a pair
-    within 1e-9 of the threshold, and a walk step within 1e-9 of the
-    nearest, is decided by the scalar pillowcase_distance.
+    The components of the points closer than threshold are the chains'
+    pools; the walk reads rows of pillowcase_distance_matrix, and a step
+    within 1e-9 of the nearest is decided by the scalar pillowcase_distance.
     """
     pts = [r.point for r in records]
-    n = len(pts)
-    if n == 0:
+    if not pts:
         return [], []
-    xy = np.array([p.as_tuple() for p in pts])
-    adj = [[] for _ in range(n)]
-    for i in range(n - 1):
-        d = pillowcase_distances(xy[i + 1:], pts[i])
-        edge = d < threshold - 1e-9
-        for k in np.flatnonzero(~edge & (d < threshold + 1e-9)).tolist():
-            edge[k] = pillowcase_distance(pts[i], pts[i + 1 + k]) < threshold
-        for j in (np.flatnonzero(edge) + (i + 1)).tolist():
-            adj[i].append(j)
-            adj[j].append(i)
-    seen = [False] * n
+    distances = pillowcase_distance_matrix(np.array([p.as_tuple() for p in pts]))
     arcs = []
     isolated = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        # collect the component
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
+    for comp in distance_components(pts, threshold):
         if len(comp) == 1:
             isolated.append(records[comp[0]])
             continue
@@ -605,7 +589,7 @@ def _chain_points(records, threshold):
             left = np.array(sorted(set(pool) - {start}), dtype=np.intp)
             while left.size:
                 last = order[-1]
-                d = pillowcase_distances(xy[left], pts[last])
+                d = distances[last, left]
                 dist, nxt = min((pillowcase_distance(pts[last], pts[j]), j)
                                 for j in left[d <= d.min() + 1e-9].tolist())
                 if dist > 3 * threshold:
@@ -615,7 +599,7 @@ def _chain_points(records, threshold):
             return order, left.tolist()
 
         # first walk finds one end of the chain, second walk spans it
-        probe, _ = walk(min(comp), comp)
+        probe, _ = walk(comp[0], comp)
         order, remaining = walk(probe[-1], comp)
         for leftover in remaining:
             isolated.append(records[leftover])
@@ -635,7 +619,8 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
     points into arcs (isolated points are reported separately).
     """
     config = config or SolverConfig()
-    resolution = resolution or config.resolution
+    if resolution is None:
+        resolution = config.resolution
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     pres = model.presentation
@@ -689,7 +674,8 @@ class LiftResult:
     image: PillowcaseImage | None
 
 
-def lift_to_cut_open(img: PillowcaseImage, tol: float = 1e-6) -> LiftResult:
+def lift_to_cut_open(img: PillowcaseImage) -> LiftResult:
+    tol = 1e-6  # width of the edges alpha in {0, pi} and of the line beta = 0
     violations = []
     for rec in img.points:
         a, b = rec.point.alpha, rec.point.beta
@@ -747,11 +733,7 @@ def _split_polyline(curve: PillowcasePolyline, cuts):
         verts = [pt for (s, pt) in stations if lo - 1e-12 <= s <= hi + 1e-12]
         if len(verts) < 2:
             continue
-        canon = [canonicalize(x, y) for x, y in verts]
-        cleaned = [canon[0]]
-        for p in canon[1:]:
-            if pillowcase_distance(cleaned[-1], p) > 1e-12:
-                cleaned.append(p)
+        cleaned = _drop_repeats([canonicalize(x, y) for x, y in verts])
         if len(cleaned) >= 2:
             pieces.append(PillowcasePolyline(tuple(cleaned), closed=False))
     return pieces
@@ -793,20 +775,6 @@ def _project_endpoint_cuts(curves, node_tol):
             if best is not None:
                 cuts[j].append((best[1], best[2]))
     return cuts
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        self.parent[self.find(i)] = self.find(j)
 
 
 def _fundamental_cycles(n_nodes, edges):
@@ -902,8 +870,7 @@ def _assemble_cycle(edge_ids, edges):
     return PillowcasePolyline(tuple(verts), closed=True)
 
 
-def extract_essential_curve(img: PillowcaseImage,
-                            node_tol: float | None = None) -> PillowcasePolyline | None:
+def extract_essential_curve(img: PillowcaseImage) -> PillowcasePolyline | None:
     """Find a closed curve of nonzero class in the arcs of an image.
 
     Builds the planar graph of all arcs (splitting at mutual intersections
@@ -914,7 +881,7 @@ def extract_essential_curve(img: PillowcaseImage,
     curves = [c for c in img.arcs if c is not None]
     if not curves:
         return None
-    node_tol = node_tol if node_tol is not None else max(img.chain_threshold, 1e-7)
+    node_tol = max(img.chain_threshold, 1e-7)
     candidates = []
     # closed single arcs are cycle candidates on their own
     for c in curves:
@@ -940,31 +907,12 @@ def extract_essential_curve(img: PillowcaseImage,
         pieces.extend(_split_polyline(c, cuts[i]))
     if not pieces:
         return None
-    # merge endpoints into graph nodes
-    endpoints = []
-    for p in pieces:
-        endpoints.append(p.vertices[0])
-        endpoints.append(p.vertices[-1])
-    uf = _UnionFind(len(endpoints))
-    for i in range(len(endpoints)):
-        for j in range(i + 1, len(endpoints)):
-            if pillowcase_distance(endpoints[i], endpoints[j]) < node_tol:
-                uf.union(i, j)
-    labels = {}
-    node_points = []
-    node_of = []
-    for i in range(len(endpoints)):
-        root = uf.find(i)
-        if root not in labels:
-            labels[root] = len(node_points)
-            node_points.append(endpoints[i])
-        node_of.append(labels[root])
-    edges = []
-    for k, p in enumerate(pieces):
-        u = node_of[2 * k]
-        v = node_of[2 * k + 1]
-        edges.append((u, v, p))
-    for cyc in _fundamental_cycles(len(node_points), edges):
+    # merge endpoints into graph nodes: piece k runs from endpoint 2k to 2k + 1
+    endpoints = [v for p in pieces for v in (p.vertices[0], p.vertices[-1])]
+    nodes = distance_components(endpoints, node_tol)
+    node_of = {i: node for node, comp in enumerate(nodes) for i in comp}
+    edges = [(node_of[2 * k], node_of[2 * k + 1], p) for k, p in enumerate(pieces)]
+    for cyc in _fundamental_cycles(len(nodes), edges):
         try:
             curve = _assemble_cycle(cyc, edges)
         except ValueError:

@@ -8,7 +8,8 @@ from pillowcase.families import torus_knot_model
 from pillowcase.geometry import PillowcasePoint, induced_boundary_transform
 from pillowcase.render import (image_to_csv, image_to_svg, mark_points,
                                polylines_to_svg)
-from pillowcase.solver import SolverConfig, sample_pillowcase_image
+from pillowcase.solver import (SolverConfig, corner_diagnostics,
+                               sample_pillowcase_image)
 
 
 def run(capsys, *argv):
@@ -102,6 +103,22 @@ class TestImageCommand:
         assert code1 == code2 == EXIT_OK
         assert out1 == out2
         assert json.loads(out1)["resolution"] == 25
+
+    def test_corner_witnesses_use_configured_gap(self, capsys, tmp_path):
+        # the near-corner witnesses of trefoil at r=30 have gaps far below
+        # the default 1e-4 but above 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"irreducible_gap": 0.0}')
+        args = ("image", "trefoil", "--resolution", "30", "--json")
+        code, out, _ = run(capsys, *args, "--config", str(cfg))
+        assert code == EXIT_OK
+        img = sample_pillowcase_image(load_model("trefoil"), 30,
+                                      SolverConfig(resolution=30, irreducible_gap=0.0))
+        expected = [list(rec.point.as_tuple())
+                    for rec in corner_diagnostics(img, gap_threshold=0.0)]
+        assert expected and json.loads(out)["corner_witnesses"] == expected
+        code, out, _ = run(capsys, *args)
+        assert code == EXIT_OK and json.loads(out)["corner_witnesses"] == []
 
     def test_invalid_model_json_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

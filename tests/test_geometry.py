@@ -13,6 +13,7 @@ from pillowcase.geometry import (GluingMatrix, DegenerateCurveError, P_POINT,
                                  distinct_points, essential_class,
                                  induced_boundary_transform, line_crossings,
                                  line_offset, pillowcase_distance,
+                                 pillowcase_distance_matrix,
                                  pillowcase_distances, polyline,
                                  polyline_intersections, polyline_to_csv,
                                  sigma, sigma_p, tau)
@@ -191,10 +192,20 @@ def _reference_detailed_intersections(c1, c2, tol):
     found.sort(key=lambda rec: (rec[0].alpha, rec[0].beta, not rec[1]))
     kept = []
     for rec in found:
-        if not any(rec[0].is_close(other[0], tol=1e-7) and rec[2] == other[2]
+        if not any(pillowcase_distance(rec[0], other[0]) <= 1e-7 and rec[2] == other[2]
                    and rec[4] == other[4] for other in kept):
             kept.append(rec)
     return kept
+
+
+def _reference_polyline_intersections(c1, c2, tol):
+    """The old dedup loop of polyline_intersections."""
+    out = []
+    for (pt, trans, *_rest) in _reference_detailed_intersections(c1, c2, tol):
+        if not any(pillowcase_distance(pt, q) <= 1e-7 and trans == qtrans
+                   for (q, qtrans) in out):
+            out.append((pt, trans))
+    return out
 
 
 def _reference_min_distance(curve, pt):
@@ -264,6 +275,8 @@ class TestBroadPhaseEquivalence:
             for a, b in [(c1, c1), (c1, walk)] + [(c2, c1) for c2 in companions]:
                 got = detailed_intersections(a, b, tol=tol)
                 assert repr(got) == repr(_reference_detailed_intersections(a, b, tol))
+                assert repr(polyline_intersections(a, b, tol=tol)) == \
+                    repr(_reference_polyline_intersections(a, b, tol))
                 flags.update(rec[1] for rec in got)
                 pairs += a.segment_count() * b.segment_count()
                 kept += len(_candidate_pairs(a, b, tol))
@@ -330,6 +343,31 @@ class TestPointDistanceKernel:
 
     def test_empty(self):
         assert pillowcase_distances(np.empty((0, 2)), P_POINT).shape == (0,)
+        assert pillowcase_distance_matrix(np.empty((0, 2))).shape == (0, 0)
+
+    def test_matrix_rows_are_the_kernel_bitwise(self):
+        rng = np.random.default_rng(13)
+        pts = [canonicalize(*rng.uniform(-10, 10, size=2)) for _ in range(150)]
+        pts += _wrap_points() + [tau(p) for p in pts[:20]] + pts[:10]
+        xy = np.array([p.as_tuple() for p in pts])
+        d = pillowcase_distance_matrix(xy)
+        for i, p in enumerate(pts):
+            assert d[i].tobytes() == pillowcase_distances(xy, p).tobytes()
+        assert d.tobytes() == d.T.tobytes()
+
+    def test_hits_exactly_the_dedup_distance_apart_are_one(self):
+        # two transversal hits, at (0.5, 1e-7) and (0.5, 2e-7), computed
+        # exactly on different segments: pillowcase_distance is 1e-7 bit for
+        # bit, and the dedup keeps hits at most 1e-7 apart as one
+        c1 = polyline([(0.25, 1e-7), (0.75, 1e-7), (0.75, 2e-7), (0.25, 2e-7)])
+        c2 = polyline([(0.5, 0.0), (0.5, 1.0)])
+        hits = detailed_intersections(c1, c2)
+        assert [(h[0].as_tuple(), h[1], h[2]) for h in hits] == \
+            [((0.5, 1e-7), True, 0), ((0.5, 2e-7), True, 2)]
+        assert pillowcase_distance(hits[0][0], hits[1][0]) == 1e-7
+        assert polyline_intersections(c1, c2) == [(hits[0][0], True)]
+        assert repr(polyline_intersections(c1, c2)) == \
+            repr(_reference_polyline_intersections(c1, c2, 1e-9))
 
     def test_lift_distances_match_point_segment_distance(self):
         rng = np.random.default_rng(12)
@@ -574,6 +612,8 @@ class TestLineCrossings:
         c = canonicalize(-1.0, -1.0 - 2e-6)
         assert distinct_points([a, b, c, a]) == [a, c]
         assert distinct_points([b, a], tol=1e-7) == [b, a]
+        assert distinct_points([]) == []
+        assert distinct_points(iter([a, a, c])) == [a, c]
 
 
 class TestEssentialClass:

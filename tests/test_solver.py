@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from pillowcase import solver
+from pillowcase import geometry, gluer, solver
 from pillowcase.families import (klein_bottle_model, torus_knot_model,
                                  unknot_model)
 from pillowcase.geometry import (GluingMatrix, PillowcasePoint,
                                  PillowcasePolyline, TWO_PI, _reps_near,
-                                 canonicalize, essential_class,
+                                 canonicalize, detailed_intersections,
+                                 distance_components, distinct_points,
+                                 essential_class, induced_boundary_transform,
                                  line_crossings, line_offset,
-                                 pillowcase_distance, pillowcase_distances,
-                                 polyline, tau)
+                                 pillowcase_distance, pillowcase_distance_matrix,
+                                 pillowcase_distances, polyline,
+                                 polyline_intersections, tau)
 from pillowcase.gluer import splice
 from pillowcase.presentations import concat, pow_word
 from pillowcase.solver import (ImagePoint, PillowcaseImage, SolverConfig,
@@ -303,6 +306,13 @@ class TestDiagnosticsAndDeterminism:
         assert cfg.tol == 1e-9 and cfg.restarts == 5 and cfg.seed == 3
         with pytest.raises(ValueError):
             SolverConfig.from_dict({"bogus": 1})
+
+    @pytest.mark.parametrize("resolution", [0, 1])
+    def test_explicit_resolution_is_not_replaced_by_config(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be >= 2"):
+            sample_pillowcase_image(unknot_model(), resolution, SolverConfig(resolution=7))
+        img = sample_pillowcase_image(unknot_model(), None, SolverConfig(resolution=7))
+        assert img.resolution == 7
 
 
 def _witness_bytes(reps):
@@ -693,10 +703,24 @@ def _touching_curves(rng, curves):
 
 
 def _patch_kernels(monkeypatch, change):
-    """Route the scans' numpy distances through change(distances)."""
+    """Route the scans' numpy distances through change(distances).
+
+    A distance matrix is changed one row at a time, off its diagonal, so
+    each row reads as the distances from its point to the others.
+    """
     lift_distances = PillowcasePolyline._lift_distances
+
+    def matrix(xy):
+        d = pillowcase_distance_matrix(xy)
+        for i in range(len(d)):
+            others = np.arange(len(d)) != i
+            d[i, others] = change(d[i, others])
+        return d
+
     monkeypatch.setattr(solver, "pillowcase_distances",
                         lambda xy, pt: change(pillowcase_distances(xy, pt)))
+    monkeypatch.setattr(solver, "pillowcase_distance_matrix", matrix)
+    monkeypatch.setattr(geometry, "pillowcase_distance_matrix", matrix)
     monkeypatch.setattr(PillowcasePolyline, "_lift_distances",
                         lambda self, pt: change(lift_distances(self, pt)))
 
@@ -856,6 +880,170 @@ class TestPointKernelScans:
         assert (_picked(img, img.nearest_point(centre)),
                 repr(_chain_points(records, 0.6)),
                 repr(_project_endpoint_cuts(curves, 1.0))) == expected
+
+
+# ---------------------------------------------------------------------------
+# the pairwise proximity passes (distance_components and the keyed
+# first-occurrence dedup) against the loops they replaced
+
+def _union_find_reference(points, radius):
+    """The old union-find endpoint merge of extract_essential_curve, as components."""
+    parent = list(range(len(points)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if pillowcase_distance(points[i], points[j]) < radius:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(points)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _connected_at_scale_reference(points, scale):
+    """The old growth loop of gluer._connected_at_scale."""
+    if len(points) <= 1:
+        return True, 0.0
+    remaining = list(range(len(points)))
+    component = {remaining.pop(0)}
+    grew = True
+    while grew and remaining:
+        grew = False
+        for idx in list(remaining):
+            if any(pillowcase_distance(points[idx], points[c]) <= scale
+                   for c in component):
+                component.add(idx)
+                remaining.remove(idx)
+                grew = True
+    if not remaining:
+        return True, 0.0
+    gap = min(pillowcase_distance(points[i], points[c])
+              for i in remaining for c in component)
+    return False, gap
+
+
+def _distinct_points_reference(points, tol):
+    """The old first-occurrence loop of distinct_points."""
+    kept = []
+    for pt in points:
+        if not any(pillowcase_distance(pt, q) < tol for q in kept):
+            kept.append(pt)
+    return kept
+
+
+def _polyline_intersections_reference(c1, c2):
+    """The old dedup loop of polyline_intersections."""
+    out = []
+    for (pt, trans, *_rest) in detailed_intersections(c1, c2):
+        if not any(pillowcase_distance(pt, q) <= 1e-7 and trans == qtrans
+                   for (q, qtrans) in out):
+            out.append((pt, trans))
+    return out
+
+
+def _attained_radii(rng, points, k):
+    """k nonzero pair distances of the points, each with one ulp either side."""
+    ds = sorted({pillowcase_distance(p, q) for i, p in enumerate(points)
+                 for q in points[:i]} - {0.0})
+    picks = rng.choice(ds, size=min(k, len(ds)), replace=False).tolist()
+    return [r for s in picks for r in (math.nextafter(s, 0.0), s, math.nextafter(s, math.inf))]
+
+
+def _proximity_clouds(rng):
+    centre = canonicalize(*_CENTRE)
+    return [[centre] + _MIRRORED, _MIRRORED + _MIRRORED[:4] + [centre],
+            _wrap_points(), _cloud(rng, 50)]
+
+
+def _proximity_answers(points, radius):
+    """repr of every proximity pass at one radius, and of its old loop."""
+    got = (distance_components(points, radius), gluer._connected_at_scale(points, radius),
+           distinct_points(points, radius))
+    expected = (_union_find_reference(points, radius),
+                _connected_at_scale_reference(points, radius),
+                _distinct_points_reference(points, radius))
+    return repr(got), repr(expected)
+
+
+class TestProximityPasses:
+    def test_clouds_at_attained_radii(self):
+        rng = np.random.default_rng(41)
+        flips = 0
+        for cloud in _proximity_clouds(rng):
+            radii = _attained_radii(rng, cloud, 8) + [1e-7, 1e-6, 0.3, 1.5, 10.0]
+            for radius in radii:
+                got, expected = _proximity_answers(cloud, radius)
+                assert got == expected
+            # one ulp moves a verdict, so <= and < are told apart
+            flips += sum(_proximity_answers(cloud, a)[1] != _proximity_answers(cloud, b)[1]
+                         for a, b in zip(radii[0:24:3], radii[1:24:3]))
+        assert flips > 0
+
+    def test_where_kernel_and_scalar_differ(self):
+        rng = np.random.default_rng(42)
+        cloud = _cloud(rng, 40)
+        for a, b, s in _threshold_pairs(rng, cloud):
+            for radius in (math.nextafter(s, 0.0), s, math.nextafter(s, math.inf)):
+                for pts in ([a, b], [b, a], [a, canonicalize(b.alpha + 1e-3, b.beta), b],
+                            cloud + [a, b]):
+                    got, expected = _proximity_answers(pts, radius)
+                    assert got == expected
+
+    def test_empty_and_single(self):
+        pt = canonicalize(0.5, PI)
+        assert distance_components([], 1.0) == []
+        assert distance_components([pt], 1.0) == [[0]]
+        assert distinct_points([pt, pt], 0.0) == [pt, pt]
+        assert gluer._connected_at_scale([pt], 0.0) == (True, 0.0)
+
+    @pytest.mark.parametrize("model", [torus_knot_model(2, 3), klein_bottle_model()],
+                             ids=["trefoil", "klein"])
+    def test_real_images(self, model, monkeypatch):
+        rng = np.random.default_rng(43)
+        img = sample_pillowcase_image(model, 25, CFG)
+        # the endpoint merge and the pi-line connectivity, on their own inputs
+        merges, scans = [], []
+        connected_at_scale = gluer._connected_at_scale
+        monkeypatch.setattr(solver, "distance_components",
+                            lambda pts, r: merges.append((pts, r)) or distance_components(pts, r))
+        monkeypatch.setattr(gluer, "_connected_at_scale",
+                            lambda pts, sc: scans.append((pts, sc)) or connected_at_scale(pts, sc))
+        extract_essential_curve(img)
+        for p in (3, 5, 7):
+            gluer.slope_line_certificates(img, p)
+        monkeypatch.undo()
+        assert merges and scans
+        for points, radius in merges + scans:
+            for r in [radius] + _attained_radii(rng, points, 3):
+                got, expected = _proximity_answers(points, r)
+                assert got == expected
+        # the dedups of intersection hits, and distinct_points on image points
+        swapped = img.transform_arcs(lambda v: induced_boundary_transform(GluingMatrix.swap(), v))
+        hits = 0
+        for a1 in img.arcs:
+            for a2 in [a for a in img.arcs if a is not a1] + list(swapped):
+                got = polyline_intersections(a1, a2)
+                assert repr(got) == repr(_polyline_intersections_reference(a1, a2))
+                hits += len(got)
+        assert hits
+        pts = [r.point for r in img.points] + [v for arc in img.arcs for v in arc.vertices]
+        for tol in (1e-6, img.grid_step):
+            assert repr(distinct_points(pts, tol)) == repr(_distinct_points_reference(pts, tol))
+
+    def test_passes_hold_under_kernel_error_below_half_window(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        cloud = _cloud(rng, 40)
+        radii = _attained_radii(rng, cloud, 6) + [s for *_, s in _threshold_pairs(rng, cloud)]
+        expected = [_proximity_answers(cloud, r)[1] for r in radii]
+        noise = np.random.default_rng(45)
+        _patch_kernels(monkeypatch, lambda d: d + noise.uniform(-4e-10, 4e-10, size=d.shape))
+        assert [_proximity_answers(cloud, r)[0] for r in radii] == expected
 
 
 # ---------------------------------------------------------------------------
