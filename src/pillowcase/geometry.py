@@ -449,26 +449,6 @@ def _segment_intersection(a1, a2, b1, b2, tol: float):
     return []
 
 
-def _deck_images(seg, xlo, xhi, ylo, yhi):
-    """Deck-group images of a plane segment meeting the given bounding box."""
-    (x1, y1), (x2, y2) = seg
-    out = []
-    for sgn in (1.0, -1.0):
-        u1, v1 = sgn * x1, sgn * y1
-        u2, v2 = sgn * x2, sgn * y2
-        sxlo, sxhi = min(u1, u2), max(u1, u2)
-        sylo, syhi = min(v1, v2), max(v1, v2)
-        m_lo = math.floor((xlo - sxhi) / TWO_PI)
-        m_hi = math.ceil((xhi - sxlo) / TWO_PI)
-        n_lo = math.floor((ylo - syhi) / TWO_PI)
-        n_hi = math.ceil((yhi - sylo) / TWO_PI)
-        for m in range(m_lo, m_hi + 1):
-            for n in range(n_lo, n_hi + 1):
-                out.append(((u1 + TWO_PI * m, v1 + TWO_PI * n),
-                            (u2 + TWO_PI * m, v2 + TWO_PI * n)))
-    return out
-
-
 def _padded_boxes(c: PillowcasePolyline, tol: float) -> np.ndarray:
     """(segments, 4) lifted segment boxes [xlo, xhi, ylo, yhi], padded.
 
@@ -492,16 +472,31 @@ def _padded_boxes(c: PillowcasePolyline, tol: float) -> np.ndarray:
         pad = (tol + 64.0 * np.finfo(float).eps / tol) * (1.0 + length)
     else:
         pad = np.full_like(length, np.inf)
-    return np.stack([np.minimum(x[:-1], x[1:]) - pad, np.maximum(x[:-1], x[1:]) + pad,
-                     np.minimum(y[:-1], y[1:]) - pad, np.maximum(y[:-1], y[1:]) + pad],
-                    axis=1)
+    return _boxes(c) + pad[:, None] * np.array([-1.0, 1.0, -1.0, 1.0])
+
+
+def _boxes(c: PillowcasePolyline) -> np.ndarray:
+    """(segments, 4) lifted segment boxes [xlo, xhi, ylo, yhi]."""
+    xy = c._lift_array
+    x, y = xy[:, 0], xy[:, 1]
+    return np.stack([np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:]),
+                     np.minimum(y[:-1], y[1:]), np.maximum(y[:-1], y[1:])], axis=1)
+
+
+def _shift_range(lo_a, hi_a, lo_b, hi_b):
+    """(k_lo, k_hi): the 2pi k shifts of [lo_b, hi_b] meeting [lo_a, hi_a] are k_lo..k_hi."""
+    return np.ceil((lo_a - hi_b) / TWO_PI), np.floor((hi_a - lo_b) / TWO_PI)
 
 
 def _shift_overlap(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
     """(S1, S2) mask: some 2pi k shift of [lo_b, hi_b] meets [lo_a, hi_a]."""
-    k_lo = np.ceil((lo_a[:, None] - hi_b[None, :]) / TWO_PI)
-    k_hi = np.floor((hi_a[:, None] - lo_b[None, :]) / TWO_PI)
+    k_lo, k_hi = _shift_range(lo_a[:, None], hi_a[:, None], lo_b[None, :], hi_b[None, :])
     return k_lo <= k_hi
+
+
+def _flip(boxes):
+    """Boxes [xlo, xhi, ylo, yhi] of the negated segments."""
+    return -boxes[:, [1, 0, 3, 2]]
 
 
 def _candidate_pairs(c1: PillowcasePolyline, c2: PillowcasePolyline,
@@ -516,10 +511,35 @@ def _candidate_pairs(c1: PillowcasePolyline, c2: PillowcasePolyline,
     a = _padded_boxes(c1, tol)
     b = _padded_boxes(c2, tol)
     keep = np.zeros((len(a), len(b)), dtype=bool)
-    for sb in (b, -b[:, [1, 0, 3, 2]]):
+    for sb in (b, _flip(b)):
         keep |= (_shift_overlap(a[:, 0], a[:, 1], sb[:, 0], sb[:, 1])
                  & _shift_overlap(a[:, 2], a[:, 3], sb[:, 2], sb[:, 3]))
     return list(zip(*(idx.tolist() for idx in np.nonzero(keep))))
+
+
+def _deck_shifts(c1: PillowcasePolyline, c2: PillowcasePolyline, tol: float):
+    """((i1, i2), per-sign shifts) for each pair of _candidate_pairs, in its order.
+
+    Narrow phase of detailed_intersections.  For sign 1, then -1, the
+    shifts are the ranges [m_lo, m_hi, n_lo, n_hi] of the deck images
+    sign * seg2[i2] + 2pi (m, n) whose padded box meets the one of
+    seg1[i1], so by the _padded_boxes bound no dropped image gives a hit.
+    The ranges are also clipped to the floor/ceil range of the unpadded
+    boxes, seg1[i1]'s widened by tol, which bounds them where the pads are
+    wide (tol <= 0 pads without limit).
+    """
+    pairs = _candidate_pairs(c1, c2, tol)
+    i1, i2 = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    a, b = _padded_boxes(c1, tol)[i1], _padded_boxes(c2, tol)[i2]
+    ra = _boxes(c1)[i1] + np.array([-tol, tol, -tol, tol])
+    rb = _boxes(c2)[i2]
+    ranges = []
+    for sb, srb in ((b, rb), (_flip(b), _flip(rb))):
+        k_lo, k_hi = _shift_range(a[:, 0::2], a[:, 1::2], sb[:, 0::2], sb[:, 1::2])
+        k_lo = np.maximum(k_lo, np.floor((ra[:, 0::2] - srb[:, 1::2]) / TWO_PI))
+        k_hi = np.minimum(k_hi, np.ceil((ra[:, 1::2] - srb[:, 0::2]) / TWO_PI))
+        ranges.append(np.stack([k_lo[:, 0], k_hi[:, 0], k_lo[:, 1], k_hi[:, 1]], axis=1))
+    return list(zip(pairs, np.stack(ranges, axis=1).astype(int).tolist()))
 
 
 def detailed_intersections(c1: PillowcasePolyline, c2: PillowcasePolyline,
@@ -532,16 +552,17 @@ def detailed_intersections(c1: PillowcasePolyline, c2: PillowcasePolyline,
     segs1 = c1.lifted_segments()
     segs2 = c2.lifted_segments()
     found = []
-    for i1, i2 in _candidate_pairs(c1, c2, tol):
+    for (i1, i2), per_sign in _deck_shifts(c1, c2, tol):
         seg_a = segs1[i1]
-        (x1, y1), (x2, y2) = seg_a
-        xlo, xhi = min(x1, x2) - tol, max(x1, x2) + tol
-        ylo, yhi = min(y1, y2) - tol, max(y1, y2) + tol
-        for img in _deck_images(segs2[i2], xlo, xhi, ylo, yhi):
-            for (x, y, trans, ta, tb) in _segment_intersection(
-                    seg_a[0], seg_a[1], img[0], img[1], tol):
-                pt = canonicalize(x, y)
-                found.append((pt, trans, i1, ta, i2, tb))
+        (x1, y1), (x2, y2) = segs2[i2]
+        for sgn, (m_lo, m_hi, n_lo, n_hi) in zip((1.0, -1.0), per_sign):
+            u1, v1, u2, v2 = sgn * x1, sgn * y1, sgn * x2, sgn * y2
+            for m in range(m_lo, m_hi + 1):
+                for n in range(n_lo, n_hi + 1):
+                    for (x, y, trans, ta, tb) in _segment_intersection(
+                            seg_a[0], seg_a[1], (u1 + TWO_PI * m, v1 + TWO_PI * n),
+                            (u2 + TWO_PI * m, v2 + TWO_PI * n), tol):
+                        found.append((canonicalize(x, y), trans, i1, ta, i2, tb))
     # dedup by orbifold distance <= 1e-7 per segment pair, transversal
     # crossings taking precedence
     found.sort(key=lambda rec: (rec[0].alpha, rec[0].beta, not rec[1]))
@@ -675,6 +696,8 @@ def _close_pairs(points, radius: float) -> list[tuple[int, int]]:
     A pair within 1e-9 of radius is decided by the scalar pillowcase_distance,
     so every verdict is the scalar one.  d <= r is d < nextafter(r, inf).
     """
+    if len(points) < 2:
+        return []
     d = pillowcase_distance_matrix(
         np.array([p.as_tuple() for p in points]).reshape(len(points), 2))
     near = zip(*(idx.tolist() for idx in np.nonzero(d < radius + 1e-9)))

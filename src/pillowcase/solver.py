@@ -96,22 +96,56 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 # batched quaternion arithmetic
 #
-# Batches run component-major: a batch of quaternions is a (w, x, y, z)
-# tuple of contiguous 1-D arrays, and a batch of parameter stacks is an
-# (n, 4, B) array of component rows.
+# Batches run component-major: a batch of quaternions is a (4, B) array of
+# (w, x, y, z) component rows, and a batch of parameter stacks is an
+# (n, 4, B) array.
+#
+# The scalar product a * g (UnitQuaternion.__mul__) sums, for each
+# component i, four terms a[j] * (+-g[m]) left to right, subtracting the
+# negative ones.  IEEE gives x - y == x + (-y) and a * (-b) == -(a * b)
+# exactly, so adding a[j] * g8[_TERMS[j, i]], where g8 stacks g's
+# components and their negatives, rounds to the same bits.  Row j of
+# _TERMS_INV reads g^-1 = (w, -x, -y, -z) from the same g8.
 
-def _qmul(a, b):
-    """Product of (w, x, y, z) quaternions, term for term UnitQuaternion.__mul__.
+_TERMS = np.array([[0, 1, 2, 3],
+                   [5, 0, 7, 2],
+                   [6, 3, 0, 5],
+                   [7, 6, 1, 0]])
+_TERMS_INV = np.where(_TERMS % 4 == 0, _TERMS, (_TERMS + 4) % 8)
 
-    Takes floats or arrays of rows, so batches round exactly as the scalar
-    product does.
+
+class _LetterTables(dict):
+    """Right-multiplication table of each word letter on (n, 4, B) component rows.
+
+    table[j, i] is the (B,) factor of term j of component i of a * letter;
+    a table is built on first use.  terms is the scratch buffer of _qstep.
     """
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
+
+    def __init__(self, comps):
+        super().__init__()
+        n, _, self.rows = comps.shape
+        self._g8 = np.empty((n, 8, self.rows))
+        self._g8[:, :4] = comps
+        np.negative(self._g8[:, :4], out=self._g8[:, 4:])
+        self.terms = np.empty((4, 4, self.rows))
+
+    def __missing__(self, k):
+        table = self[k] = self._g8[abs(k) - 1][_TERMS if k > 0 else _TERMS_INV]
+        return table
+
+
+def _qstep(a, table, terms, out):
+    """out = a * letter on (4, B) rows, term for term UnitQuaternion.__mul__.
+
+    The sum runs as explicit adds in term order: a reduction such as
+    np.add.reduce starts from +0.0, which turns a sum of -0.0 terms into
+    +0.0.  out may be a.
+    """
+    np.multiply(a[:, None, :], table, out=terms)
+    np.add(terms[0], terms[1], out=out)
+    out += terms[2]
+    out += terms[3]
+    return out
 
 
 def _components(params):
@@ -119,38 +153,34 @@ def _components(params):
     return np.ascontiguousarray(params.transpose(1, 2, 0))
 
 
-def _word_product(comps, word):
-    """Unnormalized product along the word on (n, 4, B) component rows.
+def _word_product(tables, word):
+    """Unnormalized (4, B) product along the word, from _LetterTables.
 
     It starts from 1, as evaluate_word does: 1 * g can differ from g in the
     sign of a zero component.
     """
-    factors = {}
-    for k in set(word):
-        w, x, y, z = comps[abs(k) - 1]
-        factors[k] = (w, x, y, z) if k > 0 else (w, -x, -y, -z)
-    B = comps.shape[2]
-    out = (np.ones(B), np.zeros(B), np.zeros(B), np.zeros(B))
+    out = np.zeros((4, tables.rows))
+    out[0] = 1.0
     for k in word:
-        out = _qmul(out, factors[k])
+        _qstep(out, tables[k], tables.terms, out)
     return out
 
 
-def _eval_batch(comps, word):
-    """rho(word) as (B, 4) rows for (n, 4, B) component rows, normalized at the end.
+def _eval_batch(tables, word):
+    """rho(word) as (B, 4) rows, normalized at the end.
 
     Overall scale factors cancel after the final normalization, so the
     residual is invariant along radial directions of the ambient
     parametrization.
     """
-    out = np.stack(_word_product(comps, word), axis=1)
+    out = np.ascontiguousarray(_word_product(tables, word).T)
     return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
 def _residuals(params, words, targets):
     """Word values minus targets; targets has shape (B, 4 * len(words))."""
-    comps = _components(params)
-    return np.concatenate([_eval_batch(comps, w) for w in words], axis=1) - targets
+    tables = _LetterTables(params.transpose(1, 2, 0))
+    return np.concatenate([_eval_batch(tables, w) for w in words], axis=1) - targets
 
 
 def _renorm(params):
@@ -205,7 +235,12 @@ def _lm_minimize(words, targets, params0, tol, max_iter, polish_steps):
     fd = 1e-7
     diag = np.arange(npar)
     target2 = (0.25 * tol) ** 2
-    F = _residuals(params, words, targets)
+    # the first residuals in window-sized chunks, so no call holds the
+    # letter tables of every row at once
+    F = np.empty((R, m))
+    for s in range(0, R, _BLOCK_ROWS):
+        F[s:s + _BLOCK_ROWS] = _residuals(params[s:s + _BLOCK_ROWS], words,
+                                          targets[s:s + _BLOCK_ROWS])
     cost = np.einsum("bm,bm->b", F, F)
     lam = np.full(R, 1e-3)
     steps_left = np.full(R, max_iter + polish_steps)
@@ -298,9 +333,10 @@ def _relator_residuals(units, relators):
     the last bit for about 0.1% of inputs.  np.float_power calls that pow;
     np.power and ** on arrays would square by x * x or by a SIMD pow.
     """
-    worst = np.zeros(units.shape[2])
+    tables = _LetterTables(units)
+    worst = np.zeros(tables.rows)
     for r in relators:
-        w, x, y, z = _unit(_word_product(units, r))
+        w, x, y, z = _unit(_word_product(tables, r))
         d = np.sqrt(np.float_power(w - 1.0, 2) + np.float_power(x, 2)
                     + np.float_power(y, 2) + np.float_power(z, 2))
         worst = np.where(d > worst, d, worst)  # max(worst, d), as Python takes it
@@ -313,9 +349,11 @@ def _signatures(units, meridian):
     Generator and pair-product traces, then the meridian's w and |x|.
     """
     n = units.shape[0]
+    tables = _LetterTables(units)
     cols = [units[i, 0] for i in range(n)]
-    cols += [_qmul(units[i], units[j])[0] for i in range(n) for j in range(i + 1, n)]
-    w, x, _, _ = _unit(_word_product(units, meridian))
+    cols += [_qstep(units[i], tables[j + 1], tables.terms, np.empty_like(units[i]))[0]
+             for i in range(n) for j in range(i + 1, n)]
+    w, x, _, _ = _unit(_word_product(tables, meridian))
     cols += [w, np.abs(x)]
     return np.stack(cols, axis=1)
 
@@ -981,13 +1019,16 @@ def corner_diagnostics(img: PillowcaseImage, eps: float = 0.05,
 
     Such witnesses flag possible limits of irreducibles at the corners,
     which obstruct SU(2)-abelianness of every filling; numerically we can
-    only report proximity, not decide the limit.
+    only report proximity, not decide the limit.  pillowcase_distances
+    ranks the witnesses; the scalar distance decides those within 1e-9 of
+    eps.
     """
-    corners = (canonicalize(0.0, 0.0), canonicalize(math.pi, 0.0))
-    out = []
-    for rec in img.points:
-        if rec.gap <= gap_threshold:
-            continue
-        if any(pillowcase_distance(rec.point, c) < eps for c in corners):
-            out.append(rec)
-    return out
+    xy, gap = img._point_arrays
+    idx = np.flatnonzero(~(gap <= gap_threshold))
+    near = np.zeros(idx.size, dtype=bool)
+    for c in (canonicalize(0.0, 0.0), canonicalize(math.pi, 0.0)):
+        d = pillowcase_distances(xy[idx], c)
+        near |= d < eps - 1e-9
+        for k in np.flatnonzero(abs(d - eps) <= 1e-9).tolist():
+            near[k] |= pillowcase_distance(img.points[idx[k]].point, c) < eps
+    return [img.points[i] for i in idx[near].tolist()]

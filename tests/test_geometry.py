@@ -4,9 +4,10 @@ import types
 import numpy as np
 import pytest
 
+from pillowcase import geometry
 from pillowcase.geometry import (GluingMatrix, DegenerateCurveError, P_POINT,
                                  Q_POINT, TWO_PI, _candidate_pairs,
-                                 _deck_images, _point_segment_distance,
+                                 _point_segment_distance,
                                  _reps_near, _segment_intersection,
                                  apply_integer_matrix, apply_involution,
                                  canonicalize, detailed_intersections,
@@ -175,6 +176,29 @@ class TestPolylineIntersections:
         assert polyline_intersections(c1, c2) == []
 
 
+def _deck_images(seg, xlo, xhi, ylo, yhi):
+    """Deck-group images of a plane segment meeting the given bounding box.
+
+    The old narrow phase, which widens each shift range by floor and ceil.
+    """
+    (x1, y1), (x2, y2) = seg
+    out = []
+    for sgn in (1.0, -1.0):
+        u1, v1 = sgn * x1, sgn * y1
+        u2, v2 = sgn * x2, sgn * y2
+        sxlo, sxhi = min(u1, u2), max(u1, u2)
+        sylo, syhi = min(v1, v2), max(v1, v2)
+        m_lo = math.floor((xlo - sxhi) / TWO_PI)
+        m_hi = math.ceil((xhi - sxlo) / TWO_PI)
+        n_lo = math.floor((ylo - syhi) / TWO_PI)
+        n_hi = math.ceil((yhi - sylo) / TWO_PI)
+        for m in range(m_lo, m_hi + 1):
+            for n in range(n_lo, n_hi + 1):
+                out.append(((u1 + TWO_PI * m, v1 + TWO_PI * n),
+                            (u2 + TWO_PI * m, v2 + TWO_PI * n)))
+    return out
+
+
 def _reference_detailed_intersections(c1, c2, tol):
     """The all-pairs loop that detailed_intersections must reproduce exactly."""
     segs1 = c1.lifted_segments()
@@ -283,6 +307,39 @@ class TestBroadPhaseEquivalence:
         # both narrow-phase branches were reached, and pairs were pruned
         assert flags == {True, False}
         assert kept < 0.2 * pairs
+
+    def test_narrow_phase_tries_fewer_images(self, monkeypatch):
+        # only deck images whose padded boxes meet are tried, not the whole
+        # floor/ceil range of every candidate pair
+        rng = np.random.default_rng(5)
+        tried, old = [], 0
+        inner = geometry._segment_intersection
+        monkeypatch.setattr(geometry, "_segment_intersection",
+                            lambda *args: tried.append(1) or inner(*args))
+        for case in range(6):
+            c1 = polyline([tuple(p) for p in _walk(rng, 30)], closed=bool(case % 2))
+            c2 = _companion(rng, c1, "shared", 1e-9)
+            for a, b in ((c1, c1), (c1, c2)):
+                assert repr(detailed_intersections(a, b)) == \
+                    repr(_reference_detailed_intersections(a, b, 1e-9))
+                segs_a, segs_b = a.lifted_segments(), b.lifted_segments()
+                for i1, i2 in _candidate_pairs(a, b, 1e-9):
+                    (x1, y1), (x2, y2) = segs_a[i1]
+                    old += len(_deck_images(segs_b[i2], min(x1, x2) - 1e-9, max(x1, x2) + 1e-9,
+                                            min(y1, y2) - 1e-9, max(y1, y2) + 1e-9))
+        assert 0 < len(tried) < 0.5 * old
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-20])
+    def test_wide_pads_keep_the_floor_ceil_range(self, tol):
+        # tol <= 0 pads without limit and a tiny tol pads by ~1e6, so only
+        # the unpadded floor/ceil range bounds the shifts there
+        rng = np.random.default_rng(11)
+        for case in range(4):
+            c1 = polyline([tuple(p) for p in _walk(rng, 12)], closed=bool(case % 2))
+            c2 = _companion(rng, c1, "shared", 1e-9)
+            for a, b in ((c1, c1), (c1, c2), (c2, c1)):
+                assert repr(detailed_intersections(a, b, tol=tol)) == \
+                    repr(_reference_detailed_intersections(a, b, tol))
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-6])
     def test_hits_at_the_tolerance_boundary(self, tol):

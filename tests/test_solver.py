@@ -23,8 +23,9 @@ from pillowcase.solver import (ImagePoint, PillowcaseImage, SolverConfig,
                                reducible_lines, sample_pillowcase_image,
                                solve_at_meridian_angle, _components,
                                _distinct_solutions, _eval_batch, _lm_minimize,
-                               _chain_points, _project_endpoint_cuts, _qmul,
-                               _rep_from_params, _relator_residuals, _solve_rows)
+                               _chain_points, _project_endpoint_cuts, _LetterTables,
+                               _qstep, _rep_from_params, _relator_residuals,
+                               _solve_rows, _word_product)
 from pillowcase.su2 import (Representation, UnitQuaternion, boundary_angles,
                             evaluate_word, irreducibility_gap, relator_residual)
 
@@ -368,6 +369,25 @@ def _components_of(q):
     return (q.w, q.x, q.y, q.z)
 
 
+def _qmul(a, b):
+    """The component formula of UnitQuaternion.__mul__ on (w, x, y, z) floats or rows.
+
+    The reference for the table step: it takes arrays of rows, so batches
+    round exactly as the scalar product does.
+    """
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
+
+
+def _row_reprs(rows):
+    """repr of every value of a (4, B) array, row by row."""
+    return [_reprs(row) for row in np.asarray(rows).tolist()]
+
+
 class TestQuaternionKernel:
     def test_qmul_matches_scalar_product(self):
         rng = np.random.default_rng(1)
@@ -380,20 +400,64 @@ class TestQuaternionKernel:
             assert _reprs(c[i] for c in batched) == expected
             assert _reprs(_qmul(_components_of(qa), _components_of(qb))) == expected
 
-    @pytest.mark.parametrize("B", [1, 2048])
+    @pytest.mark.parametrize("B", [1, 16, 256, 2048])
+    def test_table_step_matches_products(self, B):
+        # every letter, forward and inverse, against the reference formula on
+        # the whole batch and against UnitQuaternion.__mul__ row by row
+        rng = np.random.default_rng(B + 7)
+        comps = _components(_random_stacks(rng, B, 3))
+        a = comps[0]
+        tables = _LetterTables(comps)
+        for k in (1, -1, 2, -2, 3, -3):
+            g = comps[abs(k) - 1]
+            g = g if k > 0 else np.stack([g[0], -g[1], -g[2], -g[3]])
+            got = _qstep(a, tables[k], tables.terms, np.empty((4, B)))
+            assert _row_reprs(got) == _row_reprs(_qmul(tuple(a), tuple(g)))
+            for b in range(B):
+                q = UnitQuaternion(*a[:, b].tolist()) * UnitQuaternion(*g[:, b].tolist())
+                assert _reprs(got[:, b]) == _reprs(_components_of(q))
+
+    def test_all_negative_zero_terms_keep_their_sign(self):
+        # a * g has w = -0.0 - 0.0 - 0.0 - 0.0, a sum of four -0.0 terms,
+        # for g = (1, 1, 1, 1), reached as letter 1 and as letter -2; a
+        # reduction that starts from +0.0 would return +0.0
+        a = np.array([[-0.0, -0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        comps = np.array([[[1.0, 2.0]] * 4, [[1.0, 2.0]] + [[-1.0, -2.0]] * 3])
+        tables = _LetterTables(comps)
+        one = UnitQuaternion(1.0, 1.0, 1.0, 1.0)
+        expected = _reprs(_components_of(UnitQuaternion(-0.0, 0.0, 0.0, 0.0) * one))
+        assert expected[0] == "-0.0"
+        for k in (1, -2):
+            got = _qstep(a, tables[k], tables.terms, np.empty((4, 2)))
+            assert _reprs(got[:, 0]) == expected
+
+    def test_step_in_place(self):
+        rng = np.random.default_rng(3)
+        comps = _components(_random_stacks(rng, 16, 2))
+        tables = _LetterTables(comps)
+        a = comps[1].copy()
+        expected = _qstep(a, tables[-1], tables.terms, np.empty((4, 16)))
+        assert _row_reprs(_qstep(a, tables[-1], tables.terms, a)) == _row_reprs(expected)
+
+    def test_empty_word_is_one(self):
+        tables = _LetterTables(_components(np.zeros((5, 2, 4))))
+        assert _row_reprs(_word_product(tables, ())) == \
+            [["1.0"] * 5, ["0.0"] * 5, ["0.0"] * 5, ["0.0"] * 5]
+
+    @pytest.mark.parametrize("B", [1, 16, 256, 2048])
     def test_eval_batch_matches_evaluate_word(self, B):
         rng = np.random.default_rng(B)
         params = _random_stacks(rng, B, 3)
         reps = [Representation(tuple(UnitQuaternion(*q) for q in row))
                 for row in params.tolist()]
-        comps = _components(params)
+        tables = _LetterTables(_components(params))
         zero_signs = set()
         for word in [(), (1,), (-2,), (1, 1, -2, -2, -2), (3, -1, 2, -3, -3, 1, -2)]:
-            got = _eval_batch(comps, word)
+            got = _eval_batch(tables, word)
             for b in range(B):
                 assert _reprs(got[b]) == _reprs(_components_of(evaluate_word(reps[b], word)))
             zero_signs |= {math.copysign(1.0, v) for v in got[got == 0.0]}
-        if B > 1:
+        if B > 16:
             assert zero_signs == {1.0, -1.0}
 
 
@@ -880,6 +944,58 @@ class TestPointKernelScans:
         assert (_picked(img, img.nearest_point(centre)),
                 repr(_chain_points(records, 0.6)),
                 repr(_project_endpoint_cuts(curves, 1.0))) == expected
+
+
+def _corner_diagnostics_reference(img, eps=0.05, gap_threshold=1e-4):
+    """The old scalar loop of corner_diagnostics."""
+    corners = (canonicalize(0.0, 0.0), canonicalize(PI, 0.0))
+    return [rec for rec in img.points if not rec.gap <= gap_threshold
+            and any(pillowcase_distance(rec.point, c) < eps for c in corners)]
+
+
+class TestCornerDiagnostics:
+    @staticmethod
+    def _corner_cloud(rng):
+        """Points around both corners at distances near 0.05, edge points and a cloud."""
+        pts = [canonicalize(c + r * math.cos(t), r * math.sin(t))
+               for c in (0.0, PI) for r in (0.01, 0.049, 0.05, 0.051, 0.3)
+               for t in rng.uniform(-PI, PI, size=3).tolist()]
+        return pts + _wrap_points() + _cloud(rng, 30)
+
+    def _assert_matches(self, img, eps, gap_threshold=1e-4):
+        got = corner_diagnostics(img, eps, gap_threshold)
+        expected = _corner_diagnostics_reference(img, eps, gap_threshold)
+        assert [id(r) for r in got] == [id(r) for r in expected]
+        return len(got)
+
+    def test_at_eps_and_one_ulp_either_side(self):
+        rng = np.random.default_rng(41)
+        pts = self._corner_cloud(rng)
+        img = _image_of(pts, rng.choice([0.0, 1e-4, 0.2], size=len(pts)).tolist())
+        found = 0
+        for p in pts[:40]:
+            for c in (canonicalize(0.0, 0.0), canonicalize(PI, 0.0)):
+                s = pillowcase_distance(p, c)
+                for eps in (math.nextafter(s, 0.0), s, math.nextafter(s, math.inf)):
+                    found += self._assert_matches(img, eps)
+        for gap_threshold in (0.0, 1e-4, 0.2, -math.inf):
+            found += self._assert_matches(img, 0.05, gap_threshold)
+        assert found
+
+    def test_holds_under_kernel_error_below_the_window(self, monkeypatch):
+        # the kernel agrees with the scalar distance to both corners on these
+        # points, so noise stands in for its rounding: every row within the
+        # window is decided by the scalar distance
+        rng = np.random.default_rng(47)
+        pts = self._corner_cloud(rng)
+        img = _image_of(pts, [0.2] * len(pts))
+        epsilons = [pillowcase_distance(p, c) for p in pts[:30]
+                    for c in (canonicalize(0.0, 0.0), canonicalize(PI, 0.0))]
+        expected = [[id(r) for r in _corner_diagnostics_reference(img, eps)]
+                    for eps in epsilons]
+        noise = np.random.default_rng(48)
+        _patch_kernels(monkeypatch, lambda d: d + noise.uniform(-9e-10, 9e-10, size=d.shape))
+        assert [[id(r) for r in corner_diagnostics(img, eps)] for eps in epsilons] == expected
 
 
 # ---------------------------------------------------------------------------
