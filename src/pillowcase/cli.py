@@ -15,7 +15,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .families import builtin_model, MODEL_NAMES
-from .geometry import GluingMatrix, essential_class, induced_boundary_transform
+from .geometry import GluingMatrix, essential_class
 from .gluer import search_nonabelian_rep, splice
 from .homology import (enumerate_standard_tuples, filling_homology,
                        glue_homology, seifert_h1, standard_form_reduce)
@@ -57,10 +57,10 @@ def parse_gluing(spec, model1: KnotExteriorModel | None = None,
                  model2: KnotExteriorModel | None = None) -> GluingMatrix:
     """Parse swap | fiber-swap | skew | skew:p | a,b,p,c | mapping."""
     if isinstance(spec, dict):
-        try:
-            entries = {k: int(spec[k]) for k in ("a", "b", "p", "c")}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"gluing mapping needs integer a,b,p,c: {spec}") from exc
+        # bool is an int subclass, so it is refused by name, as in SolverConfig.from_dict
+        entries = {k: spec.get(k) for k in ("a", "b", "p", "c")}
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in entries.values()):
+            raise InputError(f"gluing mapping needs integer a,b,p,c: {spec}")
         try:
             return GluingMatrix(**entries)
         except ValueError as exc:
@@ -301,8 +301,7 @@ def cmd_splice(args) -> int:
         Path(args.out).write_text(text + "\n")
     print(text)
     if args.svg:
-        curves = list(img1.arcs) + list(
-            img2.transform_arcs(lambda v: induced_boundary_transform(g, v)))
+        curves = list(img1.arcs) + list(img2.transform_arcs(g))
         svg = polylines_to_svg(curves, title=f"{m1.name} glued to {m2.name}")
         if result.found:
             svg = mark_points(svg, [result.boundary_point])

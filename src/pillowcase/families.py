@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .presentations import (GroupPresentation, KnotExteriorModel, Word,
+from .presentations import (GroupPresentation, KnotExteriorModel,
                             concat, pow_word)
 from .su2 import Representation, UnitQuaternion
 
@@ -20,12 +20,6 @@ __all__ = [
     "torus_knot_model", "klein_bottle_model", "unknot_model", "klein_rep",
     "klein_filling_analysis", "FillingReport", "builtin_model", "MODEL_NAMES",
 ]
-
-
-def _gen_power(gen: int, n: int) -> Word:
-    if n >= 0:
-        return (gen,) * n
-    return (-gen,) * (-n)
 
 
 def torus_knot_model(p: int, q: int) -> KnotExteriorModel:
@@ -42,12 +36,12 @@ def torus_knot_model(p: int, q: int) -> KnotExteriorModel:
     s = pow(q, -1, abs(p))
     r = (s * q - 1) // p
     assert s * q - r * p == 1
-    meridian = concat(_gen_power(1, s), _gen_power(2, -r))
-    longitude = concat(_gen_power(1, p), pow_word(meridian, -p * q))
+    meridian = concat(pow_word((1,), s), pow_word((2,), -r))
+    longitude = concat(pow_word((1,), p), pow_word(meridian, -p * q))
     fiber = concat(pow_word(meridian, p * q), longitude)
     pres = GroupPresentation(
         generator_count=2,
-        relators=(concat(_gen_power(1, p), _gen_power(2, -q)),),
+        relators=(concat(pow_word((1,), p), pow_word((2,), -q)),),
         meridian=meridian,
         longitude=longitude,
     )
@@ -133,10 +127,7 @@ def klein_filling_analysis(p: int, q: int) -> FillingReport:
         return FillingReport(slope=(p, q), kind="cyclic", order=4 * abs(p))
     from .su2 import irreducibility_gap, relator_residual
     angle = math.pi / q if p % 2 == 1 else 2.0 * math.pi / q
-    rep = Representation((
-        UnitQuaternion(0.0, 0.0, 1.0, 0.0),
-        UnitQuaternion(math.cos(angle), math.sin(angle), 0.0, 0.0),
-    ))
+    rep = klein_rep(angle)
     model = klein_bottle_model()
     filled = model.presentation.with_relator(
         concat(pow_word(model.meridian, p), pow_word(model.longitude, q)))

@@ -3,9 +3,12 @@
 The pillowcase is the quotient of the torus (R/2piZ)^2 by the hyperelliptic
 involution (a, b) ~ (-a, -b).  Canonical representatives live in
 [0, pi] x [0, 2pi), with the extra edge folds (0, b) ~ (0, 2pi - b) and
-(pi, b) ~ (pi, 2pi - b).  Polyline segments are short geodesics in the flat
-metric, computed on lifts to the plane and folded back; this reduces curve
-intersection and winding computations to planar segment arithmetic.
+(pi, b) ~ (pi, 2pi - b).  Polyline segments are straight segments between
+plane lifts of the vertices, folded back; this reduces curve intersection
+and winding computations to planar segment arithmetic.  A polyline built
+from canonical vertices lifts each one next to the last, so its segments
+are short geodesics; one built from_lifts keeps the lifts it is given, so
+its segments may be long (a gluing matrix applied to exact lifts).
 """
 
 from __future__ import annotations
@@ -293,7 +296,7 @@ def nearest_lift(pt: PillowcasePoint, anchor: tuple[float, float]) -> tuple[floa
 
 @dataclass(frozen=True)
 class PillowcasePolyline:
-    """Ordered canonical vertices joined by short flat geodesics."""
+    """Ordered canonical vertices joined by the segments of a plane lift."""
 
     vertices: tuple[PillowcasePoint, ...]
     closed: bool = False
@@ -302,6 +305,21 @@ class PillowcasePolyline:
         object.__setattr__(self, "vertices", tuple(self.vertices))
         if len(self.vertices) < 2:
             raise ValueError("polyline needs at least two vertices")
+
+    @classmethod
+    def from_lifts(cls, lifts, closed: bool = False) -> "PillowcasePolyline":
+        """The polyline through the canonical images of plane lifts, keeping the lifts.
+
+        The lifts are its lift cache as given, so a segment is the plane
+        segment between consecutive lifts, however long.  A closed polyline
+        takes one lift more than it has vertices: its first vertex's lift
+        reached after going around.
+        """
+        lifts = tuple((float(x), float(y)) for x, y in lifts)
+        line = cls(tuple(canonicalize(x, y) for x, y in (lifts[:-1] if closed else lifts)),
+                   closed=closed)
+        object.__setattr__(line, "_lifts", lifts)
+        return line
 
     def __len__(self):
         return len(self.vertices)
@@ -328,12 +346,13 @@ class PillowcasePolyline:
         return xy
 
     def lifted_vertices(self) -> list[tuple[float, float]]:
-        """Continuous plane lift starting at the first vertex's canonical rep.
+        """Continuous plane lift of the vertices.
 
-        For a closed polyline the returned list has one extra point: the
-        lift of the first vertex reached after going all the way around
-        (a deck translate of the start).  The lift is computed once per
-        polyline and cached.
+        It starts at the first vertex's canonical rep, unless the polyline
+        was built from_lifts.  For a closed polyline the returned list has
+        one extra point: the lift of the first vertex reached after going
+        all the way around (a deck translate of the start).  The lift is
+        computed once per polyline and cached.
         """
         return list(self._lifts)
 
@@ -343,9 +362,6 @@ class PillowcasePolyline:
 
     def length(self) -> float:
         return sum(math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in self.lifted_segments())
-
-    def reversed(self) -> "PillowcasePolyline":
-        return PillowcasePolyline(tuple(reversed(self.vertices)), closed=self.closed)
 
     def _lift_distances(self, pt: PillowcasePoint) -> np.ndarray:
         """(segments, 18) distances from each segment to the lifts of pt near it.

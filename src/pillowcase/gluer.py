@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .geometry import (GluingMatrix, PillowcasePoint, PillowcasePolyline,
                        _is_prime, canonicalize, distance_components,
-                       distinct_points, essential_class,
-                       induced_boundary_transform, line_crossings,
+                       distinct_points, essential_class, line_crossings,
                        line_offset, pillowcase_distance,
                        polyline_intersections, sigma_p, TWO_PI)
 from .presentations import (GroupPresentation, KnotExteriorModel, concat,
@@ -128,7 +127,7 @@ def search_nonabelian_rep(spliced: SplicedManifold, config: SolverConfig | None 
     img1 = image1 or sample_pillowcase_image(spliced.model1, config.resolution, config)
     img2 = image2 or sample_pillowcase_image(spliced.model2, config.resolution, config)
     g = spliced.gluing
-    arcs2 = img2.transform_arcs(lambda v: induced_boundary_transform(g, v))
+    arcs2 = img2.transform_arcs(g)
     candidates = _candidate_points(img1, arcs2)
 
     scored = []
@@ -147,7 +146,6 @@ def search_nonabelian_rep(spliced: SplicedManifold, config: SolverConfig | None 
         scored.append((min(rec1.gap, rec2.gap), pt, (gamma, delta), rec1, rec2))
     scored.sort(key=lambda item: (-item[0], item[1].alpha, item[1].beta))
 
-    n1 = spliced.side1_generators
     diagnostics = []
     for (_, pt, (gamma, delta), rec1, rec2) in scored:
         seed = _build_seed(spliced, pt, (gamma, delta), rec1, rec2)

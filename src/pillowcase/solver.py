@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (DegenerateCurveError, PillowcasePoint,
+from .geometry import (DegenerateCurveError, GluingMatrix, PillowcasePoint,
                        PillowcasePolyline, canonicalize, detailed_intersections,
                        distance_components, essential_class, line_crossings,
                        line_offset, pillowcase_distance, pillowcase_distance_matrix,
@@ -518,13 +518,16 @@ class PillowcaseImage:
                 best, best_d = rec, di
         return best, best_d
 
-    def transform_arcs(self, mapper) -> tuple[PillowcasePolyline, ...]:
-        """Apply a pointwise pillowcase map to every arc."""
-        out = []
-        for arc in self.arcs:
-            out.append(PillowcasePolyline(
-                tuple(mapper(v) for v in arc.vertices), closed=arc.closed))
-        return tuple(out)
+    def transform_arcs(self, gluing: GluingMatrix) -> tuple[PillowcasePolyline, ...]:
+        """Every arc under the map a gluing induces, applied to its plane lifts.
+
+        The map is linear on the plane, so the image of a lifted segment is
+        the segment between the images of its ends, however long.
+        """
+        (a, b), (p, c) = gluing.rows()
+        return tuple(PillowcasePolyline.from_lifts(
+            [(a * x + b * y, p * x + c * y) for x, y in arc.lifted_vertices()], arc.closed)
+            for arc in self.arcs)
 
 
 _SAMPLES_PER_TURN = 96  # line vertices per 2pi of the free angle, at rate 1
@@ -560,6 +563,9 @@ def reducible_lines(model: KnotExteriorModel) -> list[PillowcasePolyline]:
             return [_line_polyline(1, 0, 0.0, 0.0)]
         raise ValueError("model does not have a single free H1 coordinate")
     f = free_idx[0]
+    a_coef, b_coef = mu_psi[f], lam_psi[f]
+    if a_coef == 0 and b_coef == 0:
+        return []  # the boundary image is a finite set of points
     lines = []
     seen = set()
     choices = [range(diag[i]) for i in torsion_idx]
@@ -568,8 +574,6 @@ def reducible_lines(model: KnotExteriorModel) -> list[PillowcasePolyline]:
                    for t, k in enumerate(combo))
         c_lam = sum(lam_psi[torsion_idx[t]] * (TWO_PI * k / diag[torsion_idx[t]])
                     for t, k in enumerate(combo))
-        a_coef = mu_psi[f]
-        b_coef = lam_psi[f]
         probe = tuple(
             canonicalize(a_coef * t + c_mu, b_coef * t + c_lam).as_tuple()
             for t in (0.0, 1.0, 2.0, 3.0))
@@ -577,22 +581,16 @@ def reducible_lines(model: KnotExteriorModel) -> list[PillowcasePolyline]:
         if key in seen:
             continue
         seen.add(key)
-        line = _line_polyline(a_coef, b_coef, c_mu, c_lam)
-        if line is not None:
-            lines.append(line)
+        lines.append(_line_polyline(a_coef, b_coef, c_mu, c_lam))
     return lines
 
 
 def _line_polyline(a_coef, b_coef, c_mu, c_lam):
-    rate = max(abs(a_coef), abs(b_coef), 1)
-    steps = int(_SAMPLES_PER_TURN * rate)
-    ts = np.linspace(0.0, TWO_PI, steps, endpoint=False)
-    # constant lines in one coordinate repeat their points
-    cleaned = _drop_repeats([canonicalize(a_coef * t + c_mu, b_coef * t + c_lam)
-                             for t in ts])
-    if len(cleaned) < 2:
-        return None
-    return PillowcasePolyline(tuple(cleaned), closed=True)
+    """The closed line t -> (a t + c_mu, b t + c_lam), 0 <= t <= 2pi, on exact lifts."""
+    steps = _SAMPLES_PER_TURN * max(abs(a_coef), abs(b_coef), 1)
+    return PillowcasePolyline.from_lifts(
+        [(a_coef * t + c_mu, b_coef * t + c_lam)
+         for t in np.linspace(0.0, TWO_PI, steps + 1).tolist()], closed=True)
 
 
 def _drop_repeats(pts):
@@ -673,7 +671,7 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
             pt = boundary_angles(rep, pres)
             records.append(ImagePoint(point=pt, witness=rep,
                                       gap=irreducibility_gap(rep)))
-    lines = [l for l in reducible_lines(model) if l is not None]
+    lines = reducible_lines(model)
     # points sitting on an analytic line are kept as witnesses but do not
     # seed numeric arcs of their own
     def on_line(pt):
@@ -916,7 +914,7 @@ def extract_essential_curve(img: PillowcaseImage) -> PillowcasePolyline | None:
     cycles for nonzero winding around the marked points.  Returns one
     essential cycle or None.
     """
-    curves = [c for c in img.arcs if c is not None]
+    curves = img.arcs
     if not curves:
         return None
     node_tol = max(img.chain_threshold, 1e-7)
@@ -987,7 +985,6 @@ def find_surgery_representation(img: PillowcaseImage, p: int, q: int,
     # exact repeats (a vertex shared by two crossing segments) would rerun
     # the same witness scan and refine, so only first occurrences are tried
     candidates = dict.fromkeys(pt for arc in img.arcs for pt in line_crossings(arc, p, q))
-    tried = []
     for pt in candidates:
         witness = _nearest_witness(img, pt, config)
         if witness is None:
@@ -995,13 +992,11 @@ def find_surgery_representation(img: PillowcaseImage, p: int, q: int,
         refined = refine_representation(pres, witness.witness, config,
                                         extra_relators=(filling,))
         if refined is None:
-            tried.append((pt, None))
             continue
         gap = irreducibility_gap(refined)
         res = relator_residual(refined, pres.with_relator(filling))
         if res < config.tol and gap > config.irreducible_gap:
             return refined, boundary_angles(refined, pres)
-        tried.append((pt, res))
     return None
 
 

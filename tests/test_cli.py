@@ -5,7 +5,7 @@ import pytest
 from pillowcase.cli import (EXIT_BAD_INPUT, EXIT_CONTRACT, EXIT_NOT_FOUND,
                             EXIT_OK, load_model, main, parse_gluing)
 from pillowcase.families import torus_knot_model
-from pillowcase.geometry import PillowcasePoint, induced_boundary_transform
+from pillowcase.geometry import PillowcasePoint
 from pillowcase.render import (image_to_csv, image_to_svg, mark_points,
                                polylines_to_svg)
 from pillowcase.solver import (SolverConfig, corner_diagnostics,
@@ -262,8 +262,7 @@ class TestSpliceCommand:
         img2 = sample_pillowcase_image(load_model("trefoil-neg"), 40, cfg)
         g = parse_gluing("skew:3")
         svg = polylines_to_svg(
-            list(img1.arcs) + list(img2.transform_arcs(
-                lambda v: induced_boundary_transform(g, v))),
+            list(img1.arcs) + list(img2.transform_arcs(g)),
             title="torus(2,3) glued to torus(-2,3)")
         svg = mark_points(svg, [PillowcasePoint(*json.loads(out)["boundary_point"])])
         assert svg_path.read_text() == svg
@@ -277,6 +276,8 @@ class TestSpliceCommand:
         code, out, _ = run(capsys, "splice", str(job))
         assert code == EXIT_NOT_FOUND
         assert json.loads(out)["found"] is False
+        # every intersection lies where both sides are forced abelian
+        assert json.loads(out)["diagnostics"]["candidates_tried"] == 0
 
     def test_malformed_gluing_exit_2(self, capsys, tmp_path):
         job = tmp_path / "job.json"
@@ -293,8 +294,15 @@ class TestSpliceCommand:
         {"model1": "trefoil", "model2": "trefoil", "gluing": 7},
         {"model1": "trefoil", "model2": "DIR/"},
         "DIR",
+        {"model1": "trefoil", "model2": "trefoil",
+         "gluing": {"a": 0.5, "b": 1, "p": 1, "c": 0}},
+        {"model1": "trefoil", "model2": "trefoil",
+         "gluing": {"a": 0, "b": True, "p": 1, "c": 0}},
+        {"model1": "trefoil", "model2": "trefoil",
+         "gluing": {"a": 0, "b": "1", "p": 1, "c": 0}},
     ], ids=["not-an-object", "int-model1", "int-model2", "int-gluing",
-            "model-path-is-directory", "job-path-is-directory"])
+            "model-path-is-directory", "job-path-is-directory",
+            "float-gluing-entry", "bool-gluing-entry", "string-gluing-entry"])
     def test_malformed_job_exit_2(self, capsys, tmp_path, content):
         # a traceback would exit 1, the code of a search that found nothing
         folder = tmp_path / "folder"

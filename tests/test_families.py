@@ -36,6 +36,18 @@ class TestTorusKnotModel:
         assert model.meridian == (1, -2)
         assert model.presentation.relators == ((1, 1, -2, -2, -2),)
 
+    @pytest.mark.parametrize("p,q", [(2, 3), (-2, 3), (3, -4), (-5, -7)])
+    def test_words_are_letter_powers(self, p, q):
+        def letter_power(gen, n):
+            return (gen,) * n if n >= 0 else (-gen,) * (-n)
+
+        model = torus_knot_model(p, q)
+        s = pow(q, -1, abs(p))
+        r = (s * q - 1) // p
+        assert model.meridian == letter_power(1, s) + letter_power(2, -r)
+        assert model.presentation.relators == (letter_power(1, p) + letter_power(2, -q),)
+        assert model.longitude[:abs(p)] == letter_power(1, p)
+
     def test_negative_fiber_word(self):
         model = torus_knot_model(-2, 3)
         # fiber word is mu^{pq} * longitude with pq = -6
@@ -103,6 +115,11 @@ class TestKleinFilling:
             assert rep.kind == "nonabelian"
             assert rep.residual < 1e-12
             assert rep.gap > 0.5
+
+    @pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (1, 3), (-3, 4)])
+    def test_witness_is_klein_rep(self, p, q):
+        angle = math.pi / q if p % 2 == 1 else 2.0 * math.pi / q
+        assert repr(klein_filling_analysis(p, q).witness) == repr(klein_rep(angle))
 
     def test_orders_match_snf(self):
         model = klein_bottle_model()

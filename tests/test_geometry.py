@@ -6,7 +6,7 @@ import pytest
 
 from pillowcase import geometry
 from pillowcase.geometry import (GluingMatrix, DegenerateCurveError, P_POINT,
-                                 Q_POINT, TWO_PI, _candidate_pairs,
+                                 PillowcasePolyline, Q_POINT, TWO_PI, _candidate_pairs,
                                  _point_segment_distance,
                                  _reps_near, _segment_intersection,
                                  apply_integer_matrix, apply_involution,
@@ -731,6 +731,24 @@ class TestEssentialClass:
             # the curve lives in the interior strip so the class equals k
             loop = polyline(list(zip(alpha, beta)), closed=True)
             assert essential_class(loop) == k
+
+
+class TestFromLifts:
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_keeps_the_lifts(self, closed):
+        lifts = [(0.5, 7.0), (-3.0, 20.0), (9.0, -4.0), (0.5 + TWO_PI, 7.0 - 2 * TWO_PI)]
+        curve = PillowcasePolyline.from_lifts(lifts, closed)
+        verts = lifts[:-1] if closed else lifts
+        assert curve.lifted_vertices() == lifts
+        assert curve.vertices == tuple(canonicalize(x, y) for x, y in verts)
+        # equal to the polyline of its vertices, whose lift steps are short
+        short = polyline(verts, closed=closed)
+        assert curve == short and curve.lifted_vertices() != short.lifted_vertices()
+
+    def test_long_segment_crossings(self):
+        # one segment wraps three times in alpha: three crossings of alpha = 1
+        curve = PillowcasePolyline.from_lifts([(1.5, 0.5), (1.5 + 3 * TWO_PI, 0.5)])
+        assert len(line_crossings(curve, 1.0, 0.0, 1.0)) == 3
 
 
 class TestHelpers:

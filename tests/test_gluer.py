@@ -3,12 +3,11 @@ import math
 import pytest
 
 from pillowcase.families import klein_bottle_model, torus_knot_model, unknot_model
-from pillowcase.geometry import (GluingMatrix, canonicalize,
-                                 induced_boundary_transform,
+from pillowcase.geometry import (GluingMatrix, canonicalize, line_offset,
                                  pillowcase_distance, polyline, tau)
 from pillowcase.gluer import (p_avoiding_certificate, search_nonabelian_rep,
                               slope_line_certificates, splice,
-                              _candidate_points)
+                              _candidate_points, _side2_angles)
 from pillowcase.homology import abelianization, glue_homology
 from pillowcase.solver import (PillowcaseImage, SolverConfig,
                                extract_essential_curve,
@@ -82,8 +81,7 @@ class TestSearch:
 
     def test_candidates_tau_invariant_for_skew(self, trefoil_image):
         g = GluingMatrix.skew(2)
-        arcs2 = trefoil_image.transform_arcs(
-            lambda v: induced_boundary_transform(g, v))
+        arcs2 = trefoil_image.transform_arcs(g)
         cands = _candidate_points(trefoil_image, arcs2)
         assert cands
         for pt in cands:
@@ -114,6 +112,24 @@ class TestSearch:
         res = search_nonabelian_rep(spliced, CFG)
         assert not res.found
         assert res.resolution == CFG.resolution
+
+    def test_motegi_candidates_forced_abelian(self, trefoil_image):
+        # trefoil-neg's reducible line, mapped exactly, meets image 1 only on
+        # beta = 0 and at delta = 0: both sides abelian, nothing to refine
+        neg = torus_knot_model(-2, 3)
+        g = GluingMatrix(a=-6, b=1, p=37, c=-6)
+        img2 = sample_pillowcase_image(neg, 100, CFG)
+        arcs2 = img2.transform_arcs(g)
+        assert [a.segment_count() for a in arcs2] == [a.segment_count() for a in img2.arcs]
+        assert sum(a.segment_count() for a in arcs2) == 161
+        candidates = _candidate_points(trefoil_image, arcs2)
+        assert len(candidates) == 19
+        for pt in candidates:
+            assert line_offset(pt, 0.0, 1.0, 0.0) < 1e-6
+            assert abs(math.remainder(_side2_angles(g, pt)[1], 2 * PI)) < 1e-6
+        res = search_nonabelian_rep(splice(torus_knot_model(2, 3), neg, g), CFG,
+                                    image1=trefoil_image, image2=img2)
+        assert not res.found and res.diagnostics == ()
 
     def test_search_deterministic(self, trefoil_image):
         tre = torus_knot_model(2, 3)

@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 
 from pillowcase import geometry, gluer, solver
-from pillowcase.families import (klein_bottle_model, torus_knot_model,
-                                 unknot_model)
+from pillowcase.families import (builtin_model, klein_bottle_model,
+                                 torus_knot_model, unknot_model)
 from pillowcase.geometry import (GluingMatrix, PillowcasePoint,
                                  PillowcasePolyline, TWO_PI, _reps_near,
-                                 canonicalize, detailed_intersections,
-                                 distance_components, distinct_points,
-                                 essential_class, induced_boundary_transform,
+                                 apply_integer_matrix, canonicalize,
+                                 detailed_intersections, distance_components,
+                                 distinct_points, essential_class,
                                  line_crossings, line_offset,
                                  pillowcase_distance, pillowcase_distance_matrix,
                                  pillowcase_distances, polyline,
                                  polyline_intersections, tau)
 from pillowcase.gluer import splice
-from pillowcase.presentations import concat, pow_word
+from pillowcase.presentations import (GroupPresentation, KnotExteriorModel,
+                                      concat, pow_word)
 from pillowcase.solver import (ImagePoint, PillowcaseImage, SolverConfig,
                                corner_diagnostics, extract_essential_curve,
                                find_surgery_representation, lift_to_cut_open,
@@ -96,6 +97,81 @@ class TestReducibleLines:
             assert len(vals) == 1
             offsets.add(vals.pop())
         assert offsets == {0.0, round(PI, 6)}
+
+    def test_point_image_has_no_lines(self):
+        # meridian and longitude both torsion: direction (a, b) = (0, 0)
+        pres = GroupPresentation(generator_count=2, relators=((1, 1),),
+                                 meridian=(1,), longitude=(1,))
+        assert reducible_lines(KnotExteriorModel(name="points", presentation=pres)) == []
+
+
+def _sampled_line_vertices(a, b, c_mu, c_lam):
+    """A line's vertices as canonical samples, consecutive repeats dropped."""
+    ts = np.linspace(0.0, TWO_PI, 96 * max(abs(a), abs(b), 1), endpoint=False)
+    samples = [canonicalize(a * t + c_mu, b * t + c_lam) for t in ts]
+    kept = [samples[0]]
+    for pt in samples[1:]:
+        if pillowcase_distance(kept[-1], pt) > 1e-12:
+            kept.append(pt)
+    return tuple(kept)
+
+
+def _wrapping_curves(rng, k):
+    """Random walks over several periods and across the folds, open and closed."""
+    out = []
+    for i in range(k):
+        n = int(rng.integers(3, 40))
+        steps = rng.normal(size=(n, 2)) * rng.choice([0.05, 0.5, 1.5], size=(n, 1))
+        pts = rng.uniform(-2 * PI, 2 * PI, size=2) + np.cumsum(steps, axis=0)
+        out.append(polyline([tuple(p) for p in pts], closed=bool(i % 2)))
+    return out
+
+
+def _random_gluings(rng, k):
+    """k gluing matrices (determinant -1) with entries in [-40, 40]."""
+    m = rng.integers(-40, 41, size=(200_000, 4))
+    m = m[m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2] == -1][:k]
+    assert len(m) == k
+    return [GluingMatrix(*map(int, row)) for row in m]
+
+
+class TestExactLifts:
+    def test_transform_acts_on_lifts(self):
+        rng = np.random.default_rng(61)
+        curves = tuple(_wrapping_curves(rng, 24)) + tuple(reducible_lines(builtin_model("klein")))
+        img = PillowcaseImage(model=unknot_model(), resolution=8, grid_step=0.4,
+                              chain_threshold=0.8, points=(), arcs=curves)
+        gluings = [GluingMatrix.swap(), GluingMatrix.skew(3),
+                   GluingMatrix(-6, 1, 37, -6)] + _random_gluings(rng, 30)
+        for g in gluings:
+            (a, b), (p, c) = g.rows()
+            norm = math.hypot(a, b, p, c)
+            for src, out in zip(curves, img.transform_arcs(g), strict=True):
+                assert out.closed == src.closed
+                assert out.segment_count() == src.segment_count()
+                assert repr(out.lifted_vertices()) == repr(
+                    [(a * x + b * y, p * x + c * y) for x, y in src.lifted_vertices()])
+                for (s1, s2), (t1, t2) in zip(src.lifted_segments(), out.lifted_segments()):
+                    vx, vy = s2[0] - s1[0], s2[1] - s1[1]
+                    err = math.hypot(t2[0] - t1[0] - (a * vx + b * vy),
+                                     t2[1] - t1[1] - (p * vx + c * vy))
+                    assert err <= 1e-9 * (1.0 + norm * math.hypot(vx, vy))
+                for v, w in zip(src.vertices, out.vertices):
+                    assert pillowcase_distance(w, apply_integer_matrix(g.rows(), v)) < 1e-9
+
+    @pytest.mark.parametrize("name,counts", [
+        ("trefoil", [96]), ("trefoil-neg", [96]), ("klein", [192, 192]), ("unknot", [96])])
+    def test_reducible_lines_on_exact_lifts(self, name, counts):
+        lines = reducible_lines(builtin_model(name))
+        assert [len(line) for line in lines] == counts
+        for line in lines:
+            lifts = line.lifted_vertices()
+            (x0, y0), (x1, y1) = lifts[0], lifts[-1]
+            a, b = round((x1 - x0) / TWO_PI), round((y1 - y0) / TWO_PI)
+            ts = np.linspace(0.0, TWO_PI, 96 * max(abs(a), abs(b), 1) + 1).tolist()
+            assert line.closed and len(lifts) == len(ts)
+            assert repr(lifts) == repr([(a * t + x0, b * t + y0) for t in ts])
+            assert repr(line.vertices) == repr(_sampled_line_vertices(a, b, x0, y0))
 
 
 class TestSweep:
@@ -1140,7 +1216,7 @@ class TestProximityPasses:
                 got, expected = _proximity_answers(points, r)
                 assert got == expected
         # the dedups of intersection hits, and distinct_points on image points
-        swapped = img.transform_arcs(lambda v: induced_boundary_transform(GluingMatrix.swap(), v))
+        swapped = img.transform_arcs(GluingMatrix.swap())
         hits = 0
         for a1 in img.arcs:
             for a2 in [a for a in img.arcs if a is not a1] + list(swapped):
