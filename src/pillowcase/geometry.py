@@ -140,7 +140,7 @@ class GluingMatrix:
 
     def __post_init__(self):
         for v in (self.a, self.b, self.p, self.c):
-            if not isinstance(v, int):
+            if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError("gluing entries must be integers")
         if self.det() != -1:
             raise ValueError(f"gluing determinant must be -1, got {self.det()}")
@@ -190,24 +190,12 @@ def induced_boundary_transform(g: GluingMatrix, pt: PillowcasePoint) -> Pillowca
 # ---------------------------------------------------------------------------
 # distances and lifts
 
-def _reps_near(pt: PillowcasePoint, x: float, y: float):
-    """Plane lifts of pt within one lattice step of (x, y), both signs."""
-    out = []
-    for s in (1.0, -1.0):
-        ax, ay = s * pt.alpha, s * pt.beta
-        m0 = round((x - ax) / TWO_PI)
-        n0 = round((y - ay) / TWO_PI)
-        for dm in (-1, 0, 1):
-            for dn in (-1, 0, 1):
-                out.append((ax + TWO_PI * (m0 + dm), ay + TWO_PI * (n0 + dn)))
-    return out
-
-
 def _reps_near_array(pt: PillowcasePoint, x: np.ndarray, y: np.ndarray):
-    """_reps_near for a column of anchors: two (n, 18) arrays of lifts.
+    """Plane lifts of pt within one lattice step of each anchor, both signs.
 
-    Same float operations as _reps_near (np.round and round both round
-    half to even), so every lift is bitwise one of _reps_near's.
+    Two (n, 18) arrays: for sign 1, then -1, the lifts s * pt + 2pi (m, n)
+    with (m, n) within one step of the lattice point nearest the anchor
+    minus s * pt, dm outer and dn inner.
     """
     xs, ys = [], []
     for s in (1.0, -1.0):
@@ -226,18 +214,19 @@ def pillowcase_distance(p1: PillowcasePoint, p2: PillowcasePoint) -> float:
 
     The deck group translates the two coordinates independently, so the
     minimum over lattice shifts is the wrapped difference per coordinate,
-    leaving only the sign choice.
+    leaving only the sign choice.  A difference d wraps to
+    d - 2pi round(d / 2pi), which is math.remainder(d, 2pi) exactly for
+    |d| < 5pi (every difference of canonical coordinates), and the
+    distance is sqrt(dx*dx + dy*dy): the operations of pillowcase_distances,
+    so the two agree bit for bit.
     """
-    x, y = p1.alpha, p1.beta
-    if x == p2.alpha and y == p2.beta:
-        return 0.0
     best = math.inf
     for s in (1.0, -1.0):
-        dx = math.remainder(x - s * p2.alpha, TWO_PI)
-        dy = math.remainder(y - s * p2.beta, TWO_PI)
-        d = math.hypot(dx, dy)
-        if d < best:
-            best = d
+        x = p1.alpha - s * p2.alpha
+        dx = x - TWO_PI * round(x / TWO_PI)
+        y = p1.beta - s * p2.beta
+        dy = y - TWO_PI * round(y / TWO_PI)
+        best = min(best, math.sqrt(dx * dx + dy * dy))
     return best
 
 
@@ -248,19 +237,21 @@ def _wrap_2pi(d: np.ndarray) -> np.ndarray:
     return d - TWO_PI * np.round(d / TWO_PI)
 
 
+def _norm(dx, dy):
+    """sqrt(dx*dx + dy*dy), the distance formula of pillowcase_distance."""
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def pillowcase_distances(xy: np.ndarray, pt: PillowcasePoint) -> np.ndarray:
     """pillowcase_distance from every row (alpha, beta) of an (n, 2) array to pt.
 
-    The sign and lattice rule of the scalar function, wrapping each
-    difference d by d - 2pi round(d / 2pi) where it calls math.remainder,
-    and np.hypot for math.hypot (equal points still give 0.0).  A value may
-    differ from the scalar one by a few ulps, so callers re-check with
-    pillowcase_distance the rows within 1e-9 of the minimum or of a
-    threshold; their verdicts are then the scalar ones.
+    The scalar function's operations, broadcast over the rows, so entry i
+    is pillowcase_distance(point i, pt) bit for bit: callers rank, break
+    ties and test thresholds on these values alone.
     """
     x, y = xy[:, 0], xy[:, 1]
-    return np.hypot(_wrap_2pi(x - _SIGNS * pt.alpha),
-                    _wrap_2pi(y - _SIGNS * pt.beta)).min(axis=0)
+    return _norm(_wrap_2pi(x - _SIGNS * pt.alpha),
+                 _wrap_2pi(y - _SIGNS * pt.beta)).min(axis=0)
 
 
 def pillowcase_distance_matrix(xy: np.ndarray) -> np.ndarray:
@@ -271,8 +262,8 @@ def pillowcase_distance_matrix(xy: np.ndarray) -> np.ndarray:
     negating a difference negates its wrap exactly.
     """
     x, y = xy[:, 0], xy[:, 1]
-    return np.hypot(_wrap_2pi(x - _SIGNS[:, :, None] * x[:, None]),
-                    _wrap_2pi(y - _SIGNS[:, :, None] * y[:, None])).min(axis=0)
+    return _norm(_wrap_2pi(x - _SIGNS[:, :, None] * x[:, None]),
+                 _wrap_2pi(y - _SIGNS[:, :, None] * y[:, None])).min(axis=0)
 
 
 def nearest_lift(pt: PillowcasePoint, anchor: tuple[float, float]) -> tuple[float, float]:
@@ -363,14 +354,14 @@ class PillowcasePolyline:
     def length(self) -> float:
         return sum(math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in self.lifted_segments())
 
-    def _lift_distances(self, pt: PillowcasePoint) -> np.ndarray:
-        """(segments, 18) distances from each segment to the lifts of pt near it.
+    def _lift_distances(self, pt: PillowcasePoint) -> tuple[np.ndarray, np.ndarray]:
+        """(segments, 18) distances from each segment to the lifts of pt near it, and t.
 
-        Row i holds the distances from segment i to the 18 lifts that
-        _reps_near gives around its midpoint, in that order, with the
-        operations of _point_segment_distance (a zero-length segment gives
-        the distance to its end); only np.hypot may differ from math.hypot,
-        by an ulp or two.
+        Row i is for the 18 lifts that _reps_near_array gives around segment
+        i's midpoint, in that order.  t is a lift's projection parameter on
+        the segment, clipped to [0, 1] (0 on a zero-length segment), and the
+        distance is sqrt(ex*ex + ey*ey) of the lift's offset from the point
+        at t, as in pillowcase_distance.
         """
         xy = self._lift_array
         xa, ya, xb, yb = xy[:-1, 0, None], xy[:-1, 1, None], xy[1:, 0, None], xy[1:, 1, None]
@@ -379,22 +370,15 @@ class PillowcasePolyline:
         L2 = dx * dx + dy * dy
         t = np.clip(((px - xa) * dx + (py - ya) * dy) / np.where(L2 == 0.0, 1.0, L2),
                     0.0, 1.0)
-        return np.hypot(px - (xa + t * dx), py - (ya + t * dy))
+        return _norm(px - (xa + t * dx), py - (ya + t * dy)), t
 
     def min_distance_to(self, pt: PillowcasePoint) -> float:
         """Distance from the marked point to the polyline's segments.
 
-        The scalar code re-runs on the segments whose _lift_distances come
-        within 1e-9 of their minimum, which hold the segment of the scalar
-        minimum, so the value returned is the scalar one.
+        The least of _lift_distances: over every segment, the distance to
+        the nearest of the lifts of pt around its midpoint.
         """
-        seg_min = self._lift_distances(pt).min(axis=1)
-        best = math.inf
-        for i in np.flatnonzero(seg_min <= seg_min.min() + 1e-9).tolist():
-            (x1, y1), (x2, y2) = self._lifts[i], self._lifts[i + 1]
-            for (px, py) in _reps_near(pt, 0.5 * (x1 + x2), 0.5 * (y1 + y2)):
-                best = min(best, _point_segment_distance(px, py, x1, y1, x2, y2))
-        return best
+        return float(self._lift_distances(pt)[0].min())
 
 
 def polyline(points, closed: bool = False) -> PillowcasePolyline:
@@ -406,15 +390,6 @@ def polyline(points, closed: bool = False) -> PillowcasePolyline:
         else:
             verts.append(canonicalize(p[0], p[1]))
     return PillowcasePolyline(tuple(verts), closed=closed)
-
-
-def _point_segment_distance(px, py, x1, y1, x2, y2) -> float:
-    dx, dy = x2 - x1, y2 - y1
-    L2 = dx * dx + dy * dy
-    if L2 == 0.0:
-        return math.hypot(px - x1, py - y1)
-    t = max(0.0, min(1.0, ((px - x1) * dx + (py - y1) * dy) / L2))
-    return math.hypot(px - (x1 + t * dx), py - (y1 + t * dy))
 
 
 # ---------------------------------------------------------------------------
@@ -709,17 +684,15 @@ def line_crossings(curve: PillowcasePolyline, ca: float, cb: float,
 def _close_pairs(points, radius: float) -> list[tuple[int, int]]:
     """Index pairs (i, j), i != j, of points closer than radius, row by row.
 
-    A pair within 1e-9 of radius is decided by the scalar pillowcase_distance,
-    so every verdict is the scalar one.  d <= r is d < nextafter(r, inf).
+    The verdicts read pillowcase_distance_matrix, whose entries are the
+    scalar pillowcase_distance bit for bit.  d <= r is d < nextafter(r, inf).
     """
     if len(points) < 2:
         return []
     d = pillowcase_distance_matrix(
         np.array([p.as_tuple() for p in points]).reshape(len(points), 2))
-    near = zip(*(idx.tolist() for idx in np.nonzero(d < radius + 1e-9)))
-    return [(i, j) for i, j in near
-            if i != j and (d[i, j] < radius - 1e-9
-                           or pillowcase_distance(points[i], points[j]) < radius)]
+    near = zip(*(idx.tolist() for idx in np.nonzero(d < radius)))
+    return [(i, j) for i, j in near if i != j]
 
 
 def distance_components(points, radius: float) -> list[list[int]]:

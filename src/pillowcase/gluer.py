@@ -12,11 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import (GluingMatrix, PillowcasePoint, PillowcasePolyline,
                        _is_prime, canonicalize, distance_components,
                        distinct_points, essential_class, line_crossings,
                        line_offset, pillowcase_distance,
-                       polyline_intersections, sigma_p, TWO_PI)
+                       pillowcase_distance_matrix, polyline_intersections,
+                       sigma_p, TWO_PI)
 from .presentations import (GroupPresentation, KnotExteriorModel, concat,
                             invert_word, pow_word, shift_word)
 from .solver import (ImagePoint, PillowcaseImage, SolverConfig,
@@ -262,9 +265,8 @@ def _connected_at_scale(points, scale: float) -> tuple[bool, float]:
     remaining = set(range(len(points))) - set(component)
     if not remaining:
         return True, 0.0
-    gap = min(pillowcase_distance(points[i], points[c])
-              for i in remaining for c in component)
-    return False, gap
+    d = pillowcase_distance_matrix(np.array([p.as_tuple() for p in points]))
+    return False, float(d[np.ix_(sorted(remaining), component)].min())
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .geometry import (DegenerateCurveError, GluingMatrix, PillowcasePoint,
                        PillowcasePolyline, canonicalize, detailed_intersections,
                        distance_components, essential_class, line_crossings,
                        line_offset, pillowcase_distance, pillowcase_distance_matrix,
-                       pillowcase_distances, TWO_PI, _reps_near)
+                       pillowcase_distances, TWO_PI)
 from .homology import smith_normal_form, abelianization
 from .presentations import (GroupPresentation, KnotExteriorModel, Word,
                             concat, pow_word)
@@ -501,22 +501,17 @@ class PillowcaseImage:
     def nearest_point(self, pt: PillowcasePoint, min_gap: float = -math.inf):
         """(record, distance) of the first closest point with gap > min_gap.
 
-        (None, inf) when no point qualifies.  pillowcase_distances ranks the
-        qualifying points; the scalar distance decides, in point order,
-        among those within 1e-9 of the least.
+        (None, inf) when no point qualifies.  The distances are
+        pillowcase_distances, the scalar ones bit for bit, and the first
+        least of them in point order wins.
         """
         xy, gap = self._point_arrays
         idx = np.flatnonzero(~(gap <= min_gap))
-        best, best_d = None, math.inf
         if idx.size == 0:
-            return best, best_d
+            return None, math.inf
         d = pillowcase_distances(xy[idx], pt)
-        for i in idx[d <= d.min() + 1e-9].tolist():
-            rec = self.points[i]
-            di = pillowcase_distance(rec.point, pt)
-            if di < best_d:
-                best, best_d = rec, di
-        return best, best_d
+        k = int(np.argmin(d))
+        return self.points[idx[k]], float(d[k])
 
     def transform_arcs(self, gluing: GluingMatrix) -> tuple[PillowcasePolyline, ...]:
         """Every arc under the map a gluing induces, applied to its plane lifts.
@@ -606,8 +601,8 @@ def _chain_points(records, threshold):
     """Greedy nearest-neighbor chaining of witness points into polylines.
 
     The components of the points closer than threshold are the chains'
-    pools; the walk reads rows of pillowcase_distance_matrix, and a step
-    within 1e-9 of the nearest is decided by the scalar pillowcase_distance.
+    pools; the walk reads rows of pillowcase_distance_matrix and steps to
+    the nearest point left, the least index of a tie.
     """
     pts = [r.point for r in records]
     if not pts:
@@ -626,10 +621,10 @@ def _chain_points(records, threshold):
             while left.size:
                 last = order[-1]
                 d = distances[last, left]
-                dist, nxt = min((pillowcase_distance(pts[last], pts[j]), j)
-                                for j in left[d <= d.min() + 1e-9].tolist())
-                if dist > 3 * threshold:
+                k = int(np.argmin(d))
+                if d[k] > 3 * threshold:
                     break
+                nxt = int(left[k])
                 order.append(nxt)
                 left = left[left != nxt]
             return order, left.tolist()
@@ -639,8 +634,7 @@ def _chain_points(records, threshold):
         order, remaining = walk(probe[-1], comp)
         for leftover in remaining:
             isolated.append(records[leftover])
-        closed = (len(order) > 3 and
-                  pillowcase_distance(pts[order[0]], pts[order[-1]]) < threshold)
+        closed = len(order) > 3 and bool(distances[order[0], order[-1]] < threshold)
         arcs.append(PillowcasePolyline(
             tuple(pts[i] for i in order), closed=closed))
     return arcs, isolated
@@ -778,10 +772,9 @@ def _split_polyline(curve: PillowcasePolyline, cuts):
 def _project_endpoint_cuts(curves, node_tol):
     """Cuts where some curve's endpoint lands on another curve's interior.
 
-    Each cut is at the first closest (segment, lift) within node_tol,
-    zero-length segments skipped.  _lift_distances ranks the segments; the
-    scalar loop decides among those within 1e-9 of the least distance or of
-    node_tol, whichever is smaller.
+    Each cut is at the first closest (segment, lift) of _lift_distances in
+    row-major order, zero-length segments skipped, if it is within node_tol;
+    the cut's parameter is that lift's t.
     """
     cuts = {i: [] for i in range(len(curves))}
     endpoints = []
@@ -790,26 +783,14 @@ def _project_endpoint_cuts(curves, node_tol):
             endpoints.append(c.vertices[0])
             endpoints.append(c.vertices[-1])
     for j, c in enumerate(curves):
-        segs = c.lifted_segments()
         step = np.diff(c._lift_array, axis=0)
         degenerate = step[:, 0] * step[:, 0] + step[:, 1] * step[:, 1] == 0
         for pt in endpoints:
-            seg_min = c._lift_distances(pt).min(axis=1)
-            seg_min[degenerate] = math.inf
-            near = seg_min <= min(seg_min.min(), node_tol) + 1e-9
-            best = None
-            for si in np.flatnonzero(near).tolist():
-                (x1, y1), (x2, y2) = segs[si]
-                dx, dy = x2 - x1, y2 - y1
-                L2 = dx * dx + dy * dy
-                for (px, py) in _reps_near(pt, 0.5 * (x1 + x2), 0.5 * (y1 + y2)):
-                    t = ((px - x1) * dx + (py - y1) * dy) / L2
-                    t = min(max(t, 0.0), 1.0)
-                    d = math.hypot(px - (x1 + t * dx), py - (y1 + t * dy))
-                    if d < node_tol and (best is None or d < best[0]):
-                        best = (d, si, t)
-            if best is not None:
-                cuts[j].append((best[1], best[2]))
+            d, t = c._lift_distances(pt)
+            d[degenerate] = math.inf
+            si, li = np.unravel_index(np.argmin(d), d.shape)
+            if d[si, li] < node_tol:
+                cuts[j].append((int(si), float(t[si, li])))
     return cuts
 
 
@@ -1014,16 +995,13 @@ def corner_diagnostics(img: PillowcaseImage, eps: float = 0.05,
 
     Such witnesses flag possible limits of irreducibles at the corners,
     which obstruct SU(2)-abelianness of every filling; numerically we can
-    only report proximity, not decide the limit.  pillowcase_distances
-    ranks the witnesses; the scalar distance decides those within 1e-9 of
-    eps.
+    only report proximity, not decide the limit.  The distances are
+    pillowcase_distances, the scalar ones bit for bit.
     """
     xy, gap = img._point_arrays
     idx = np.flatnonzero(~(gap <= gap_threshold))
     near = np.zeros(idx.size, dtype=bool)
     for c in (canonicalize(0.0, 0.0), canonicalize(math.pi, 0.0)):
         d = pillowcase_distances(xy[idx], c)
-        near |= d < eps - 1e-9
-        for k in np.flatnonzero(abs(d - eps) <= 1e-9).tolist():
-            near[k] |= pillowcase_distance(img.points[idx[k]].point, c) < eps
+        near |= d < eps
     return [img.points[i] for i in idx[near].tolist()]

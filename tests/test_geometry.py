@@ -6,9 +6,8 @@ import pytest
 
 from pillowcase import geometry
 from pillowcase.geometry import (GluingMatrix, DegenerateCurveError, P_POINT,
-                                 PillowcasePolyline, Q_POINT, TWO_PI, _candidate_pairs,
-                                 _point_segment_distance,
-                                 _reps_near, _segment_intersection,
+                                 PillowcasePolyline, PillowcasePoint, Q_POINT, TWO_PI,
+                                 _candidate_pairs, _segment_intersection,
                                  apply_integer_matrix, apply_involution,
                                  canonicalize, detailed_intersections,
                                  distinct_points, essential_class,
@@ -24,6 +23,32 @@ PI = math.pi
 
 def close(p, q, tol=1e-9):
     return pillowcase_distance(p, q) <= tol
+
+
+def _reps_near(pt, x, y):
+    """Plane lifts of pt within one lattice step of (x, y), both signs."""
+    out = []
+    for s in (1.0, -1.0):
+        ax, ay = s * pt.alpha, s * pt.beta
+        m0 = round((x - ax) / TWO_PI)
+        n0 = round((y - ay) / TWO_PI)
+        for dm in (-1, 0, 1):
+            for dn in (-1, 0, 1):
+                out.append((ax + TWO_PI * (m0 + dm), ay + TWO_PI * (n0 + dn)))
+    return out
+
+
+def _point_segment(px, py, x1, y1, x2, y2):
+    """(distance, t) from a plane point to a segment, in the kernel's arithmetic.
+
+    t is the projection clipped to [0, 1], 0 on a zero-length segment, and
+    the distance is sqrt(ex*ex + ey*ey) of the offset from the point at t.
+    """
+    dx, dy = x2 - x1, y2 - y1
+    L2 = dx * dx + dy * dy
+    t = 0.0 if L2 == 0.0 else max(0.0, min(1.0, ((px - x1) * dx + (py - y1) * dy) / L2))
+    ex, ey = px - (x1 + t * dx), py - (y1 + t * dy)
+    return math.sqrt(ex * ex + ey * ey), t
 
 
 class TestCanonicalize:
@@ -111,6 +136,13 @@ class TestGluingMatrix:
         with pytest.raises(ValueError):
             GluingMatrix(1, 0, 0, 1)
         GluingMatrix(0, 1, 1, 0)
+
+    @pytest.mark.parametrize("entries", [(False, True, True, False), (0, 1, True, 0),
+                                         (0.0, 1, 1, 0), (0, "1", 1, 0)])
+    def test_non_integer_entries_refused(self, entries):
+        # a bool is an int to isinstance, but not a gluing entry
+        with pytest.raises(ValueError, match="integers"):
+            GluingMatrix(*entries)
 
     def test_skew_specializes_to_sigma(self):
         g = GluingMatrix(-1, 0, 2, 1)
@@ -237,7 +269,7 @@ def _reference_min_distance(curve, pt):
     best = math.inf
     for (x1, y1), (x2, y2) in curve.lifted_segments():
         for (px, py) in _reps_near(pt, 0.5 * (x1 + x2), 0.5 * (y1 + y2)):
-            best = min(best, _point_segment_distance(px, py, x1, y1, x2, y2))
+            best = min(best, _point_segment(px, py, x1, y1, x2, y2)[0])
     return best
 
 
@@ -383,20 +415,34 @@ def _wrap_points():
 
 class TestPointDistanceKernel:
     def test_matches_scalar_distance(self):
+        # the scalar, per-point and pairwise distances are one arithmetic
         rng = np.random.default_rng(11)
         pts = [canonicalize(*rng.uniform(-10, 10, size=2)) for _ in range(300)]
         pts += _wrap_points() + [tau(p) for p in pts[:20]] + pts[:10]
+        # non-canonical pairs: any finite angles, up to a few periods out
+        pts += [PillowcasePoint(*rng.uniform(-3 * PI, 3 * PI, size=2)) for _ in range(40)]
+        pts += [PillowcasePoint(0.0, TWO_PI - 1e-9), PillowcasePoint(PI, TWO_PI - 1e-9),
+                PillowcasePoint(-PI, -PI), PillowcasePoint(2 * PI, 3 * PI)]
         xy = np.array([p.as_tuple() for p in pts])
-        unequal = 0
-        for q in pts[::7] + _wrap_points() + [canonicalize(PI / 2, PI)]:
-            got = pillowcase_distances(xy, q)
+        matrix = pillowcase_distance_matrix(xy)
+        for i, q in enumerate(pts):
             expected = np.array([pillowcase_distance(p, q) for p in pts])
-            # far inside the 1e-9 window that callers re-check in scalar
-            assert np.abs(got - expected).max() <= 1e-14
-            assert (got[expected == 0.0] == 0.0).all()
-            unequal += int((got != expected).sum())
-        # the two do differ in the last bits, hence the re-check
-        assert unequal > 0
+            assert pillowcase_distances(xy, q).tobytes() == expected.tobytes()
+            assert matrix[i].tobytes() == expected.tobytes()
+        for q in [canonicalize(PI / 2, PI), P_POINT, Q_POINT]:
+            expected = np.array([pillowcase_distance(p, q) for p in pts])
+            assert pillowcase_distances(xy, q).tobytes() == expected.tobytes()
+        assert (np.diag(matrix) == 0.0).all()
+
+    def test_wrap_is_the_remainder(self):
+        # for |d| < 5pi, every difference of canonical coordinates among
+        # them, the wrap is exact (a zero may differ in sign, which squaring
+        # drops)
+        rng = np.random.default_rng(14)
+        d = np.concatenate([rng.uniform(-5 * PI, 5 * PI, size=40000),
+                            [PI, -PI, 3 * PI, -3 * PI, TWO_PI, -TWO_PI, 0.0]])
+        wrapped = d - TWO_PI * np.round(d / TWO_PI)
+        assert (wrapped == [math.remainder(x, TWO_PI) for x in d.tolist()]).all()
 
     def test_empty(self):
         assert pillowcase_distances(np.empty((0, 2)), P_POINT).shape == (0,)
@@ -433,11 +479,14 @@ class TestPointDistanceKernel:
                              closed=bool(case % 2))
             queries = _wrap_points()[::3] + [canonicalize(*rng.uniform(-10, 10, size=2))]
             for pt in queries:
-                expected = [[_point_segment_distance(px, py, x1, y1, x2, y2)
-                             for px, py in _reps_near(pt, 0.5 * (x1 + x2), 0.5 * (y1 + y2))]
-                            for (x1, y1), (x2, y2) in curve.lifted_segments()]
-                np.testing.assert_allclose(curve._lift_distances(pt), expected,
-                                           rtol=1e-15, atol=0.0)
+                expected = np.array([[_point_segment(px, py, x1, y1, x2, y2)
+                                      for px, py in _reps_near(pt, 0.5 * (x1 + x2),
+                                                               0.5 * (y1 + y2))]
+                                     for (x1, y1), (x2, y2) in curve.lifted_segments()])
+                d, t = curve._lift_distances(pt)
+                assert d.tobytes() == expected[..., 0].tobytes()
+                # equal as numbers: a clipped 0 may carry either sign
+                assert (t == expected[..., 1]).all()
 
 
 def _reference_surgery_candidates(curve, p, q):
@@ -763,7 +812,6 @@ class TestHelpers:
         assert pillowcase_distance(p1, p2) < 1e-12
 
     def test_distance_matches_exhaustive_candidates(self):
-        from pillowcase.geometry import _reps_near
         rng = np.random.default_rng(19)
         for _ in range(2000):
             p1 = canonicalize(rng.uniform(-8, 8), rng.uniform(-8, 8))

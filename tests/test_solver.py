@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from pillowcase import geometry, gluer, solver
+from pillowcase import gluer, solver
 from pillowcase.families import (builtin_model, klein_bottle_model,
                                  torus_knot_model, unknot_model)
 from pillowcase.geometry import (GluingMatrix, PillowcasePoint,
-                                 PillowcasePolyline, TWO_PI, _reps_near,
+                                 PillowcasePolyline, TWO_PI,
                                  apply_integer_matrix, canonicalize,
                                  detailed_intersections, distance_components,
                                  distinct_points, essential_class,
                                  line_crossings, line_offset,
-                                 pillowcase_distance, pillowcase_distance_matrix,
-                                 pillowcase_distances, polyline,
+                                 pillowcase_distance, polyline,
                                  polyline_intersections, tau)
 from pillowcase.gluer import splice
 from pillowcase.presentations import (GroupPresentation, KnotExteriorModel,
@@ -673,8 +672,21 @@ def _nearest_point_reference(img, pt, min_gap=-math.inf):
     return best, best_d
 
 
+def _reps_near(pt, x, y):
+    """Plane lifts of pt within one lattice step of (x, y), both signs."""
+    out = []
+    for s in (1.0, -1.0):
+        ax, ay = s * pt.alpha, s * pt.beta
+        m0 = round((x - ax) / TWO_PI)
+        n0 = round((y - ay) / TWO_PI)
+        for dm in (-1, 0, 1):
+            for dn in (-1, 0, 1):
+                out.append((ax + TWO_PI * (m0 + dm), ay + TWO_PI * (n0 + dn)))
+    return out
+
+
 def _project_endpoint_cuts_reference(curves, node_tol):
-    """The old scalar scan of _project_endpoint_cuts."""
+    """The old scalar scan of _project_endpoint_cuts, with sqrt for hypot."""
     cuts = {i: [] for i in range(len(curves))}
     endpoints = []
     for i, c in enumerate(curves):
@@ -693,7 +705,8 @@ def _project_endpoint_cuts_reference(curves, node_tol):
                         continue
                     t = ((px - x1) * dx + (py - y1) * dy) / L2
                     t = min(max(t, 0.0), 1.0)
-                    d = math.hypot(px - (x1 + t * dx), py - (y1 + t * dy))
+                    ex, ey = px - (x1 + t * dx), py - (y1 + t * dy)
+                    d = math.sqrt(ex * ex + ey * ey)
                     if d < node_tol and (best is None or d < best[0]):
                         best = (d, si, t)
             if best is not None:
@@ -803,21 +816,6 @@ def _records(points):
     return [ImagePoint(p, _ONE, float(i)) for i, p in enumerate(points)]
 
 
-def _threshold_pairs(rng, cloud):
-    """Pairs whose kernel distance sits below or above their scalar distance."""
-    xy = np.array([p.as_tuple() for p in cloud])
-    low, high = [], []
-    for i in rng.permutation(len(cloud)).tolist():
-        d = pillowcase_distances(xy, cloud[i])
-        for j in range(len(cloud)):
-            s = pillowcase_distance(cloud[i], cloud[j])
-            if d[j] != s and s > 0.0:
-                (low if d[j] < s else high).append((cloud[i], cloud[j], s))
-        if len(low) >= 3 and len(high) >= 3:
-            return low[:3] + high[:3]
-    raise AssertionError("no pair where the kernel and the scalar distance differ")
-
-
 def _open_curves(rng, k):
     """Open random walks, some with zero-length segments."""
     out = []
@@ -842,37 +840,6 @@ def _touching_curves(rng, curves):
     return out
 
 
-def _patch_kernels(monkeypatch, change):
-    """Route the scans' numpy distances through change(distances).
-
-    A distance matrix is changed one row at a time, off its diagonal, so
-    each row reads as the distances from its point to the others.
-    """
-    lift_distances = PillowcasePolyline._lift_distances
-
-    def matrix(xy):
-        d = pillowcase_distance_matrix(xy)
-        for i in range(len(d)):
-            others = np.arange(len(d)) != i
-            d[i, others] = change(d[i, others])
-        return d
-
-    monkeypatch.setattr(solver, "pillowcase_distances",
-                        lambda xy, pt: change(pillowcase_distances(xy, pt)))
-    monkeypatch.setattr(solver, "pillowcase_distance_matrix", matrix)
-    monkeypatch.setattr(geometry, "pillowcase_distance_matrix", matrix)
-    monkeypatch.setattr(PillowcasePolyline, "_lift_distances",
-                        lambda self, pt: change(lift_distances(self, pt)))
-
-
-def _raise_first_least(d):
-    """Raise the first least entry by the whole 1e-9 re-check window."""
-    if d.size:
-        i = np.unravel_index(np.argmin(d), d.shape)
-        d[i] = d[i] + 1e-9
-    return d
-
-
 class TestPointKernelScans:
     def test_nearest_point_matches_scalar_scan(self):
         rng = np.random.default_rng(31)
@@ -895,20 +862,6 @@ class TestPointKernelScans:
         assert img.nearest_point(canonicalize(0.0, PI)) == (None, math.inf)
         assert img.nearest_point(canonicalize(0.0, PI), min_gap=0.0) == (None, math.inf)
 
-    def test_nearest_point_where_kernel_and_scalar_differ(self):
-        rng = np.random.default_rng(32)
-        cloud = _cloud(rng, 80)
-        img = _image_of(cloud, [0.0] * len(cloud))
-        xy = np.array([p.as_tuple() for p in cloud])
-        differ = 0
-        for pt in cloud + [canonicalize(*rng.uniform(-2 * PI, 2 * PI, size=2))
-                           for _ in range(400)]:
-            expected = _nearest_point_reference(img, pt)
-            assert _picked(img, img.nearest_point(pt)) == _picked(img, expected)
-            differ += pillowcase_distances(xy, pt).min() != expected[1]
-        # some answers are not the kernel's minimum, bit for bit
-        assert differ > 0
-
     def test_chain_points_matches_scalar_chaining(self):
         rng = np.random.default_rng(33)
         cloud = _cloud(rng, 100)
@@ -920,7 +873,12 @@ class TestPointKernelScans:
     def test_chain_threshold_one_ulp_either_side(self):
         rng = np.random.default_rng(34)
         cloud = _cloud(rng, 40)
-        for a, b, s in _threshold_pairs(rng, cloud):
+        pairs = [(cloud[i], cloud[j])
+                 for i, j in rng.integers(0, len(cloud), size=(8, 2)).tolist()]
+        for a, b in pairs + [(_MIRRORED[0], _MIRRORED[3])]:
+            s = pillowcase_distance(a, b)
+            if s == 0.0:
+                continue
             # the pair alone, next to a neighbour of b, and inside the cloud
             c = canonicalize(b.alpha + 1e-3, b.beta)
             for threshold in (math.nextafter(s, 0.0), s, math.nextafter(s, math.inf)):
@@ -928,9 +886,24 @@ class TestPointKernelScans:
                     records = _records(pts)
                     assert repr(_chain_points(records, threshold)) == \
                         repr(_chain_points_reference(records, threshold))
+            # points closer than the threshold are joined, at it they are not
+            assert len(_chain_points(_records([a, b]), s)[0]) == 0
+            assert len(_chain_points(_records([a, b]), math.nextafter(s, math.inf))[0]) == 1
             records = _records(cloud + [a, b])
             assert repr(_chain_points(records, s)) == \
                 repr(_chain_points_reference(records, s))
+
+    def test_chain_closes_below_threshold(self):
+        # eleven points 30 degrees apart on a circle; the open ends are 60
+        # degrees apart, and the chain closes only when that is below threshold
+        pts = [canonicalize(1.5 + 0.3 * math.cos(a), 1.5 + 0.3 * math.sin(a))
+               for a in np.radians(np.arange(0, 301, 30)).tolist()]
+        s = pillowcase_distance(pts[0], pts[-1])
+        records = _records(pts)
+        for threshold, closed in ((s, False), (math.nextafter(s, math.inf), True)):
+            arcs, isolated = _chain_points(records, threshold)
+            assert [(len(a), a.closed) for a in arcs] == [(11, closed)] and not isolated
+            assert repr((arcs, isolated)) == repr(_chain_points_reference(records, threshold))
 
     def test_chain_points_empty_and_single(self):
         assert _chain_points([], 0.5) == ([], [])
@@ -947,22 +920,20 @@ class TestPointKernelScans:
                 repr(_project_endpoint_cuts_reference(curves, node_tol))
 
     def test_project_endpoint_cuts_at_node_tol(self):
-        # node_tol at an endpoint's scalar distance to a curve, and one ulp
-        # either side, where the numpy distance differs from the scalar one
+        # node_tol at an endpoint's distance to a curve, and one ulp either side
         rng = np.random.default_rng(36)
-        cases = 0
         for c in _open_curves(rng, 4):
-            for _ in range(100):
+            for _ in range(25):
                 pt = canonicalize(*rng.uniform(-PI, PI, size=2))
                 s = c.min_distance_to(pt)
-                if c._lift_distances(pt).min() == s:
-                    continue
-                cases += 1
                 pair = [c, polyline([pt, canonicalize(pt.alpha + 0.5, pt.beta + 2.0)])]
+                got = []
                 for node_tol in (math.nextafter(s, 0.0), s, math.nextafter(s, math.inf)):
-                    assert repr(_project_endpoint_cuts(pair, node_tol)) == \
+                    got.append(_project_endpoint_cuts(pair, node_tol))
+                    assert repr(got[-1]) == \
                         repr(_project_endpoint_cuts_reference(pair, node_tol))
-        assert cases > 0
+                # the endpoint cuts the curve only above its distance
+                assert len(got[2][0]) == len(got[1][0]) + 1
 
     @pytest.mark.parametrize("model", [torus_knot_model(2, 3), klein_bottle_model()],
                              ids=["trefoil", "klein"])
@@ -981,46 +952,6 @@ class TestPointKernelScans:
         curves = list(img.arcs)
         assert repr(_project_endpoint_cuts(curves, img.chain_threshold)) == \
             repr(_project_endpoint_cuts_reference(curves, img.chain_threshold))
-
-    def test_scans_hold_under_kernel_error_below_half_window(self, monkeypatch):
-        # the scalar re-check decides every near tie, so a kernel that is off
-        # by up to 4e-10 still gives the scalar answers
-        rng = np.random.default_rng(37)
-        cloud = _cloud(rng, 60)
-        img = _image_of(cloud, rng.choice([0.0, 0.2], size=len(cloud)).tolist())
-        curves = _open_curves(rng, 4)
-        curves += _touching_curves(rng, curves[:2])
-        expected = ([_picked(img, _nearest_point_reference(img, pt, g))
-                     for pt in cloud for g in (-math.inf, 0.0)],
-                    repr(_chain_points_reference(_records(cloud), 0.4)),
-                    repr(_project_endpoint_cuts_reference(curves, 0.3)))
-        noise = np.random.default_rng(38)
-        _patch_kernels(monkeypatch, lambda d: d + noise.uniform(-4e-10, 4e-10, size=d.shape))
-        got = ([_picked(img, img.nearest_point(pt, g))
-                for pt in cloud for g in (-math.inf, 0.0)],
-               repr(_chain_points(_records(cloud), 0.4)),
-               repr(_project_endpoint_cuts(curves, 0.3)))
-        assert got == expected
-
-    def test_window_is_closed(self, monkeypatch):
-        # a tied winner whose numpy distance is exactly the window above the
-        # least is still re-checked, and wins as the first of the tie
-        centre = canonicalize(*_CENTRE)
-        img = _image_of(_MIRRORED, [0.0] * len(_MIRRORED))
-        records = _records([centre] + _MIRRORED)
-        # the end (1, 2) of the open curve is 0.5 from the loop's first two
-        # segments, at the vertex they share
-        curves = [polyline([(0.5, 1.5), (1.0, 1.5), (1.5, 1.5), (1.0, 0.5)], closed=True),
-                  polyline([_CENTRE, (1.0, 3.0)])]
-        expected = (_picked(img, _nearest_point_reference(img, centre)),
-                    repr(_chain_points_reference(records, 0.6)),
-                    repr(_project_endpoint_cuts_reference(curves, 1.0)))
-        assert expected[2].startswith("{0: [(0, 1.0)], ")
-        _patch_kernels(monkeypatch, _raise_first_least)
-        assert (_picked(img, img.nearest_point(centre)),
-                repr(_chain_points(records, 0.6)),
-                repr(_project_endpoint_cuts(curves, 1.0))) == expected
-
 
 def _corner_diagnostics_reference(img, eps=0.05, gap_threshold=1e-4):
     """The old scalar loop of corner_diagnostics."""
@@ -1057,22 +988,6 @@ class TestCornerDiagnostics:
         for gap_threshold in (0.0, 1e-4, 0.2, -math.inf):
             found += self._assert_matches(img, 0.05, gap_threshold)
         assert found
-
-    def test_holds_under_kernel_error_below_the_window(self, monkeypatch):
-        # the kernel agrees with the scalar distance to both corners on these
-        # points, so noise stands in for its rounding: every row within the
-        # window is decided by the scalar distance
-        rng = np.random.default_rng(47)
-        pts = self._corner_cloud(rng)
-        img = _image_of(pts, [0.2] * len(pts))
-        epsilons = [pillowcase_distance(p, c) for p in pts[:30]
-                    for c in (canonicalize(0.0, 0.0), canonicalize(PI, 0.0))]
-        expected = [[id(r) for r in _corner_diagnostics_reference(img, eps)]
-                    for eps in epsilons]
-        noise = np.random.default_rng(48)
-        _patch_kernels(monkeypatch, lambda d: d + noise.uniform(-9e-10, 9e-10, size=d.shape))
-        assert [[id(r) for r in corner_diagnostics(img, eps)] for eps in epsilons] == expected
-
 
 # ---------------------------------------------------------------------------
 # the pairwise proximity passes (distance_components and the keyed
@@ -1177,16 +1092,6 @@ class TestProximityPasses:
                          for a, b in zip(radii[0:24:3], radii[1:24:3]))
         assert flips > 0
 
-    def test_where_kernel_and_scalar_differ(self):
-        rng = np.random.default_rng(42)
-        cloud = _cloud(rng, 40)
-        for a, b, s in _threshold_pairs(rng, cloud):
-            for radius in (math.nextafter(s, 0.0), s, math.nextafter(s, math.inf)):
-                for pts in ([a, b], [b, a], [a, canonicalize(b.alpha + 1e-3, b.beta), b],
-                            cloud + [a, b]):
-                    got, expected = _proximity_answers(pts, radius)
-                    assert got == expected
-
     def test_empty_and_single(self):
         pt = canonicalize(0.5, PI)
         assert distance_components([], 1.0) == []
@@ -1227,16 +1132,6 @@ class TestProximityPasses:
         pts = [r.point for r in img.points] + [v for arc in img.arcs for v in arc.vertices]
         for tol in (1e-6, img.grid_step):
             assert repr(distinct_points(pts, tol)) == repr(_distinct_points_reference(pts, tol))
-
-    def test_passes_hold_under_kernel_error_below_half_window(self, monkeypatch):
-        rng = np.random.default_rng(44)
-        cloud = _cloud(rng, 40)
-        radii = _attained_radii(rng, cloud, 6) + [s for *_, s in _threshold_pairs(rng, cloud)]
-        expected = [_proximity_answers(cloud, r)[1] for r in radii]
-        noise = np.random.default_rng(45)
-        _patch_kernels(monkeypatch, lambda d: d + noise.uniform(-4e-10, 4e-10, size=d.shape))
-        assert [_proximity_answers(cloud, r)[0] for r in radii] == expected
-
 
 # ---------------------------------------------------------------------------
 # the LM sweep engine against the fixed-block loop it replaced
