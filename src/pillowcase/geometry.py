@@ -28,6 +28,10 @@ _SNAP = 1e-12
 #: intersection hits at most 1e-7 apart are one hit (distinct_indices tests <)
 _DEDUP_TOL = math.nextafter(1e-7, math.inf)
 
+#: distance-matrix entries _close_pairs holds at once; bounds its memory
+#: (about 64 bytes per entry while a block is evaluated)
+_PAIR_BLOCK = 1 << 16
+
 
 class DegenerateCurveError(ValueError):
     """Curve passes through a forbidden marked point within tolerance."""
@@ -261,9 +265,14 @@ def pillowcase_distance_matrix(xy: np.ndarray) -> np.ndarray:
     operations, broadcast over the points.  The matrix is symmetric, since
     negating a difference negates its wrap exactly.
     """
+    return _distance_rows(xy, xy)
+
+
+def _distance_rows(xy: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Row i: pillowcase_distances(xy, anchor i), bit for bit."""
     x, y = xy[:, 0], xy[:, 1]
-    return _norm(_wrap_2pi(x - _SIGNS[:, :, None] * x[:, None]),
-                 _wrap_2pi(y - _SIGNS[:, :, None] * y[:, None])).min(axis=0)
+    return _norm(_wrap_2pi(x - _SIGNS[:, :, None] * anchors[:, 0, None]),
+                 _wrap_2pi(y - _SIGNS[:, :, None] * anchors[:, 1, None])).min(axis=0)
 
 
 def nearest_lift(pt: PillowcasePoint, anchor: tuple[float, float]) -> tuple[float, float]:
@@ -684,15 +693,19 @@ def line_crossings(curve: PillowcasePolyline, ca: float, cb: float,
 def _close_pairs(points, radius: float) -> list[tuple[int, int]]:
     """Index pairs (i, j), i != j, of points closer than radius, row by row.
 
-    The verdicts read pillowcase_distance_matrix, whose entries are the
-    scalar pillowcase_distance bit for bit.  d <= r is d < nextafter(r, inf).
+    The verdicts read rows of pillowcase_distance_matrix, _PAIR_BLOCK entries
+    at a time, whose entries are the scalar pillowcase_distance bit for bit.
+    d <= r is d < nextafter(r, inf).
     """
     if len(points) < 2:
         return []
-    d = pillowcase_distance_matrix(
-        np.array([p.as_tuple() for p in points]).reshape(len(points), 2))
-    near = zip(*(idx.tolist() for idx in np.nonzero(d < radius)))
-    return [(i, j) for i, j in near if i != j]
+    xy = np.array([p.as_tuple() for p in points]).reshape(len(points), 2)
+    rows = max(1, _PAIR_BLOCK // len(xy))
+    pairs = []
+    for lo in range(0, len(xy), rows):
+        near = np.nonzero(_distance_rows(xy, xy[lo:lo + rows]) < radius)
+        pairs += [(lo + i, j) for i, j in zip(*(idx.tolist() for idx in near)) if lo + i != j]
+    return pairs
 
 
 def distance_components(points, radius: float) -> list[list[int]]:

@@ -22,6 +22,15 @@ def check_word(word, generator_count: int) -> Word:
     return word
 
 
+def _json_ints(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints; a bool, float or str entry raises ValueError."""
+    values = tuple(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{what}: {v!r} is not an integer")
+    return values
+
+
 def invert_word(word) -> Word:
     return tuple(-k for k in reversed(word))
 
@@ -114,23 +123,29 @@ class KnotExteriorModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KnotExteriorModel":
+        """Model from a JSON object; malformed or mistyped values raise ValueError.
+
+        The generator count, every word letter and the fiber-slope entries
+        take ints only: a bool, float or str is refused, not coerced.
+        """
         try:
+            (count,) = _json_ints([data["generators"]], "generators")
             pres = GroupPresentation(
-                generator_count=int(data["generators"]),
-                relators=tuple(tuple(r) for r in data["relators"]),
-                meridian=tuple(data["meridian"]),
-                longitude=tuple(data["longitude"]),
+                generator_count=count,
+                relators=tuple(_json_ints(r, "relator") for r in data["relators"]),
+                meridian=_json_ints(data["meridian"], "meridian"),
+                longitude=_json_ints(data["longitude"], "longitude"),
             )
-            fiber = data.get("fiber")
-            fiber_slope = data.get("fiber_slope")
+            fiber, fiber_slope = data.get("fiber"), data.get("fiber_slope")
+            if fiber is not None:
+                fiber = check_word(_json_ints(fiber, "fiber"), count)
+            fiber_slope = _json_ints(fiber_slope, "fiber_slope") if fiber_slope else None
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed model data: {exc}") from exc
-        return cls(
-            name=str(data.get("name", "model")),
-            presentation=pres,
-            fiber=tuple(fiber) if fiber is not None else None,
-            fiber_slope=tuple(fiber_slope) if fiber_slope else None,
-        )
+        if fiber_slope is not None and len(fiber_slope) != 2:
+            raise ValueError(f"fiber_slope needs two entries: {list(fiber_slope)}")
+        return cls(name=str(data.get("name", "model")), presentation=pres,
+                   fiber=fiber, fiber_slope=fiber_slope)
 
     @classmethod
     def from_json(cls, text: str) -> "KnotExteriorModel":

@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -536,6 +537,16 @@ def reducible_lines(model: KnotExteriorModel) -> list[PillowcasePolyline]:
     normal form yields finitely many lines parametrized by the free angle,
     one per torsion character that acts on the boundary.
     """
+    return [line for line, *_ in _line_forms(model)]
+
+
+def _line_forms(model: KnotExteriorModel):
+    """(polyline, ca, cb, offset) for each reducible line, once, in character order.
+
+    The line of integer direction (a, b), g = gcd(a, b), is the point set
+    ca*alpha + cb*beta = +-2pi*offset (mod 2pi) with ca, cb = b/g, -a/g; offset
+    is an exact Fraction in [0, 1/2], so equal offsets are one line.
+    """
     pres = model.presentation
     g = pres.generator_count
     ab = abelianization(pres)
@@ -555,29 +566,29 @@ def reducible_lines(model: KnotExteriorModel) -> list[PillowcasePolyline]:
     if len(free_idx) != 1:
         # not a knot-exterior shape; fall back to the nullhomologous line
         if all(v == 0 for v in lam):
-            return [_line_polyline(1, 0, 0.0, 0.0)]
+            return [(_line_polyline(1, 0, 0.0, 0.0), 0, -1, Fraction(0))]
         raise ValueError("model does not have a single free H1 coordinate")
     f = free_idx[0]
     a_coef, b_coef = mu_psi[f], lam_psi[f]
     if a_coef == 0 and b_coef == 0:
         return []  # the boundary image is a finite set of points
-    lines = []
-    seen = set()
-    choices = [range(diag[i]) for i in torsion_idx]
-    for combo in itertools.product(*choices):
-        c_mu = sum(mu_psi[torsion_idx[t]] * (TWO_PI * k / diag[torsion_idx[t]])
-                   for t, k in enumerate(combo))
-        c_lam = sum(lam_psi[torsion_idx[t]] * (TWO_PI * k / diag[torsion_idx[t]])
-                    for t, k in enumerate(combo))
-        probe = tuple(
-            canonicalize(a_coef * t + c_mu, b_coef * t + c_lam).as_tuple()
-            for t in (0.0, 1.0, 2.0, 3.0))
-        key = tuple((round(x, 9), round(y, 9)) for x, y in probe)
-        if key in seen:
-            continue
-        seen.add(key)
-        lines.append(_line_polyline(a_coef, b_coef, c_mu, c_lam))
-    return lines
+    gcd = math.gcd(a_coef, b_coef)
+    lines = {}
+    for combo in itertools.product(*(range(diag[i]) for i in torsion_idx)):
+        offset = sum((Fraction((b_coef * mu_psi[i] - a_coef * lam_psi[i]) * k, diag[i] * gcd)
+                      for i, k in zip(torsion_idx, combo)), Fraction(0))
+        key = min(offset % 1, -offset % 1)
+        if key not in lines:
+            c_mu = sum(mu_psi[i] * (TWO_PI * k / diag[i]) for i, k in zip(torsion_idx, combo))
+            c_lam = sum(lam_psi[i] * (TWO_PI * k / diag[i]) for i, k in zip(torsion_idx, combo))
+            lines[key] = _line_polyline(a_coef, b_coef, c_mu, c_lam)
+    return [(line, b_coef // gcd, -a_coef // gcd, key) for key, line in lines.items()]
+
+
+def _on_line(pt: PillowcasePoint, forms) -> bool:
+    """Whether pt lies within 1e-6 of a line of _line_forms, in the plane."""
+    return any(line_offset(pt, ca, cb, s * TWO_PI * float(off)) < 1e-6 * math.hypot(ca, cb)
+               for _, ca, cb, off in forms for s in (1, -1))
 
 
 def _line_polyline(a_coef, b_coef, c_mu, c_lam):
@@ -665,14 +676,11 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
             pt = boundary_angles(rep, pres)
             records.append(ImagePoint(point=pt, witness=rep,
                                       gap=irreducibility_gap(rep)))
-    lines = reducible_lines(model)
+    forms = _line_forms(model)
     # points sitting on an analytic line are kept as witnesses but do not
     # seed numeric arcs of their own
-    def on_line(pt):
-        return any(line.min_distance_to(pt) < 1e-6 for line in lines)
-
     chainable = [r for r in records if r.gap > config.irreducible_gap
-                 or not on_line(r.point)]
+                 or not _on_line(r.point, forms)]
     threshold = config.chain_factor * grid_step
     arcs, isolated = _chain_points(chainable, threshold)
     return PillowcaseImage(
@@ -681,7 +689,7 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
         grid_step=grid_step,
         chain_threshold=threshold,
         points=tuple(records),
-        arcs=tuple(arcs) + tuple(lines),
+        arcs=tuple(arcs) + tuple(line for line, *_ in forms),
         isolated=tuple(isolated),
     )
 

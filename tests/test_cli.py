@@ -125,6 +125,23 @@ class TestImageCommand:
         bad.write_text('{"generators": 2}')
         code, _, err = run(capsys, "image", str(bad))
         assert code == EXIT_BAD_INPUT
+        # mistyped values are refused, not truncated or coerced, by every
+        # command that loads a model
+        model = {"generators": 2, "relators": [[1, 1, -2, -2, -2]],
+                 "meridian": [1], "longitude": [2], "fiber_slope": [6, 1]}
+        for change in ({"generators": 2.9}, {"generators": "2"},
+                       {"relators": [[1, 1, -2.7, -2, -2]]}, {"meridian": [True]},
+                       {"longitude": ["-2"]}, {"fiber": [1.0]}, {"fiber": [3]},
+                       {"fiber_slope": ["6", 1]}, {"fiber_slope": [6, 1, 1]}):
+            bad.write_text(json.dumps({**model, **change}))
+            for argv in (("homology", "fill", str(bad), "1", "0", "--json"),
+                         ("homology", "glue", str(bad), "trefoil", "--gluing", "fiber-swap")):
+                code, out, err = run(capsys, *argv)
+                assert (code, out) == (EXIT_BAD_INPUT, ""), (change, argv)
+                assert "invalid model JSON" in err
+        bad.write_text(json.dumps(model))
+        code, out, _ = run(capsys, "homology", "fill", str(bad), "1", "0", "--json")
+        assert code == EXIT_OK and json.loads(out)["group"] == "Z/3"
 
     @pytest.mark.parametrize("text", ['{"threads": 2}', '{"tol": 1e-9,',
                                       '{"restarts": "5"}', '{"restarts": true}',

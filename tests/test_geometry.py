@@ -458,6 +458,24 @@ class TestPointDistanceKernel:
             assert d[i].tobytes() == pillowcase_distances(xy, p).tobytes()
         assert d.tobytes() == d.T.tobytes()
 
+    def test_close_pairs_in_row_blocks_are_the_full_matrix_pairs(self, monkeypatch):
+        # clustered points give many close pairs; 760 points span several
+        # blocks of rows, and one row per block is the smallest block
+        rng = np.random.default_rng(15)
+        centres = rng.uniform(-10, 10, size=(75, 2))
+        pts = [canonicalize(*(c + rng.normal(scale=0.02, size=2)))
+               for c in centres for _ in range(10)] + _wrap_points()
+        assert len(pts) ** 2 > 4 * geometry._PAIR_BLOCK
+        full = pillowcase_distance_matrix(np.array([p.as_tuple() for p in pts]))
+        for radius in (1e-9, 0.01, 0.05):
+            near = zip(*(idx.tolist() for idx in np.nonzero(full < radius)))
+            expected = repr([(i, j) for i, j in near if i != j])
+            assert repr(geometry._close_pairs(pts, radius)) == expected
+            with monkeypatch.context() as m:
+                m.setattr(geometry, "_PAIR_BLOCK", 1)
+                assert repr(geometry._close_pairs(pts, radius)) == expected
+        assert len(geometry._close_pairs(pts, 0.05)) > len(pts)
+
     def test_hits_exactly_the_dedup_distance_apart_are_one(self):
         # two transversal hits, at (0.5, 1e-7) and (0.5, 2e-7), computed
         # exactly on different segments: pillowcase_distance is 1e-7 bit for

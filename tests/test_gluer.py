@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from pillowcase.families import klein_bottle_model, torus_knot_model, unknot_model
-from pillowcase.geometry import (GluingMatrix, canonicalize, line_offset,
-                                 pillowcase_distance, polyline, tau)
+from pillowcase.geometry import (GluingMatrix, canonicalize, distinct_points,
+                                 line_offset, pillowcase_distance,
+                                 pillowcase_distances, polyline,
+                                 polyline_intersections, tau)
 from pillowcase.gluer import (p_avoiding_certificate, search_nonabelian_rep,
                               slope_line_certificates, splice,
                               _candidate_points, _side2_angles)
@@ -127,9 +131,39 @@ class TestSearch:
         for pt in candidates:
             assert line_offset(pt, 0.0, 1.0, 0.0) < 1e-6
             assert abs(math.remainder(_side2_angles(g, pt)[1], 2 * PI)) < 1e-6
+        # the reducible lines meet exactly at gamma = 2pi k/37, that is at
+        # (alpha, beta) = (-12pi k/37, 74pi k/37): 19 pillowcase points, and
+        # the candidates are those points, one each
+        exact = distinct_points([canonicalize(-12 * PI * k / 37, 74 * PI * k / 37)
+                                 for k in range(37)])
+        assert len(exact) == 19
+        nearest = []
+        for pt in candidates:
+            d = [pillowcase_distance(pt, q) for q in exact]
+            nearest.append(d.index(min(d)))
+            assert min(d) < 1e-12
+        assert sorted(nearest) == list(range(19))
         res = search_nonabelian_rep(splice(torus_knot_model(2, 3), neg, g), CFG,
                                     image1=trefoil_image, image2=img2)
         assert not res.found and res.diagnostics == ()
+
+    def test_candidate_dedup_memory_is_bounded(self):
+        # each Klein reducible line overlaps its own image under (1, 0, 0, -1):
+        # 2304 collinear hits per pair, whose full distance matrix with its
+        # temporaries takes about 340 MB
+        img = sample_pillowcase_image(klein_bottle_model(), 60, CFG)
+        arcs2 = img.transform_arcs(GluingMatrix(1, 0, 0, -1))
+        tracemalloc.start()
+        try:
+            candidates = _candidate_points(img, arcs2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+        hits = [pt for a1 in img.arcs for a2 in arcs2
+                for pt, _ in polyline_intersections(a1, a2, tol=1e-9)]
+        assert repr(candidates) == repr(_distinct_row_by_row(hits, 1e-6))
+        assert len(candidates) > 100
 
     def test_search_deterministic(self, trefoil_image):
         tre = torus_knot_model(2, 3)
@@ -141,6 +175,17 @@ class TestSearch:
         assert r1.boundary_point == r2.boundary_point
         assert [q for q in r1.representation.images] == \
             [q for q in r2.representation.images]
+
+
+def _distinct_row_by_row(points, tol):
+    """distinct_points with one pillowcase_distances row per point."""
+    xy = np.array([p.as_tuple() for p in points])
+    kept = []
+    for i, p in enumerate(points):
+        d = pillowcase_distances(xy, p)
+        if not any(d[j] < tol for j in kept):
+            kept.append(i)
+    return [points[i] for i in kept]
 
 
 def _swap_branch_points():

@@ -1,4 +1,7 @@
+import itertools
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from pillowcase.geometry import (GluingMatrix, PillowcasePoint,
                                  pillowcase_distance, polyline,
                                  polyline_intersections, tau)
 from pillowcase.gluer import splice
+from pillowcase.homology import abelianization, smith_normal_form
 from pillowcase.presentations import (GroupPresentation, KnotExteriorModel,
                                       concat, pow_word)
 from pillowcase.solver import (ImagePoint, PillowcaseImage, SolverConfig,
@@ -23,9 +27,10 @@ from pillowcase.solver import (ImagePoint, PillowcaseImage, SolverConfig,
                                reducible_lines, sample_pillowcase_image,
                                solve_at_meridian_angle, _components,
                                _distinct_solutions, _eval_batch, _lm_minimize,
-                               _chain_points, _project_endpoint_cuts, _LetterTables,
-                               _qstep, _rep_from_params, _relator_residuals,
-                               _solve_rows, _word_product)
+                               _chain_points, _line_forms, _line_polyline, _on_line,
+                               _project_endpoint_cuts, _LetterTables, _qstep,
+                               _rep_from_params, _relator_residuals, _solve_rows,
+                               _word_product)
 from pillowcase.su2 import (Representation, UnitQuaternion, boundary_angles,
                             evaluate_word, irreducibility_gap, relator_residual)
 
@@ -103,6 +108,108 @@ class TestReducibleLines:
                                  meridian=(1,), longitude=(1,))
         assert reducible_lines(KnotExteriorModel(name="points", presentation=pres)) == []
 
+    @pytest.mark.parametrize("name", ["trefoil", "trefoil-neg", "klein", "unknot",
+                                      "torus:2,5", "torus:3,4"])
+    def test_builtin_lines_match_the_probe_dedup(self, name):
+        model = builtin_model(name)
+        assert repr(reducible_lines(model)) == repr(_probe_dedup_lines(model))
+
+    def test_torsion_lines_are_one_point_set_each(self):
+        # <x, y | y^3>, meridian x, longitude y: H1 = Z + Z/3, and the lines
+        # beta = 2pi/3 and beta = 4pi/3 are one set under the involution
+        pres = GroupPresentation(generator_count=2, relators=((2, 2, 2),),
+                                 meridian=(1,), longitude=(2,))
+        model = KnotExteriorModel(name="z3", presentation=pres)
+        old = _probe_dedup_lines(model)
+        assert len(old) == 3 and _point_set_groups(old) == [[0], [1, 2]]
+        assert repr(reducible_lines(model)) == repr(old[:2])
+        assert [(ca, cb, off) for _, ca, cb, off in _line_forms(model)] == \
+            [(0, -1, 0), (0, -1, Fraction(1, 3))]
+
+    def test_random_presentations_one_line_per_point_set(self):
+        # the exact key keeps the first line of every point set, in the
+        # order of the torsion characters, where the probe key kept some
+        # point sets more than once (traversed from another start or the
+        # other way round)
+        rng = random.Random(5)
+        seen = merged = 0
+        for _ in range(200):
+            n = rng.randint(1, 3)
+            pres = GroupPresentation(
+                generator_count=n, relators=tuple(_power_word(rng, n, 3) for _ in range(n - 1)),
+                meridian=_power_word(rng, n, 2), longitude=_power_word(rng, n, 2))
+            model = KnotExteriorModel(name="random", presentation=pres)
+            try:
+                old = _probe_dedup_lines(model)
+            except ValueError:
+                continue
+            groups = _point_set_groups(old)
+            assert repr(reducible_lines(model)) == repr([old[grp[0]] for grp in groups])
+            seen += len(old) > 1
+            merged += len(groups) < len(old)
+        assert seen >= 40 and merged >= 30
+
+
+def _power_word(rng, n, runs):
+    """A random word of 1 to runs letter powers, each of exponent 1 to 4."""
+    word = ()
+    for _ in range(rng.randint(1, runs)):
+        word += (rng.choice([1, -1]) * rng.randint(1, n),) * rng.randint(1, 4)
+    return word
+
+
+def _probe_dedup_lines(model):
+    """Reference: the reducible lines deduplicated on four probe points
+    rounded to 9 digits, which keeps a point set twice when its two lines
+    start at different points or run opposite ways."""
+    pres = model.presentation
+    g = pres.generator_count
+    ab = abelianization(pres)
+    E = [[ab.matrix.entries[i][j] for i in range(g)] for j in range(ab.matrix.cols)] or [[0] * g]
+    D, _, V = smith_normal_form(E)
+    diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
+    torsion_idx = [i for i, d in enumerate(diag) if d >= 2]
+    free_idx = [i for i in range(g) if i >= len(diag) or diag[i] == 0]
+    mu_psi = [sum(ab.meridian_class[i] * V[i][j] for i in range(g)) for j in range(g)]
+    lam_psi = [sum(ab.longitude_class[i] * V[i][j] for i in range(g)) for j in range(g)]
+    if len(free_idx) != 1:
+        if all(v == 0 for v in ab.longitude_class):
+            return [_line_polyline(1, 0, 0.0, 0.0)]
+        raise ValueError("model does not have a single free H1 coordinate")
+    a, b = mu_psi[free_idx[0]], lam_psi[free_idx[0]]
+    if a == 0 and b == 0:
+        return []
+    lines, seen = [], set()
+    for combo in itertools.product(*[range(diag[i]) for i in torsion_idx]):
+        c_mu = sum(mu_psi[torsion_idx[t]] * (TWO_PI * k / diag[torsion_idx[t]])
+                   for t, k in enumerate(combo))
+        c_lam = sum(lam_psi[torsion_idx[t]] * (TWO_PI * k / diag[torsion_idx[t]])
+                    for t, k in enumerate(combo))
+        key = tuple((round(x, 9), round(y, 9)) for x, y in (
+            canonicalize(a * t + c_mu, b * t + c_lam).as_tuple() for t in (0.0, 1.0, 2.0, 3.0)))
+        if key not in seen:
+            seen.add(key)
+            lines.append(_line_polyline(a, b, c_mu, c_lam))
+    return lines
+
+
+def _point_set_groups(lines):
+    """Indices of lines grouped by point set, groups in order of their first line.
+
+    The lines of one model share a direction, so two of them are one set
+    iff a few vertices of the one lie within 1e-9 of the other.
+    """
+    groups = []
+    for k, line in enumerate(lines):
+        probes = line.vertices[::max(1, len(line) // 3)]
+        for grp in groups:
+            if all(lines[grp[0]].min_distance_to(v) < 1e-9 for v in probes):
+                grp.append(k)
+                break
+        else:
+            groups.append([k])
+    return groups
+
 
 def _sampled_line_vertices(a, b, c_mu, c_lam):
     """A line's vertices as canonical samples, consecutive repeats dropped."""
@@ -171,6 +278,61 @@ class TestExactLifts:
             assert line.closed and len(lifts) == len(ts)
             assert repr(lifts) == repr([(a * t + x0, b * t + y0) for t in ts])
             assert repr(line.vertices) == repr(_sampled_line_vertices(a, b, x0, y0))
+
+
+def _slanted_models():
+    """Models whose reducible lines are not horizontal, with and without torsion."""
+    specs = [(1, (), (1,), (1, 1)), (1, (), (1, 1), (1, 1, 1)),
+             (2, ((2, 2),), (1, 1, 2), (1, 1, 1, 1)), (2, ((2, 2, 2),), (1, 1, 2), (-1, 2, 2))]
+    return [KnotExteriorModel(name="slanted", presentation=GroupPresentation(
+        generator_count=n, relators=rels, meridian=mu, longitude=lam))
+        for n, rels, mu, lam in specs]
+
+
+class TestOnLineFilter:
+    """The linear-form on-line test against the polyline distance it replaced."""
+
+    @staticmethod
+    def _near_a_polyline(pt, lines):
+        return any(line.min_distance_to(pt) < 1e-6 for line in lines)
+
+    def test_witness_verdicts(self, trefoil_image, klein_image):
+        neg_image = sample_pillowcase_image(torus_knot_model(-2, 3), 60, CFG)
+        for img in (trefoil_image, neg_image, klein_image):
+            forms = _line_forms(img.model)
+            lines = [line for line, *_ in forms]
+            verdicts = [_on_line(r.point, forms) for r in img.points]
+            assert verdicts == [self._near_a_polyline(r.point, lines) for r in img.points]
+            assert any(verdicts) and not all(verdicts)
+
+    def test_verdicts_at_the_threshold(self):
+        # points offset perpendicular to a line by 1e-6 (1 -+ 1e-6), both sides
+        models = [builtin_model(n) for n in ("trefoil", "trefoil-neg", "klein", "unknot")]
+        for model in models + _slanted_models():
+            forms = _line_forms(model)
+            lines = [line for line, *_ in forms]
+            for line, ca, cb, _ in forms:
+                nx, ny = ca / math.hypot(ca, cb), cb / math.hypot(ca, cb)
+                for x, y in line.lifted_vertices()[::3]:
+                    for d in (1e-6 * (1 - 1e-6), -1e-6 * (1 - 1e-6),
+                              1e-6 * (1 + 1e-6), -1e-6 * (1 + 1e-6)):
+                        pt = canonicalize(x + d * nx, y + d * ny)
+                        near = abs(d) < 1e-6
+                        assert _on_line(pt, forms) == near, (model, pt, d)
+                        assert self._near_a_polyline(pt, lines) == near, (model, pt, d)
+
+    def test_sweep_reads_the_exact_forms(self, monkeypatch):
+        # one Smith form per sweep, and no polyline distance scan
+        calls = []
+        snf = solver.smith_normal_form
+        monkeypatch.setattr(solver, "smith_normal_form",
+                            lambda *a: calls.append(1) or snf(*a))
+
+        def refuse(*_):
+            raise AssertionError("min_distance_to called")
+        monkeypatch.setattr(PillowcasePolyline, "min_distance_to", refuse)
+        img = sample_pillowcase_image(klein_bottle_model(), 20, CFG)
+        assert calls == [1] and len(img.arcs) > 2
 
 
 class TestSweep:
