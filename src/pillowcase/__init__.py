@@ -6,10 +6,9 @@ and carries out the supporting exact integer homology calculus.
 """
 
 from .geometry import (GluingMatrix, PillowcasePoint, PillowcasePolyline,
-                       apply_involution, canonicalize, essential_class,
-                       induced_boundary_transform, pillowcase_distance,
-                       polyline, polyline_intersections, sigma, sigma_p, tau,
-                       P_POINT, Q_POINT)
+                       canonicalize, essential_class, induced_boundary_transform,
+                       pillowcase_distance, polyline, polyline_intersections,
+                       sigma, sigma_p, tau, P_POINT, Q_POINT)
 from .presentations import GroupPresentation, KnotExteriorModel
 from .su2 import (Representation, UnitQuaternion, boundary_angles,
                   evaluate_word, irreducibility_gap, relator_residual)

@@ -106,26 +106,25 @@ def parse_gluing(spec, model1: KnotExteriorModel | None = None,
         raise ContractError(str(exc)) from exc
 
 
-# Job-file keys that set solver fields; any other job key is ignored.
-_JOB_CONFIG_KEYS = ("tol", "restarts", "seed", "resolution", "min_gap")
-_FLAG_CONFIG_KEYS = ("tol", "restarts", "seed", "resolution")
-
-
 def _config_from_args(args, job: dict | None = None) -> SolverConfig:
-    """Solver config: the --config file, then job fields, then CLI flags."""
+    """Solver config: the --config file, then job fields, then CLI flags.
+
+    Job fields and flags named after a SolverConfig field set it; any other
+    job key is ignored.
+    """
     path = getattr(args, "config", None)
     try:
         config = SolverConfig.from_json(path) if path else SolverConfig()
     except (OSError, TypeError, ValueError) as exc:
         raise InputError(f"invalid solver config {path}: {exc}") from exc
+    names = SolverConfig.__dataclass_fields__
     if job:
-        fields = {k: job[k] for k in _JOB_CONFIG_KEYS if k in job}
+        fields = {k: job[k] for k in names if k in job}
         try:
             config = SolverConfig.from_dict({**asdict(config), **fields})
         except ValueError as exc:
             raise InputError(f"invalid job: {exc}") from exc
-    flags = {k: getattr(args, k) for k in _FLAG_CONFIG_KEYS
-             if getattr(args, k, None) is not None}
+    flags = {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
     try:
         return replace(config, **flags)
     except ValueError as exc:
@@ -148,7 +147,7 @@ def cmd_image(args) -> int:
     img = sample_pillowcase_image(model, config.resolution, config)
     curve = extract_essential_curve(img)
     lift = lift_to_cut_open(img)
-    corners = corner_diagnostics(img, gap_threshold=config.irreducible_gap)
+    corners = corner_diagnostics(img)
     summary = {
         "model": model.name,
         "resolution": img.resolution,

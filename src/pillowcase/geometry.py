@@ -99,35 +99,21 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def apply_involution(kind: str, pt: PillowcasePoint, p: int | None = None) -> PillowcasePoint:
-    """One of the pillowcase involutions.
-
-    sigma:   (a, b) -> (-a, 2a + b)
-    tau:     (a, b) -> (pi - a, 2pi - b)
-    sigma_p: (a, b) -> (-a, pa + b)   for an odd prime p
-    """
-    a, b = pt.alpha, pt.beta
-    if kind == "sigma":
-        return canonicalize(-a, 2.0 * a + b)
-    if kind == "tau":
-        return canonicalize(math.pi - a, TWO_PI - b)
-    if kind == "sigma_p":
-        if p is None or p == 2 or not _is_prime(p):
-            raise ValueError(f"sigma_p needs an odd prime, got {p}")
-        return canonicalize(-a, p * a + b)
-    raise ValueError(f"unknown involution kind: {kind}")
-
-
 def sigma(pt: PillowcasePoint) -> PillowcasePoint:
-    return apply_involution("sigma", pt)
+    """(a, b) -> (-a, 2a + b)."""
+    return apply_integer_matrix(((-1, 0), (2, 1)), pt)
 
 
 def tau(pt: PillowcasePoint) -> PillowcasePoint:
-    return apply_involution("tau", pt)
+    """(a, b) -> (pi - a, 2pi - b)."""
+    return canonicalize(math.pi - pt.alpha, TWO_PI - pt.beta)
 
 
 def sigma_p(p: int, pt: PillowcasePoint) -> PillowcasePoint:
-    return apply_involution("sigma_p", pt, p=p)
+    """(a, b) -> (-a, pa + b) for an odd prime p."""
+    if p == 2 or not _is_prime(p):
+        raise ValueError(f"sigma_p needs an odd prime, got {p}")
+    return apply_integer_matrix(((-1, 0), (p, 1)), pt)
 
 
 @dataclass(frozen=True)
@@ -388,6 +374,16 @@ class PillowcasePolyline:
         the nearest of the lifts of pt around its midpoint.
         """
         return float(self._lift_distances(pt)[0].min())
+
+    def transformed(self, rows) -> "PillowcasePolyline":
+        """The image under an integer 2x2 matrix, applied to the plane lifts.
+
+        The map is linear on the plane, so the image of a lifted segment is
+        the segment between the images of its ends, however long.
+        """
+        (a, b), (p, c) = rows
+        return PillowcasePolyline.from_lifts(
+            [(a * x + b * y, p * x + c * y) for x, y in self._lifts], self.closed)
 
 
 def polyline(points, closed: bool = False) -> PillowcasePolyline:

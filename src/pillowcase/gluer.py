@@ -19,7 +19,7 @@ from .geometry import (GluingMatrix, PillowcasePoint, PillowcasePolyline,
                        distinct_points, essential_class, line_crossings,
                        line_offset, pillowcase_distance,
                        pillowcase_distance_matrix, polyline_intersections,
-                       sigma_p, TWO_PI)
+                       TWO_PI)
 from .presentations import (GroupPresentation, KnotExteriorModel, concat,
                             invert_word, pow_word, shift_word)
 from .solver import (ImagePoint, PillowcaseImage, SolverConfig,
@@ -140,11 +140,9 @@ def search_nonabelian_rep(spliced: SplicedManifold, config: SolverConfig | None 
         delta_zero = abs(math.remainder(delta, TWO_PI)) < 1e-6
         if beta_zero and delta_zero:
             continue  # both restrictions would be forced abelian
-        rec1, d1 = img1.nearest_point(pt)
-        rec2, d2 = img2.nearest_point(canonicalize(gamma, delta))
+        rec1 = img1.nearest_witness(pt)
+        rec2 = img2.nearest_witness(canonicalize(gamma, delta))
         if rec1 is None or rec2 is None:
-            continue
-        if d1 > 2 * img1.chain_threshold or d2 > 2 * img2.chain_threshold:
             continue
         scored.append((min(rec1.gap, rec2.gap), pt, (gamma, delta), rec1, rec2))
     scored.sort(key=lambda item: (-item[0], item[1].alpha, item[1].beta))
@@ -313,8 +311,7 @@ def p_avoiding_certificate(curve: PillowcasePolyline, p: int,
             disallowed.append(pt)
     shared = []
     if partner is not None:
-        image = PillowcasePolyline(
-            tuple(sigma_p(p, v) for v in partner.vertices), closed=partner.closed)
+        image = partner.transformed(((-1, 0), (p, 1)))  # sigma_p, on exact lifts
         for k in range(1, (p - 1) // 2 + 1):
             a_k = canonicalize(2 * k * math.pi / p, 0.0)
             if curve.min_distance_to(a_k) < tol and partner.min_distance_to(a_k) < tol:

@@ -39,11 +39,20 @@ __all__ = [
 ]
 
 
+#: a witness with irreducibility gap above this counts as irreducible
+IRREDUCIBLE_GAP = 1e-4
+#: an LM row takes at most _MAX_ITER + _POLISH_STEPS steps, and at most
+#: _POLISH_STEPS of them after it has converged
+_MAX_ITER = 60
+_POLISH_STEPS = 5
+#: two solutions of a node are one when every conjugation invariant is this close
+_SIGNATURE_TOL = 1e-6
+#: witnesses closer than this many grid steps are chained into one arc
+_CHAIN_FACTOR = 8.0
+
 _CONFIG_RANGES = (
     ("tol", ">", 0), ("restarts", ">=", 1), ("seed", ">=", 0),
-    ("resolution", ">=", 2), ("min_gap", ">=", 0), ("irreducible_gap", ">=", 0),
-    ("max_iter", ">=", 0), ("polish_steps", ">=", 0), ("dedup_tol", ">=", 0),
-    ("chain_factor", ">", 0),
+    ("resolution", ">=", 2), ("min_gap", ">=", 0),
 )
 
 
@@ -56,11 +65,6 @@ class SolverConfig:
     seed: int = 0
     resolution: int = 200
     min_gap: float = 0.1
-    irreducible_gap: float = 1e-4
-    max_iter: int = 60
-    polish_steps: int = 5
-    dedup_tol: float = 1e-6
-    chain_factor: float = 8.0
 
     def __post_init__(self):
         for name, op, bound in _CONFIG_RANGES:
@@ -359,9 +363,9 @@ def _signatures(units, meridian):
     return np.stack(cols, axis=1)
 
 
-def _distinct_solutions(pres: GroupPresentation, params, max_res,
-                        config: SolverConfig, nodes: int) -> list[list[Representation]]:
-    """Solutions of each node in a block of rows, filtered and deduplicated.
+def _distinct_solutions(pres: GroupPresentation, params, max_res, config: SolverConfig,
+                        nodes: int) -> list[list[tuple[Representation, float]]]:
+    """(solution, irreducibility gap) pairs of each node in a block of rows.
 
     params holds one group of equally many restarts per node, in node order.
     A row is accepted when its LM residual and its relator residual are below
@@ -369,7 +373,7 @@ def _distinct_solutions(pres: GroupPresentation, params, max_res,
     does, on the generators renormalized as UnitQuaternion.from_components
     does.  An accepted row is dropped when its conjugation invariants match
     an earlier row of its node.  Each node's survivors are sorted by
-    decreasing irreducibility gap.
+    decreasing gap.
     """
     per_node = len(params) // nodes
     # ~(r >= tol) rather than r < tol, so a NaN residual passes as it does
@@ -382,22 +386,24 @@ def _distinct_solutions(pres: GroupPresentation, params, max_res,
     for k in np.nonzero(ok)[0].tolist():
         sig = tuple(sigs[k])
         node = kept[rows[k] // per_node]
-        if any(all(abs(u - v) < config.dedup_tol for u, v in zip(sig, other))
+        if any(all(abs(u - v) < _SIGNATURE_TOL for u, v in zip(sig, other))
                for other, _ in node):
             continue
         node.append((sig, k))
     out = []
     for node in kept:
-        reps = [(sig, Representation(tuple(UnitQuaternion(*q) for q in units[:, :, k])))
-                for sig, k in node]
-        reps.sort(key=lambda item: (-irreducibility_gap(item[1]), item[0]))
-        out.append([rep for _, rep in reps])
+        sols = []
+        for sig, k in node:
+            rep = Representation(tuple(UnitQuaternion(*q) for q in units[:, :, k]))
+            sols.append((irreducibility_gap(rep), sig, rep))
+        sols.sort(key=lambda item: (-item[0], item[1]))
+        out.append([(rep, gap) for gap, _, rep in sols])
     return out
 
 
 def _sweep(pres: GroupPresentation, alphas, keys,
-           config: SolverConfig) -> list[list[Representation]]:
-    """Solutions at each meridian angle alphas[i], one list per node.
+           config: SolverConfig) -> list[list[tuple[Representation, float]]]:
+    """(solution, irreducibility gap) pairs at each meridian angle alphas[i], per node.
 
     Node i draws its restarts from default_rng([config.seed, keys[i]]).  The
     restarts of all nodes run as the rows of one _lm_minimize call, each row
@@ -418,7 +424,7 @@ def _sweep(pres: GroupPresentation, alphas, keys,
         relator_targets + [math.cos(a), math.sin(a), 0.0, 0.0] for a in alphas]),
         restarts, axis=0)
     params, max_res = _lm_minimize(words, targets, params0, config.tol,
-                                   config.max_iter, config.polish_steps)
+                                   _MAX_ITER, _POLISH_STEPS)
     per_group = max(1, _BLOCK_ROWS // restarts)
     out = []
     for start in range(0, len(alphas), per_group):
@@ -439,7 +445,7 @@ def solve_at_meridian_angle(pres: GroupPresentation, alpha: float,
     config = config or SolverConfig()
     if not (0.0 <= alpha <= math.pi + 1e-12):
         raise ValueError("alpha must lie in [0, pi]")
-    return _sweep(pres, [alpha], [int(round(alpha * 1e9))], config)[0]
+    return [rep for rep, _ in _sweep(pres, [alpha], [int(round(alpha * 1e9))], config)[0]]
 
 
 def refine_representation(pres: GroupPresentation, seed_rep: Representation,
@@ -456,7 +462,7 @@ def refine_representation(pres: GroupPresentation, seed_rep: Representation,
     targets = np.array([[1.0, 0.0, 0.0, 0.0] * len(words)])
     params0 = np.array([[[q.w, q.x, q.y, q.z] for q in seed_rep.images]])
     params, max_res = _lm_minimize(words, targets, params0, config.tol,
-                                   config.max_iter, config.polish_steps)
+                                   _MAX_ITER, _POLISH_STEPS)
     if max_res[0] < config.tol:
         return _rep_from_params(params[0])
     return None
@@ -488,7 +494,7 @@ class PillowcaseImage:
     arcs: tuple[PillowcasePolyline, ...]
     isolated: tuple[ImagePoint, ...] = ()
 
-    def irreducible_points(self, gap_threshold: float = 1e-4):
+    def irreducible_points(self, gap_threshold: float = IRREDUCIBLE_GAP):
         return [p for p in self.points if p.gap > gap_threshold]
 
     @cached_property
@@ -514,16 +520,18 @@ class PillowcaseImage:
         k = int(np.argmin(d))
         return self.points[idx[k]], float(d[k])
 
-    def transform_arcs(self, gluing: GluingMatrix) -> tuple[PillowcasePolyline, ...]:
-        """Every arc under the map a gluing induces, applied to its plane lifts.
+    def nearest_witness(self, pt: PillowcasePoint,
+                        min_gap: float = -math.inf) -> ImagePoint | None:
+        """nearest_point(pt, min_gap), if it is within 2 * chain_threshold of pt.
 
-        The map is linear on the plane, so the image of a lifted segment is
-        the segment between the images of its ends, however long.
+        A point at exactly twice the threshold is accepted.
         """
-        (a, b), (p, c) = gluing.rows()
-        return tuple(PillowcasePolyline.from_lifts(
-            [(a * x + b * y, p * x + c * y) for x, y in arc.lifted_vertices()], arc.closed)
-            for arc in self.arcs)
+        rec, d = self.nearest_point(pt, min_gap)
+        return rec if d <= 2 * self.chain_threshold else None
+
+    def transform_arcs(self, gluing: GluingMatrix) -> tuple[PillowcasePolyline, ...]:
+        """Every arc under the map a gluing induces, applied to its plane lifts."""
+        return tuple(arc.transformed(gluing.rows()) for arc in self.arcs)
 
 
 _SAMPLES_PER_TURN = 96  # line vertices per 2pi of the free angle, at rate 1
@@ -670,18 +678,14 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
 
     all_sols = _sweep(pres, [float(a) for a in grid], range(resolution), config)
 
-    records = []
-    for i, sols in enumerate(all_sols):
-        for rep in sols:
-            pt = boundary_angles(rep, pres)
-            records.append(ImagePoint(point=pt, witness=rep,
-                                      gap=irreducibility_gap(rep)))
+    records = [ImagePoint(point=boundary_angles(rep, pres), witness=rep, gap=gap)
+               for sols in all_sols for rep, gap in sols]
     forms = _line_forms(model)
     # points sitting on an analytic line are kept as witnesses but do not
     # seed numeric arcs of their own
-    chainable = [r for r in records if r.gap > config.irreducible_gap
+    chainable = [r for r in records if r.gap > IRREDUCIBLE_GAP
                  or not _on_line(r.point, forms)]
-    threshold = config.chain_factor * grid_step
+    threshold = _CHAIN_FACTOR * grid_step
     arcs, isolated = _chain_points(chainable, threshold)
     return PillowcaseImage(
         model=model,
@@ -975,7 +979,7 @@ def find_surgery_representation(img: PillowcaseImage, p: int, q: int,
     # the same witness scan and refine, so only first occurrences are tried
     candidates = dict.fromkeys(pt for arc in img.arcs for pt in line_crossings(arc, p, q))
     for pt in candidates:
-        witness = _nearest_witness(img, pt, config)
+        witness = img.nearest_witness(pt, IRREDUCIBLE_GAP)
         if witness is None:
             continue
         refined = refine_representation(pres, witness.witness, config,
@@ -984,21 +988,13 @@ def find_surgery_representation(img: PillowcaseImage, p: int, q: int,
             continue
         gap = irreducibility_gap(refined)
         res = relator_residual(refined, pres.with_relator(filling))
-        if res < config.tol and gap > config.irreducible_gap:
+        if res < config.tol and gap > IRREDUCIBLE_GAP:
             return refined, boundary_angles(refined, pres)
     return None
 
 
-def _nearest_witness(img: PillowcaseImage, pt: PillowcasePoint,
-                     config: SolverConfig):
-    best, best_d = img.nearest_point(pt, min_gap=config.irreducible_gap)
-    if best is not None and best_d < 2 * img.chain_threshold:
-        return best
-    return None
-
-
 def corner_diagnostics(img: PillowcaseImage, eps: float = 0.05,
-                       gap_threshold: float = 1e-4):
+                       gap_threshold: float = IRREDUCIBLE_GAP):
     """Irreducible witnesses within eps of the corners (0,0) and (pi,0).
 
     Such witnesses flag possible limits of irreducibles at the corners,

@@ -6,10 +6,10 @@ from pillowcase.cli import (EXIT_BAD_INPUT, EXIT_CONTRACT, EXIT_NOT_FOUND,
                             EXIT_OK, load_model, main, parse_gluing)
 from pillowcase.families import torus_knot_model
 from pillowcase.geometry import PillowcasePoint
+from pillowcase.gluer import search_nonabelian_rep
 from pillowcase.render import (image_to_csv, image_to_svg, mark_points,
                                polylines_to_svg)
-from pillowcase.solver import (SolverConfig, corner_diagnostics,
-                               sample_pillowcase_image)
+from pillowcase.solver import SolverConfig, sample_pillowcase_image
 
 
 def run(capsys, *argv):
@@ -104,22 +104,6 @@ class TestImageCommand:
         assert out1 == out2
         assert json.loads(out1)["resolution"] == 25
 
-    def test_corner_witnesses_use_configured_gap(self, capsys, tmp_path):
-        # the near-corner witnesses of trefoil at r=30 have gaps far below
-        # the default 1e-4 but above 0
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"irreducible_gap": 0.0}')
-        args = ("image", "trefoil", "--resolution", "30", "--json")
-        code, out, _ = run(capsys, *args, "--config", str(cfg))
-        assert code == EXIT_OK
-        img = sample_pillowcase_image(load_model("trefoil"), 30,
-                                      SolverConfig(resolution=30, irreducible_gap=0.0))
-        expected = [list(rec.point.as_tuple())
-                    for rec in corner_diagnostics(img, gap_threshold=0.0)]
-        assert expected and json.loads(out)["corner_witnesses"] == expected
-        code, out, _ = run(capsys, *args)
-        assert code == EXIT_OK and json.loads(out)["corner_witnesses"] == []
-
     def test_invalid_model_json_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"generators": 2}')
@@ -167,11 +151,8 @@ class TestImageCommand:
         assert f"solver config {name!r} must be" in err
 
     @pytest.mark.parametrize("text", [
-        '{"tol": -1.0}', '{"dedup_tol": -1}', '{"min_gap": -0.5}',
-        '{"irreducible_gap": -1e-4}', '{"max_iter": -1}', '{"polish_steps": -1}',
-        '{"chain_factor": 0}', '{"resolution": 0}'],
-        ids=["tol", "dedup_tol", "min_gap", "irreducible_gap", "max_iter",
-             "polish_steps", "chain_factor", "resolution"])
+        '{"tol": -1.0}', '{"min_gap": -0.5}', '{"resolution": 0}'],
+        ids=["tol", "min_gap", "resolution"])
     def test_out_of_range_config_exit_2(self, capsys, tmp_path, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
@@ -179,16 +160,36 @@ class TestImageCommand:
         assert code == EXIT_BAD_INPUT
         assert "invalid solver config" in err and "must be" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("dedup_tol", 1e-6), ("irreducible_gap", 1e-4), ("max_iter", 60),
+        ("polish_steps", 5), ("chain_factor", 8.0)],
+        ids=["dedup_tol", "irreducible_gap", "max_iter", "polish_steps", "chain_factor"])
+    def test_retired_config_key_exit_2(self, capsys, tmp_path, key, value):
+        # a retired key is refused even at the value it used to default to
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run(capsys, "image", "unknot", "--config", str(cfg))
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert "invalid solver config" in err
+        assert f"unknown solver config keys: [{key!r}]" in err
+
+    def test_live_config_keys_exit_0(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 1e-8, "restarts": 5, "seed": 1,
+                                   "resolution": 10, "min_gap": 0.1}))
+        code, out, _ = run(capsys, "image", "unknot", "--config", str(cfg), "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["resolution"] == 10
+
+    def test_config_fields(self):
+        assert list(SolverConfig.__dataclass_fields__) == [
+            "tol", "restarts", "seed", "resolution", "min_gap"]
+
     def test_config_range_bounds(self):
         # every bound itself is accepted where it is inclusive
-        SolverConfig(tol=1e-300, restarts=1, seed=0, resolution=2, min_gap=0.0,
-                     irreducible_gap=0.0, max_iter=0, polish_steps=0, dedup_tol=0.0,
-                     chain_factor=1e-300)
+        SolverConfig(tol=1e-300, restarts=1, seed=0, resolution=2, min_gap=0.0)
         for field, value in [("tol", 0.0), ("restarts", 0), ("seed", -1),
-                             ("resolution", 1), ("min_gap", -1e-300),
-                             ("irreducible_gap", float("nan")), ("max_iter", -1),
-                             ("polish_steps", -1), ("dedup_tol", -1e-300),
-                             ("chain_factor", 0.0)]:
+                             ("resolution", 1), ("min_gap", -1e-300)]:
             with pytest.raises(ValueError, match=f"'{field}' must be"):
                 SolverConfig(**{field: value})
 
@@ -238,6 +239,23 @@ class TestSpliceCommand:
         code, out, _ = run(capsys, "splice", str(job))
         assert code == EXIT_OK
         assert json.loads(out)["found"] is True
+
+    def test_job_sets_every_config_field(self, capsys, tmp_path, monkeypatch):
+        from pillowcase import cli
+        configs = []
+
+        def recording(spliced, config=None, image1=None, image2=None):
+            configs.append(config)
+            return search_nonabelian_rep(spliced, config, image1=image1, image2=image2)
+
+        monkeypatch.setattr(cli, "search_nonabelian_rep", recording)
+        fields = {"tol": 1e-9, "restarts": 3, "seed": 5, "resolution": 7, "min_gap": 0.2}
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"model1": "unknot", "model2": "unknot", **fields}))
+        code, out, _ = run(capsys, "splice", str(job))
+        assert code == EXIT_NOT_FOUND
+        assert configs == [SolverConfig(**fields)]
+        assert (json.loads(out)["resolution"], json.loads(out)["seed"]) == (7, 5)
 
     def test_out_of_range_job_field_exit_2(self, capsys, tmp_path):
         job = tmp_path / "job.json"

@@ -8,8 +8,8 @@ from pillowcase import geometry
 from pillowcase.geometry import (GluingMatrix, DegenerateCurveError, P_POINT,
                                  PillowcasePolyline, PillowcasePoint, Q_POINT, TWO_PI,
                                  _candidate_pairs, _segment_intersection,
-                                 apply_integer_matrix, apply_involution,
-                                 canonicalize, detailed_intersections,
+                                 apply_integer_matrix, canonicalize,
+                                 detailed_intersections,
                                  distinct_points, essential_class,
                                  induced_boundary_transform, line_crossings,
                                  line_offset, pillowcase_distance,
@@ -124,11 +124,7 @@ class TestInvolutions:
         pt = canonicalize(1.0, 1.0)
         for bad in (2, 4, 9, 1, -3):
             with pytest.raises(ValueError):
-                apply_involution("sigma_p", pt, p=bad)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            apply_involution("rho", canonicalize(1, 1))
+                sigma_p(bad, pt)
 
 
 class TestGluingMatrix:

@@ -278,6 +278,15 @@ class TestPAvoidingCertificate:
         for pt in report.touch_points:
             assert min(abs(pt.alpha - k * PI / 5) for k in range(1, 5)) < 1e-3
 
+    @pytest.mark.parametrize("p", [31, 37])
+    def test_trefoil_curve_shared_points_transversal(self, trefoil_image, p):
+        # sigma_p of the partner maps its exact lifts, so each shared point
+        # (2k pi/p, 0) is seen as the crossing it is
+        curve = extract_essential_curve(trefoil_image)
+        report = p_avoiding_certificate(curve, p, partner=curve)
+        assert len(report.shared_transversal) > 1
+        assert all(trans for _, trans in report.shared_transversal)
+
     def test_transversality_at_shared_point(self):
         # two curves through (2pi/3, 0): one flat along beta = 0, one steep
         flat = polyline([(2 * PI / 3 - 0.3, 0.0), (2 * PI / 3 + 0.3, 0.0),

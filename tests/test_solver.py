@@ -448,7 +448,7 @@ def _surgery_reference(img, p, q, config):
     pres = img.model.presentation
     filling = concat(pow_word(pres.meridian, p), pow_word(pres.longitude, q))
     for pt in [pt for arc in img.arcs for pt in line_crossings(arc, p, q)]:
-        witness = solver._nearest_witness(img, pt, config)
+        witness = img.nearest_witness(pt, solver.IRREDUCIBLE_GAP)
         if witness is None:
             continue
         refined = solver.refine_representation(pres, witness.witness, config,
@@ -457,7 +457,7 @@ def _surgery_reference(img, p, q, config):
             continue
         gap = irreducibility_gap(refined)
         res = relator_residual(refined, pres.with_relator(filling))
-        if res < config.tol and gap > config.irreducible_gap:
+        if res < config.tol and gap > solver.IRREDUCIBLE_GAP:
             return refined, boundary_angles(refined, pres)
     return None
 
@@ -494,13 +494,13 @@ class TestSurgery:
     def test_repeated_crossings_scanned_once(self, request, monkeypatch, name, p, q):
         img = request.getfixturevalue(f"{name}_image")
         scanned = []
-        scan = solver._nearest_witness
+        scan = PillowcaseImage.nearest_witness
 
-        def counting(img, pt, config):
+        def counting(img, pt, min_gap=-math.inf):
             scanned.append(pt)
-            return scan(img, pt, config)
+            return scan(img, pt, min_gap)
 
-        monkeypatch.setattr(solver, "_nearest_witness", counting)
+        monkeypatch.setattr(PillowcaseImage, "nearest_witness", counting)
         expected = _surgery_reference(img, p, q, CFG)
         reference_scans = len(scanned)
         scanned.clear()
@@ -525,6 +525,27 @@ class TestSurgery:
         assert img.nearest_point(pt, min_gap=0.0)[0] is recs[2]
         assert img.nearest_point(pt, min_gap=0.2)[0] is recs[0]
         assert img.nearest_point(pt, min_gap=0.5) == (None, math.inf)
+
+    def test_nearest_witness_gate(self):
+        # the witness sits exactly 0.5 from the query: within 2t at t = 0.25,
+        # and outside it at the next float below
+        rep = Representation((UnitQuaternion(1.0, 0.0, 0.0, 0.0),))
+        rec = ImagePoint(canonicalize(1.0, 1.0), rep, 0.2)
+        pt = canonicalize(1.0, 1.5)
+        assert pillowcase_distance(rec.point, pt) == 0.5
+
+        def image(t):
+            return PillowcaseImage(model=unknot_model(), resolution=8, grid_step=0.1,
+                                   chain_threshold=t, points=(rec,), arcs=())
+
+        assert image(0.25).nearest_witness(pt) is rec
+        assert image(0.25).nearest_witness(pt, min_gap=0.1) is rec
+        assert image(0.25).nearest_witness(pt, min_gap=0.2) is None
+        assert image(math.nextafter(0.25, 0.0)).nearest_witness(pt) is None
+        assert image(0.25).nearest_witness(canonicalize(1.0, 1.0)) is rec
+        assert PillowcaseImage(model=unknot_model(), resolution=8, grid_step=0.1,
+                               chain_threshold=0.25, points=(),
+                               arcs=()).nearest_witness(pt) is None
 
 
 class TestDiagnosticsAndDeterminism:
@@ -566,10 +587,25 @@ class TestSweepEngine:
         # mid-node, and the dedup pass runs on groups of 12, 12 and 1 nodes
         img = sample_pillowcase_image(model, 25, CFG)
         grid = np.linspace(0.0, PI, 25)
-        per_node = [rep for i in range(25)
-                    for rep in solver._sweep(model.presentation, [float(grid[i])], [i], CFG)[0]]
+        per_node = [rep for i in range(25) for rep, _ in
+                    solver._sweep(model.presentation, [float(grid[i])], [i], CFG)[0]]
         assert len(img.points) == len(per_node) > 0
         assert _witness_bytes(r.witness for r in img.points) == _witness_bytes(per_node)
+
+    @pytest.mark.parametrize("model", [torus_knot_model(2, 3), klein_bottle_model()],
+                             ids=["trefoil", "klein"])
+    def test_gap_computed_once_per_solution(self, model, monkeypatch):
+        calls = []
+
+        def counting(rep):
+            calls.append(rep)
+            return irreducibility_gap(rep)
+
+        monkeypatch.setattr(solver, "irreducibility_gap", counting)
+        img = sample_pillowcase_image(model, 25, CFG)
+        assert len(calls) == len(img.points) > 0
+        assert [r.gap for r in img.points] == [irreducibility_gap(r.witness)
+                                               for r in img.points]
 
     def test_singular_row_falls_back_alone(self):
         rng = np.random.default_rng(0)
@@ -719,13 +755,13 @@ def _distinct_solutions_reference(pres, params, max_res, config):
         if relator_residual(rep, pres) >= config.tol:
             continue
         sig = _invariant_signature_reference(rep, pres)
-        if any(all(abs(u - v) < config.dedup_tol for u, v in zip(sig, other))
+        if any(all(abs(u - v) < solver._SIGNATURE_TOL for u, v in zip(sig, other))
                for other, _ in accepted):
             continue
         accepted.append((sig, rep))
     reps = [rep for _, rep in accepted]
     reps.sort(key=lambda r: (-irreducibility_gap(r), _invariant_signature_reference(r, pres)))
-    return reps
+    return [(rep, irreducibility_gap(rep)) for rep in reps]
 
 
 def _sweep_rows(pres, alphas, keys, config):
@@ -743,8 +779,8 @@ def _lm_block(model, alphas, config):
     """The LM-solved restarts of one sweep block, node i at meridian angle alphas[i]."""
     words, targets, params0 = _sweep_rows(model.presentation, alphas,
                                           range(len(alphas)), config)
-    return _lm_minimize(words, targets, params0, config.tol, config.max_iter,
-                        config.polish_steps)
+    return _lm_minimize(words, targets, params0, config.tol, solver._MAX_ITER,
+                        solver._POLISH_STEPS)
 
 
 def _matches_reference(pres, params, max_res, nodes):
@@ -1104,7 +1140,7 @@ class TestPointKernelScans:
         queries = [r.point for r in img.points]
         queries += [v for arc in img.arcs for v in arc.vertices[::7]]
         for pt in queries:
-            for min_gap in (-math.inf, CFG.irreducible_gap):
+            for min_gap in (-math.inf, solver.IRREDUCIBLE_GAP):
                 assert _picked(img, img.nearest_point(pt, min_gap)) == \
                     _picked(img, _nearest_point_reference(img, pt, min_gap))
         records = list(img.points)
@@ -1370,7 +1406,7 @@ def _sweep_reference(pres, alphas, keys, config):
         words, targets, params0 = _sweep_rows(
             pres, [alphas[i] for i in block], [keys[i] for i in block], config)
         params, max_res = _lm_minimize_reference(words, targets, params0, config.tol,
-                                                 config.max_iter, config.polish_steps)
+                                                 solver._MAX_ITER, solver._POLISH_STEPS)
         out.extend(_distinct_solutions(pres, params, max_res, config, len(block)))
     return out
 
@@ -1383,12 +1419,13 @@ def _refine_reference(pres, seed_rep, config, extra_relators=()):
     targets = np.array([[1.0, 0.0, 0.0, 0.0] * len(words)])
     params0 = np.array([[[q.w, q.x, q.y, q.z] for q in seed_rep.images]])
     params, max_res = _lm_minimize_reference(words, targets, params0, config.tol,
-                                             config.max_iter, config.polish_steps)
+                                             solver._MAX_ITER, solver._POLISH_STEPS)
     return _rep_from_params(params[0]) if max_res[0] < config.tol else None
 
 
-def _assert_same_lm(words, targets, params0, config=CFG):
-    args = (config.tol, config.max_iter, config.polish_steps)
+def _assert_same_lm(words, targets, params0, max_iter=solver._MAX_ITER,
+                    polish_steps=solver._POLISH_STEPS):
+    args = (CFG.tol, max_iter, polish_steps)
     params, max_res = _lm_minimize(words, targets, params0, *args)
     ref_params, ref_max_res = _lm_minimize_reference(words, targets, params0, *args)
     assert params.tobytes() == ref_params.tobytes()
@@ -1416,11 +1453,11 @@ class TestWindowedLM:
         per_block = solver._BLOCK_ROWS // restarts
         words, targets, params0 = _sweep_rows(pres, alphas, range(nodes), config)
         params, max_res = _lm_minimize(words, targets, params0, config.tol,
-                                       config.max_iter, config.polish_steps)
+                                       solver._MAX_ITER, solver._POLISH_STEPS)
         for start in range(0, len(params0), per_block * restarts):
             rows = slice(start, start + per_block * restarts)
             ref = _lm_minimize_reference(words, targets[rows], params0[rows], config.tol,
-                                         config.max_iter, config.polish_steps)
+                                         solver._MAX_ITER, solver._POLISH_STEPS)
             assert params[rows].tobytes() == ref[0].tobytes()
             assert max_res[rows].tobytes() == ref[1].tobytes()
 
@@ -1453,8 +1490,7 @@ class TestWindowedLM:
         converged = np.einsum("bm,bm->b", F, F) <= (0.25 * CFG.tol) ** 2
         assert converged.any() and not converged.all()
         for max_iter, polish_steps in [(60, 0), (0, 0), (0, 3)]:
-            _assert_same_lm(words, targets, start,
-                            SolverConfig(max_iter=max_iter, polish_steps=polish_steps))
+            _assert_same_lm(words, targets, start, max_iter, polish_steps)
 
     def test_refine_from_swap_splice_seeds(self, monkeypatch):
         from pillowcase import gluer
@@ -1491,8 +1527,8 @@ class TestWindowedLM:
                 else:
                     frozen[row] = state
 
-        _lm_minimize_reference(words, targets, params0, CFG.tol, CFG.max_iter,
-                               CFG.polish_steps, on_step)
+        _lm_minimize_reference(words, targets, params0, CFG.tol, solver._MAX_ITER,
+                               solver._POLISH_STEPS, on_step)
         assert len(repeated) > 10
 
     def test_fewer_solves_and_residual_rows(self, monkeypatch):

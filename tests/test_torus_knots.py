@@ -12,15 +12,16 @@ import pytest
 
 from pillowcase.families import torus_knot_model
 from pillowcase.geometry import essential_class, line_offset
-from pillowcase.solver import SolverConfig, extract_essential_curve, sample_pillowcase_image
+from pillowcase.solver import (IRREDUCIBLE_GAP, SolverConfig, extract_essential_curve,
+                              sample_pillowcase_image)
 
 CFG = SolverConfig()
 RESOLUTION = 100
 KNOTS = [(2, 3), (2, 5), (3, 4), (2, 7), (3, 5), (2, 9)]
 
-# Witnesses closer than chain_factor * grid_step are chained into arcs, but
-# on a line of slope -pq neighbours lie about sqrt(1 + (pq)^2) grid steps
-# apart, so every knot with pq >= 8 breaks into pieces and isolated points.
+# Witnesses closer than solver._CHAIN_FACTOR (8) grid steps are chained into
+# arcs, but on a line of slope -pq neighbours lie about sqrt(1 + (pq)^2) grid
+# steps apart, so every knot with pq >= 8 breaks into pieces and isolated points.
 _BROKEN_ARCS = pytest.mark.xfail(
     strict=True, reason="ROADMAP item 2: arcs chained by a distance threshold "
                         "break apart when pq >= 8")
@@ -45,7 +46,7 @@ def _oracle_offset(pt, p, q):
 @pytest.mark.parametrize("torus_image", KNOTS, ids=_knot_id, indirect=True)
 def test_irreducible_witnesses_on_oracle_lines(torus_image):
     p, q, img = torus_image
-    witnesses = img.irreducible_points(CFG.irreducible_gap)
+    witnesses = img.irreducible_points(IRREDUCIBLE_GAP)
     assert witnesses
     worst = max(_oracle_offset(rec.point, p, q) for rec in witnesses)
     assert worst < 1e-6, worst
