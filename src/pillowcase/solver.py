@@ -1,9 +1,10 @@
 """Numerical engine: sweep representation varieties into the pillowcase.
 
 The core solver is a batched Levenberg-Marquardt iteration on the product
-of unit 3-spheres (one per generator), with quaternion renormalization
-after every step.  Residuals are quaternion differences rho(word) - target
-for the relators and for the meridian constraint rho(mu) = e^{i alpha}.
+of unit 3-spheres (one per generator): each generator steps in its tangent
+space, followed by quaternion renormalization.  Residuals are quaternion
+differences rho(word) - target for the relators and for the meridian
+constraint rho(mu) = e^{i alpha}.
 Random restarts explore the basins; solutions are deduplicated by their
 conjugation invariants (generator and pair-product traces plus the
 meridian angle).
@@ -124,18 +125,32 @@ class _LetterTables(dict):
 
     table[j, i] is the (B,) factor of term j of component i of a * letter;
     a table is built on first use.  terms is the scratch buffer of _qstep.
+    The arrays are views of the buffers dict, where each buffer is kept for
+    the next tables built on it and replaced only when too small.  _lm_minimize
+    keeps one such dict for its probe batches: with fresh arrays, ~1 MB per
+    probe batch, the heap grew and shrank again on most LM steps, at about
+    100 page faults a step (an r=200 trefoil sweep took 20-26k page faults,
+    against under 1k with the buffers kept).
     """
 
-    def __init__(self, comps):
+    def __init__(self, comps, buffers=None):
         super().__init__()
         n, _, self.rows = comps.shape
-        self._g8 = np.empty((n, 8, self.rows))
+        self._buffers = {} if buffers is None else buffers
+        self._g8 = self._buffer("g8", (n, 8))
         self._g8[:, :4] = comps
         np.negative(self._g8[:, :4], out=self._g8[:, 4:])
-        self.terms = np.empty((4, 4, self.rows))
+        self.terms = self._buffer("terms", (4, 4))
+
+    def _buffer(self, key, shape):
+        buf = self._buffers.get(key)
+        if buf is None or buf.shape[-1] < self.rows:
+            buf = self._buffers[key] = np.empty(shape + (self.rows,))
+        return buf[..., :self.rows]
 
     def __missing__(self, k):
-        table = self[k] = self._g8[abs(k) - 1][_TERMS if k > 0 else _TERMS_INV]
+        table = self[k] = np.take(self._g8[abs(k) - 1], _TERMS if k > 0 else _TERMS_INV,
+                                  axis=0, out=self._buffer(k, (4, 4)), mode="clip")
         return table
 
 
@@ -174,22 +189,95 @@ def _word_product(tables, word):
 def _eval_batch(tables, word):
     """rho(word) as (B, 4) rows, normalized at the end.
 
-    Overall scale factors cancel after the final normalization, so the
-    residual is invariant along radial directions of the ambient
-    parametrization.
+    Scaling a generator scales the product by the same factor, which the
+    final normalization cancels: the residual does not change along the
+    radial direction of any generator.  _lm_minimize therefore differentiates
+    and steps only along the three tangent directions of each generator.
     """
     out = np.ascontiguousarray(_word_product(tables, word).T)
     return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
-def _residuals(params, words, targets):
-    """Word values minus targets; targets has shape (B, 4 * len(words))."""
-    tables = _LetterTables(params.transpose(1, 2, 0))
+def _residuals(params, words, targets, buffers=None):
+    """Word values minus targets; targets has shape (B, 4 * len(words)).
+
+    buffers is the _LetterTables buffer dict, or None for fresh arrays.
+    """
+    tables = _LetterTables(params.transpose(1, 2, 0), buffers)
     return np.concatenate([_eval_batch(tables, w) for w in words], axis=1) - targets
 
 
 def _renorm(params):
     return params / np.linalg.norm(params, axis=2, keepdims=True)
+
+
+# Row c of _TANGENT reads g * e_c, for e_c = i, j, k, from the stack of g's
+# components and their negatives (see _TERMS): g * i = (-x, w, z, -y),
+# g * j = (-y, -z, w, x) and g * k = (-z, y, -x, w).
+_TANGENT = np.array([[5, 0, 3, 6],
+                     [6, 7, 0, 1],
+                     [7, 2, 5, 0]])
+#: forward-difference step of the LM probes
+_FD_STEP = 1e-7
+
+
+def _tangent_basis(params):
+    """(B, n, 3, 4) rows g * i, g * j, g * k of each generator g of (B, n, 4) params.
+
+    Each row is a signed permutation of g's components; for a unit g the
+    three rows are orthonormal and orthogonal to g, so they span the tangent
+    space of S^3 at g.
+    """
+    return np.concatenate([params, -params], axis=2)[:, :, _TANGENT]
+
+
+def _tangent_jacobian(words, targets, params, F, buffers=None):
+    """(basis, J) of (B, n, 4) params whose residuals are the (B, m) rows F.
+
+    basis is _tangent_basis(params).  J is the forward-difference Jacobian
+    along it, as an (m, 3n, B) array: column 3i + c probes params with
+    generator i moved to g + _FD_STEP * (g * e_c), all 3n probes of every
+    row in one residual evaluation (on the _LetterTables buffers given, if
+    any).
+    """
+    b, n, _ = params.shape
+    npar = 3 * n
+    basis = _tangent_basis(params)
+    # pert[i, c] is params with generator i moved along basis[i, c]
+    moved = (params[:, :, None] + _FD_STEP * basis).transpose(1, 2, 0, 3)
+    pert = np.empty((n, 3, b, n, 4))
+    pert[...] = params
+    for i in range(n):
+        pert[i, :, :, i] = moved[i]
+    Fp = _residuals(pert.reshape(npar * b, n, 4), words, np.tile(targets, (npar, 1)), buffers)
+    J = np.ascontiguousarray(((Fp.reshape(npar, b, -1) - F) / _FD_STEP).transpose(2, 0, 1))
+    return basis, J
+
+
+def _normal_equations(J, F):
+    """(JtJ, JtF) of each row, as (B, p, p) and (B, p), from an (m, p, B) J and (B, m) F.
+
+    einsum's summation order follows the operand strides.  With the rows
+    innermost, each row sums over m in order for every B, 1 included: the
+    bits of column-by-column sums.  (An (m, B)-innermost layout sums in
+    another order when B = 1, and a (B, m, p) one takes 4x as long.)
+    """
+    return (np.einsum("mpb,mqb->bpq", J, J),
+            np.einsum("mpb,mb->bp", J, np.ascontiguousarray(F.T)))
+
+
+def _tangent_step(params, basis, delta):
+    """renorm(g + sum_c delta[3i + c] * basis[i, c]) for each generator g = params[i].
+
+    The sum runs as explicit adds, so a row's bits do not depend on the
+    batch it steps in (a stacked matmul may take another summation path).
+    """
+    b, n, _ = params.shape
+    d = delta.reshape(b, n, 3, 1)
+    step = d[:, :, 0] * basis[:, :, 0]
+    step += d[:, :, 1] * basis[:, :, 1]
+    step += d[:, :, 2] * basis[:, :, 2]
+    return _renorm(params + step)
 
 
 def _solve_rows(A, b):
@@ -223,21 +311,27 @@ def _lm_minimize(words, targets, params0, tol, max_iter, polish_steps):
     """Batched LM on the word system; returns (params, per_item_max_residual).
 
     targets holds one row of 4 * len(words) target components per item.
+    Each generator g steps in the tangent space of S^3 at g: the 3n
+    unknowns of a row are the coefficients of g * i, g * j and g * k, the
+    normal equations come from 3n forward-difference probes along them
+    (_tangent_jacobian), and a step moves g to renorm(g + sum of the
+    coefficients times the directions) (_tangent_step).  The residual does
+    not change along g itself (see _eval_batch), so a fourth direction
+    would only add a null column.
     Every row evolves independently of the others: it takes up to
     max_iter + polish_steps steps, stopping early once it has converged and
     spent its polish_steps or once its damping exceeds 1e9 unconverged.
     At most _BLOCK_ROWS rows step at a time, and a finished row's slot goes
-    to the next row in order.  The forward-difference normal equations of a
-    row are probed again only after a step moved it; a rejected unconverged
-    step keeps them and retries with more damping.  A rejected polish step
-    finishes its row, since its state and its 1e-12 damping would repeat
-    the same rejected trial on every later polish step.
+    to the next row in order.  A slot keeps its tangent basis and normal
+    equations until a step moves its row, and only then probes again; a
+    rejected unconverged step reuses them and retries with more damping.  A
+    rejected polish step finishes its row, since its state and its 1e-12
+    damping would repeat the same rejected trial on every later polish step.
     """
     params = _renorm(params0)
     R, n, _ = params.shape
-    npar = 4 * n
+    npar = 3 * n
     m = 4 * len(words)
-    fd = 1e-7
     diag = np.arange(npar)
     target2 = (0.25 * tol) ** 2
     # the first residuals in window-sized chunks, so no call holds the
@@ -260,41 +354,34 @@ def _lm_minimize(words, targets, params0, tol, max_iter, polish_steps):
     queue = np.flatnonzero(~finished(np.arange(R)))
     queued = 0
     # rows in the window, whether their normal equations need a probe, and
-    # the JtJ (undamped) and JtF of each slot
+    # the tangent basis, JtJ (undamped) and JtF of each slot
     window = np.empty(0, dtype=np.intp)
     stale = np.empty(0, dtype=bool)
+    BASIS = np.empty((0, n, 3, 4))
     JTJ = np.empty((0, npar, npar))
     JTF = np.empty((0, npar))
+    probe_buffers = {}
     while True:
         new = queue[queued:queued + _BLOCK_ROWS - len(window)]
         queued += len(new)
         window = np.concatenate([window, new])
         stale = np.concatenate([stale, np.ones(len(new), dtype=bool)])
+        BASIS = np.concatenate([BASIS, np.empty((len(new), n, 3, 4))])
         JTJ = np.concatenate([JTJ, np.empty((len(new), npar, npar))])
         JTF = np.concatenate([JTF, np.empty((len(new), npar))])
         if not len(window):
             break
         probe = window[stale]
         if len(probe):
-            b = len(probe)
             Fs = F[probe]
-            # all npar forward-difference probes in one residual evaluation
-            pert = np.repeat(params[probe].reshape(1, b, npar), npar, axis=0)
-            pert[diag, :, diag] += fd
-            Fp = _residuals(pert.reshape(npar * b, n, 4), words,
-                            np.tile(targets[probe], (npar, 1)))
-            # einsum's summation order follows the operand strides: a contiguous
-            # (b, m, npar) J keeps JtJ and JtF the same bits as column-by-column J
-            J = np.ascontiguousarray(
-                ((Fp.reshape(npar, b, m) - Fs) / fd).transpose(1, 2, 0))
-            JTJ[stale] = np.einsum("bmp,bmq->bpq", J, J)
-            JTF[stale] = np.einsum("bmp,bm->bp", J, Fs)
+            BASIS[stale], J = _tangent_jacobian(words, targets[probe], params[probe], Fs,
+                                                probe_buffers)
+            JTJ[stale], JTF[stale] = _normal_equations(J, Fs)
             del J
         conv = cost[window] <= target2
         A = JTJ.copy()
         A[:, diag, diag] += np.where(conv, 1e-12, lam[window])[:, None]
-        delta = -_solve_rows(A, JTF)
-        trial = _renorm((params[window].reshape(-1, npar) + delta).reshape(-1, n, 4))
+        trial = _tangent_step(params[window], BASIS, -_solve_rows(A, JTF))
         Ft = _residuals(trial, words, targets[window])
         cost_t = np.einsum("bm,bm->b", Ft, Ft)
         better = cost_t < cost[window]
@@ -309,7 +396,7 @@ def _lm_minimize(words, targets, params0, tol, max_iter, polish_steps):
         lam[window[~conv & ~better]] *= 8.0
         keep = ~(finished(window) | (conv & ~better))
         window, stale = window[keep], better[keep]
-        JTJ, JTF = JTJ[keep], JTF[keep]
+        BASIS, JTJ, JTF = BASIS[keep], JTJ[keep], JTF[keep]
     # per-word residual norms; a (1, 4) @ (4, 1) matmul is the same BLAS dot
     # that np.linalg.norm takes on one 4-vector, so the values match it exactly
     seg = F.reshape(R, len(words), 1, 4)

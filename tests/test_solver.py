@@ -1334,21 +1334,44 @@ class TestProximityPasses:
 # ---------------------------------------------------------------------------
 # the LM sweep engine against the fixed-block loop it replaced
 
+def _ambient_jacobian(words, targets, params, F):
+    """(None, J): the 4n-coordinate probes of the LM before it stepped in tangent space.
+
+    Column 4i + q of the (m, 4n, B) J moves component q of generator i by 1e-7.
+    """
+    b, n, _ = params.shape
+    npar = 4 * n
+    diag = np.arange(npar)
+    pert = np.repeat(params.reshape(1, b, npar), npar, axis=0)
+    pert[diag, :, diag] += 1e-7
+    Fp = solver._residuals(pert.reshape(npar * b, n, 4), words, np.tile(targets, (npar, 1)))
+    J = np.ascontiguousarray(((Fp.reshape(npar, b, -1) - F) / 1e-7).transpose(2, 0, 1))
+    return None, J
+
+
+def _ambient_step(params, basis, delta):
+    """The 4n-coordinate step: renorm(params + delta), delta flat per row."""
+    return solver._renorm((params.reshape(len(params), -1) + delta).reshape(params.shape))
+
+
+TANGENT = (solver._tangent_jacobian, solver._tangent_step)
+AMBIENT = (_ambient_jacobian, _ambient_step)
+
+
 def _lm_minimize_reference(words, targets, params0, tol, max_iter, polish_steps,
-                           on_step=None):
-    """The old _lm_minimize: every row of the batch steps until the slowest is done.
+                           on_step=None, coords=TANGENT):
+    """The fixed-block LM loop: every row of the batch steps until the slowest is done.
 
     It probes the normal equations on every step and runs rejected polish
-    steps to the end.  on_step(idx, conv, better, params, F, cost,
-    polish_left) sees the state after each step.
+    steps to the end.  coords is the (jacobian, step) pair: TANGENT, the
+    helpers of _lm_minimize, or AMBIENT, the 4n-coordinate LM it replaced.
+    on_step(idx, conv, better, params, F, cost, polish_left) sees the state
+    after each step.
     """
+    jacobian, step = coords
     params = solver._renorm(params0.copy())
-    B, n, _ = params.shape
-    npar = 4 * n
-    m = 4 * len(words)
+    B = len(params)
     lam = np.full(B, 1e-3)
-    fd = 1e-7
-    diag = np.arange(npar)
 
     def cost_of(p, t):
         F = solver._residuals(p, words, t)
@@ -1364,22 +1387,15 @@ def _lm_minimize_reference(words, targets, params0, tol, max_iter, polish_steps,
         idx = np.nonzero(~done)[0]
         if not len(idx):
             break
-        b = len(idx)
         T = targets[idx]
         Fs = F[idx]
-        flat = params[idx].reshape(b, npar)
-        pert = np.repeat(flat[None], npar, axis=0)
-        pert[diag, :, diag] += fd
-        Fp = solver._residuals(pert.reshape(npar * b, n, 4), words, np.tile(T, (npar, 1)))
-        J = np.ascontiguousarray(
-            ((Fp.reshape(npar, b, m) - Fs) / fd).transpose(1, 2, 0))
-        A = np.einsum("bmp,bmq->bpq", J, J)
-        JTF = np.einsum("bmp,bm->bp", J, Fs)
+        basis, J = jacobian(words, T, params[idx], Fs)
+        A, JTF = solver._normal_equations(J, Fs)
+        diag = np.arange(J.shape[1])
         del J
         conv = converged[idx]
         A[:, diag, diag] += np.where(conv, 1e-12, lam[idx])[:, None]
-        delta = -solver._solve_rows(A, JTF)
-        trial = solver._renorm((flat + delta).reshape(b, n, 4))
+        trial = step(params[idx], basis, -solver._solve_rows(A, JTF))
         Ft, cost_t = cost_of(trial, T)
         better = cost_t < cost[idx]
         take = idx[better]
@@ -1397,7 +1413,7 @@ def _lm_minimize_reference(words, targets, params0, tol, max_iter, polish_steps,
     return params, max_res
 
 
-def _sweep_reference(pres, alphas, keys, config):
+def _sweep_reference(pres, alphas, keys, config, coords=TANGENT):
     """The old _sweep: one reference LM call per block of whole nodes."""
     per_block = max(1, solver._BLOCK_ROWS // config.restarts)
     out = []
@@ -1406,7 +1422,8 @@ def _sweep_reference(pres, alphas, keys, config):
         words, targets, params0 = _sweep_rows(
             pres, [alphas[i] for i in block], [keys[i] for i in block], config)
         params, max_res = _lm_minimize_reference(words, targets, params0, config.tol,
-                                                 solver._MAX_ITER, solver._POLISH_STEPS)
+                                                 solver._MAX_ITER, solver._POLISH_STEPS,
+                                                 coords=coords)
         out.extend(_distinct_solutions(pres, params, max_res, config, len(block)))
     return out
 
@@ -1552,3 +1569,158 @@ class TestWindowedLM:
         _sweep_reference(pres, alphas, range(25), CFG)
         assert new["_solve_rows"][0] < counts["_solve_rows"][0]
         assert new["_residuals"][1] < counts["_residuals"][1]
+
+
+# ---------------------------------------------------------------------------
+# tangent-space LM steps
+
+def _seeded_units(seed, B, n):
+    params = np.random.default_rng(seed).standard_normal((B, n, 4))
+    return params / np.linalg.norm(params, axis=2, keepdims=True)
+
+
+def _jacobian_systems():
+    """(name, words, targets, params) for the sweep and refine systems, on seeded rows."""
+    out = []
+    for name, model in (("trefoil", torus_knot_model(2, 3)), ("klein", klein_bottle_model())):
+        pres = model.presentation
+        alphas = np.random.default_rng(5).uniform(0.0, PI, 16)
+        words, targets, _ = _sweep_rows(pres, alphas, range(16), SolverConfig(restarts=1))
+        out.append((name, words, targets, _seeded_units(6, 16, pres.generator_count)))
+    tre = torus_knot_model(2, 3)
+    pres = splice(tre, tre, GluingMatrix.swap()).amalgamated
+    words = list(pres.relators)
+    targets = np.tile([1.0, 0.0, 0.0, 0.0] * len(words), (16, 1))
+    out.append(("swap-splice", words, targets, _seeded_units(7, 16, pres.generator_count)))
+    return out
+
+
+class TestTangentHelper:
+    def test_basis_is_right_multiplication_by_i_j_k(self):
+        params = _random_stacks(np.random.default_rng(11), 64, 3)
+        basis = solver._tangent_basis(params)
+        assert basis.shape == (64, 3, 3, 4)
+        units = [UnitQuaternion(0.0, 1.0, 0.0, 0.0), UnitQuaternion(0.0, 0.0, 1.0, 0.0),
+                 UnitQuaternion(0.0, 0.0, 0.0, 1.0)]
+        for b in range(64):
+            for i in range(3):
+                g = UnitQuaternion(*params[b, i].tolist())
+                for c, e in enumerate(units):
+                    assert basis[b, i, c].tolist() == list(_components_of(g * e))
+
+    def test_basis_is_orthonormal_and_tangent(self):
+        params = _seeded_units(12, 200, 4)
+        basis = solver._tangent_basis(params)
+        gram = np.einsum("bncq,bndq->bncd", basis, basis)
+        assert np.abs(gram - np.eye(3)).max() < 1e-15
+        assert np.abs(np.einsum("bncq,bnq->bnc", basis, params)).max() < 1e-15
+
+    @pytest.mark.parametrize("system", _jacobian_systems(), ids=lambda s: s[0])
+    def test_jacobian_is_ambient_jacobian_times_basis(self, system):
+        _, words, targets, params = system
+        B, n, _ = params.shape
+        F = solver._residuals(params, words, targets)
+        basis, J = solver._tangent_jacobian(words, targets, params, F)
+        assert J.shape == (F.shape[1], 3 * n, B)
+        _, J4 = _ambient_jacobian(words, targets, params, F)
+        J, J4 = J.transpose(2, 0, 1), J4.transpose(2, 0, 1)
+        # column 3i + c is the derivative along basis[i, c]: the ambient
+        # columns 4i..4i+3 dotted with that direction.  The two forward
+        # differences differ by their truncation errors, fd/2 times second
+        # derivatives that grow with the square of the word length: the
+        # trefoil's 5-letter words differ by 7.2e-7, the swap splice's
+        # 16-letter words by 2.9e-6
+        expected = np.einsum("bmnq,bncq->bmnc", J4.reshape(B, -1, n, 4), basis)
+        longest = max(map(len, words))
+        bound = max(1e-6, solver._FD_STEP * longest ** 2 / 4)
+        assert np.abs(J - expected.reshape(B, -1, 3 * n)).max() < bound
+
+    def test_step_moves_along_the_basis(self):
+        params = _seeded_units(13, 32, 2)
+        basis = solver._tangent_basis(params)
+        delta = np.random.default_rng(14).standard_normal((32, 6)) * 1e-3
+        moved = params + np.einsum("bnc,bncq->bnq", delta.reshape(32, 2, 3), basis)
+        expected = moved / np.linalg.norm(moved, axis=2, keepdims=True)
+        got = solver._tangent_step(params, basis, delta)
+        assert np.abs(got - expected).max() < 1e-15
+        assert np.abs(np.linalg.norm(got, axis=2) - 1.0).max() < 1e-15
+
+    @pytest.mark.parametrize("B", [1, 2, 255, 1536])
+    @pytest.mark.parametrize("m, p", [(8, 6), (24, 12)])
+    def test_normal_equations_sum_in_order(self, B, m, p):
+        # each row's sums run over m in order, whatever the batch size
+        rng = np.random.default_rng(B + m)
+        J = rng.standard_normal((m, p, B)) * 10.0 ** rng.integers(-3, 3, (m, p, B))
+        F = rng.standard_normal((B, m)) * 10.0 ** rng.integers(-3, 3, (B, m))
+        JTJ, JTF = solver._normal_equations(J, F)
+        expected_jtj = J[0, :, None] * J[0, None, :]
+        expected_jtf = J[0] * F[:, 0]
+        for k in range(1, m):
+            expected_jtj = expected_jtj + J[k, :, None] * J[k, None, :]
+            expected_jtf = expected_jtf + J[k] * F[:, k]
+        assert JTJ.tobytes() == np.ascontiguousarray(expected_jtj.transpose(2, 0, 1)).tobytes()
+        assert JTF.tobytes() == np.ascontiguousarray(expected_jtf.T).tobytes()
+
+    def test_residual_buffers_change_no_bit(self):
+        # a reused buffer set serves batches of any size up to its largest,
+        # and the values are those of fresh tables
+        pres = torus_knot_model(2, 3).presentation
+        words = list(pres.relators) + [pres.meridian]
+        buffers = {}
+        for B in (300, 1200, 7, 1200, 256):
+            params = _random_stacks(np.random.default_rng(B), B, 2)
+            targets = np.random.default_rng(B + 1).standard_normal((B, 8))
+            got = solver._residuals(params, words, targets, buffers)
+            assert got.tobytes() == solver._residuals(params, words, targets).tobytes()
+        assert buffers["g8"].shape == (2, 8, 1200)
+
+
+def _witness_points(pres, node):
+    return [boundary_angles(rep, pres) for rep, _ in node]
+
+
+# the trefoil's irreducible arc meets the reducible line beta = 0 at
+# alpha = pi/6 and 5pi/6, where e^{2i alpha} is a root of its Alexander
+# polynomial; the 25-node grid puts nodes 4 and 20 on them
+_ARC_ENDS = (PI / 6, 5 * PI / 6)
+
+
+class TestTangentOutputPolicy:
+    """Tangent-space LM against the 4n-coordinate LM it replaced, on whole sweeps."""
+
+    @pytest.mark.parametrize("nodes", [25, 60])
+    @pytest.mark.parametrize("model", _SWEEP_MODELS[:2], ids=["trefoil", "trefoil-neg"])
+    def test_trefoil_witnesses_unchanged(self, model, nodes):
+        pres = model.presentation
+        alphas = [float(a) for a in np.linspace(0.0, PI, nodes)]
+        got = solver._sweep(pres, alphas, range(nodes), CFG)
+        old = _sweep_reference(pres, alphas, range(nodes), CFG, coords=AMBIENT)
+        assert [len(node) for node in got] == [len(node) for node in old]
+        for alpha, new_node, old_node in zip(alphas, got, old):
+            # at an arc end the variety is singular: a witness there is only
+            # determined to the solver tolerance, and it moves by up to 1.1e-9
+            bound = 1e-8 if min(abs(alpha - a) for a in _ARC_ENDS) < 1e-12 else 1e-12
+            for p, q in zip(_witness_points(pres, new_node), _witness_points(pres, old_node)):
+                assert pillowcase_distance(p, q) < bound
+        assert sum(map(len, got)) > 0
+
+    @pytest.mark.parametrize("nodes", [25, 60])
+    def test_klein_witnesses_unchanged_off_alpha_pi(self, nodes):
+        pres = klein_bottle_model().presentation
+        alphas = [float(a) for a in np.linspace(0.0, PI, nodes)]
+        got = solver._sweep(pres, alphas, range(nodes), CFG)
+        old = _sweep_reference(pres, alphas, range(nodes), CFG, coords=AMBIENT)
+        assert [len(node) for node in got] == [len(node) for node in old]
+        for alpha, new_node, old_node in zip(alphas, got, old):
+            new_pts = _witness_points(pres, new_node)
+            if alpha == PI:
+                # the alpha = pi family: its witnesses may slide along beta
+                assert len(new_pts) == 20
+                assert all(abs(p.alpha - PI) < 1e-6 for p in new_pts)
+                continue
+            # equal as sets: near-equal gaps may sort the other way round
+            unmatched = _witness_points(pres, old_node)
+            for p in new_pts:
+                k = min(range(len(unmatched)),
+                        key=lambda j: pillowcase_distance(p, unmatched[j]))
+                assert pillowcase_distance(p, unmatched.pop(k)) < 1e-12
