@@ -158,6 +158,7 @@ def cmd_image(args) -> int:
         "lifts_to_cut_open": lift.ok,
         "corner_witnesses": [rec.point.as_tuple() for rec in corners],
         "seed": config.seed,
+        "sweep": asdict(img.sweep),
     }
     if args.out_svg:
         Path(args.out_svg).write_text(image_to_svg(img))
@@ -175,6 +176,9 @@ def cmd_image(args) -> int:
                              f"fails at {len(lift.violations)} witnesses"),
         "corner diagnostics: " + (
             ", ".join(str(rec.point) for rec in corners) if corners else "clear"),
+        f"sweep: {img.sweep.discovery_nodes} discovery nodes, "
+        f"{img.sweep.tracks_started} tracks, "
+        f"{img.sweep.tracked_witnesses} tracked witnesses",
     ]
     _emit(summary, args.json, "\n".join(lines))
     return EXIT_OK

@@ -5,9 +5,12 @@ of unit 3-spheres (one per generator): each generator steps in its tangent
 space, followed by quaternion renormalization.  Residuals are quaternion
 differences rho(word) - target for the relators and for the meridian
 constraint rho(mu) = e^{i alpha}.
-Random restarts explore the basins; solutions are deduplicated by their
-conjugation invariants (generator and pair-product traces plus the
-meridian angle).
+An image sweep solves a coarse set of discovery nodes cold, from random
+restarts that explore the basins, and fills the grid nodes between them by
+tracking: each solution steps node by node, one warm-started LM row per
+step.  Cold and tracked rows pass one accept pass, which deduplicates
+solutions by their conjugation invariants (generator and pair-product
+traces plus the meridian angle).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .su2 import (Representation, UnitQuaternion, boundary_angles,
                   irreducibility_gap, relator_residual)
 
 __all__ = [
-    "SolverConfig", "PillowcaseImage", "ImagePoint", "LiftResult",
+    "SolverConfig", "PillowcaseImage", "ImagePoint", "SweepStats", "LiftResult",
     "solve_at_meridian_angle", "sample_pillowcase_image", "reducible_lines",
     "lift_to_cut_open", "extract_essential_curve",
     "find_surgery_representation", "corner_diagnostics", "refine_representation",
@@ -50,6 +53,8 @@ _POLISH_STEPS = 5
 _SIGNATURE_TOL = 1e-6
 #: witnesses closer than this many grid steps are chained into one arc
 _CHAIN_FACTOR = 8.0
+#: discovery nodes of an image sweep lie at most pi / _DISCOVERY_PER_PI apart
+_DISCOVERY_PER_PI = 24
 
 _CONFIG_RANGES = (
     ("tol", ">", 0), ("restarts", ">=", 1), ("seed", ">=", 0),
@@ -450,75 +455,144 @@ def _signatures(units, meridian):
     return np.stack(cols, axis=1)
 
 
-def _distinct_solutions(pres: GroupPresentation, params, max_res, config: SolverConfig,
-                        nodes: int) -> list[list[tuple[Representation, float]]]:
-    """(solution, irreducibility gap) pairs of each node in a block of rows.
+#: outcomes of an LM row in _distinct_solutions
+_ACCEPTED, _FAILED, _MATCHED = 0, 1, 2
 
-    params holds one group of equally many restarts per node, in node order.
+
+def _distinct_solutions(pres: GroupPresentation, params, max_res, config: SolverConfig,
+                        node_of, kept) -> np.ndarray:
+    """Accept pass over LM rows, where row k tries to solve node node_of[k].
+
     A row is accepted when its LM residual and its relator residual are below
     config.tol; the relator residual is recomputed as su2.relator_residual
     does, on the generators renormalized as UnitQuaternion.from_components
-    does.  An accepted row is dropped when its conjugation invariants match
-    an earlier row of its node.  Each node's survivors are sorted by
-    decreasing gap.
+    does.  An accepted row is dropped as matched when its conjugation
+    invariants match a solution already kept at its node, whether an earlier
+    row's or one kept before the call.  kept[node] is the list of
+    (irreducibility gap, invariants, solution) entries of the node, and each
+    new solution is appended to it.  Rows are taken in order, _BLOCK_ROWS at a
+    time to bound the temporaries.  Returns each row's outcome: _ACCEPTED,
+    _FAILED or _MATCHED.
     """
-    per_node = len(params) // nodes
-    # ~(r >= tol) rather than r < tol, so a NaN residual passes as it does
-    # in the scalar checks
-    rows = np.nonzero(~(max_res >= config.tol))[0]
-    units = np.stack(_unit(_components(params[rows]).swapaxes(0, 1)), axis=1)
-    ok = ~(_relator_residuals(units, pres.relators) >= config.tol)
-    sigs = _signatures(units, pres.meridian).tolist()
-    kept = [[] for _ in range(nodes)]
-    for k in np.nonzero(ok)[0].tolist():
-        sig = tuple(sigs[k])
-        node = kept[rows[k] // per_node]
-        if any(all(abs(u - v) < _SIGNATURE_TOL for u, v in zip(sig, other))
-               for other, _ in node):
-            continue
-        node.append((sig, k))
-    out = []
-    for node in kept:
-        sols = []
-        for sig, k in node:
+    outcome = np.full(len(params), _FAILED)
+    for start in range(0, len(params), _BLOCK_ROWS):
+        # ~(r >= tol) rather than r < tol, so a NaN residual passes as it does
+        # in the scalar checks
+        rows = start + np.nonzero(~(max_res[start:start + _BLOCK_ROWS] >= config.tol))[0]
+        units = np.stack(_unit(_components(params[rows]).swapaxes(0, 1)), axis=1)
+        ok = ~(_relator_residuals(units, pres.relators) >= config.tol)
+        sigs = _signatures(units, pres.meridian).tolist()
+        for k in np.nonzero(ok)[0].tolist():
+            sig = tuple(sigs[k])
+            node = kept[node_of[rows[k]]]
+            if any(all(abs(u - v) < _SIGNATURE_TOL for u, v in zip(sig, other))
+                   for _, other, _ in node):
+                outcome[rows[k]] = _MATCHED
+                continue
             rep = Representation(tuple(UnitQuaternion(*q) for q in units[:, :, k]))
-            sols.append((irreducibility_gap(rep), sig, rep))
-        sols.sort(key=lambda item: (-item[0], item[1]))
-        out.append([(rep, gap) for gap, _, rep in sols])
-    return out
+            node.append((irreducibility_gap(rep), sig, rep))
+            outcome[rows[k]] = _ACCEPTED
+    return outcome
+
+
+def _by_gap(node) -> list[tuple[Representation, float]]:
+    """(solution, gap) pairs of a node's kept entries, by decreasing gap, then invariants."""
+    return [(rep, gap) for gap, _, rep in sorted(node, key=lambda e: (-e[0], e[1]))]
+
+
+def _meridian_targets(pres: GroupPresentation, alphas) -> np.ndarray:
+    """One LM target row per meridian angle: every relator 1, the meridian e^{i alpha}."""
+    relator_targets = [1.0, 0.0, 0.0, 0.0] * len(pres.relators)
+    return np.array([relator_targets + [math.cos(a), math.sin(a), 0.0, 0.0]
+                     for a in alphas]).reshape(len(alphas), -1)
+
+
+def _cold_solutions(pres: GroupPresentation, alphas, keys, config: SolverConfig):
+    """kept entry lists (see _distinct_solutions) of each node, from random restarts.
+
+    Node i solves rho(meridian) = e^{i alphas[i]} from config.restarts
+    starts drawn from default_rng([config.seed, keys[i]]).  The restarts of
+    all nodes run as the rows of one _lm_minimize call; rows evolve
+    independently, so every node's result is the one it gets alone.
+    """
+    n = pres.generator_count
+    if n == 0:
+        rep = Representation(())
+        return [[(irreducibility_gap(rep), (), rep)] if abs(a) < 1e-12 else []
+                for a in alphas]
+    restarts = config.restarts
+    params0 = np.concatenate([
+        np.random.default_rng([config.seed, key & 0x7FFFFFFF])
+        .standard_normal((restarts, n, 4)) for key in keys])
+    targets = np.repeat(_meridian_targets(pres, alphas), restarts, axis=0)
+    params, max_res = _lm_minimize(list(pres.relators) + [pres.meridian], targets,
+                                   params0, config.tol, _MAX_ITER, _POLISH_STEPS)
+    kept = [[] for _ in alphas]
+    _distinct_solutions(pres, params, max_res, config,
+                        np.repeat(np.arange(len(alphas)), restarts), kept)
+    return kept
 
 
 def _sweep(pres: GroupPresentation, alphas, keys,
            config: SolverConfig) -> list[list[tuple[Representation, float]]]:
     """(solution, irreducibility gap) pairs at each meridian angle alphas[i], per node.
 
-    Node i draws its restarts from default_rng([config.seed, keys[i]]).  The
-    restarts of all nodes run as the rows of one _lm_minimize call, each row
-    with its own meridian target; rows evolve independently, so every node's
-    result is the one it gets alone.  The accept and dedup pass then runs on
-    groups of _BLOCK_ROWS // restarts nodes, which bounds its temporaries.
+    The cold solve of _cold_solutions: config.restarts random restarts per
+    node, drawn from default_rng([config.seed, keys[i]]), then the accept
+    and dedup pass.  Each node's solutions are sorted by decreasing gap,
+    then by their conjugation invariants.
     """
+    return [_by_gap(node) for node in _cold_solutions(pres, alphas, keys, config)]
+
+
+def _track(pres: GroupPresentation, grid, kept, discovery, config: SolverConfig) -> dict:
+    """Fill the grid nodes between discovery nodes by warm-started LM steps.
+
+    Every solution kept at a discovery node starts one track into each
+    neighbouring node that is not a discovery node.  A step is one
+    _lm_minimize batch with one row per live track, started from the
+    track's last solution and aimed at its next node's meridian angle.  The
+    rows then go through the accept pass of cold rows (_distinct_solutions
+    on kept).  A track stops when its row fails a check, when its solution
+    matches one already kept at that node, or at the end of the grid.  An
+    accepted track goes on through a discovery node too: that node's
+    restarts missed its branch.  Returns the track counts of SweepStats.
+    """
+    counts = dict(tracks_started=0, track_rows=0, track_stops_failed=0,
+                  track_stops_matched=0, track_stops_grid_end=0, tracked_witnesses=0)
     n = pres.generator_count
     if n == 0:
-        return [[Representation(())] if abs(a) < 1e-12 else [] for a in alphas]
+        return counts  # the one representation is an exact point; nothing moves
+    r = len(grid)
+    is_discovery = np.zeros(r, dtype=bool)
+    is_discovery[discovery] = True
+    starts, nodes, steps = [], [], []
+    for d in discovery:
+        for step in (-1, 1):
+            if 0 <= d + step < r and not is_discovery[d + step]:
+                for _, _, rep in kept[d]:
+                    starts.append([[q.w, q.x, q.y, q.z] for q in rep.images])
+                    nodes.append(d + step)
+                    steps.append(step)
+    params = np.array(starts, dtype=float).reshape(-1, n, 4)
+    nodes, steps = np.array(nodes, dtype=np.intp), np.array(steps, dtype=np.intp)
+    counts["tracks_started"] = len(nodes)
     words = list(pres.relators) + [pres.meridian]
-    relator_targets = [1.0, 0.0, 0.0, 0.0] * len(pres.relators)
-    restarts = config.restarts
-    params0 = np.concatenate([
-        np.random.default_rng([config.seed, key & 0x7FFFFFFF])
-        .standard_normal((restarts, n, 4)) for key in keys])
-    targets = np.repeat(np.array([
-        relator_targets + [math.cos(a), math.sin(a), 0.0, 0.0] for a in alphas]),
-        restarts, axis=0)
-    params, max_res = _lm_minimize(words, targets, params0, config.tol,
-                                   _MAX_ITER, _POLISH_STEPS)
-    per_group = max(1, _BLOCK_ROWS // restarts)
-    out = []
-    for start in range(0, len(alphas), per_group):
-        nodes = min(per_group, len(alphas) - start)
-        rows = slice(start * restarts, (start + nodes) * restarts)
-        out.extend(_distinct_solutions(pres, params[rows], max_res[rows], config, nodes))
-    return out
+    while len(nodes):
+        targets = _meridian_targets(pres, grid[nodes].tolist())
+        params, max_res = _lm_minimize(words, targets, params, config.tol,
+                                       _MAX_ITER, _POLISH_STEPS)
+        outcome = _distinct_solutions(pres, params, max_res, config, nodes, kept)
+        accepted = outcome == _ACCEPTED
+        following = nodes + steps
+        live = accepted & (following >= 0) & (following < r)
+        counts["track_rows"] += len(nodes)
+        counts["tracked_witnesses"] += int(accepted.sum())
+        counts["track_stops_failed"] += int((outcome == _FAILED).sum())
+        counts["track_stops_matched"] += int((outcome == _MATCHED).sum())
+        counts["track_stops_grid_end"] += int((accepted & ~live).sum())
+        params, nodes, steps = params[live], following[live], steps[live]
+    return counts
 
 
 def solve_at_meridian_angle(pres: GroupPresentation, alpha: float,
@@ -566,11 +640,34 @@ class ImagePoint:
 
 
 @dataclass(frozen=True)
+class SweepStats:
+    """Deterministic counts of one image sweep (see sample_pillowcase_image).
+
+    Discovery: the cold-solved nodes and their LM rows.  Tracking: the
+    tracks started, the LM rows they stepped, why each track stopped, and
+    the solutions the tracks kept.  Every track stops once, so the three
+    stop counts add up to tracks_started; every tracked row is kept, fails
+    or matches, so track_rows is tracked_witnesses plus the failed and
+    matched stops.
+    """
+
+    discovery_nodes: int = 0
+    discovery_rows: int = 0
+    tracks_started: int = 0
+    track_rows: int = 0
+    track_stops_failed: int = 0
+    track_stops_matched: int = 0
+    track_stops_grid_end: int = 0
+    tracked_witnesses: int = 0
+
+
+@dataclass(frozen=True)
 class PillowcaseImage:
     """Sampled boundary image of a representation variety.
 
-    points carries every witness found (never silently dropped); arcs are
-    the chained curves plus the analytically enumerated reducible lines.
+    points carries every witness found (never silently dropped), node by
+    node; arcs are the chained curves plus the analytically enumerated
+    reducible lines.  sweep counts how the sweep found the points.
     """
 
     model: KnotExteriorModel
@@ -580,6 +677,7 @@ class PillowcaseImage:
     points: tuple[ImagePoint, ...]
     arcs: tuple[PillowcasePolyline, ...]
     isolated: tuple[ImagePoint, ...] = ()
+    sweep: SweepStats = SweepStats()
 
     def irreducible_points(self, gap_threshold: float = IRREDUCIBLE_GAP):
         return [p for p in self.points if p.gap > gap_threshold]
@@ -746,13 +844,30 @@ def _chain_points(records, threshold):
     return arcs, isolated
 
 
+def _discovery_nodes(resolution: int) -> list[int]:
+    """Every max(1, (resolution - 1) // _DISCOVERY_PER_PI)-th grid node, and the last.
+
+    Consecutive ones lie at most pi / _DISCOVERY_PER_PI apart, or one grid
+    step where that is wider; on a grid of at most 2 * _DISCOVERY_PER_PI
+    nodes every node is one.
+    """
+    stride = max(1, (resolution - 1) // _DISCOVERY_PER_PI)
+    return list(range(0, resolution - 1, stride)) + [resolution - 1]
+
+
 def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = None,
                             config: SolverConfig | None = None) -> PillowcaseImage:
     """Sweep the meridian angle over a uniform grid and image the solutions.
 
-    Collects boundary angles of every solver solution, attaches the
-    analytically enumerated reducible lines, and chains nearby numeric
-    points into arcs (isolated points are reported separately).
+    The discovery nodes (_discovery_nodes, at most pi / _DISCOVERY_PER_PI or
+    one grid step apart) are solved cold by _sweep's random restarts, node i
+    keyed by i; every other node is filled by tracking the discovery
+    solutions (_track).  Each node's solutions are sorted by decreasing gap,
+    then by their conjugation invariants.  Collects the boundary angles of
+    every solution, attaches the analytically enumerated reducible lines,
+    and chains nearby numeric points into arcs (isolated points are reported
+    separately).  The image's sweep field counts the discovery and tracking
+    work.
     """
     config = config or SolverConfig()
     if resolution is None:
@@ -763,10 +878,18 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
     grid = np.linspace(0.0, math.pi, resolution)
     grid_step = float(grid[1] - grid[0])
 
-    all_sols = _sweep(pres, [float(a) for a in grid], range(resolution), config)
+    discovery = _discovery_nodes(resolution)
+    kept = [[] for _ in range(resolution)]
+    cold = _cold_solutions(pres, [float(grid[i]) for i in discovery], discovery, config)
+    for i, node in zip(discovery, cold):
+        kept[i] = node
+    counts = _track(pres, grid, kept, discovery, config)
+    stats = SweepStats(discovery_nodes=len(discovery),
+                       discovery_rows=len(discovery) * config.restarts
+                       if pres.generator_count else 0, **counts)
 
     records = [ImagePoint(point=boundary_angles(rep, pres), witness=rep, gap=gap)
-               for sols in all_sols for rep, gap in sols]
+               for node in kept for rep, gap in _by_gap(node)]
     forms = _line_forms(model)
     # points sitting on an analytic line are kept as witnesses but do not
     # seed numeric arcs of their own
@@ -782,6 +905,7 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
         points=tuple(records),
         arcs=tuple(arcs) + tuple(line for line, *_ in forms),
         isolated=tuple(isolated),
+        sweep=stats,
     )
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -95,6 +96,26 @@ class TestImageCommand:
         svg = svg_path.read_text()
         # reducible line plus the two slanted runs of the folded branch
         assert svg.count("<polyline") >= 3
+
+    def test_zero_generator_model_image(self, capsys, tmp_path):
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps({"generators": 0, "relators": [],
+                                    "meridian": [], "longitude": []}))
+        code, out, _ = run(capsys, "image", str(path), "--json")
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert (data["points"], data["arcs"]) == (1, 1)
+
+    def test_image_json_sweep_counts(self, capsys):
+        code, out, _ = run(capsys, "image", "trefoil", "--resolution", "100", "--json")
+        assert code == EXIT_OK
+        sweep = json.loads(out)["sweep"]
+        img = sample_pillowcase_image(torus_knot_model(2, 3), 100, SolverConfig())
+        assert sweep == asdict(img.sweep)
+        assert (sweep["discovery_nodes"], sweep["discovery_rows"]) == (26, 520)
+        assert sweep["tracked_witnesses"] > 0
+        code, out, _ = run(capsys, "image", "trefoil", "--resolution", "100")
+        assert f"{sweep['tracked_witnesses']} tracked witnesses" in out
 
     def test_image_json_deterministic(self, capsys):
         args = ("image", "trefoil", "--resolution", "25", "--json")

@@ -621,6 +621,137 @@ class TestSweepEngine:
         assert x[2].tobytes() == (np.linalg.pinv(A[2]) @ b[2]).tobytes()
 
 
+_TRACKED_MODELS = {"trefoil": torus_knot_model(2, 3), "trefoil-neg": torus_knot_model(-2, 3),
+                   "klein": klein_bottle_model()}
+
+
+def _points_by_node(img):
+    """Image points grouped by the grid node of their meridian angle."""
+    by_node = {}
+    for rec in img.points:
+        by_node.setdefault(round(rec.point.alpha / img.grid_step), []).append(rec)
+    return by_node
+
+
+class TestDiscoveryAndTracking:
+    def test_zero_generators(self):
+        pres = GroupPresentation(0, (), (), ())
+        assert solve_at_meridian_angle(pres, 0.0) == [Representation(())]
+        assert solve_at_meridian_angle(pres, 1.0) == []
+        rep = Representation(())
+        assert solver._sweep(pres, [0.0, PI], [0, 1], CFG) == [
+            [(rep, irreducibility_gap(rep))], []]
+        model = KnotExteriorModel(name="point", presentation=pres)
+        img = sample_pillowcase_image(model, 200, CFG)
+        assert [r.witness for r in img.points] == [rep]
+        assert img.sweep.discovery_rows == img.sweep.tracks_started == 0
+
+    @pytest.mark.parametrize("resolution", [2, 3, 25, 48, 49, 50, 73, 100, 200, 1000])
+    def test_discovery_nodes(self, resolution):
+        nodes = solver._discovery_nodes(resolution)
+        assert nodes[0] == 0 and nodes[-1] == resolution - 1
+        gaps = np.diff(nodes)
+        assert (gaps >= 1).all()
+        # at most pi/24 apart (or one grid step, where that is wider), with
+        # one stride between all but the last two
+        assert gaps.max() == 1 or 24 * gaps.max() <= resolution - 1
+        assert len(set(gaps[:-1].tolist())) <= 1
+        assert (len(nodes) == resolution) == (resolution <= 48)
+
+    @pytest.mark.parametrize("model", [torus_knot_model(2, 3), klein_bottle_model()],
+                             ids=["trefoil", "klein"])
+    def test_stride_one_grid_is_the_cold_sweep(self, model):
+        img = sample_pillowcase_image(model, 48, CFG)
+        grid = np.linspace(0.0, PI, 48)
+        cold = solver._sweep(model.presentation, [float(a) for a in grid], range(48), CFG)
+        assert _witness_bytes(r.witness for r in img.points) == _witness_bytes(
+            rep for sols in cold for rep, _ in sols)
+        assert img.sweep == solver.SweepStats(discovery_nodes=48, discovery_rows=960)
+
+    @pytest.mark.parametrize("model", [torus_knot_model(2, 3), klein_bottle_model()],
+                             ids=["trefoil", "klein"])
+    def test_discovery_witnesses_are_the_cold_ones(self, model):
+        img = sample_pillowcase_image(model, 100, CFG)
+        by_node = _points_by_node(img)
+        nodes = solver._discovery_nodes(100)
+        grid = np.linspace(0.0, PI, 100)
+        cold = solver._sweep(model.presentation, [float(grid[i]) for i in nodes], nodes, CFG)
+        for i, sols in zip(nodes, cold):
+            kept = {_witness_bytes([r.witness]) for r in by_node.get(i, [])}
+            assert {_witness_bytes([rep]) for rep, _ in sols} <= kept
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", list(_TRACKED_MODELS))
+    def test_tracked_image_loses_no_cold_witness(self, name, seed):
+        # every witness of the all-node cold sweep has a tracked witness at
+        # its node whose beta is within 1e-9 of its own; alpha is the node's
+        # (the LM pins a witness's alpha only to within tol: one klein
+        # seed-2 cold witness sits 2.1e-9 off its node)
+        model, config = _TRACKED_MODELS[name], SolverConfig(seed=seed)
+        img = sample_pillowcase_image(model, 200, config)
+        grid = np.linspace(0.0, PI, 200)
+        cold = solver._sweep(model.presentation, [float(a) for a in grid], range(200), config)
+        by_node = _points_by_node(img)
+        for i, sols in enumerate(cold):
+            tracked = [canonicalize(float(grid[i]), r.point.beta) for r in by_node.get(i, [])]
+            for rep, _ in sols:
+                pt = canonicalize(float(grid[i]), boundary_angles(rep, model.presentation).beta)
+                assert min((pillowcase_distance(pt, q) for q in tracked),
+                           default=math.inf) < 1e-9, (i, pt)
+        assert len(img.points) >= sum(map(len, cold))
+
+    def test_tracks_carry_on_through_discovery_nodes(self):
+        # one restart per discovery node finds one solution there at most;
+        # tracks that pass the other discovery nodes fill in the rest
+        model = torus_knot_model(2, 3)
+        img = sample_pillowcase_image(model, 200, SolverConfig(restarts=1))
+        full = sample_pillowcase_image(model, 200, CFG)
+        assert img.sweep.discovery_rows == 26
+        nodes = set(solver._discovery_nodes(200))
+        at_discovery = sum(len(v) for i, v in _points_by_node(img).items() if i in nodes)
+        assert at_discovery > 26
+        assert len(img.points) == len(full.points)
+        assert max(pillowcase_distance(r.point, q.point)
+                   for r, q in zip(img.points, full.points)) < 1e-9
+
+    @pytest.mark.parametrize("name", list(_TRACKED_MODELS))
+    def test_sweep_counts(self, name):
+        model = _TRACKED_MODELS[name]
+        img = sample_pillowcase_image(model, 200, CFG)
+        s = img.sweep
+        assert (s.discovery_nodes, s.discovery_rows) == (26, 520)
+        nodes = solver._discovery_nodes(200)
+        by_node = _points_by_node(img)
+        # tracks leave each discovery witness towards each neighbouring gap
+        # (the end nodes have one, the others two), and the tracked
+        # witnesses are the points beyond the discovery witnesses
+        grid = np.linspace(0.0, PI, 200)
+        cold = solver._sweep(model.presentation, [float(grid[i]) for i in nodes], nodes, CFG)
+        sides = [1] + [2] * (len(nodes) - 2) + [1]
+        assert s.tracks_started == sum(k * len(sols) for k, sols in zip(sides, cold))
+        assert s.tracked_witnesses == len(img.points) - sum(map(len, cold))
+        assert s.track_stops_failed + s.track_stops_matched + s.track_stops_grid_end \
+            == s.tracks_started
+        assert s.track_rows == s.tracked_witnesses + s.track_stops_failed \
+            + s.track_stops_matched
+        assert all(by_node.get(i) for i in range(200))
+        assert sample_pillowcase_image(model, 200, CFG).sweep == s
+
+    def test_accept_pass_matches_kept_solutions(self):
+        model = torus_knot_model(2, 3)
+        params, max_res = _lm_block(model, np.linspace(0.0, PI, 12), CFG)
+        node_of = np.repeat(np.arange(12), CFG.restarts)
+        kept = [[] for _ in range(12)]
+        first = _distinct_solutions(model.presentation, params, max_res, CFG, node_of, kept)
+        counts = [len(node) for node in kept]
+        assert (first == solver._ACCEPTED).sum() == sum(counts) > 0
+        assert ((first == solver._FAILED) == ~(max_res < CFG.tol)).all()
+        # the same rows again only match what the first pass kept
+        again = _distinct_solutions(model.presentation, params, max_res, CFG, node_of, kept)
+        assert [len(node) for node in kept] == counts
+        assert ((again == solver._MATCHED) == (first != solver._FAILED)).all()
+
+
 # axis units whose zero components carry both signs
 _SIGNED_UNITS = np.array([(1.0, -0.0, 0.0, -0.0), (-0.0, 1.0, -0.0, 0.0),
                           (0.0, -0.0, -1.0, 0.0), (-0.0, 0.0, 0.0, -1.0)])
@@ -783,12 +914,20 @@ def _lm_block(model, alphas, config):
                         solver._POLISH_STEPS)
 
 
+def _node_solutions(pres, params, max_res, config, nodes):
+    """_distinct_solutions on nodes equal groups of rows, as _sweep returns them."""
+    kept = [[] for _ in range(nodes)]
+    _distinct_solutions(pres, params, max_res, config,
+                        np.repeat(np.arange(nodes), len(params) // nodes), kept)
+    return [solver._by_gap(node) for node in kept]
+
+
 def _matches_reference(pres, params, max_res, nodes):
     per = len(params) // nodes
     expected = [_distinct_solutions_reference(pres, params[k * per:(k + 1) * per],
                                               max_res[k * per:(k + 1) * per], CFG)
                 for k in range(nodes)]
-    got = _distinct_solutions(pres, params, max_res, CFG, nodes)
+    got = _node_solutions(pres, params, max_res, CFG, nodes)
     assert repr(got) == repr(expected)
     return got
 
@@ -1424,7 +1563,7 @@ def _sweep_reference(pres, alphas, keys, config, coords=TANGENT):
         params, max_res = _lm_minimize_reference(words, targets, params0, config.tol,
                                                  solver._MAX_ITER, solver._POLISH_STEPS,
                                                  coords=coords)
-        out.extend(_distinct_solutions(pres, params, max_res, config, len(block)))
+        out.extend(_node_solutions(pres, params, max_res, config, len(block)))
     return out
 
 
