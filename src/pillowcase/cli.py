@@ -23,6 +23,7 @@ from .presentations import KnotExteriorModel
 from .render import image_to_csv, image_to_svg, mark_points, polylines_to_svg
 from .solver import (SolverConfig, corner_diagnostics, extract_essential_curve,
                      lift_to_cut_open, sample_pillowcase_image)
+from .su2 import NonCommutingPeripheralsError
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 1
@@ -141,10 +142,18 @@ def _emit(data: dict, as_json: bool, text: str) -> None:
 # ---------------------------------------------------------------------------
 # image command
 
+def _image(model: KnotExteriorModel, config: SolverConfig):
+    """sample_pillowcase_image; a model whose peripheral words do not commute is bad input."""
+    try:
+        return sample_pillowcase_image(model, config.resolution, config)
+    except NonCommutingPeripheralsError as exc:
+        raise InputError(f"model {model.name!r}: {exc}") from exc
+
+
 def cmd_image(args) -> int:
     model = load_model(args.model)
     config = _config_from_args(args)
-    img = sample_pillowcase_image(model, config.resolution, config)
+    img = _image(model, config)
     curve = extract_essential_curve(img)
     lift = lift_to_cut_open(img)
     corners = corner_diagnostics(img)
@@ -275,8 +284,8 @@ def cmd_splice(args) -> int:
         raise InputError(str(exc)) from exc
     config = _config_from_args(args, job)
     spliced = splice(m1, m2, g)
-    img1 = sample_pillowcase_image(m1, config.resolution, config)
-    img2 = sample_pillowcase_image(m2, config.resolution, config)
+    img1 = _image(m1, config)
+    img2 = _image(m2, config)
     result = search_nonabelian_rep(spliced, config, image1=img1, image2=img2)
     payload = {
         "model1": m1.name,

@@ -32,8 +32,8 @@ from .geometry import (DegenerateCurveError, GluingMatrix, PillowcasePoint,
 from .homology import smith_normal_form, abelianization
 from .presentations import (GroupPresentation, KnotExteriorModel, Word,
                             concat, pow_word)
-from .su2 import (Representation, UnitQuaternion, boundary_angles,
-                  irreducibility_gap, relator_residual)
+from .su2 import (NonCommutingPeripheralsError, Representation, UnitQuaternion,
+                  boundary_angles, irreducibility_gap, relator_residual)
 
 __all__ = [
     "SolverConfig", "PillowcaseImage", "ImagePoint", "SweepStats", "LiftResult",
@@ -423,21 +423,90 @@ def _unit(q):
     return w / n, x / n, y / n, z / n
 
 
-def _relator_residuals(units, relators):
-    """su2.relator_residual of each row of (n, 4, B) unit component rows.
+def _dist_to_one(q):
+    """UnitQuaternion.dist_to_one on (w, x, y, z) component arrays.
 
     dist_to_one squares with **, which is C pow: it differs from x * x in
     the last bit for about 0.1% of inputs.  np.float_power calls that pow;
     np.power and ** on arrays would square by x * x or by a SIMD pow.
     """
+    w, x, y, z = q
+    return np.sqrt(np.float_power(w - 1.0, 2) + np.float_power(x, 2)
+                   + np.float_power(y, 2) + np.float_power(z, 2))
+
+
+def _relator_residuals(units, relators):
+    """su2.relator_residual of each row of (n, 4, B) unit component rows."""
     tables = _LetterTables(units)
     worst = np.zeros(tables.rows)
     for r in relators:
-        w, x, y, z = _unit(_word_product(tables, r))
-        d = np.sqrt(np.float_power(w - 1.0, 2) + np.float_power(x, 2)
-                    + np.float_power(y, 2) + np.float_power(z, 2))
+        d = _dist_to_one(_unit(_word_product(tables, r)))
         worst = np.where(d > worst, d, worst)  # max(worst, d), as Python takes it
     return worst
+
+
+def _commutator(a, b, tables, ka, kb):
+    """((a * b) * a^-1) * b^-1 on (4, B) rows, where tables letter ka is a and kb is b."""
+    out = a.copy()
+    for k in (kb, -ka, -kb):
+        _qstep(out, tables[k], tables.terms, out)
+    return out
+
+
+def _gaps(units):
+    """su2.irreducibility_gap of each row of (n, 4, B) unit component rows."""
+    n = units.shape[0]
+    tables = _LetterTables(units)
+    gap = np.zeros(tables.rows)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = _dist_to_one(_commutator(units[i], units[j], tables, i + 1, j + 1))
+            gap = np.where(d > gap, d, gap)  # max(gap, d), as Python takes it
+    return gap
+
+
+def _boundary_points(reps, pres: GroupPresentation) -> list:
+    """su2.boundary_angles of each representation, bit for bit.
+
+    The peripheral products, their commutator defect and imaginary norms
+    are batched; the tests, the axis choice, math.atan2 and canonicalize run
+    per point on Python floats, as in su2 (np.arctan2 need not round as libm
+    does).  The first point, in order, whose holonomies do not commute
+    raises NonCommutingPeripheralsError with su2's message.
+    """
+    # the shape is spelled out: with no points or no generators, -1 is ambiguous
+    tables = _LetterTables(_components(np.array(
+        [[(q.w, q.x, q.y, q.z) for q in rep.images] for rep in reps],
+        dtype=float).reshape(len(reps), pres.generator_count, 4)))
+    ml = np.stack([_unit(_word_product(tables, pres.meridian)),
+                   _unit(_word_product(tables, pres.longitude))])
+    peripheral = _LetterTables(ml)
+    defect = _dist_to_one(_commutator(ml[0], ml[1], peripheral, 1, 2))
+    imag = np.sqrt(np.float_power(ml[:, 1], 2) + np.float_power(ml[:, 2], 2)
+                   + np.float_power(ml[:, 3], 2))
+    cols = np.concatenate([ml.reshape(8, len(reps)), imag, defect[None]])
+    tol = 1e-7  # boundary_angles' default
+    points = []
+    for mw, mx, my, mz, lw, lx, ly, lz, mn, ln, d in cols.T.tolist():
+        if d > tol:
+            raise NonCommutingPeripheralsError(
+                f"peripheral holonomies do not commute (defect {d:.3e})")
+        if not mn < tol:
+            axis = (mx / mn, my / mn, mz / mn)
+        elif not ln < tol:
+            axis = (lx / ln, ly / ln, lz / ln)
+        else:
+            axis = (1.0, 0.0, 0.0)
+        if mn < tol:
+            alpha = 0.0 if mw > 0 else math.pi
+        else:
+            alpha = math.atan2(mx * axis[0] + my * axis[1] + mz * axis[2], mw)
+        if ln < tol:
+            beta = 0.0 if lw > 0 else math.pi
+        else:
+            beta = math.atan2(lx * axis[0] + ly * axis[1] + lz * axis[2], lw)
+        points.append(canonicalize(alpha, beta))
+    return points
 
 
 def _signatures(units, meridian):
@@ -482,6 +551,7 @@ def _distinct_solutions(pres: GroupPresentation, params, max_res, config: Solver
         units = np.stack(_unit(_components(params[rows]).swapaxes(0, 1)), axis=1)
         ok = ~(_relator_residuals(units, pres.relators) >= config.tol)
         sigs = _signatures(units, pres.meridian).tolist()
+        gaps = _gaps(units).tolist()
         for k in np.nonzero(ok)[0].tolist():
             sig = tuple(sigs[k])
             node = kept[node_of[rows[k]]]
@@ -490,7 +560,7 @@ def _distinct_solutions(pres: GroupPresentation, params, max_res, config: Solver
                 outcome[rows[k]] = _MATCHED
                 continue
             rep = Representation(tuple(UnitQuaternion(*q) for q in units[:, :, k]))
-            node.append((irreducibility_gap(rep), sig, rep))
+            node.append((gaps[k], sig, rep))
             outcome[rows[k]] = _ACCEPTED
     return outcome
 
@@ -864,10 +934,12 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
     keyed by i; every other node is filled by tracking the discovery
     solutions (_track).  Each node's solutions are sorted by decreasing gap,
     then by their conjugation invariants.  Collects the boundary angles of
-    every solution, attaches the analytically enumerated reducible lines,
-    and chains nearby numeric points into arcs (isolated points are reported
-    separately).  The image's sweep field counts the discovery and tracking
-    work.
+    every solution in one batch (_boundary_points) and its gap from the
+    accept pass (_gaps), both bitwise what su2.boundary_angles and
+    su2.irreducibility_gap give; attaches the analytically enumerated
+    reducible lines, and chains nearby numeric points into arcs (isolated
+    points are reported separately).  The image's sweep field counts the
+    discovery and tracking work.
     """
     config = config or SolverConfig()
     if resolution is None:
@@ -888,8 +960,10 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
                        discovery_rows=len(discovery) * config.restarts
                        if pres.generator_count else 0, **counts)
 
-    records = [ImagePoint(point=boundary_angles(rep, pres), witness=rep, gap=gap)
-               for node in kept for rep, gap in _by_gap(node)]
+    witnesses = [entry for node in kept for entry in _by_gap(node)]
+    points = _boundary_points([rep for rep, _ in witnesses], pres)
+    records = [ImagePoint(point=pt, witness=rep, gap=gap)
+               for pt, (rep, gap) in zip(points, witnesses)]
     forms = _line_forms(model)
     # points sitting on an analytic line are kept as witnesses but do not
     # seed numeric arcs of their own

@@ -13,6 +13,10 @@ from pillowcase.render import (image_to_csv, image_to_svg, mark_points,
 from pillowcase.solver import SolverConfig, sample_pillowcase_image
 
 
+# the free group on two generators, with free generators as meridian and longitude
+_NON_COMMUTING = {"generators": 2, "relators": [], "meridian": [1], "longitude": [2]}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -105,6 +109,14 @@ class TestImageCommand:
         assert code == EXIT_OK
         data = json.loads(out)
         assert (data["points"], data["arcs"]) == (1, 1)
+
+    def test_non_commuting_peripherals_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "free.json"
+        path.write_text(json.dumps(_NON_COMMUTING))
+        code, out, err = run(capsys, "image", str(path), "--resolution", "10")
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("error: model 'model': peripheral holonomies do not commute")
 
     def test_image_json_sweep_counts(self, capsys):
         code, out, _ = run(capsys, "image", "trefoil", "--resolution", "100", "--json")
@@ -277,6 +289,17 @@ class TestSpliceCommand:
         assert code == EXIT_NOT_FOUND
         assert configs == [SolverConfig(**fields)]
         assert (json.loads(out)["resolution"], json.loads(out)["seed"]) == (7, 5)
+
+    def test_non_commuting_model_exit_2(self, capsys, tmp_path):
+        model = tmp_path / "free.json"
+        model.write_text(json.dumps(_NON_COMMUTING))
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"model1": str(model), "model2": "trefoil",
+                                   "gluing": "swap", "resolution": 10}))
+        code, out, err = run(capsys, "splice", str(job))
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("error: model 'model': peripheral holonomies do not commute")
 
     def test_out_of_range_job_field_exit_2(self, capsys, tmp_path):
         job = tmp_path / "job.json"

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -30,9 +31,10 @@ from pillowcase.solver import (ImagePoint, PillowcaseImage, SolverConfig,
                                _chain_points, _line_forms, _line_polyline, _on_line,
                                _project_endpoint_cuts, _LetterTables, _qstep,
                                _rep_from_params, _relator_residuals, _solve_rows,
-                               _word_product)
-from pillowcase.su2 import (Representation, UnitQuaternion, boundary_angles,
-                            evaluate_word, irreducibility_gap, relator_residual)
+                               _word_product, _boundary_points, _gaps)
+from pillowcase.su2 import (NonCommutingPeripheralsError, Representation,
+                            UnitQuaternion, boundary_angles, evaluate_word,
+                            irreducibility_gap, relator_residual)
 
 PI = math.pi
 CFG = SolverConfig()
@@ -603,7 +605,9 @@ class TestSweepEngine:
 
         monkeypatch.setattr(solver, "irreducibility_gap", counting)
         img = sample_pillowcase_image(model, 25, CFG)
-        assert len(calls) == len(img.points) > 0
+        # the accept pass reads every gap from one batched _gaps call per
+        # block, so the sweep makes no scalar irreducibility_gap call
+        assert calls == [] and len(img.points) > 0
         assert [r.gap for r in img.points] == [irreducibility_gap(r.witness)
                                                for r in img.points]
 
@@ -991,6 +995,107 @@ class TestAcceptPass:
         assert relator_residual(_rep_from_params(junk), pres) >= CFG.tol
         got = _matches_reference(pres, np.array(rows), np.array(res), 2)
         assert [len(node) for node in got] == [2, 3]
+
+
+def _units_of(reps, n):
+    """(n, 4, B) component rows of the representations' generator images."""
+    return _components(np.array([[_components_of(q) for q in rep.images] for rep in reps],
+                                dtype=float).reshape(len(reps), n, 4))
+
+
+def _point_bytes(points):
+    return [struct.pack("<2d", p.alpha, p.beta) for p in points]
+
+
+def _float_bytes(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+class TestBatchedDiagnostics:
+    """_boundary_points and _gaps against su2.boundary_angles and irreducibility_gap."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("model,resolution", [
+        (builtin_model("trefoil"), 200), (builtin_model("trefoil-neg"), 200),
+        (builtin_model("klein"), 200), (builtin_model("unknot"), 200),
+        (torus_knot_model(2, 5), 100), (torus_knot_model(3, 4), 100)],
+        ids=["trefoil", "trefoil-neg", "klein", "unknot", "T(2,5)", "T(3,4)"])
+    def test_image_points_bitwise(self, model, resolution, seed):
+        pres = model.presentation
+        img = sample_pillowcase_image(model, resolution, SolverConfig(seed=seed))
+        reps = [r.witness for r in img.points]
+        assert len(reps) > 0
+        expected = [boundary_angles(rep, pres) for rep in reps]
+        assert _point_bytes(_boundary_points(reps, pres)) == _point_bytes(expected)
+        assert _point_bytes(r.point for r in img.points) == _point_bytes(expected)
+        gaps = [irreducibility_gap(rep) for rep in reps]
+        assert _float_bytes(_gaps(_units_of(reps, pres.generator_count)).tolist()) == \
+            _float_bytes(gaps)
+        assert _float_bytes(r.gap for r in img.points) == _float_bytes(gaps)
+
+    @pytest.mark.parametrize("model", [builtin_model("unknot"), builtin_model("klein")],
+                             ids=["unknot", "klein"])
+    def test_central_holonomies_read_exact_angles(self, model):
+        pres = model.presentation
+        reps = [r.witness for r in sample_pillowcase_image(model, 60, CFG).points]
+        points = _boundary_points(reps, pres)
+        central = 0
+        for rep, pt in zip(reps, points):
+            for word, angle in ((pres.meridian, pt.alpha), (pres.longitude, pt.beta)):
+                if evaluate_word(rep, word).is_central(1e-7):
+                    central += 1
+                    assert angle in (0.0, PI)
+        assert central > 0
+        # both holonomies central, with zero components of both signs
+        one = UnitQuaternion(1.0, -0.0, 0.0, -0.0)
+        minus = UnitQuaternion(-1.0, 0.0, -0.0, 0.0)
+        reps = [Representation((q,) * pres.generator_count) for q in (one, minus)]
+        assert _point_bytes(_boundary_points(reps, pres)) == \
+            _point_bytes(boundary_angles(rep, pres) for rep in reps)
+
+    def test_nan_commutators_skipped_as_by_max(self):
+        # max(gap, nan) keeps gap, so a NaN generator leaves the other pairs'
+        # gap; np.maximum would return NaN
+        rng = np.random.default_rng(6)
+        params = rng.standard_normal((4, 3, 4))
+        params[0, 0, 1] = params[1, 2, 3] = params[2, 1, 0] = np.nan
+        reps = [_rep_from_params(row) for row in params]
+        expected = [irreducibility_gap(rep) for rep in reps]
+        assert not any(math.isnan(g) for g in expected)
+        assert _float_bytes(_gaps(_units_of(reps, 3)).tolist()) == _float_bytes(expected)
+
+    def test_empty_batch(self):
+        pres = torus_knot_model(2, 3).presentation
+        assert _boundary_points([], pres) == []
+        assert _gaps(np.empty((2, 4, 0))).shape == (0,)
+
+    def test_zero_generator_presentation(self):
+        pres = GroupPresentation(0, (), (), ())
+        reps = [Representation(())] * 3
+        assert _boundary_points(reps, pres) == [boundary_angles(rep, pres) for rep in reps]
+        assert _float_bytes(_gaps(_units_of(reps, 0)).tolist()) == \
+            _float_bytes(irreducibility_gap(rep) for rep in reps)
+
+    def test_non_commuting_peripherals_raise_the_scalar_message(self):
+        # the free group on the meridian and the longitude: rows 0 and 1 put
+        # both on the i axis, so the first offending row is row 2
+        pres = GroupPresentation(2, (), (1,), (2,))
+        rng = np.random.default_rng(5)
+        on_axis = [[(math.cos(t), math.sin(t), 0.0, 0.0) for t in rng.uniform(-3, 3, 2)]
+                   for _ in range(2)]
+        params = np.concatenate([np.array(on_axis), rng.standard_normal((6, 2, 4))])
+        reps = [_rep_from_params(row) for row in params]
+        assert _boundary_points(reps[:2], pres) == [boundary_angles(r, pres) for r in reps[:2]]
+        with pytest.raises(NonCommutingPeripheralsError) as scalar:
+            for rep in reps:
+                boundary_angles(rep, pres)
+        with pytest.raises(NonCommutingPeripheralsError) as batched:
+            _boundary_points(reps, pres)
+        assert str(batched.value) == str(scalar.value)
+        # the message names row 2's defect, not a later row's
+        with pytest.raises(NonCommutingPeripheralsError) as later:
+            boundary_angles(reps[3], pres)
+        assert str(later.value) != str(scalar.value)
 
 
 # ---------------------------------------------------------------------------
