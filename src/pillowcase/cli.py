@@ -17,7 +17,7 @@ from pathlib import Path
 from .families import builtin_model, MODEL_NAMES
 from .geometry import GluingMatrix, essential_class
 from .gluer import search_nonabelian_rep, splice
-from .homology import (enumerate_standard_tuples, filling_homology,
+from .homology import (ModelInvalidError, enumerate_standard_tuples, filling_homology,
                        glue_homology, seifert_h1, standard_form_reduce)
 from .presentations import KnotExteriorModel
 from .render import image_to_csv, image_to_svg, mark_points, polylines_to_svg
@@ -143,10 +143,14 @@ def _emit(data: dict, as_json: bool, text: str) -> None:
 # image command
 
 def _image(model: KnotExteriorModel, config: SolverConfig):
-    """sample_pillowcase_image; a model whose peripheral words do not commute is bad input."""
+    """sample_pillowcase_image; a model it refuses is bad input.
+
+    Refused are a model without exactly one free H1 coordinate and a model
+    whose peripheral words do not commute.
+    """
     try:
         return sample_pillowcase_image(model, config.resolution, config)
-    except NonCommutingPeripheralsError as exc:
+    except (ModelInvalidError, NonCommutingPeripheralsError) as exc:
         raise InputError(f"model {model.name!r}: {exc}") from exc
 
 

@@ -226,10 +226,12 @@ def _points_on_line(img: PillowcaseImage, ca: float, cb: float, target: float,
     return distinct_points(pts)
 
 
-def slope_line_certificates(img: PillowcaseImage, p: int,
-                            tol: float | None = None) -> CertificateReport:
-    """Check a sampled image against the slope-p line constraints."""
-    tol = tol if tol is not None else max(1e-6, 0.5 * img.grid_step)
+def slope_line_certificates(img: PillowcaseImage, p: int) -> CertificateReport:
+    """Check a sampled image against the slope-p line constraints.
+
+    A point is on a line when it is within max(1e-6, half a grid step) of it.
+    """
+    tol = max(1e-6, 0.5 * img.grid_step)
     witnesses_kept = [pt for pt in _points_on_line(img, p, 1.0, 0.0, tol)
                       if line_offset(pt, 0.0, 1.0, 0.0) > tol]
     on_pi = _points_on_line(img, p, 1.0, math.pi, tol)
@@ -290,9 +292,9 @@ class AvoidingCurveReport:
 
 
 def p_avoiding_certificate(curve: PillowcasePolyline, p: int,
-                           partner: PillowcasePolyline | None = None,
-                           tol: float = 1e-6) -> AvoidingCurveReport:
-    """Certify (or refute) that a closed curve is slope-p avoiding."""
+                           partner: PillowcasePolyline | None = None) -> AvoidingCurveReport:
+    """Certify (or refute) that a closed curve is slope-p avoiding, at tolerance 1e-6."""
+    tol = 1e-6
     if not curve.closed:
         raise ValueError("certificate needs a closed curve")
     if p == 2 or not _is_prime(p):

@@ -28,21 +28,6 @@ def _identity(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _matmul(A, B):
-    n, k, m = len(A), len(B), len(B[0]) if B else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                row = out[i]
-                for j in range(m):
-                    row[j] += a * Bt[j]
-    return out
-
-
 def integer_determinant(M) -> int:
     """Fraction-free Bareiss determinant of a square integer matrix."""
     n = len(M)
@@ -74,17 +59,12 @@ class IntegerMatrixPresentation:
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
-    generator_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         ent = tuple(tuple(int(x) for x in row) for row in self.entries)
         if len(ent) != self.rows or any(len(r) != self.cols for r in ent):
             raise ValueError("entry shape does not match rows/cols")
         object.__setattr__(self, "entries", ent)
-        if not self.generator_labels:
-            object.__setattr__(
-                self, "generator_labels",
-                tuple(f"g{i+1}" for i in range(self.rows)))
 
     def matrix(self):
         return [list(r) for r in self.entries]

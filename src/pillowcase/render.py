@@ -136,13 +136,10 @@ def mark_points(svg: str, points) -> str:
     return svg.replace("</svg>", "\n".join(extra) + "\n</svg>")
 
 
-def image_to_svg(img: PillowcaseImage, title: str | None = None,
-                 markers=()) -> str:
-    """SVG of a sampled pillowcase image with witness points and markers."""
-    name = title if title is not None else img.model.name
-    svg = polylines_to_svg(img.arcs, [rec.point for rec in img.points],
-                           title=name)
-    return mark_points(svg, markers)
+def image_to_svg(img: PillowcaseImage) -> str:
+    """SVG of a sampled pillowcase image with its witness points, titled by its model."""
+    return polylines_to_svg(img.arcs, [rec.point for rec in img.points],
+                            title=img.model.name)
 
 
 def image_to_csv(img: PillowcaseImage) -> str:

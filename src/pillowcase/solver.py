@@ -29,11 +29,11 @@ from .geometry import (DegenerateCurveError, GluingMatrix, PillowcasePoint,
                        distance_components, essential_class, line_crossings,
                        line_offset, pillowcase_distance, pillowcase_distance_matrix,
                        pillowcase_distances, TWO_PI)
-from .homology import smith_normal_form, abelianization
+from .homology import ModelInvalidError, abelianization, smith_normal_form
 from .presentations import (GroupPresentation, KnotExteriorModel, Word,
                             concat, pow_word)
-from .su2 import (NonCommutingPeripheralsError, Representation, UnitQuaternion,
-                  boundary_angles, irreducibility_gap, relator_residual)
+from .su2 import (Representation, UnitQuaternion, boundary_angles, irreducibility_gap,
+                  peripheral_point, relator_residual)
 
 __all__ = [
     "SolverConfig", "PillowcaseImage", "ImagePoint", "SweepStats", "LiftResult",
@@ -130,32 +130,19 @@ class _LetterTables(dict):
 
     table[j, i] is the (B,) factor of term j of component i of a * letter;
     a table is built on first use.  terms is the scratch buffer of _qstep.
-    The arrays are views of the buffers dict, where each buffer is kept for
-    the next tables built on it and replaced only when too small.  _lm_minimize
-    keeps one such dict for its probe batches: with fresh arrays, ~1 MB per
-    probe batch, the heap grew and shrank again on most LM steps, at about
-    100 page faults a step (an r=200 trefoil sweep took 20-26k page faults,
-    against under 1k with the buffers kept).
     """
 
-    def __init__(self, comps, buffers=None):
+    def __init__(self, comps):
         super().__init__()
         n, _, self.rows = comps.shape
-        self._buffers = {} if buffers is None else buffers
-        self._g8 = self._buffer("g8", (n, 8))
+        self._g8 = np.empty((n, 8, self.rows))
         self._g8[:, :4] = comps
         np.negative(self._g8[:, :4], out=self._g8[:, 4:])
-        self.terms = self._buffer("terms", (4, 4))
-
-    def _buffer(self, key, shape):
-        buf = self._buffers.get(key)
-        if buf is None or buf.shape[-1] < self.rows:
-            buf = self._buffers[key] = np.empty(shape + (self.rows,))
-        return buf[..., :self.rows]
+        self.terms = np.empty((4, 4, self.rows))
 
     def __missing__(self, k):
         table = self[k] = np.take(self._g8[abs(k) - 1], _TERMS if k > 0 else _TERMS_INV,
-                                  axis=0, out=self._buffer(k, (4, 4)), mode="clip")
+                                  axis=0)
         return table
 
 
@@ -203,12 +190,9 @@ def _eval_batch(tables, word):
     return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
-def _residuals(params, words, targets, buffers=None):
-    """Word values minus targets; targets has shape (B, 4 * len(words)).
-
-    buffers is the _LetterTables buffer dict, or None for fresh arrays.
-    """
-    tables = _LetterTables(params.transpose(1, 2, 0), buffers)
+def _residuals(params, words, targets):
+    """Word values minus targets; targets has shape (B, 4 * len(words))."""
+    tables = _LetterTables(params.transpose(1, 2, 0))
     return np.concatenate([_eval_batch(tables, w) for w in words], axis=1) - targets
 
 
@@ -236,14 +220,13 @@ def _tangent_basis(params):
     return np.concatenate([params, -params], axis=2)[:, :, _TANGENT]
 
 
-def _tangent_jacobian(words, targets, params, F, buffers=None):
+def _tangent_jacobian(words, targets, params, F):
     """(basis, J) of (B, n, 4) params whose residuals are the (B, m) rows F.
 
     basis is _tangent_basis(params).  J is the forward-difference Jacobian
     along it, as an (m, 3n, B) array: column 3i + c probes params with
     generator i moved to g + _FD_STEP * (g * e_c), all 3n probes of every
-    row in one residual evaluation (on the _LetterTables buffers given, if
-    any).
+    row in one residual evaluation.
     """
     b, n, _ = params.shape
     npar = 3 * n
@@ -254,7 +237,7 @@ def _tangent_jacobian(words, targets, params, F, buffers=None):
     pert[...] = params
     for i in range(n):
         pert[i, :, :, i] = moved[i]
-    Fp = _residuals(pert.reshape(npar * b, n, 4), words, np.tile(targets, (npar, 1)), buffers)
+    Fp = _residuals(pert.reshape(npar * b, n, 4), words, np.tile(targets, (npar, 1)))
     J = np.ascontiguousarray(((Fp.reshape(npar, b, -1) - F) / _FD_STEP).transpose(2, 0, 1))
     return basis, J
 
@@ -312,7 +295,7 @@ def _solve_rows(A, b):
 _BLOCK_ROWS = 256
 
 
-def _lm_minimize(words, targets, params0, tol, max_iter, polish_steps):
+def _lm_minimize(words, targets, params0, tol):
     """Batched LM on the word system; returns (params, per_item_max_residual).
 
     targets holds one row of 4 * len(words) target components per item.
@@ -324,8 +307,8 @@ def _lm_minimize(words, targets, params0, tol, max_iter, polish_steps):
     not change along g itself (see _eval_batch), so a fourth direction
     would only add a null column.
     Every row evolves independently of the others: it takes up to
-    max_iter + polish_steps steps, stopping early once it has converged and
-    spent its polish_steps or once its damping exceeds 1e9 unconverged.
+    _MAX_ITER + _POLISH_STEPS steps, stopping early once it has converged and
+    spent its _POLISH_STEPS or once its damping exceeds 1e9 unconverged.
     At most _BLOCK_ROWS rows step at a time, and a finished row's slot goes
     to the next row in order.  A slot keeps its tangent basis and normal
     equations until a step moves its row, and only then probes again; a
@@ -347,16 +330,17 @@ def _lm_minimize(words, targets, params0, tol, max_iter, polish_steps):
                                           targets[s:s + _BLOCK_ROWS])
     cost = np.einsum("bm,bm->b", F, F)
     lam = np.full(R, 1e-3)
-    steps_left = np.full(R, max_iter + polish_steps)
-    polish_left = np.full(R, polish_steps)
+    steps_left = np.full(R, _MAX_ITER + _POLISH_STEPS)
+    polish_left = np.full(R, _POLISH_STEPS)
 
     def finished(rows):
         conv = cost[rows] <= target2
         return ((steps_left[rows] <= 0) | (conv & (polish_left[rows] <= 0))
                 | (~conv & (lam[rows] > 1e9)))
 
-    # rows done before their first step never enter the window
-    queue = np.flatnonzero(~finished(np.arange(R)))
+    # every row steps at least once: it starts with steps and polish steps
+    # left and with damping 1e-3
+    queue = np.arange(R)
     queued = 0
     # rows in the window, whether their normal equations need a probe, and
     # the tangent basis, JtJ (undamped) and JtF of each slot
@@ -365,7 +349,6 @@ def _lm_minimize(words, targets, params0, tol, max_iter, polish_steps):
     BASIS = np.empty((0, n, 3, 4))
     JTJ = np.empty((0, npar, npar))
     JTF = np.empty((0, npar))
-    probe_buffers = {}
     while True:
         new = queue[queued:queued + _BLOCK_ROWS - len(window)]
         queued += len(new)
@@ -379,8 +362,7 @@ def _lm_minimize(words, targets, params0, tol, max_iter, polish_steps):
         probe = window[stale]
         if len(probe):
             Fs = F[probe]
-            BASIS[stale], J = _tangent_jacobian(words, targets[probe], params[probe], Fs,
-                                                probe_buffers)
+            BASIS[stale], J = _tangent_jacobian(words, targets[probe], params[probe], Fs)
             JTJ[stale], JTF[stale] = _normal_equations(J, Fs)
             del J
         conv = cost[window] <= target2
@@ -469,10 +451,10 @@ def _boundary_points(reps, pres: GroupPresentation) -> list:
     """su2.boundary_angles of each representation, bit for bit.
 
     The peripheral products, their commutator defect and imaginary norms
-    are batched; the tests, the axis choice, math.atan2 and canonicalize run
-    per point on Python floats, as in su2 (np.arctan2 need not round as libm
-    does).  The first point, in order, whose holonomies do not commute
-    raises NonCommutingPeripheralsError with su2's message.
+    are batched; su2.peripheral_point reads each point from them on Python
+    floats (math.atan2, as np.arctan2 need not round as libm does).  The
+    first point, in order, whose holonomies do not commute raises
+    NonCommutingPeripheralsError with su2's message.
     """
     # the shape is spelled out: with no points or no generators, -1 is ambiguous
     tables = _LetterTables(_components(np.array(
@@ -485,28 +467,7 @@ def _boundary_points(reps, pres: GroupPresentation) -> list:
     imag = np.sqrt(np.float_power(ml[:, 1], 2) + np.float_power(ml[:, 2], 2)
                    + np.float_power(ml[:, 3], 2))
     cols = np.concatenate([ml.reshape(8, len(reps)), imag, defect[None]])
-    tol = 1e-7  # boundary_angles' default
-    points = []
-    for mw, mx, my, mz, lw, lx, ly, lz, mn, ln, d in cols.T.tolist():
-        if d > tol:
-            raise NonCommutingPeripheralsError(
-                f"peripheral holonomies do not commute (defect {d:.3e})")
-        if not mn < tol:
-            axis = (mx / mn, my / mn, mz / mn)
-        elif not ln < tol:
-            axis = (lx / ln, ly / ln, lz / ln)
-        else:
-            axis = (1.0, 0.0, 0.0)
-        if mn < tol:
-            alpha = 0.0 if mw > 0 else math.pi
-        else:
-            alpha = math.atan2(mx * axis[0] + my * axis[1] + mz * axis[2], mw)
-        if ln < tol:
-            beta = 0.0 if lw > 0 else math.pi
-        else:
-            beta = math.atan2(lx * axis[0] + ly * axis[1] + lz * axis[2], lw)
-        points.append(canonicalize(alpha, beta))
-    return points
+    return [peripheral_point(c[:4], c[4:8], *c[8:]) for c in cols.T.tolist()]
 
 
 def _signatures(units, meridian):
@@ -596,7 +557,7 @@ def _cold_solutions(pres: GroupPresentation, alphas, keys, config: SolverConfig)
         .standard_normal((restarts, n, 4)) for key in keys])
     targets = np.repeat(_meridian_targets(pres, alphas), restarts, axis=0)
     params, max_res = _lm_minimize(list(pres.relators) + [pres.meridian], targets,
-                                   params0, config.tol, _MAX_ITER, _POLISH_STEPS)
+                                   params0, config.tol)
     kept = [[] for _ in alphas]
     _distinct_solutions(pres, params, max_res, config,
                         np.repeat(np.arange(len(alphas)), restarts), kept)
@@ -650,8 +611,7 @@ def _track(pres: GroupPresentation, grid, kept, discovery, config: SolverConfig)
     words = list(pres.relators) + [pres.meridian]
     while len(nodes):
         targets = _meridian_targets(pres, grid[nodes].tolist())
-        params, max_res = _lm_minimize(words, targets, params, config.tol,
-                                       _MAX_ITER, _POLISH_STEPS)
+        params, max_res = _lm_minimize(words, targets, params, config.tol)
         outcome = _distinct_solutions(pres, params, max_res, config, nodes, kept)
         accepted = outcome == _ACCEPTED
         following = nodes + steps
@@ -692,8 +652,7 @@ def refine_representation(pres: GroupPresentation, seed_rep: Representation,
         return seed_rep
     targets = np.array([[1.0, 0.0, 0.0, 0.0] * len(words)])
     params0 = np.array([[[q.w, q.x, q.y, q.z] for q in seed_rep.images]])
-    params, max_res = _lm_minimize(words, targets, params0, config.tol,
-                                   _MAX_ITER, _POLISH_STEPS)
+    params, max_res = _lm_minimize(words, targets, params0, config.tol)
     if max_res[0] < config.tol:
         return _rep_from_params(params[0])
     return None
@@ -809,6 +768,9 @@ def _line_forms(model: KnotExteriorModel):
     The line of integer direction (a, b), g = gcd(a, b), is the point set
     ca*alpha + cb*beta = +-2pi*offset (mod 2pi) with ca, cb = b/g, -a/g; offset
     is an exact Fraction in [0, 1/2], so equal offsets are one line.
+    A model without exactly one free H1 coordinate gets the line beta = 0
+    if its longitude is nullhomologous, and raises ModelInvalidError
+    otherwise.
     """
     pres = model.presentation
     g = pres.generator_count
@@ -830,7 +792,7 @@ def _line_forms(model: KnotExteriorModel):
         # not a knot-exterior shape; fall back to the nullhomologous line
         if all(v == 0 for v in lam):
             return [(_line_polyline(1, 0, 0.0, 0.0), 0, -1, Fraction(0))]
-        raise ValueError("model does not have a single free H1 coordinate")
+        raise ModelInvalidError("model does not have a single free H1 coordinate")
     f = free_idx[0]
     a_coef, b_coef = mu_psi[f], lam_psi[f]
     if a_coef == 0 and b_coef == 0:
@@ -939,7 +901,10 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
     su2.irreducibility_gap give; attaches the analytically enumerated
     reducible lines, and chains nearby numeric points into arcs (isolated
     points are reported separately).  The image's sweep field counts the
-    discovery and tracking work.
+    discovery and tracking work.  A model whose reducible lines are not
+    defined (see _line_forms) raises ModelInvalidError after the sweep, so
+    a model whose peripheral holonomies do not commute as well reports that
+    first.
     """
     config = config or SolverConfig()
     if resolution is None:
@@ -998,7 +963,6 @@ class LiftResult:
 
     ok: bool
     violations: tuple[ImagePoint, ...]
-    image: PillowcaseImage | None
 
 
 def lift_to_cut_open(img: PillowcaseImage) -> LiftResult:
@@ -1018,9 +982,7 @@ def lift_to_cut_open(img: PillowcaseImage) -> LiftResult:
                 violations.append(ImagePoint(point=v, witness=Representation(()),
                                              gap=0.0))
                 break
-    if violations:
-        return LiftResult(ok=False, violations=tuple(violations), image=None)
-    return LiftResult(ok=True, violations=(), image=img)
+    return LiftResult(ok=not violations, violations=tuple(violations))
 
 
 def _split_polyline(curve: PillowcasePolyline, cuts):

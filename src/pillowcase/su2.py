@@ -17,11 +17,13 @@ from .presentations import GroupPresentation, Word, check_word
 __all__ = [
     "UnitQuaternion", "Representation", "NonCommutingPeripheralsError",
     "evaluate_word", "relator_residual", "irreducibility_gap",
-    "boundary_angles", "conjugate_representation", "rotation_taking_axis",
-    "align_boundary_to_i_axis",
+    "boundary_angles", "peripheral_point", "conjugate_representation",
+    "rotation_taking_axis", "align_boundary_to_i_axis", "PERIPHERAL_TOL",
 ]
 
-_NORM_TOL = 1e-12
+#: a peripheral holonomy whose imaginary norm is below this is central, and
+#: a commutator defect above it means the holonomies do not commute
+PERIPHERAL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -80,16 +82,9 @@ class UnitQuaternion:
     def imag_norm(self) -> float:
         return math.sqrt(self.x**2 + self.y**2 + self.z**2)
 
-    def is_central(self, tol: float = 1e-9) -> bool:
-        """Whether this lies in {+1, -1} up to tol."""
-        return self.imag_norm() < tol
-
-    def axis(self) -> tuple[float, float, float]:
-        """Unit imaginary direction; undefined (raises) for central elements."""
-        n = self.imag_norm()
-        if n < _NORM_TOL:
-            raise ValueError("central quaternion has no axis")
-        return (self.x / n, self.y / n, self.z / n)
+    def is_central(self) -> bool:
+        """Whether this lies in {+1, -1} up to PERIPHERAL_TOL."""
+        return self.imag_norm() < PERIPHERAL_TOL
 
     def angle_about(self, axis) -> float:
         """Rotation angle t with self = cos t + sin t * axis, in (-pi, pi]."""
@@ -144,14 +139,12 @@ def relator_residual(rep: Representation, pres: GroupPresentation) -> float:
     return worst
 
 
-def irreducibility_gap(rep: Representation, pres: GroupPresentation | None = None) -> float:
+def irreducibility_gap(rep: Representation) -> float:
     """Max commutator defect |[rho(g), rho(h)] - 1| over generator pairs.
 
     Zero iff the image is abelian; pairwise commutation suffices for a
     finitely generated subgroup of SU(2).
     """
-    if pres is not None and len(rep.images) != pres.generator_count:
-        raise ValueError("representation shape does not match presentation")
     gap = 0.0
     imgs = rep.images
     for i in range(len(imgs)):
@@ -161,39 +154,55 @@ def irreducibility_gap(rep: Representation, pres: GroupPresentation | None = Non
     return gap
 
 
-def _common_axis(m: UnitQuaternion, l: UnitQuaternion, tol: float):
-    if not m.is_central(tol):
-        return m.axis()
-    if not l.is_central(tol):
-        return l.axis()
+def _common_axis(m, l, m_norm: float, l_norm: float):
+    """Rotation axis of commuting holonomies m and l: m's, else l's, else i.
+
+    m and l are (w, x, y, z) floats and m_norm, l_norm their imaginary
+    norms; a holonomy whose norm is below PERIPHERAL_TOL is central.
+    """
+    if not m_norm < PERIPHERAL_TOL:
+        return (m[1] / m_norm, m[2] / m_norm, m[3] / m_norm)
+    if not l_norm < PERIPHERAL_TOL:
+        return (l[1] / l_norm, l[2] / l_norm, l[3] / l_norm)
     return (1.0, 0.0, 0.0)
 
 
-def boundary_angles(rep: Representation, pres: GroupPresentation,
-                    tol: float = 1e-7) -> PillowcasePoint:
+def peripheral_point(m, l, m_norm: float, l_norm: float, defect: float) -> PillowcasePoint:
+    """Pillowcase point of commuting peripheral holonomies m and l.
+
+    m and l are (w, x, y, z) floats, m_norm and l_norm their imaginary norms
+    and defect the distance of their commutator from 1.  Both holonomies
+    are rotated about _common_axis; the two angles are read with one
+    consistent sign and canonicalized.  A central holonomy gets angle
+    exactly 0 or pi.  Raises NonCommutingPeripheralsError when defect
+    exceeds PERIPHERAL_TOL.
+    """
+    if defect > PERIPHERAL_TOL:
+        raise NonCommutingPeripheralsError(
+            f"peripheral holonomies do not commute (defect {defect:.3e})")
+    axis = _common_axis(m, l, m_norm, l_norm)
+
+    def angle(q, norm):
+        w, x, y, z = q
+        if norm < PERIPHERAL_TOL:
+            return 0.0 if w > 0 else math.pi
+        return math.atan2(x * axis[0] + y * axis[1] + z * axis[2], w)
+
+    return canonicalize(angle(m, m_norm), angle(l, l_norm))
+
+
+def boundary_angles(rep: Representation, pres: GroupPresentation) -> PillowcasePoint:
     """Pillowcase point of the peripheral pair (rho(meridian), rho(longitude)).
 
-    Both holonomies are rotated about a common axis; the two angles are read
-    with one consistent sign and canonicalized.  Central holonomies get
-    angle exactly 0 or pi.  Raises NonCommutingPeripheralsError when the
-    peripheral images fail to commute within tol.
+    The holonomies are evaluated as evaluate_word does and read by
+    peripheral_point, which raises NonCommutingPeripheralsError when they
+    fail to commute within PERIPHERAL_TOL.
     """
     m = evaluate_word(rep, pres.meridian)
     l = evaluate_word(rep, pres.longitude)
     comm = m * l * m.inverse() * l.inverse()
-    if comm.dist_to_one() > tol:
-        raise NonCommutingPeripheralsError(
-            f"peripheral holonomies do not commute (defect {comm.dist_to_one():.3e})")
-    axis = _common_axis(m, l, tol)
-    if m.is_central(tol):
-        alpha = 0.0 if m.w > 0 else math.pi
-    else:
-        alpha = m.angle_about(axis)
-    if l.is_central(tol):
-        beta = 0.0 if l.w > 0 else math.pi
-    else:
-        beta = l.angle_about(axis)
-    return canonicalize(alpha, beta)
+    return peripheral_point((m.w, m.x, m.y, m.z), (l.w, l.x, l.y, l.z),
+                            m.imag_norm(), l.imag_norm(), comm.dist_to_one())
 
 
 def conjugate_representation(rep: Representation, g: UnitQuaternion) -> Representation:
@@ -223,8 +232,7 @@ def rotation_taking_axis(u, v) -> UnitQuaternion:
 
 
 def align_boundary_to_i_axis(rep: Representation, pres: GroupPresentation,
-                             target: tuple[float, float],
-                             tol: float = 1e-7) -> Representation:
+                             target: tuple[float, float]) -> Representation:
     """Conjugate rep so rho(meridian), rho(longitude) become e^{i a}, e^{i b}.
 
     ``target = (a, b)`` is any angle pair representing the boundary point of
@@ -233,16 +241,17 @@ def align_boundary_to_i_axis(rep: Representation, pres: GroupPresentation,
     """
     m = evaluate_word(rep, pres.meridian)
     l = evaluate_word(rep, pres.longitude)
-    axis = _common_axis(m, l, tol)
-    if m.is_central(tol) and l.is_central(tol):
+    if m.is_central() and l.is_central():
         return rep
+    axis = _common_axis((m.w, m.x, m.y, m.z), (l.w, l.x, l.y, l.z),
+                        m.imag_norm(), l.imag_norm())
     a, b = target
 
     def mismatch(u):
         d = 0.0
-        if not m.is_central(tol):
+        if not m.is_central():
             d += abs(math.remainder(m.angle_about(u) - a, 2 * math.pi))
-        if not l.is_central(tol):
+        if not l.is_central():
             d += abs(math.remainder(l.angle_about(u) - b, 2 * math.pi))
         return d
 

@@ -15,6 +15,8 @@ from pillowcase.solver import SolverConfig, sample_pillowcase_image
 
 # the free group on two generators, with free generators as meridian and longitude
 _NON_COMMUTING = {"generators": 2, "relators": [], "meridian": [1], "longitude": [2]}
+# H1 = Z/2 has no free coordinate, and the longitude is not nullhomologous
+_NO_FREE_H1 = {"generators": 1, "relators": [[1, 1]], "meridian": [], "longitude": [1]}
 
 
 def run(capsys, *argv):
@@ -117,6 +119,14 @@ class TestImageCommand:
         assert code == EXIT_BAD_INPUT
         assert out == ""
         assert err.startswith("error: model 'model': peripheral holonomies do not commute")
+
+    def test_no_free_h1_coordinate_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "torsion.json"
+        path.write_text(json.dumps(_NO_FREE_H1))
+        code, out, err = run(capsys, "image", str(path), "--resolution", "10")
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err == "error: model 'model': model does not have a single free H1 coordinate\n"
 
     def test_image_json_sweep_counts(self, capsys):
         code, out, _ = run(capsys, "image", "trefoil", "--resolution", "100", "--json")
@@ -300,6 +310,17 @@ class TestSpliceCommand:
         assert code == EXIT_BAD_INPUT
         assert out == ""
         assert err.startswith("error: model 'model': peripheral holonomies do not commute")
+
+    def test_no_free_h1_model_exit_2(self, capsys, tmp_path):
+        model = tmp_path / "torsion.json"
+        model.write_text(json.dumps(_NO_FREE_H1))
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"model1": str(model), "model2": "trefoil",
+                                   "gluing": "swap", "resolution": 10}))
+        code, out, err = run(capsys, "splice", str(job))
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err == "error: model 'model': model does not have a single free H1 coordinate\n"
 
     def test_out_of_range_job_field_exit_2(self, capsys, tmp_path):
         job = tmp_path / "job.json"
