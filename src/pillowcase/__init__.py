@@ -5,7 +5,7 @@ varieties, searches for non-abelian representations of spliced manifolds,
 and carries out the supporting exact integer homology calculus.
 """
 
-from .geometry import (GluingMatrix, PillowcasePoint, PillowcasePolyline,
+from .geometry import (GluingMatrix, LineForm, PillowcasePoint, PillowcasePolyline,
                        canonicalize, essential_class, induced_boundary_transform,
                        pillowcase_distance, polyline, polyline_intersections,
                        sigma, sigma_p, tau, P_POINT, Q_POINT)

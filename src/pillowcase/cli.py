@@ -309,6 +309,7 @@ def cmd_splice(args) -> int:
         payload["gap_side2"] = result.gap_side2
     else:
         payload["diagnostics"] = {
+            "candidates": asdict(result.candidates),
             "candidates_tried": len(result.diagnostics),
             "details": [d for d in result.diagnostics],
         }

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -684,6 +685,84 @@ def line_crossings(curve: PillowcasePolyline, ca: float, cb: float,
             if -1e-9 <= t <= 1 + 1e-9:
                 hits.append(canonicalize(x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
     return hits
+
+
+@dataclass(frozen=True)
+class LineForm:
+    """The point set ca*alpha + cb*beta = +-2pi*offset (mod 2pi), exactly.
+
+    ca and cb are integers, not both 0, and offset is a Fraction; the sign
+    is the involution's, so offset and -offset give one set.  Points are
+    also written X = (alpha, beta) / 2pi, taken mod Z^2.
+    """
+
+    ca: int
+    cb: int
+    offset: Fraction
+
+    @property
+    def _signs(self) -> tuple[int, ...]:
+        """Target signs of distinct lines: one when 2*offset is an integer (0 or pi)."""
+        return (1,) if (2 * self.offset).denominator == 1 else (1, -1)
+
+    def transformed(self, gluing: GluingMatrix) -> "LineForm":
+        """The form of the line's image under X = M x, M = gluing.rows().
+
+        u.x = +-c becomes (u M^-1).X = +-c: integer, with the same offset.
+        """
+        (a, b), (p, c) = gluing.inverse().rows()
+        return LineForm(self.ca * a + self.cb * p, self.ca * b + self.cb * c, self.offset)
+
+    def _residual(self, pt: PillowcasePoint) -> float:
+        """The least line_offset of pt from the targets +-2pi*offset.
+
+        Both signs even where they are one line, as the on-line filter has
+        always compared them, so that contains keeps its verdicts bit for bit.
+        """
+        return min(line_offset(pt, self.ca, self.cb, s * TWO_PI * float(self.offset))
+                   for s in (1, -1))
+
+    def distance(self, pt: PillowcasePoint) -> float:
+        """Plane distance from pt to the nearest lift of the line."""
+        return self._residual(pt) / math.hypot(self.ca, self.cb)
+
+    def contains(self, pt: PillowcasePoint, tol: float) -> bool:
+        """Whether pt lies within tol of the line: its offset below tol*|(ca, cb)|."""
+        return self._residual(pt) < tol * math.hypot(self.ca, self.cb)
+
+    def crossings(self, curve: PillowcasePolyline) -> list[PillowcasePoint]:
+        """line_crossings of the curve at +2pi*offset, then at -2pi*offset if that differs."""
+        return [pt for s in self._signs
+                for pt in line_crossings(curve, self.ca, self.cb, s * TWO_PI * float(self.offset))]
+
+    def meet(self, other: "LineForm") -> list[tuple[Fraction, Fraction]]:
+        """The points of both lines, as X in [0, 1)^2, one per pair X ~ -X, sorted.
+
+        With A = [[ca, cb], [other.ca, other.cb]] and D = det A, a sign pair
+        s gives the |D| points X = A^-1 (s*c + k), k over the residues of
+        Z^2 / A Z^2 (column Hermite form: k1 < g = gcd(ca, cb),
+        k2 < |D| / g).  Parallel or coincident lines (D = 0) give none.
+        The points are deduplicated as integer numerators over the common
+        denominator L = q1 q2 |D| of the offsets' denominators and D.
+        """
+        u1, u2, v1, v2 = self.ca, self.cb, other.ca, other.cb
+        det = u1 * v2 - u2 * v1
+        if det == 0:
+            return []
+        g = math.gcd(u1, u2)
+        (n1, q1), (n2, q2) = self.offset.as_integer_ratio(), other.offset.as_integer_ratio()
+        L = q1 * q2 * abs(det)
+        sign = 1 if det > 0 else -1
+        found = set()
+        for s1 in self._signs:
+            for s2 in other._signs:
+                for k1 in range(g):
+                    for k2 in range(abs(det) // g):
+                        # r = s*c + k times q1 q2, then X * L = sign * adj(A) r
+                        r1, r2 = (s1 * n1 + k1 * q1) * q2, (s2 * n2 + k2 * q2) * q1
+                        x, y = sign * (v2 * r1 - u2 * r2), sign * (u1 * r2 - v1 * r1)
+                        found.add(min((x % L, y % L), (-x % L, -y % L)))
+        return [(Fraction(x, L), Fraction(y, L)) for x, y in sorted(found)]
 
 
 def _close_pairs(points, radius: float) -> list[tuple[int, int]]:

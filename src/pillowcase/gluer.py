@@ -2,7 +2,10 @@
 
 The search transforms one boundary image by the gluing, intersects it with
 the other, and refines each intersection candidate by a joint solve of the
-amalgamated presentation seeded from the two witnesses.  Certificate
+amalgamated presentation seeded from the two witnesses.  Numeric arcs meet
+numeric arcs as polylines; where a reducible line takes part, its exact
+integer form gives the points (a scan of the arc, or integer algebra for
+two lines), and its sampled polyline is not intersected.  Certificate
 checks test sampled images against the line-avoidance and connectedness
 constraints that hold when the relevant Dehn surgeries are as assumed.
 """
@@ -10,14 +13,15 @@ constraints that hold when the relevant Dehn surgeries are as assumed.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (GluingMatrix, PillowcasePoint, PillowcasePolyline,
                        _is_prime, canonicalize, distance_components,
-                       distinct_points, essential_class, line_crossings,
-                       line_offset, pillowcase_distance,
+                       distinct_indices, distinct_points, essential_class,
+                       line_crossings, line_offset, pillowcase_distance,
                        pillowcase_distance_matrix, polyline_intersections,
                        TWO_PI)
 from .presentations import (GroupPresentation, KnotExteriorModel, concat,
@@ -28,7 +32,7 @@ from .su2 import (Representation, align_boundary_to_i_axis, boundary_angles,
                   irreducibility_gap, relator_residual)
 
 __all__ = [
-    "SplicedManifold", "SpliceSearchResult", "CertificateReport",
+    "SplicedManifold", "SpliceSearchResult", "CandidateCounts", "CertificateReport",
     "AvoidingCurveReport", "splice", "search_nonabelian_rep",
     "slope_line_certificates", "p_avoiding_certificate",
 ]
@@ -85,6 +89,24 @@ def splice(model1: KnotExteriorModel, model2: KnotExteriorModel,
 
 
 @dataclass(frozen=True)
+class CandidateCounts:
+    """A search's distinct candidates by source, and those dropped before refining.
+
+    Sources: numeric arcs of both images (arc_arc), a numeric arc and a
+    reducible line (arc_line), two reducible lines (line_line); a candidate
+    found more than once counts for its first source.  Dropped: both sides
+    forced abelian (both_abelian), or no witness near it on a side
+    (no_witness).  The rest are refined in order until one succeeds.
+    """
+
+    arc_arc: int = 0
+    arc_line: int = 0
+    line_line: int = 0
+    both_abelian: int = 0
+    no_witness: int = 0
+
+
+@dataclass(frozen=True)
 class SpliceSearchResult:
     found: bool
     representation: Representation | None = None
@@ -95,16 +117,33 @@ class SpliceSearchResult:
     boundary_point: PillowcasePoint | None = None
     resolution: int = 0
     diagnostics: tuple = ()
+    candidates: CandidateCounts = CandidateCounts()
 
 
-def _candidate_points(img1: PillowcaseImage, arcs2_transformed):
-    """Intersection candidates of image 1 with the transformed image 2."""
-    out = []
-    for a1 in img1.arcs:
-        for a2 in arcs2_transformed:
-            for (pt, trans) in polyline_intersections(a1, a2, tol=1e-9):
-                out.append(pt)
-    return distinct_points(out)
+def _candidate_points(img1: PillowcaseImage, img2: PillowcaseImage,
+                      gluing: GluingMatrix) -> list[tuple[PillowcasePoint, str]]:
+    """(point, source) for each intersection of image 1 with image 2 under the gluing.
+
+    Only image 2's numeric arcs are transformed, and no line polyline is
+    intersected: two numeric arcs meet by polyline_intersections
+    (arc_arc), a line's form and a numeric arc by LineForm.crossings
+    (arc_line), and two forms by LineForm.meet, exactly (line_line); image
+    2's forms are transformed.  Pairs come arc of image 1 (numeric, then
+    lines) by arc of image 2 (likewise); a hit within 1e-6 of an earlier
+    one is dropped, as in distinct_points.
+    """
+    arcs2 = [arc.transformed(gluing.rows()) for arc in img2.numeric_arcs]
+    lines2 = [line.transformed(gluing) for line in img2.lines]
+    hits = []
+    for a1 in img1.numeric_arcs:
+        hits += [(pt, "arc_arc") for a2 in arcs2
+                 for pt, _ in polyline_intersections(a1, a2, tol=1e-9)]
+        hits += [(pt, "arc_line") for l2 in lines2 for pt in l2.crossings(a1)]
+    for l1 in img1.lines:
+        hits += [(pt, "arc_line") for a2 in arcs2 for pt in l1.crossings(a2)]
+        hits += [(canonicalize(TWO_PI * float(x), TWO_PI * float(y)), "line_line")
+                 for l2 in lines2 for x, y in l1.meet(l2)]
+    return [hits[i] for i in distinct_indices([pt for pt, _ in hits], 1e-6)]
 
 
 def _side2_angles(gluing: GluingMatrix, pt: PillowcasePoint) -> tuple[float, float]:
@@ -120,32 +159,37 @@ def search_nonabelian_rep(spliced: SplicedManifold, config: SolverConfig | None 
     """Search for a representation of the splice, non-abelian on both sides.
 
     Both models are swept, image 2 is pushed through the gluing transform,
-    and every intersection with image 1 (outside the locus where both sides
-    are forced abelian) seeds a joint refinement of the amalgamated
-    presentation.  Success requires residual < tol on every relator and an
-    irreducibility gap above min_gap on each side's restriction; a None
-    result carries the diagnostics of every candidate tried.
+    and every intersection with image 1 (_candidate_points; outside the
+    locus where both sides are forced abelian, and with a witness near it
+    on each side) seeds a joint refinement of the amalgamated presentation.
+    Success requires residual < tol on every relator and an irreducibility
+    gap above min_gap on each side's restriction; a result that is not
+    found carries the diagnostics of every candidate tried.  Both count
+    the candidates by source and drop reason (CandidateCounts).
     """
     config = config or SolverConfig()
     img1 = image1 or sample_pillowcase_image(spliced.model1, config.resolution, config)
     img2 = image2 or sample_pillowcase_image(spliced.model2, config.resolution, config)
     g = spliced.gluing
-    arcs2 = img2.transform_arcs(g)
-    candidates = _candidate_points(img1, arcs2)
+    candidates = _candidate_points(img1, img2, g)
 
     scored = []
-    for pt in candidates:
+    dropped = Counter()
+    for pt, _ in candidates:
         gamma, delta = _side2_angles(g, pt)
         beta_zero = line_offset(pt, 0.0, 1.0, 0.0) < 1e-6
         delta_zero = abs(math.remainder(delta, TWO_PI)) < 1e-6
         if beta_zero and delta_zero:
-            continue  # both restrictions would be forced abelian
+            dropped["both_abelian"] += 1  # both restrictions would be forced abelian
+            continue
         rec1 = img1.nearest_witness(pt)
         rec2 = img2.nearest_witness(canonicalize(gamma, delta))
         if rec1 is None or rec2 is None:
+            dropped["no_witness"] += 1
             continue
         scored.append((min(rec1.gap, rec2.gap), pt, (gamma, delta), rec1, rec2))
     scored.sort(key=lambda item: (-item[0], item[1].alpha, item[1].beta))
+    counts = CandidateCounts(**Counter(source for _, source in candidates), **dropped)
 
     diagnostics = []
     for (_, pt, (gamma, delta), rec1, rec2) in scored:
@@ -167,9 +211,9 @@ def search_nonabelian_rep(spliced: SplicedManifold, config: SolverConfig | None 
                 found=True, representation=refined, residual=res,
                 gap=min(gap1, gap2), gap_side1=gap1, gap_side2=gap2,
                 boundary_point=bp, resolution=img1.resolution,
-                diagnostics=tuple(diagnostics))
+                diagnostics=tuple(diagnostics), candidates=counts)
     return SpliceSearchResult(found=False, resolution=img1.resolution,
-                              diagnostics=tuple(diagnostics))
+                              diagnostics=tuple(diagnostics), candidates=counts)
 
 
 def _build_seed(spliced: SplicedManifold, pt: PillowcasePoint,

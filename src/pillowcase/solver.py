@@ -21,10 +21,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (DegenerateCurveError, GluingMatrix, PillowcasePoint,
+from .geometry import (DegenerateCurveError, GluingMatrix, LineForm, PillowcasePoint,
                        PillowcasePolyline, canonicalize, detailed_intersections,
                        distance_components, essential_class, line_crossings,
                        line_offset, pillowcase_distance, pillowcase_distance_matrix,
@@ -695,8 +696,10 @@ class PillowcaseImage:
     """Sampled boundary image of a representation variety.
 
     points carries every witness found (never silently dropped), node by
-    node; arcs are the chained curves plus the analytically enumerated
-    reducible lines.  sweep counts how the sweep found the points.
+    node; arcs are the chained curves (numeric_arcs) followed by the
+    polylines of the analytically enumerated reducible lines, whose exact
+    forms are lines, in the same order.  sweep counts how the sweep found
+    the points.
     """
 
     model: KnotExteriorModel
@@ -707,6 +710,12 @@ class PillowcaseImage:
     arcs: tuple[PillowcasePolyline, ...]
     isolated: tuple[ImagePoint, ...] = ()
     sweep: SweepStats = SweepStats()
+    lines: tuple[LineForm, ...] = ()
+
+    @property
+    def numeric_arcs(self) -> tuple[PillowcasePolyline, ...]:
+        """The arcs chained from witnesses: every arc but the lines' polylines."""
+        return self.arcs[:len(self.arcs) - len(self.lines)]
 
     def irreducible_points(self, gap_threshold: float = IRREDUCIBLE_GAP):
         return [p for p in self.points if p.gap > gap_threshold]
@@ -759,10 +768,23 @@ def reducible_lines(model: KnotExteriorModel) -> list[PillowcasePolyline]:
     normal form yields finitely many lines parametrized by the free angle,
     one per torsion character that acts on the boundary.
     """
-    return [line for line, *_ in _line_forms(model)]
+    return [line.polyline for line in _line_forms(model)]
 
 
-def _line_forms(model: KnotExteriorModel):
+class _ReducibleLine(NamedTuple):
+    """A reducible line's polyline and the integers of its exact form."""
+
+    polyline: PillowcasePolyline
+    ca: int
+    cb: int
+    offset: Fraction
+
+    @property
+    def form(self) -> LineForm:
+        return LineForm(self.ca, self.cb, self.offset)
+
+
+def _line_forms(model: KnotExteriorModel) -> list[_ReducibleLine]:
     """(polyline, ca, cb, offset) for each reducible line, once, in character order.
 
     The line of integer direction (a, b), g = gcd(a, b), is the point set
@@ -791,7 +813,7 @@ def _line_forms(model: KnotExteriorModel):
     if len(free_idx) != 1:
         # not a knot-exterior shape; fall back to the nullhomologous line
         if all(v == 0 for v in lam):
-            return [(_line_polyline(1, 0, 0.0, 0.0), 0, -1, Fraction(0))]
+            return [_ReducibleLine(_line_polyline(1, 0, 0.0, 0.0), 0, -1, Fraction(0))]
         raise ModelInvalidError("model does not have a single free H1 coordinate")
     f = free_idx[0]
     a_coef, b_coef = mu_psi[f], lam_psi[f]
@@ -807,13 +829,13 @@ def _line_forms(model: KnotExteriorModel):
             c_mu = sum(mu_psi[i] * (TWO_PI * k / diag[i]) for i, k in zip(torsion_idx, combo))
             c_lam = sum(lam_psi[i] * (TWO_PI * k / diag[i]) for i, k in zip(torsion_idx, combo))
             lines[key] = _line_polyline(a_coef, b_coef, c_mu, c_lam)
-    return [(line, b_coef // gcd, -a_coef // gcd, key) for key, line in lines.items()]
+    return [_ReducibleLine(line, b_coef // gcd, -a_coef // gcd, key)
+            for key, line in lines.items()]
 
 
-def _on_line(pt: PillowcasePoint, forms) -> bool:
+def _on_line(pt: PillowcasePoint, forms: list[_ReducibleLine]) -> bool:
     """Whether pt lies within 1e-6 of a line of _line_forms, in the plane."""
-    return any(line_offset(pt, ca, cb, s * TWO_PI * float(off)) < 1e-6 * math.hypot(ca, cb)
-               for _, ca, cb, off in forms for s in (1, -1))
+    return any(line.form.contains(pt, 1e-6) for line in forms)
 
 
 def _line_polyline(a_coef, b_coef, c_mu, c_lam):
@@ -901,16 +923,17 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
     su2.irreducibility_gap give; attaches the analytically enumerated
     reducible lines, and chains nearby numeric points into arcs (isolated
     points are reported separately).  The image's sweep field counts the
-    discovery and tracking work.  A model whose reducible lines are not
-    defined (see _line_forms) raises ModelInvalidError after the sweep, so
-    a model whose peripheral holonomies do not commute as well reports that
-    first.
+    discovery and tracking work.  The reducible lines come first: a model
+    whose lines are not defined (see _line_forms) raises ModelInvalidError
+    before any node is solved, so a model that also has non-commuting
+    peripheral holonomies reports the H1 fault.
     """
     config = config or SolverConfig()
     if resolution is None:
         resolution = config.resolution
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
+    forms = _line_forms(model)
     pres = model.presentation
     grid = np.linspace(0.0, math.pi, resolution)
     grid_step = float(grid[1] - grid[0])
@@ -929,7 +952,6 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
     points = _boundary_points([rep for rep, _ in witnesses], pres)
     records = [ImagePoint(point=pt, witness=rep, gap=gap)
                for pt, (rep, gap) in zip(points, witnesses)]
-    forms = _line_forms(model)
     # points sitting on an analytic line are kept as witnesses but do not
     # seed numeric arcs of their own
     chainable = [r for r in records if r.gap > IRREDUCIBLE_GAP
@@ -942,9 +964,10 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
         grid_step=grid_step,
         chain_threshold=threshold,
         points=tuple(records),
-        arcs=tuple(arcs) + tuple(line for line, *_ in forms),
+        arcs=tuple(arcs) + tuple(line.polyline for line in forms),
         isolated=tuple(isolated),
         sweep=stats,
+        lines=tuple(line.form for line in forms),
     )
 
 

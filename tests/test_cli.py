@@ -13,8 +13,13 @@ from pillowcase.render import (image_to_csv, image_to_svg, mark_points,
 from pillowcase.solver import SolverConfig, sample_pillowcase_image
 
 
-# the free group on two generators, with free generators as meridian and longitude
-_NON_COMMUTING = {"generators": 2, "relators": [], "meridian": [1], "longitude": [2]}
+# the trefoil group <x, y | xyx = yxy> with two meridians as meridian and
+# longitude: one free H1 coordinate, and peripheral words that do not commute
+_NON_COMMUTING = {"generators": 2, "relators": [[1, 2, 1, -2, -1, -2]],
+                  "meridian": [1], "longitude": [2]}
+# the free group on two generators: two free H1 coordinates, and free
+# generators as meridian and longitude, which do not commute either
+_FREE = {"generators": 2, "relators": [], "meridian": [1], "longitude": [2]}
 # H1 = Z/2 has no free coordinate, and the longitude is not nullhomologous
 _NO_FREE_H1 = {"generators": 1, "relators": [[1, 1]], "meridian": [], "longitude": [1]}
 
@@ -123,6 +128,22 @@ class TestImageCommand:
     def test_no_free_h1_coordinate_exit_2(self, capsys, tmp_path):
         path = tmp_path / "torsion.json"
         path.write_text(json.dumps(_NO_FREE_H1))
+        code, out, err = run(capsys, "image", str(path), "--resolution", "10")
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err == "error: model 'model': model does not have a single free H1 coordinate\n"
+
+    def test_h1_fault_is_reported_before_any_node_is_solved(self, capsys, tmp_path,
+                                                             monkeypatch):
+        # the free model fails both checks; the H1 one depends on the model
+        # alone, so it comes first and no sweep runs
+        from pillowcase import solver
+
+        def refuse(*_):
+            raise AssertionError("a node was solved")
+        monkeypatch.setattr(solver, "_cold_solutions", refuse)
+        path = tmp_path / "free.json"
+        path.write_text(json.dumps(_FREE))
         code, out, err = run(capsys, "image", str(path), "--resolution", "10")
         assert code == EXIT_BAD_INPUT
         assert out == ""
@@ -376,8 +397,12 @@ class TestSpliceCommand:
         code, out, _ = run(capsys, "splice", str(job))
         assert code == EXIT_NOT_FOUND
         assert json.loads(out)["found"] is False
-        # every intersection lies where both sides are forced abelian
+        # every intersection is a crossing of the two reducible lines, where
+        # both sides are forced abelian
         assert json.loads(out)["diagnostics"]["candidates_tried"] == 0
+        assert json.loads(out)["diagnostics"]["candidates"] == {
+            "arc_arc": 0, "arc_line": 0, "line_line": 19, "both_abelian": 19, "no_witness": 0}
+        assert run(capsys, "splice", str(job))[1] == out
 
     def test_malformed_gluing_exit_2(self, capsys, tmp_path):
         job = tmp_path / "job.json"

@@ -1,11 +1,12 @@
 import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from pillowcase import geometry
-from pillowcase.geometry import (GluingMatrix, DegenerateCurveError, P_POINT,
+from pillowcase.geometry import (GluingMatrix, DegenerateCurveError, LineForm, P_POINT,
                                  PillowcasePolyline, PillowcasePoint, Q_POINT, TWO_PI,
                                  _candidate_pairs, _segment_intersection,
                                  apply_integer_matrix, canonicalize,
@@ -734,6 +735,85 @@ class TestLineCrossings:
         assert distinct_points([b, a], tol=1e-7) == [b, a]
         assert distinct_points([]) == []
         assert distinct_points(iter([a, a, c])) == [a, c]
+
+
+def _brute_meet(f1, f2):
+    """Every X of (1/N)Z^2 mod Z^2 on both lines, N = q1 q2 |D|, one per X ~ -X."""
+    det = f1.ca * f2.cb - f1.cb * f2.ca
+    n = f1.offset.denominator * f2.offset.denominator * abs(det)
+    out = set()
+    for i in range(n):
+        for j in range(n):
+            x, y = Fraction(i, n), Fraction(j, n)
+            if all(any((f.ca * x + f.cb * y - s * f.offset).denominator == 1 for s in (1, -1))
+                   for f in (f1, f2)):
+                out.add(min((x, y), (-x % 1, -y % 1)))
+    return sorted(out)
+
+
+class TestLineForm:
+    def test_parallel_and_coincident_lines_meet_nowhere(self):
+        line = LineForm(1, 2, Fraction(0))
+        assert line.meet(line) == []
+        assert line.meet(LineForm(-1, -2, Fraction(0))) == []
+        assert line.meet(LineForm(1, 2, Fraction(1, 3))) == []
+        assert line.meet(LineForm(2, 4, Fraction(1, 2))) == []
+
+    @pytest.mark.parametrize("f1,f2", [
+        (LineForm(1, 2, Fraction(0)), LineForm(3, -1, Fraction(0))),
+        (LineForm(2, 1, Fraction(1, 2)), LineForm(0, 1, Fraction(0))),
+        (LineForm(1, 1, Fraction(1, 3)), LineForm(1, -2, Fraction(1, 5))),
+        (LineForm(2, 0, Fraction(1, 3)), LineForm(1, 3, Fraction(0))),
+        (LineForm(0, 1, Fraction(0)), LineForm(-37, -6, Fraction(0))),
+    ])
+    def test_meet_is_every_common_point(self, f1, f2):
+        assert f1.meet(f2) == _brute_meet(f1, f2)
+        assert sorted(f2.meet(f1)) == f1.meet(f2)
+
+    def test_each_sign_pair_gives_det_points(self):
+        # offsets 1/3 and 1/5: four sign pairs of |D| = 3 points each, no
+        # point on two sign pairs, and the involution pairs them up
+        f1, f2 = LineForm(1, 1, Fraction(1, 3)), LineForm(1, -2, Fraction(1, 5))
+        assert len(f1.meet(f2)) == 4 * 3 // 2
+        # offset 0: one sign pair of |D| = 7 points, X = 0 its own negative
+        f1, f2 = LineForm(1, 2, Fraction(0)), LineForm(3, -1, Fraction(0))
+        assert len(f1.meet(f2)) == (7 + 1) // 2
+
+    def test_offset_half_is_the_pi_line(self):
+        half = LineForm(0, 1, Fraction(1, 2))
+        assert half.meet(LineForm(1, 0, Fraction(0))) == [(Fraction(0), Fraction(1, 2))]
+        loop = polyline([(1.1, 0.5), (1.1, 2.5), (1.1, 4.5)], closed=True)
+        assert [pt.beta for pt in half.crossings(loop)] == [PI]
+        assert [pt.as_tuple() for pt in LineForm(0, 1, Fraction(0)).crossings(loop)] == \
+            [(1.1, 0.0)]
+
+    def test_crossings_take_both_signs_of_other_offsets(self):
+        loop = polyline([(1.1, 0.5), (1.1, 2.5), (1.1, 4.5)], closed=True)
+        third = LineForm(0, 1, Fraction(1, 3))
+        assert third.crossings(loop) == (line_crossings(loop, 0, 1, TWO_PI / 3)
+                                         + line_crossings(loop, 0, 1, -TWO_PI / 3))
+        assert sorted(round(pt.beta, 12) for pt in third.crossings(loop)) == \
+            [round(2 * PI / 3, 12), round(4 * PI / 3, 12)]
+
+    def test_distance_and_contains(self):
+        line = LineForm(3, 4, Fraction(1, 3))
+        on = canonicalize(TWO_PI / 9, 0.0)
+        off = canonicalize(TWO_PI / 9 + 3 * 1e-3 / 5, 4 * 1e-3 / 5)
+        assert line.distance(on) < 1e-15 and line.contains(on, 1e-6)
+        assert abs(line.distance(off) - 1e-3) < 1e-12
+        assert not line.contains(off, 1e-6) and line.contains(off, 2e-3)
+
+    @pytest.mark.parametrize("gluing", [GluingMatrix.swap(), GluingMatrix.skew(2),
+                                        GluingMatrix(a=-6, b=1, p=37, c=-6)])
+    @pytest.mark.parametrize("name", ["trefoil", "trefoil-neg", "klein"])
+    def test_transformed_form_carries_the_transformed_polyline(self, name, gluing):
+        from pillowcase.families import builtin_model
+        from pillowcase.solver import _line_forms
+        for line in _line_forms(builtin_model(name)):
+            image = line.polyline.transformed(gluing.rows())
+            form = line.form.transformed(gluing)
+            assert max(form.distance(v) for v in image.vertices) < 1e-12
+            assert form.offset == line.form.offset
 
 
 class TestEssentialClass:

@@ -1,16 +1,20 @@
+import functools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pillowcase.families import klein_bottle_model, torus_knot_model, unknot_model
-from pillowcase.geometry import (GluingMatrix, canonicalize, distinct_points,
-                                 line_offset, pillowcase_distance,
+from pillowcase import gluer
+from pillowcase.families import (builtin_model, klein_bottle_model, torus_knot_model,
+                                 unknot_model)
+from pillowcase.geometry import (GluingMatrix, canonicalize, detailed_intersections,
+                                 distinct_points, line_offset, pillowcase_distance,
                                  pillowcase_distances, polyline,
                                  polyline_intersections, tau)
-from pillowcase.gluer import (p_avoiding_certificate, search_nonabelian_rep,
-                              slope_line_certificates, splice,
+from pillowcase.gluer import (CandidateCounts, p_avoiding_certificate,
+                              search_nonabelian_rep, slope_line_certificates, splice,
                               _candidate_points, _side2_angles)
 from pillowcase.homology import abelianization, glue_homology
 from pillowcase.solver import (PillowcaseImage, SolverConfig,
@@ -85,8 +89,7 @@ class TestSearch:
 
     def test_candidates_tau_invariant_for_skew(self, trefoil_image):
         g = GluingMatrix.skew(2)
-        arcs2 = trefoil_image.transform_arcs(g)
-        cands = _candidate_points(trefoil_image, arcs2)
+        cands = [pt for pt, _ in _candidate_points(trefoil_image, trefoil_image, g)]
         assert cands
         for pt in cands:
             assert min(pillowcase_distance(tau(pt), q) for q in cands) \
@@ -126,7 +129,7 @@ class TestSearch:
         arcs2 = img2.transform_arcs(g)
         assert [a.segment_count() for a in arcs2] == [a.segment_count() for a in img2.arcs]
         assert sum(a.segment_count() for a in arcs2) == 161
-        candidates = _candidate_points(trefoil_image, arcs2)
+        candidates = [pt for pt, _ in _candidate_points(trefoil_image, img2, g)]
         assert len(candidates) == 19
         for pt in candidates:
             assert line_offset(pt, 0.0, 1.0, 0.0) < 1e-6
@@ -143,27 +146,57 @@ class TestSearch:
             nearest.append(d.index(min(d)))
             assert min(d) < 1e-12
         assert sorted(nearest) == list(range(19))
+        # in units of 2pi, gamma = k/37 is X = (-6k/37, k): the lines meet at
+        # exactly those Fractions, one per pair X ~ -X
+        (line1,), (line2,) = trefoil_image.lines, img2.lines
+        exact = {min(((-6 * k / Fraction(37)) % 1, Fraction(0)),
+                     ((6 * k / Fraction(37)) % 1, Fraction(0))) for k in range(37)}
+        assert line1.meet(line2.transformed(g)) == sorted(exact)
+        assert len(exact) == 19
         res = search_nonabelian_rep(splice(torus_knot_model(2, 3), neg, g), CFG,
                                     image1=trefoil_image, image2=img2)
         assert not res.found and res.diagnostics == ()
+        assert res.candidates == CandidateCounts(line_line=19, both_abelian=19)
 
     def test_candidate_dedup_memory_is_bounded(self):
-        # each Klein reducible line overlaps its own image under (1, 0, 0, -1):
-        # 2304 collinear hits per pair, whose full distance matrix with its
+        # a Klein reducible line overlaps its own image under (1, 0, 0, -1):
+        # 2304 collinear hits, whose full distance matrix with its
         # temporaries takes about 340 MB
         img = sample_pillowcase_image(klein_bottle_model(), 60, CFG)
-        arcs2 = img.transform_arcs(GluingMatrix(1, 0, 0, -1))
+        g = GluingMatrix(1, 0, 0, -1)
+        line = img.arcs[-1]
+        hits = [pt for pt, *_ in detailed_intersections(line, line.transformed(g.rows()))]
+        assert len(hits) == 2304
         tracemalloc.start()
         try:
-            candidates = _candidate_points(img, arcs2)
+            kept = distinct_points(hits)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 50e6
-        hits = [pt for a1 in img.arcs for a2 in arcs2
-                for pt, _ in polyline_intersections(a1, a2, tol=1e-9)]
-        assert repr(candidates) == repr(_distinct_row_by_row(hits, 1e-6))
-        assert len(candidates) > 100
+        assert repr(kept) == repr(_distinct_row_by_row(hits, 1e-6))
+
+    def test_klein_klein_candidates_are_the_numeric_hits(self):
+        # both lines are fixed by (1, 0, 0, -1), so they meet their images in
+        # no points; the candidates are the numeric arcs' hits with their own
+        # images, on the edge alpha = pi, and the first one refined is found
+        kl = klein_bottle_model()
+        img = sample_pillowcase_image(kl, 60, CFG)
+        g = GluingMatrix(1, 0, 0, -1)
+        assert [l1.meet(l2.transformed(g)) for l1 in img.lines for l2 in img.lines] \
+            == [[]] * 4
+        candidates = _candidate_points(img, img, g)
+        arcs2 = [arc.transformed(g.rows()) for arc in img.numeric_arcs]
+        assert [pt for pt, _ in candidates] == distinct_points(
+            [pt for a1 in img.numeric_arcs for a2 in arcs2
+             for pt, _ in polyline_intersections(a1, a2, tol=1e-9)])
+        assert len(candidates) == 32
+        assert all(src == "arc_arc" and pt.alpha == PI for pt, src in candidates)
+        res = search_nonabelian_rep(splice(kl, kl, g), CFG, image1=img, image2=img)
+        assert res.found and len(res.diagnostics) == 1
+        assert abs(res.boundary_point.alpha - PI) < 1e-9
+        assert abs(res.boundary_point.beta - 1.311373) < 1e-6
+        assert res.candidates == CandidateCounts(arc_arc=32)
 
     def test_search_deterministic(self, trefoil_image):
         tre = torus_knot_model(2, 3)
@@ -175,6 +208,71 @@ class TestSearch:
         assert r1.boundary_point == r2.boundary_point
         assert [q for q in r1.representation.images] == \
             [q for q in r2.representation.images]
+
+
+_MOTEGI = GluingMatrix(a=-6, b=1, p=37, c=-6)
+
+
+@functools.lru_cache(maxsize=None)
+def _image(name, resolution, seed):
+    config = SolverConfig(resolution=resolution, seed=seed)
+    return sample_pillowcase_image(builtin_model(name), resolution, config)
+
+
+def _sampled_candidate_points(img1, arcs2_transformed):
+    """The candidates as found before exact lines: every arc pair intersected
+    as polylines, the reducible lines as their sampled polylines."""
+    out = []
+    for a1 in img1.arcs:
+        for a2 in arcs2_transformed:
+            for (pt, trans) in polyline_intersections(a1, a2, tol=1e-9):
+                out.append(pt)
+    return distinct_points(out)
+
+
+class TestExactLineCandidates:
+    """Candidates from exact line forms against the sampled line polylines."""
+
+    @pytest.mark.parametrize("name1,name2,gluing,resolution,seed", [
+        pytest.param("trefoil", "trefoil", GluingMatrix.swap(), 200, 0, id="swap"),
+        pytest.param("trefoil-neg", "trefoil-neg", GluingMatrix.swap(), 200, 0,
+                     id="swap-neg"),
+        pytest.param("trefoil", "trefoil", GluingMatrix.skew(2), 200, 0, id="skew2"),
+        pytest.param("trefoil", "trefoil-neg", GluingMatrix.skew(3), 200, 0, id="skew3"),
+        pytest.param("trefoil", "trefoil-neg", _MOTEGI, 200, 0, id="motegi"),
+        pytest.param("trefoil", "trefoil", GluingMatrix.swap(), 40, 1, id="swap-r40-seed1"),
+        pytest.param("trefoil", "trefoil-neg", _MOTEGI, 400, 0, id="motegi-r400"),
+        pytest.param("klein", "trefoil", GluingMatrix.swap(), 80, 0, id="klein-trefoil"),
+        pytest.param("klein", "trefoil", GluingMatrix.skew(2), 100, 0,
+                     id="klein-trefoil-skew2"),
+        pytest.param("trefoil", "klein", GluingMatrix.swap(), 100, 0, id="trefoil-klein"),
+    ])
+    def test_same_candidates_and_search(self, monkeypatch, name1, name2, gluing,
+                                        resolution, seed):
+        img1, img2 = _image(name1, resolution, seed), _image(name2, resolution, seed)
+        exact = [pt for pt, _ in _candidate_points(img1, img2, gluing)]
+        sampled = _sampled_candidate_points(img1, img2.transform_arcs(gluing))
+        assert len(exact) == len(sampled) > 0
+        for pts, others in ((exact, sampled), (sampled, exact)):
+            for pt in pts:
+                assert min(pillowcase_distance(pt, q) for q in others) < 1e-9, pt
+
+        config = SolverConfig(resolution=resolution, seed=seed)
+        spliced = splice(img1.model, img2.model, gluing)
+        pairs = []
+        intersect = gluer.polyline_intersections
+        monkeypatch.setattr(gluer, "polyline_intersections",
+                            lambda a1, a2, tol: pairs.append(a1) or intersect(a1, a2, tol))
+        res = search_nonabelian_rep(spliced, config, image1=img1, image2=img2)
+        # no reducible line is intersected as a polyline
+        assert len(pairs) == len(img1.numeric_arcs) * len(img2.numeric_arcs)
+        assert all(any(a1 is arc for arc in img1.numeric_arcs) for a1 in pairs)
+        monkeypatch.setattr(gluer, "_candidate_points", lambda i1, i2, g: [
+            (pt, "arc_arc") for pt in _sampled_candidate_points(i1, i2.transform_arcs(g))])
+        ref = search_nonabelian_rep(spliced, config, image1=img1, image2=img2)
+        assert (res.found, len(res.diagnostics)) == (ref.found, len(ref.diagnostics))
+        if res.found:
+            assert pillowcase_distance(res.boundary_point, ref.boundary_point) < 1e-9
 
 
 def _distinct_row_by_row(points, tol):
