@@ -181,23 +181,29 @@ def induced_boundary_transform(g: GluingMatrix, pt: PillowcasePoint) -> Pillowca
 # ---------------------------------------------------------------------------
 # distances and lifts
 
-def _reps_near_array(pt: PillowcasePoint, x: np.ndarray, y: np.ndarray):
+#: the signs of _reps_near_array's 18 lifts, and their lattice steps
+#: (dm, dn) as rows: sign 1 then -1, dm outer, dn inner
+_LIFT_SIGNS = np.repeat([1.0, -1.0], 9)
+_LIFT_STEPS = np.array([np.tile(np.repeat([-1.0, 0.0, 1.0], 3), 2),
+                        np.tile([-1.0, 0.0, 1.0], 6)])
+
+#: the two signs of the involution, as a (2, 1) column
+_SIGNS = np.array([[1.0], [-1.0]])
+
+
+def _reps_near_array(pt: PillowcasePoint, anchors: np.ndarray) -> np.ndarray:
     """Plane lifts of pt within one lattice step of each anchor, both signs.
 
-    Two (n, 18) arrays: for sign 1, then -1, the lifts s * pt + 2pi (m, n)
-    with (m, n) within one step of the lattice point nearest the anchor
-    minus s * pt, dm outer and dn inner.
+    anchors is (n, 2, 1), a column (x, y) per anchor; the result is
+    (n, 2, 18), the (x, y) rows of 18 lifts per anchor.  For sign 1, then
+    -1, they are the lifts s * pt + 2pi (m, n) with (m, n) within one step
+    of the lattice point nearest the anchor minus s * pt, dm outer and dn
+    inner.  One broadcast makes all of them, each coordinate by the
+    operations of a scalar loop over s, dm and dn (np.rint rounds half to
+    even, as round does).
     """
-    xs, ys = [], []
-    for s in (1.0, -1.0):
-        ax, ay = s * pt.alpha, s * pt.beta
-        m0 = np.round((x - ax) / TWO_PI)
-        n0 = np.round((y - ay) / TWO_PI)
-        for dm in (-1, 0, 1):
-            for dn in (-1, 0, 1):
-                xs.append(ax + TWO_PI * (m0 + dm))
-                ys.append(ay + TWO_PI * (n0 + dn))
-    return np.hstack(xs), np.hstack(ys)
+    base = _LIFT_SIGNS * np.array([[pt.alpha], [pt.beta]])
+    return base + TWO_PI * (np.rint((anchors - base) / TWO_PI) + _LIFT_STEPS)
 
 
 def pillowcase_distance(p1: PillowcasePoint, p2: PillowcasePoint) -> float:
@@ -221,11 +227,8 @@ def pillowcase_distance(p1: PillowcasePoint, p2: PillowcasePoint) -> float:
     return best
 
 
-_SIGNS = np.array([[1.0], [-1.0]])
-
-
 def _wrap_2pi(d: np.ndarray) -> np.ndarray:
-    return d - TWO_PI * np.round(d / TWO_PI)
+    return d - TWO_PI * np.rint(d / TWO_PI)
 
 
 def _norm(dx, dy):
@@ -350,31 +353,97 @@ class PillowcasePolyline:
     def length(self) -> float:
         return sum(math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in self.lifted_segments())
 
-    def _lift_distances(self, pt: PillowcasePoint) -> tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def _segment_table(self) -> np.ndarray:
+        """(segments, 8) read-only columns xa, ya, dx, dy, L2, mx, my, reach.
+
+        Segment i runs from the lift (xa, ya) by (dx, dy) to the next lift,
+        with midpoint (mx, my); L2 = dx*dx + dy*dy, or 1 on a zero-length
+        segment.  reach is its half length plus the rounding pad of
+        _distance_bounds.
+        """
+        xy = self._lift_array
+        a, b = xy[:-1], xy[1:]
+        step = b - a
+        length2 = step[:, 0] * step[:, 0] + step[:, 1] * step[:, 1]
+        scale = np.abs(a).sum(axis=1) + np.abs(b).sum(axis=1)
+        reach = 0.5 * np.sqrt(length2) + 256.0 * np.finfo(float).eps * (1.0 + scale)
+        table = np.column_stack([a, step, np.where(length2 == 0.0, 1.0, length2),
+                                 0.5 * (a + b), reach])
+        table.flags.writeable = False
+        return table
+
+    def _distance_bounds(self, pt: PillowcasePoint) -> np.ndarray:
+        """Per segment, a lower bound on every distance _lift_distances gives it.
+
+        The bound is pillowcase_distances from the segment's midpoint to pt,
+        minus half the segment's length and a pad.  In exact arithmetic a
+        lift of pt lies at least the midpoint's distance from the midpoint,
+        so at least that minus half the length from the segment.  Rounding
+        moves the computed midpoint, lifts, projected point, length and
+        norms by a few eps times the magnitudes they involve: the ends (at
+        most C = |xa| + |ya| + |xb| + |yb|), the lifts (within 3pi of the
+        midpoint per coordinate), the length (at most 2C) and the distances
+        (below 5).  That is under 8 eps (7C + 25) in all, and the pad is
+        256 eps (1 + C), which covers it.
+        """
+        table = self._segment_table
+        return pillowcase_distances(table[:, 5:7], pt) - table[:, 7]
+
+    def _scan(self, pt: PillowcasePoint, rows) -> tuple[np.ndarray, np.ndarray]:
+        """_lift_distances of the segments in rows (an index array or a slice).
+
+        x and y run as the two rows of one (segments, 2, 18) array, each by
+        its own operations: t from (px - xa) * dx + (py - ya) * dy, and the
+        distance from ex * ex + ey * ey.
+        """
+        table = self._segment_table[rows]
+        start, step = table[:, 0:2, None], table[:, 2:4, None]
+        lift = _reps_near_array(pt, table[:, 5:7, None])
+        along = (lift - start) * step
+        t = ((along[:, 0] + along[:, 1]) / table[:, 4, None]).clip(0.0, 1.0)
+        off = lift - (start + t[:, None] * step)
+        off = off * off
+        return np.sqrt(off[:, 0] + off[:, 1]), t
+
+    def _lift_distances(self, pt: PillowcasePoint,
+                        radius: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(segments, 18) distances from each segment to the lifts of pt near it, and t.
 
         Row i is for the 18 lifts that _reps_near_array gives around segment
         i's midpoint, in that order.  t is a lift's projection parameter on
         the segment, clipped to [0, 1] (0 on a zero-length segment), and the
         distance is sqrt(ex*ex + ey*ey) of the lift's offset from the point
-        at t, as in pillowcase_distance.
+        at t, as in pillowcase_distance.  Given a radius, only segments whose
+        _distance_bounds entry is at most the radius are scanned; the rows
+        of the others read distance inf and t 0.  Their distances exceed the
+        radius, so every entry at or below it, and so every least entry
+        there, is where the full scan has it.
         """
-        xy = self._lift_array
-        xa, ya, xb, yb = xy[:-1, 0, None], xy[:-1, 1, None], xy[1:, 0, None], xy[1:, 1, None]
-        dx, dy = xb - xa, yb - ya
-        px, py = _reps_near_array(pt, 0.5 * (xa + xb), 0.5 * (ya + yb))
-        L2 = dx * dx + dy * dy
-        t = np.clip(((px - xa) * dx + (py - ya) * dy) / np.where(L2 == 0.0, 1.0, L2),
-                    0.0, 1.0)
-        return _norm(px - (xa + t * dx), py - (ya + t * dy)), t
+        if radius is None:
+            return self._scan(pt, slice(None))
+        keep = np.flatnonzero(self._distance_bounds(pt) <= radius)
+        d = np.full((self.segment_count(), 18), math.inf)
+        t = np.zeros_like(d)
+        if len(keep):
+            d[keep], t[keep] = self._scan(pt, keep)
+        return d, t
 
     def min_distance_to(self, pt: PillowcasePoint) -> float:
-        """Distance from the marked point to the polyline's segments.
+        """Distance from pt (any point, marked or not) to the polyline's segments.
 
-        The least of _lift_distances: over every segment, the distance to
-        the nearest of the lifts of pt around its midpoint.
+        The least entry of _lift_distances: over every segment, the distance
+        to the nearest of the lifts of pt around its midpoint.  Only the
+        segments that can hold it are scanned: the radius is the scanned
+        distance of the segment with the least _distance_bounds entry.
         """
-        return float(self._lift_distances(pt)[0].min())
+        bound = self._distance_bounds(pt)
+        r = int(np.argmin(bound))
+        radius = self._scan(pt, slice(r, r + 1))[0].min()
+        keep = np.flatnonzero(bound <= radius)
+        if len(keep) == 1:
+            return float(radius)
+        return float(self._scan(pt, keep)[0].min())
 
     def transformed(self, rows) -> "PillowcasePolyline":
         """The image under an integer 2x2 matrix, applied to the plane lifts.
@@ -589,6 +658,18 @@ def polyline_intersections(c1: PillowcasePolyline, c2: PillowcasePolyline,
 _REFERENCE_EPSILONS = (1e-8, 2.3e-8, 3.7e-8, 5.1e-8, 7.3e-8, 1.1e-7, 1e-6, 1e-5)
 
 
+def _abs_remainder(d: np.ndarray, period: float) -> np.ndarray:
+    """|math.remainder(d, period)| for period > 0, bit for bit.
+
+    With f = |fmod(d, period)|, exact, the remainder's size is
+    min(f, period - f).  The subtraction is exact where it decides the min
+    (f >= period / 2, by Sterbenz's lemma), and elsewhere it rounds to no
+    less than period / 2 >= f.
+    """
+    f = np.abs(np.fmod(d, period))
+    return np.minimum(f, period - f)
+
+
 def essential_class(curve: PillowcasePolyline) -> int:
     """Signed crossings with the arc from P to Q along {beta = pi}.
 
@@ -596,33 +677,41 @@ def essential_class(curve: PillowcasePolyline) -> int:
     pillowcase; it is nonzero iff the curve separates P from Q.  Sign
     convention: crossing the arc upward (beta increasing, in canonical
     coordinates) counts +1.  The reference arc is perturbed by a tiny
-    deterministic epsilon so crossings at vertices are unambiguous; curves
-    passing within 1e-7 of P or Q raise DegenerateCurveError.
+    deterministic epsilon so crossings at vertices are unambiguous: the
+    first of _REFERENCE_EPSILONS with no lift within 1e-11 of pi + eps mod
+    2pi, tested on all lifts at once (_abs_remainder).  Curves passing
+    within 1e-7 of P or Q raise DegenerateCurveError, and lifts that are
+    not finite raise ValueError.
     """
     if not curve.closed:
         raise ValueError("essential_class needs a closed polyline")
+    xy = curve._lift_array
+    if not np.isfinite(xy).all():
+        raise ValueError("essential_class needs finite lifts")
     for marked in (P_POINT, Q_POINT):
         if curve.min_distance_to(marked) <= 1e-7:
             raise DegenerateCurveError(f"curve passes through marked point {marked}")
-    segs = curve.lifted_segments()
     for eps in _REFERENCE_EPSILONS:
-        ok = True
-        for (x1, y1), (x2, y2) in segs:
-            for y in (y1, y2):
-                frac = math.remainder(y - (math.pi + eps), TWO_PI)
-                if abs(frac) < 1e-11:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return _count_crossings(segs, eps)
+        if not (_abs_remainder(xy[:, 1] - (math.pi + eps), TWO_PI) < 1e-11).any():
+            return _count_crossings(curve, eps)
     raise DegenerateCurveError("could not find a clean reference arc offset")
 
 
-def _count_crossings(segs, eps: float) -> int:
+def _count_crossings(curve: PillowcasePolyline, eps: float) -> int:
+    """Signed crossings of the lifted segments with the lines beta = pi + eps + 2pi k.
+
+    One array pass gives each segment its window of k; the segments whose
+    window is not empty are then counted one by one, in the scalar
+    arithmetic the count has always used.  A segment with an empty window
+    would count nothing.
+    """
+    y = curve._lift_array[:, 1]
+    first = np.ceil((np.minimum(y[:-1], y[1:]) - math.pi - eps) / TWO_PI)
+    last = np.floor((np.maximum(y[:-1], y[1:]) - math.pi - eps) / TWO_PI)
+    lifts = curve._lifts
     total = 0
-    for (x1, y1), (x2, y2) in segs:
+    for i in np.flatnonzero(first <= last).tolist():
+        (x1, y1), (x2, y2) = lifts[i], lifts[i + 1]
         if y1 == y2:
             continue
         lo, hi = min(y1, y2), max(y1, y2)
@@ -665,11 +754,26 @@ def line_crossings(curve: PillowcasePolyline, ca: float, cb: float,
     [-1e-9, 1 + 1e-9], so the k-window is widened by 1e-9*|f2 - f1| on
     each side.  A segment parallel to the line (|f2 - f1| < 1e-15) gives
     both its ends when it lies on the line (|remainder(f1, period)| < 1e-9)
-    and nothing otherwise.  Canonical points come in segment order, not
-    deduplicated; a hit at a shared vertex appears once per segment.
+    and nothing otherwise.  Canonical points come in segment order, then
+    k order, not deduplicated; a hit at a shared vertex appears once per
+    segment.  One array pass over all segments (period > 0) finds those
+    that can give a point: the parallel ones, and those whose k-window is
+    not empty or not finite.  Only they are scanned, one by one, in the
+    scalar arithmetic the scan has always used; a window that is not
+    finite raises there, as math.ceil and math.floor do.
     """
+    xy = curve._lift_array
+    with np.errstate(all="ignore"):  # what is not finite raises in the scalar scan
+        f = ca * xy[:, 0] + cb * xy[:, 1] - target
+        rise = np.abs(f[1:] - f[:-1])
+        widen = 1e-9 * rise
+        first = np.ceil((np.minimum(f[:-1], f[1:]) - widen) / period)
+        last = np.floor((np.maximum(f[:-1], f[1:]) + widen) / period)
+        scan = (rise < 1e-15) | ~(first > last)
+    lifts = curve._lifts
     hits = []
-    for (x1, y1), (x2, y2) in curve.lifted_segments():
+    for i in np.flatnonzero(scan).tolist():
+        (x1, y1), (x2, y2) = lifts[i], lifts[i + 1]
         f1 = ca * x1 + cb * y1 - target
         f2 = ca * x2 + cb * y2 - target
         df = f2 - f1

@@ -1056,7 +1056,9 @@ def _project_endpoint_cuts(curves, node_tol):
 
     Each cut is at the first closest (segment, lift) of _lift_distances in
     row-major order, zero-length segments skipped, if it is within node_tol;
-    the cut's parameter is that lift's t.
+    the cut's parameter is that lift's t.  The scan takes node_tol as its
+    radius, so it skips the segments that cannot come within node_tol and
+    cuts where the scan of every segment does.
     """
     cuts = {i: [] for i in range(len(curves))}
     endpoints = []
@@ -1068,7 +1070,7 @@ def _project_endpoint_cuts(curves, node_tol):
         step = np.diff(c._lift_array, axis=0)
         degenerate = step[:, 0] * step[:, 0] + step[:, 1] * step[:, 1] == 0
         for pt in endpoints:
-            d, t = c._lift_distances(pt)
+            d, t = c._lift_distances(pt, node_tol)
             d[degenerate] = math.inf
             si, li = np.unravel_index(np.argmin(d), d.shape)
             if d[si, li] < node_tol:

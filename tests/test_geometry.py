@@ -920,3 +920,342 @@ class TestHelpers:
         lines = text.strip().splitlines()
         assert lines[0] == "alpha,beta"
         assert len(lines) == 5  # header + 3 vertices + closing repeat
+
+
+# ---------------------------------------------------------------------------
+# the distance prefilter and the window passes, against the full scans
+
+@pytest.fixture(scope="module")
+def image_curves():
+    """Arcs of the trefoil image at r=40, with their images under two gluings.
+
+    The arcs include the closed reducible-line polylines; the gluing images
+    are from_lifts polylines whose segments are long.
+    """
+    from pillowcase.families import builtin_model
+    from pillowcase.solver import SolverConfig, sample_pillowcase_image
+    img = sample_pillowcase_image(builtin_model("trefoil"), 40, SolverConfig())
+    arcs = list(img.arcs)
+    assert any(arc.closed for arc in arcs)
+    mapped = [arc.transformed(g.rows()) for g in (GluingMatrix(-6, 1, 37, -6),
+                                                  GluingMatrix.skew(3))
+              for arc in arcs]
+    return arcs + mapped
+
+
+def _queries(rng, curve):
+    """Marked points, corners, the a_k of p = 3 and 5, and points on, near and off the curve."""
+    pts = [P_POINT, Q_POINT, canonicalize(0.0, 0.0), canonicalize(PI, 0.0)]
+    pts += [canonicalize(2 * k * PI / p, 0.0) for p in (3, 5) for k in range(1, p)]
+    pts += [curve.vertices[i] for i in rng.integers(0, len(curve), size=3)]
+    lifts = np.array(curve.lifted_vertices())
+    for _ in range(3):
+        i = int(rng.integers(0, len(lifts) - 1))
+        on = lifts[i] + rng.uniform() * (lifts[i + 1] - lifts[i])
+        pts += [canonicalize(*on), canonicalize(*(on + 1e-7 * rng.normal(size=2)))]
+    pts += [canonicalize(*rng.uniform(-10, 10, size=2)) for _ in range(3)]
+    return pts
+
+
+class TestDistancePrefilter:
+    def test_min_distance_on_image_arcs_and_long_segments(self, image_curves):
+        rng = np.random.default_rng(40)
+        long_segments = 0
+        for curve in image_curves:
+            lifts = np.array(curve.lifted_vertices())
+            long_segments += (np.hypot(*np.diff(lifts, axis=0).T) > PI).sum()
+            for pt in _queries(rng, curve):
+                assert repr(curve.min_distance_to(pt)) == \
+                    repr(_reference_min_distance(curve, pt))
+        assert long_segments
+
+    def test_closed_line_polylines(self):
+        rng = np.random.default_rng(41)
+        for ca, cb in ((1, 0), (0, 1), (3, 1), (2, -1), (1, 6)):
+            n = 96 * max(abs(ca), abs(cb))
+            ts = np.linspace(0.0, TWO_PI, n + 1)
+            line = PillowcasePolyline.from_lifts(
+                [(cb * t + 0.3, -ca * t + 1.1) for t in ts], closed=True)
+            for pt in _queries(rng, line):
+                assert repr(line.min_distance_to(pt)) == \
+                    repr(_reference_min_distance(line, pt))
+
+    def test_dropped_rows_lie_beyond_the_radius(self, image_curves):
+        # rows within the radius are the full scan's bytes; the rest are
+        # inf here and beyond the radius there
+        rng = np.random.default_rng(42)
+        dropped = 0
+        for curve in image_curves[::2]:
+            for pt in _queries(rng, curve)[::2]:
+                d, t = curve._lift_distances(pt)
+                least = d.min()
+                for radius in (least, 1e-7, 1e-6, 0.3, least + 0.05):
+                    d_r, t_r = curve._lift_distances(pt, radius)
+                    kept = np.isfinite(d_r).all(axis=1)
+                    assert np.isinf(d_r[~kept]).all() and (t_r[~kept] == 0.0).all()
+                    assert d_r[kept].tobytes() == d[kept].tobytes()
+                    assert (t_r[kept] == t[kept]).all()
+                    assert (d[~kept] > radius).all()
+                    dropped += (~kept).sum()
+        assert dropped
+
+    def test_essential_class_at_its_radius(self):
+        # a vertical loop at alpha = a passes P at distance exactly a, since
+        # sqrt(a*a) == a; the marked-point test is distance <= 1e-7
+        for a, degenerate in ((1e-7, True), (math.nextafter(1e-7, math.inf), False)):
+            loop = PillowcasePolyline.from_lifts(
+                [(a, 0.0), (a, 2.0), (a, PI), (a, 4.5), (a, TWO_PI)], closed=True)
+            assert loop.min_distance_to(P_POINT) == a == _reference_min_distance(loop, P_POINT)
+            got, want = _outcome(essential_class, loop), _outcome(_reference_essential_class, loop)
+            assert got == want
+            assert (got[0] == "DegenerateCurveError") == degenerate
+
+    def test_certificate_radii(self):
+        # p_avoiding_certificate tests distance > 1e-6 to the corners and
+        # < 1e-6 to the points a_k = (2 pi k / p, 0)
+        from pillowcase.gluer import p_avoiding_certificate
+        tol = 1e-6
+        corner = canonicalize(0.0, 0.0)
+        for a in (tol, math.nextafter(tol, math.inf)):
+            loop = PillowcasePolyline.from_lifts(
+                [(a, 0.0), (a, 2.0), (a, 4.0), (a, TWO_PI)], closed=True)
+            assert loop.min_distance_to(corner) == a == _reference_min_distance(loop, corner)
+            assert p_avoiding_certificate(loop, 3).avoids_corners == (a > tol)
+        a_k = canonicalize(TWO_PI / 3, 0.0)
+        for b in (math.nextafter(tol, 0.0), tol):
+            loop = PillowcasePolyline.from_lifts(
+                [(a_k.alpha + s, b) for s in (0.0, 1.0, 2.5, 4.0, TWO_PI)], closed=True)
+            assert loop.min_distance_to(a_k) == b == _reference_min_distance(loop, a_k)
+            assert (loop.min_distance_to(a_k) < tol) == (b < tol)
+
+
+def _reference_essential_class(curve, marked_points=(P_POINT, Q_POINT)):
+    """The scalar loops of essential_class before its window pass."""
+    if not curve.closed:
+        raise ValueError("essential_class needs a closed polyline")
+    for marked in marked_points:
+        if _reference_min_distance(curve, marked) <= 1e-7:
+            raise DegenerateCurveError(f"curve passes through marked point {marked}")
+    segs = curve.lifted_segments()
+    for eps in geometry._REFERENCE_EPSILONS:
+        if all(abs(math.remainder(y - (math.pi + eps), TWO_PI)) >= 1e-11
+               for seg in segs for _, y in seg):
+            return _reference_count_crossings(segs, eps)
+    raise DegenerateCurveError("could not find a clean reference arc offset")
+
+
+def _reference_count_crossings(segs, eps):
+    total = 0
+    for (x1, y1), (x2, y2) in segs:
+        if y1 == y2:
+            continue
+        lo, hi = min(y1, y2), max(y1, y2)
+        k_lo = math.ceil((lo - math.pi - eps) / TWO_PI)
+        k_hi = math.floor((hi - math.pi - eps) / TWO_PI)
+        for k in range(k_lo, k_hi + 1):
+            h = math.pi + eps + TWO_PI * k
+            if not (lo < h < hi):
+                continue
+            t = (h - y1) / (y2 - y1)
+            x = x1 + t * (x2 - x1)
+            upward = 1 if y2 > y1 else -1
+            xm = math.fmod(x, TWO_PI)
+            if xm < 0:
+                xm += TWO_PI
+            total += upward * (1 if xm < math.pi else -1)
+    return total
+
+
+def _reference_line_crossings(curve, ca, cb, target=0.0, period=TWO_PI):
+    """The scalar loop of line_crossings before its window pass."""
+    hits = []
+    for (x1, y1), (x2, y2) in curve.lifted_segments():
+        f1 = ca * x1 + cb * y1 - target
+        f2 = ca * x2 + cb * y2 - target
+        df = f2 - f1
+        if abs(df) < 1e-15:
+            if abs(math.remainder(f1, period)) < 1e-9:
+                hits.append(canonicalize(x1, y1))
+                hits.append(canonicalize(x2, y2))
+            continue
+        w = 1e-9 * abs(df)
+        lo, hi = (f1 - w, f2 + w) if df > 0 else (f2 - w, f1 + w)
+        for k in range(math.ceil(lo / period), math.floor(hi / period) + 1):
+            t = (period * k - f1) / df
+            if -1e-9 <= t <= 1 + 1e-9:
+                hits.append(canonicalize(x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
+    return hits
+
+
+def _outcome(fn, *args, **kwargs):
+    """repr of the result, or the exception's type name and message."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _loops(rng, count):
+    """Closed loops of known beta winding, some through edge folds, some sparse."""
+    for case in range(count):
+        k = int(rng.integers(-3, 4))
+        n = int(rng.choice([7, 40]))
+        ts = np.linspace(0.0, 1.0, n, endpoint=False)
+        alpha = rng.uniform(0.2, 2.9) + rng.uniform(0.1, 1.5) * np.sin(
+            TWO_PI * ts * rng.integers(1, 4) + rng.uniform(0, TWO_PI))
+        beta = TWO_PI * k * ts + rng.uniform(0, TWO_PI) + 0.3 * np.cos(TWO_PI * ts)
+        yield polyline(list(zip(alpha, beta)), closed=True)
+
+
+class TestWindowPasses:
+    def test_abs_remainder_is_math_remainder(self):
+        rng = np.random.default_rng(50)
+        for period in (TWO_PI, PI, 1.0, 0.3):
+            k = rng.integers(-40, 40, size=200).astype(float)
+            d = np.concatenate([
+                rng.uniform(-100, 100, size=2000), k * period, (k + 0.5) * period,
+                [math.nextafter(v, s) for v in (k + 0.5)[:50] * period
+                 for s in (-math.inf, math.inf)],
+                k * period + rng.normal(size=200) * 1e-11, [0.0, -0.0, 1e300, -1e-300]])
+            want = np.array([abs(math.remainder(v, period)) for v in d.tolist()])
+            assert geometry._abs_remainder(d, period).tobytes() == want.tobytes()
+
+    def test_essential_class_matches_scalar_loops(self):
+        rng = np.random.default_rng(51)
+        classes = set()
+        gluings = (GluingMatrix.swap(), GluingMatrix.skew(3), GluingMatrix(-6, 1, 37, -6))
+        for loop in _loops(rng, 24):
+            for curve in (loop, loop.transformed(gluings[int(rng.integers(0, 3))].rows())):
+                got = _outcome(essential_class, curve)
+                assert got == _outcome(_reference_essential_class, curve)
+                classes.add(got)
+        walks = [polyline([tuple(p) for p in _walk(rng, 30)], closed=True) for _ in range(12)]
+        for curve in walks:
+            assert _outcome(essential_class, curve) == \
+                _outcome(_reference_essential_class, curve)
+        assert {"0", "1", "-1"} <= classes and len(classes) > 4
+
+    def test_horizontal_segments_and_edge_runs(self):
+        curves = [
+            polyline([(0.5, 1.0), (2.5, 1.0), (2.5, 4.0), (0.5, 4.0)], closed=True),
+            polyline([(0.5, 1.0), (2.5, 1.0), (2.5, 4.0), (1.0, 4.0), (1.0, 7.0)],
+                     closed=True),
+            PillowcasePolyline.from_lifts([(1.0, PI), (2.0, PI), (2.0, PI + TWO_PI),
+                                           (1.0, PI + TWO_PI)], closed=True),
+            PillowcasePolyline.from_lifts([(1.5, 0.5), (1.5, 0.5 + 3 * TWO_PI),
+                                           (1.6, 0.5 + 3 * TWO_PI)], closed=True),
+        ]
+        for curve in curves:
+            assert _outcome(essential_class, curve) == \
+                _outcome(_reference_essential_class, curve)
+
+    def test_vertices_on_the_reference_arc_force_the_next_epsilon(self, monkeypatch):
+        used = []
+        count = geometry._count_crossings
+        monkeypatch.setattr(geometry, "_count_crossings",
+                            lambda curve, eps: used.append(eps) or count(curve, eps))
+        eps = geometry._REFERENCE_EPSILONS
+        for j in range(len(eps) + 1):
+            # a vertical loop with lifts at pi + eps for the first j epsilons,
+            # some a period up
+            ys = [0.5] + [math.pi + e + TWO_PI * (i % 2) for i, e in enumerate(eps[:j])]
+            lifts = [(1.0 + 0.01 * i, y) for i, y in enumerate(sorted(ys))]
+            lifts += [(2.0, 9.0), (2.0, 13.0), (1.0, 0.5 + 2 * TWO_PI)]
+            curve = PillowcasePolyline.from_lifts(lifts, closed=True)
+            got = _outcome(essential_class, curve)
+            assert got == _outcome(_reference_essential_class, curve)
+            if j < len(eps):
+                assert used[-1] == eps[j]
+            else:
+                assert got == ("DegenerateCurveError",
+                               "could not find a clean reference arc offset")
+
+    def test_essential_class_error_paths(self):
+        near_p = polyline([(0.0, PI), (1.0, 1.0), (2.0, 1.0)], closed=True)
+        near_q = polyline([(PI - 5e-8, PI), (1.0, 1.0), (2.0, 1.0)], closed=True)
+        open_curve = polyline([(1.0, 1.0), (1.2, 1.2)])
+        for curve in (near_p, near_q, open_curve):
+            got = _outcome(essential_class, curve)
+            assert got == _outcome(_reference_essential_class, curve)
+            assert got[0] in ("DegenerateCurveError", "ValueError")
+        # a closing lift that is not finite: ValueError, as math.remainder
+        # gave in the reference-offset loop (the marked-point scan before it
+        # read nan there, with numpy warnings)
+        for y in (math.inf, -math.inf):
+            curve = PillowcasePolyline.from_lifts([(1.0, 0.5), (1.0, 2.0), (1.0, y)],
+                                                  closed=True)
+            with pytest.raises(ValueError):
+                essential_class(curve)
+            with pytest.raises(ValueError, match="math domain error"):
+                _reference_essential_class(curve, marked_points=())
+
+    LINES = ((0, 1), (1, 0), (1, 1), (3, 1), (2, -1), (5, 2), (13, 1), (1, 6))
+
+    @pytest.mark.parametrize("period", [TWO_PI, PI])
+    def test_line_crossings_match_scalar_loop(self, period):
+        rng = np.random.default_rng(52)
+        hits = 0
+        for case in range(40):
+            ca, cb = self.LINES[case % len(self.LINES)]
+            target = (0.0, PI, 2.5)[case % 3]
+            kind = TestLineCrossings.KINDS[case % len(TestLineCrossings.KINDS)]
+            curve = _line_walk(rng, kind, ca, cb, target, period, (0.02, 1.0)[case % 2])
+            mapped = curve.transformed(GluingMatrix(-6, 1, 37, -6).rows())
+            for c in (curve, mapped):
+                got = line_crossings(c, ca, cb, target, period)
+                assert repr(got) == repr(_reference_line_crossings(c, ca, cb, target, period))
+                hits += len(got)
+        assert hits
+
+    def test_line_crossings_on_image_arcs(self, image_curves):
+        for curve in image_curves:
+            for ca, cb, target, period in ((1, 0, 0.0, TWO_PI), (0, 1, PI, TWO_PI),
+                                           (3, 1, 0.0, PI), (2, 3, 1.0, TWO_PI)):
+                assert repr(line_crossings(curve, ca, cb, target, period)) == \
+                    repr(_reference_line_crossings(curve, ca, cb, target, period))
+
+    def test_parallel_segments_on_and_off_the_line(self):
+        # horizontal runs on beta = 1 and beta = 2, against the lines beta = 1 mod period
+        run = polyline([(0.2, 1.0), (0.9, 1.0), (1.7, 1.0), (1.7, 2.0), (0.4, 2.0)])
+        loop = polyline([(0.2, 1.0), (0.9, 1.0), (1.7, 1.0), (1.7, 2.0), (0.4, 2.0)],
+                        closed=True)
+        for curve in (run, loop):
+            for target, period in ((1.0, TWO_PI), (1.0, PI), (1.0 + PI, PI), (1.5, TWO_PI)):
+                got = line_crossings(curve, 0, 1, target, period)
+                assert repr(got) == repr(_reference_line_crossings(curve, 0, 1, target, period))
+        on = line_crossings(run, 0, 1, 1.0)
+        # both ends of the two runs on the line, and the foot of the vertical segment
+        assert len(on) == 5
+        assert line_crossings(run, 0, 1, 1.5)[0] == canonicalize(1.7, 1.5)
+
+    def test_shared_vertex_once_per_segment(self):
+        # beta = 1 meets the curve at its middle vertex, the end of one
+        # segment and the start of the next
+        curve = polyline([(0.5, 0.5), (1.0, 1.0), (1.5, 1.7)])
+        got = line_crossings(curve, 0, 1, 1.0)
+        assert got == [canonicalize(1.0, 1.0)] * 2
+        assert repr(got) == repr(_reference_line_crossings(curve, 0, 1, 1.0))
+
+    def test_long_segments_cross_several_strips(self):
+        curve = PillowcasePolyline.from_lifts([(1.5, 0.5), (1.5 + 3 * TWO_PI, 0.5 + 7.0),
+                                               (-4.0, 30.0)])
+        for ca, cb, period in ((1, 0, TWO_PI), (0, 1, PI), (3, 1, PI), (1, -1, TWO_PI)):
+            got = line_crossings(curve, ca, cb, 1.0, period)
+            assert len(got) > 3
+            assert repr(got) == repr(_reference_line_crossings(curve, ca, cb, 1.0, period))
+
+    def test_line_crossings_error_paths(self):
+        curve = polyline([(0.5, 0.5), (1.0, 1.0), (1.5, 1.7)])
+        flat = polyline([(0.5, 1.0), (1.0, 1.0)])
+        closing = PillowcasePolyline.from_lifts([(1.0, 0.5), (1.0, 2.0), (math.inf, 3.0)],
+                                                closed=True)
+        cases = [(curve, 1, 1, math.nan, TWO_PI), (curve, 1, 1, math.inf, TWO_PI),
+                 (curve, math.inf, 1, 0.0, TWO_PI), (curve, math.nan, 0, 0.0, TWO_PI),
+                 (flat, 0, 1, 1.0, math.nan), (curve, 1, 1, 0.0, 0.0),
+                 (closing, 1, 0, 0.0, TWO_PI), (closing, 0, 1, 0.0, TWO_PI)]
+        raised = set()
+        for c, ca, cb, target, period in cases:
+            got = _outcome(line_crossings, c, ca, cb, target, period)
+            assert got == _outcome(_reference_line_crossings, c, ca, cb, target, period)
+            raised.add(got[0])
+        assert {"ValueError", "OverflowError", "ZeroDivisionError"} <= raised

@@ -1155,6 +1155,22 @@ def _project_endpoint_cuts_reference(curves, node_tol):
     return cuts
 
 
+def _project_endpoint_cuts_full_scan(curves, node_tol):
+    """_project_endpoint_cuts as it scanned every segment, before its radius."""
+    cuts = {i: [] for i in range(len(curves))}
+    endpoints = [v for c in curves if not c.closed for v in (c.vertices[0], c.vertices[-1])]
+    for j, c in enumerate(curves):
+        step = np.diff(c._lift_array, axis=0)
+        degenerate = step[:, 0] * step[:, 0] + step[:, 1] * step[:, 1] == 0
+        for pt in endpoints:
+            d, t = c._lift_distances(pt)
+            d[degenerate] = math.inf
+            si, li = np.unravel_index(np.argmin(d), d.shape)
+            if d[si, li] < node_tol:
+                cuts[j].append((int(si), float(t[si, li])))
+    return cuts
+
+
 def _chain_points_reference(records, threshold):
     """The old scalar adjacency and greedy walk of _chain_points."""
     pts = [r.point for r in records]
@@ -1375,6 +1391,31 @@ class TestPointKernelScans:
                         repr(_project_endpoint_cuts_reference(pair, node_tol))
                 # the endpoint cuts the curve only above its distance
                 assert len(got[2][0]) == len(got[1][0]) + 1
+
+    @pytest.mark.parametrize("name", ["trefoil", "trefoil-neg", "klein"])
+    def test_project_endpoint_cuts_radius_on_image_arcs(self, name):
+        # the radius skips only segments that cannot cut: the same cuts as
+        # the scan of every segment, on the arcs and on their Motegi images
+        img = sample_pillowcase_image(builtin_model(name), 60, CFG)
+        arcs = list(img.arcs)
+        mapped = [arc.transformed(GluingMatrix(-6, 1, 37, -6).rows()) for arc in arcs]
+        node_tol = max(img.chain_threshold, 1e-7)
+        cut = 0
+        for curves in (arcs, mapped, arcs + mapped):
+            for tol in (node_tol, 0.25 * node_tol, 0.3, 1.5):
+                got = _project_endpoint_cuts(curves, tol)
+                assert repr(got) == repr(_project_endpoint_cuts_full_scan(curves, tol))
+                cut += sum(map(len, got.values()))
+        assert cut
+        # node_tol at each endpoint's exact distance to each arc, and one ulp above
+        ends = [v for c in arcs if not c.closed for v in (c.vertices[0], c.vertices[-1])]
+        for c in arcs:
+            for pt in ends:
+                s = c.min_distance_to(pt)
+                for tol in (s, math.nextafter(s, math.inf)):
+                    pair = [c, polyline([pt, canonicalize(pt.alpha + 0.5, pt.beta + 2.0)])]
+                    assert repr(_project_endpoint_cuts(pair, tol)) == \
+                        repr(_project_endpoint_cuts_full_scan(pair, tol))
 
     @pytest.mark.parametrize("model", [torus_knot_model(2, 3), klein_bottle_model()],
                              ids=["trefoil", "klein"])
