@@ -21,7 +21,7 @@ from .families import (builtin_model, klein_bottle_model,
                        unknot_model)
 from .solver import (PillowcaseImage, SolverConfig, extract_essential_curve,
                      find_surgery_representation, lift_to_cut_open,
-                     sample_pillowcase_image, solve_at_meridian_angle)
+                     sample_pillowcase_image)
 from .gluer import (SplicedManifold, p_avoiding_certificate,
                     search_nonabelian_rep, slope_line_certificates, splice)
 

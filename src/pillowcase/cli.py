@@ -1,8 +1,9 @@
 """Command-line interface: image sweeps, homology queries, splice search.
 
 Exit codes: 0 success; 1 a splice search that ran but found nothing;
-2 malformed input (bad model/job/arguments); 3 contract violations such as
-a gluing determinant different from -1.
+2 malformed input (bad model/job/arguments, or an output file that cannot
+be written); 3 contract violations such as a gluing determinant different
+from -1.
 """
 
 from __future__ import annotations
@@ -132,6 +133,14 @@ def _config_from_args(args, job: dict | None = None) -> SolverConfig:
         raise InputError(f"invalid option: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; one that cannot be written is bad input."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(data: dict, as_json: bool, text: str) -> None:
     if as_json:
         print(json.dumps(data, sort_keys=True))
@@ -174,10 +183,10 @@ def cmd_image(args) -> int:
         "sweep": asdict(img.sweep),
     }
     if args.out_svg:
-        Path(args.out_svg).write_text(image_to_svg(img))
+        _write(args.out_svg, image_to_svg(img))
         summary["svg"] = args.out_svg
     if args.out_csv:
-        Path(args.out_csv).write_text(image_to_csv(img))
+        _write(args.out_csv, image_to_csv(img))
         summary["csv"] = args.out_csv
     lines = [
         f"model {model.name}: {len(img.arcs)} arcs, {len(img.points)} witness points "
@@ -315,14 +324,14 @@ def cmd_splice(args) -> int:
         }
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        _write(args.out, text + "\n")
     print(text)
     if args.svg:
         curves = list(img1.arcs) + list(img2.transform_arcs(g))
         svg = polylines_to_svg(curves, title=f"{m1.name} glued to {m2.name}")
         if result.found:
             svg = mark_points(svg, [result.boundary_point])
-        Path(args.svg).write_text(svg)
+        _write(args.svg, svg)
     return EXIT_OK if result.found else EXIT_NOT_FOUND
 
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +37,7 @@ from .su2 import (Representation, UnitQuaternion, boundary_angles, irreducibilit
 
 __all__ = [
     "SolverConfig", "PillowcaseImage", "ImagePoint", "SweepStats", "LiftResult",
-    "solve_at_meridian_angle", "sample_pillowcase_image", "reducible_lines",
-    "lift_to_cut_open", "extract_essential_curve",
+    "sample_pillowcase_image", "lift_to_cut_open", "extract_essential_curve",
     "find_surgery_representation", "corner_diagnostics", "refine_representation",
 ]
 
@@ -77,7 +75,12 @@ class SolverConfig:
         for name, op, bound in _CONFIG_RANGES:
             value = getattr(self, name)
             # a NaN fails both comparisons, so it is out of range too
-            if not (value > bound if op == ">" else value >= bound):
+            in_range = value > bound if op == ">" else value >= bound
+            if isinstance(self.__dataclass_fields__[name].default, float):
+                # inf meets a lower bound, but no tolerance or gap can use it
+                in_range = in_range and value < math.inf
+                op = f"finite and {op}"
+            if not in_range:
                 raise ValueError(f"solver config {name!r} must be {op} {bound}, "
                                  f"got {value!r}")
 
@@ -572,7 +575,9 @@ def _sweep(pres: GroupPresentation, alphas, keys,
     The cold solve of _cold_solutions: config.restarts random restarts per
     node, drawn from default_rng([config.seed, keys[i]]), then the accept
     and dedup pass.  Each node's solutions are sorted by decreasing gap,
-    then by their conjugation invariants.
+    then by their conjugation invariants.  The image sweep solves only its
+    discovery nodes cold and tracks the rest; run over every node, this is
+    the all-node cold reference that tracking is tested against.
     """
     return [_by_gap(node) for node in _cold_solutions(pres, alphas, keys, config)]
 
@@ -624,20 +629,6 @@ def _track(pres: GroupPresentation, grid, kept, discovery, config: SolverConfig)
         counts["track_stops_grid_end"] += int((accepted & ~live).sum())
         params, nodes, steps = params[live], following[live], steps[live]
     return counts
-
-
-def solve_at_meridian_angle(pres: GroupPresentation, alpha: float,
-                            config: SolverConfig | None = None) -> list[Representation]:
-    """Representations with rho(meridian) = e^{i alpha}, up to conjugation.
-
-    Random restarts of the batched LM solver, accepting relator residuals
-    below config.tol and deduplicating by conjugation invariants.  An empty
-    list means none were found, which is evidence rather than proof.
-    """
-    config = config or SolverConfig()
-    if not (0.0 <= alpha <= math.pi + 1e-12):
-        raise ValueError("alpha must lie in [0, pi]")
-    return [rep for rep, _ in _sweep(pres, [alpha], [int(round(alpha * 1e9))], config)[0]]
 
 
 def refine_representation(pres: GroupPresentation, seed_rep: Representation,
@@ -760,36 +751,17 @@ class PillowcaseImage:
 _SAMPLES_PER_TURN = 96  # line vertices per 2pi of the free angle, at rate 1
 
 
-def reducible_lines(model: KnotExteriorModel) -> list[PillowcasePolyline]:
-    """Boundary image of the diagonal (abelian) representations, exactly.
+def _line_forms(model: KnotExteriorModel) -> list[tuple[LineForm, PillowcasePolyline]]:
+    """(exact form, polyline) of each reducible line, once, in character order.
 
-    Diagonal representations are angle assignments theta with
-    E theta = 0 mod 2pi for the relator exponent matrix E; solving by Smith
-    normal form yields finitely many lines parametrized by the free angle,
-    one per torsion character that acts on the boundary.
-    """
-    return [line.polyline for line in _line_forms(model)]
-
-
-class _ReducibleLine(NamedTuple):
-    """A reducible line's polyline and the integers of its exact form."""
-
-    polyline: PillowcasePolyline
-    ca: int
-    cb: int
-    offset: Fraction
-
-    @property
-    def form(self) -> LineForm:
-        return LineForm(self.ca, self.cb, self.offset)
-
-
-def _line_forms(model: KnotExteriorModel) -> list[_ReducibleLine]:
-    """(polyline, ca, cb, offset) for each reducible line, once, in character order.
-
-    The line of integer direction (a, b), g = gcd(a, b), is the point set
-    ca*alpha + cb*beta = +-2pi*offset (mod 2pi) with ca, cb = b/g, -a/g; offset
-    is an exact Fraction in [0, 1/2], so equal offsets are one line.
+    The reducible lines are the boundary image of the diagonal (abelian)
+    representations: angle assignments theta with E theta = 0 mod 2pi for
+    the relator exponent matrix E, solved by Smith normal form, one line per
+    torsion character that acts on the boundary, parametrized by the free
+    angle.  The line of integer direction (a, b), g = gcd(a, b), is the
+    point set ca*alpha + cb*beta = +-2pi*offset (mod 2pi) with ca, cb = b/g,
+    -a/g; offset is an exact Fraction in [0, 1/2], so equal offsets are one
+    line.
     A model without exactly one free H1 coordinate gets the line beta = 0
     if its longitude is nullhomologous, and raises ModelInvalidError
     otherwise.
@@ -813,7 +785,7 @@ def _line_forms(model: KnotExteriorModel) -> list[_ReducibleLine]:
     if len(free_idx) != 1:
         # not a knot-exterior shape; fall back to the nullhomologous line
         if all(v == 0 for v in lam):
-            return [_ReducibleLine(_line_polyline(1, 0, 0.0, 0.0), 0, -1, Fraction(0))]
+            return [(LineForm(0, -1, Fraction(0)), _line_polyline(1, 0, 0.0, 0.0))]
         raise ModelInvalidError("model does not have a single free H1 coordinate")
     f = free_idx[0]
     a_coef, b_coef = mu_psi[f], lam_psi[f]
@@ -829,13 +801,8 @@ def _line_forms(model: KnotExteriorModel) -> list[_ReducibleLine]:
             c_mu = sum(mu_psi[i] * (TWO_PI * k / diag[i]) for i, k in zip(torsion_idx, combo))
             c_lam = sum(lam_psi[i] * (TWO_PI * k / diag[i]) for i, k in zip(torsion_idx, combo))
             lines[key] = _line_polyline(a_coef, b_coef, c_mu, c_lam)
-    return [_ReducibleLine(line, b_coef // gcd, -a_coef // gcd, key)
+    return [(LineForm(b_coef // gcd, -a_coef // gcd, key), line)
             for key, line in lines.items()]
-
-
-def _on_line(pt: PillowcasePoint, forms: list[_ReducibleLine]) -> bool:
-    """Whether pt lies within 1e-6 of a line of _line_forms, in the plane."""
-    return any(line.form.contains(pt, 1e-6) for line in forms)
 
 
 def _line_polyline(a_coef, b_coef, c_mu, c_lam):
@@ -955,7 +922,7 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
     # points sitting on an analytic line are kept as witnesses but do not
     # seed numeric arcs of their own
     chainable = [r for r in records if r.gap > IRREDUCIBLE_GAP
-                 or not _on_line(r.point, forms)]
+                 or not any(form.contains(r.point, 1e-6) for form, _ in forms)]
     threshold = _CHAIN_FACTOR * grid_step
     arcs, isolated = _chain_points(chainable, threshold)
     return PillowcaseImage(
@@ -964,10 +931,10 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
         grid_step=grid_step,
         chain_threshold=threshold,
         points=tuple(records),
-        arcs=tuple(arcs) + tuple(line.polyline for line in forms),
+        arcs=tuple(arcs) + tuple(line for _, line in forms),
         isolated=tuple(isolated),
         sweep=stats,
-        lines=tuple(line.form for line in forms),
+        lines=tuple(form for form, _ in forms),
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import asdict
 
 import pytest
@@ -205,9 +206,9 @@ class TestImageCommand:
 
     @pytest.mark.parametrize("name, value", [
         ("restarts", "-1"), ("restarts", "0"), ("seed", "-1"), ("resolution", "1"),
-        ("tol", "0"), ("tol", "-1e-9"), ("tol", "nan")],
+        ("tol", "0"), ("tol", "-1e-9"), ("tol", "nan"), ("tol", "inf")],
         ids=["restarts-negative", "restarts-zero", "seed-negative", "resolution-1",
-             "tol-zero", "tol-negative", "tol-nan"])
+             "tol-zero", "tol-negative", "tol-nan", "tol-inf"])
     def test_out_of_range_flag_exit_2(self, capsys, name, value):
         code, out, err = run(capsys, "image", "unknot", f"--{name}={value}")
         assert code == EXIT_BAD_INPUT
@@ -215,8 +216,9 @@ class TestImageCommand:
         assert f"solver config {name!r} must be" in err
 
     @pytest.mark.parametrize("text", [
-        '{"tol": -1.0}', '{"min_gap": -0.5}', '{"resolution": 0}'],
-        ids=["tol", "min_gap", "resolution"])
+        '{"tol": -1.0}', '{"min_gap": -0.5}', '{"resolution": 0}',
+        '{"tol": 1e999}', '{"min_gap": 1e999}'],
+        ids=["tol", "min_gap", "resolution", "tol-inf", "min_gap-inf"])
     def test_out_of_range_config_exit_2(self, capsys, tmp_path, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
@@ -256,6 +258,20 @@ class TestImageCommand:
                              ("resolution", 1), ("min_gap", -1e-300)]:
             with pytest.raises(ValueError, match=f"'{field}' must be"):
                 SolverConfig(**{field: value})
+        # the float fields are finite too; a huge int is finite
+        SolverConfig(tol=1e308, min_gap=10 ** 400)
+        for field in ("tol", "min_gap"):
+            with pytest.raises(ValueError, match=f"'{field}' must be finite and"):
+                SolverConfig(**{field: math.inf})
+
+    @pytest.mark.parametrize("flag, directory", [("--out-svg", False), ("--out-csv", True)])
+    def test_unwritable_output_exit_2(self, capsys, tmp_path, flag, directory):
+        # a missing directory, or a path that is a directory
+        path = tmp_path if directory else tmp_path / "missing" / "out"
+        code, out, err = run(capsys, "image", "unknot", "--resolution", "4",
+                             flag, str(path))
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err.startswith(f"error: cannot write {path}: ")
 
     def test_config_value_types(self):
         cfg = SolverConfig.from_dict({"tol": 1, "min_gap": 0.2, "restarts": 5})
@@ -350,6 +366,27 @@ class TestSpliceCommand:
         code, _, err = run(capsys, "splice", str(job))
         assert code == EXIT_BAD_INPUT
         assert "invalid job" in err and "'restarts' must be >= 1" in err
+
+    def test_infinite_job_field_exit_2(self, capsys, tmp_path):
+        # a min_gap that no gap can meet would make any search come up empty
+        job = tmp_path / "job.json"
+        job.write_text('{"model1": "trefoil", "model2": "trefoil", "min_gap": 1e999}')
+        code, out, err = run(capsys, "splice", str(job))
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert "invalid job" in err and "'min_gap' must be finite and >= 0" in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_unwritable_output_exit_2(self, capsys, tmp_path, flag):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({
+            "model1": "trefoil", "model2": "trefoil", "gluing": "swap",
+            "resolution": 40, "seed": 1}))
+        path = tmp_path / "missing" / "out"
+        code, out, err = run(capsys, "splice", str(job), flag, str(path))
+        assert code == EXIT_BAD_INPUT
+        assert err.startswith(f"error: cannot write {path}: ")
+        # --out is written before the result is printed, --svg after it
+        assert (out == "") == (flag == "--out")
 
     def test_mistyped_job_field_exit_2(self, capsys, tmp_path):
         job = tmp_path / "job.json"

@@ -8,7 +8,7 @@ import pytest
 from pillowcase import geometry
 from pillowcase.geometry import (GluingMatrix, DegenerateCurveError, LineForm, P_POINT,
                                  PillowcasePolyline, PillowcasePoint, Q_POINT, TWO_PI,
-                                 _candidate_pairs, _segment_intersection,
+                                 _deck_shifts, _segment_intersection,
                                  apply_integer_matrix, canonicalize,
                                  detailed_intersections,
                                  distinct_points, essential_class,
@@ -16,7 +16,7 @@ from pillowcase.geometry import (GluingMatrix, DegenerateCurveError, LineForm, P
                                  line_offset, pillowcase_distance,
                                  pillowcase_distance_matrix,
                                  pillowcase_distances, polyline,
-                                 polyline_intersections, polyline_to_csv,
+                                 polyline_intersections,
                                  sigma, sigma_p, tau)
 
 PI = math.pi
@@ -332,7 +332,7 @@ class TestBroadPhaseEquivalence:
                     repr(_reference_polyline_intersections(a, b, tol))
                 flags.update(rec[1] for rec in got)
                 pairs += a.segment_count() * b.segment_count()
-                kept += len(_candidate_pairs(a, b, tol))
+                kept += len(_deck_shifts(a, b, tol))
         # both narrow-phase branches were reached, and pairs were pruned
         assert flags == {True, False}
         assert kept < 0.2 * pairs
@@ -352,7 +352,7 @@ class TestBroadPhaseEquivalence:
                 assert repr(detailed_intersections(a, b)) == \
                     repr(_reference_detailed_intersections(a, b, 1e-9))
                 segs_a, segs_b = a.lifted_segments(), b.lifted_segments()
-                for i1, i2 in _candidate_pairs(a, b, 1e-9):
+                for (i1, i2), _ in _deck_shifts(a, b, 1e-9):
                     (x1, y1), (x2, y2) = segs_a[i1]
                     old += len(_deck_images(segs_b[i2], min(x1, x2) - 1e-9, max(x1, x2) + 1e-9,
                                             min(y1, y2) - 1e-9, max(y1, y2) + 1e-9))
@@ -809,11 +809,11 @@ class TestLineForm:
     def test_transformed_form_carries_the_transformed_polyline(self, name, gluing):
         from pillowcase.families import builtin_model
         from pillowcase.solver import _line_forms
-        for line in _line_forms(builtin_model(name)):
-            image = line.polyline.transformed(gluing.rows())
-            form = line.form.transformed(gluing)
-            assert max(form.distance(v) for v in image.vertices) < 1e-12
-            assert form.offset == line.form.offset
+        for form, line in _line_forms(builtin_model(name)):
+            image = line.transformed(gluing.rows())
+            moved = form.transformed(gluing)
+            assert max(moved.distance(v) for v in image.vertices) < 1e-12
+            assert moved.offset == form.offset
 
 
 class TestEssentialClass:
@@ -913,13 +913,6 @@ class TestHelpers:
             ref = min(math.hypot(p1.alpha - u, p1.beta - v)
                       for (u, v) in _reps_near(p2, p1.alpha, p1.beta))
             assert abs(ref - pillowcase_distance(p1, p2)) < 1e-12
-
-    def test_csv(self):
-        loop = polyline([(1.0, 1.0), (1.5, 1.0), (1.5, 1.5)], closed=True)
-        text = polyline_to_csv(loop)
-        lines = text.strip().splitlines()
-        assert lines[0] == "alpha,beta"
-        assert len(lines) == 5  # header + 3 vertices + closing repeat
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from pillowcase import gluer, solver
 from pillowcase.families import (builtin_model, klein_bottle_model,
                                  torus_knot_model, unknot_model)
-from pillowcase.geometry import (GluingMatrix, PillowcasePoint,
+from pillowcase.geometry import (GluingMatrix, LineForm, PillowcasePoint,
                                  PillowcasePolyline, TWO_PI,
                                  apply_integer_matrix, canonicalize,
                                  detailed_intersections, distance_components,
@@ -25,10 +25,9 @@ from pillowcase.presentations import (GroupPresentation, KnotExteriorModel,
 from pillowcase.solver import (ImagePoint, PillowcaseImage, SolverConfig,
                                corner_diagnostics, extract_essential_curve,
                                find_surgery_representation, lift_to_cut_open,
-                               reducible_lines, sample_pillowcase_image,
-                               solve_at_meridian_angle, _components,
+                               sample_pillowcase_image, _components,
                                _distinct_solutions, _eval_batch, _lm_minimize,
-                               _chain_points, _line_forms, _line_polyline, _on_line,
+                               _chain_points, _line_forms, _line_polyline,
                                _project_endpoint_cuts, _LetterTables, _qstep,
                                _rep_from_params, _relator_residuals, _solve_rows,
                                _word_product, _boundary_points, _gaps)
@@ -50,10 +49,25 @@ def klein_image():
     return sample_pillowcase_image(klein_bottle_model(), 60, CFG)
 
 
+def _solve(pres, alpha):
+    """The cold solutions at one meridian angle, keyed by round(alpha * 1e9)."""
+    return [rep for rep, _ in solver._sweep(pres, [alpha], [round(alpha * 1e9)], CFG)[0]]
+
+
+def _lines(model):
+    """The polylines of the model's reducible lines."""
+    return [line for _, line in _line_forms(model)]
+
+
+def _near_a_form(pt, forms):
+    """The sweep's on-line filter: pt within 1e-6 of a form of _line_forms."""
+    return any(form.contains(pt, 1e-6) for form, _ in forms)
+
+
 class TestSolveAtAngle:
     def test_trefoil_pi_over_3(self):
         tre = torus_knot_model(2, 3)
-        sols = solve_at_meridian_angle(tre.presentation, PI / 3, CFG)
+        sols = _solve(tre.presentation, PI / 3)
         assert sols
         irr = [s for s in sols if irreducibility_gap(s) > 1e-3]
         assert irr
@@ -64,7 +78,7 @@ class TestSolveAtAngle:
 
     def test_trefoil_below_branch(self):
         tre = torus_knot_model(2, 3)
-        sols = solve_at_meridian_angle(tre.presentation, PI / 12, CFG)
+        sols = _solve(tre.presentation, PI / 12)
         assert sols
         for s in sols:
             assert irreducibility_gap(s) < 1e-6
@@ -73,30 +87,26 @@ class TestSolveAtAngle:
 
     def test_meridian_filling_kills_everything(self):
         tre = torus_knot_model(2, 3)
-        for s in solve_at_meridian_angle(tre.presentation, 0.0, CFG):
+        for s in _solve(tre.presentation, 0.0):
             assert all(q.dist_to_one() < 1e-6 for q in s.images)
 
     def test_unknot(self):
         unk = unknot_model()
-        sols = solve_at_meridian_angle(unk.presentation, 1.1, CFG)
+        sols = _solve(unk.presentation, 1.1)
         assert len(sols) == 1
         pt = boundary_angles(sols[0], unk.presentation)
         assert pillowcase_distance(pt, canonicalize(1.1, 0.0)) < 1e-9
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            solve_at_meridian_angle(unknot_model().presentation, -0.5, CFG)
-
 
 class TestReducibleLines:
     def test_trefoil_line(self):
-        lines = reducible_lines(torus_knot_model(2, 3))
+        lines = _lines(torus_knot_model(2, 3))
         assert len(lines) == 1
         for v in lines[0].vertices:
             assert line_offset(v, 0, 1, 0) < 1e-12
 
     def test_klein_lines(self):
-        lines = reducible_lines(klein_bottle_model())
+        lines = _lines(klein_bottle_model())
         offsets = set()
         for line in lines:
             vals = {round(line_offset(v, 0, 1, 0), 6) for v in line.vertices}
@@ -108,13 +118,13 @@ class TestReducibleLines:
         # meridian and longitude both torsion: direction (a, b) = (0, 0)
         pres = GroupPresentation(generator_count=2, relators=((1, 1),),
                                  meridian=(1,), longitude=(1,))
-        assert reducible_lines(KnotExteriorModel(name="points", presentation=pres)) == []
+        assert _lines(KnotExteriorModel(name="points", presentation=pres)) == []
 
     @pytest.mark.parametrize("name", ["trefoil", "trefoil-neg", "klein", "unknot",
                                       "torus:2,5", "torus:3,4"])
     def test_builtin_lines_match_the_probe_dedup(self, name):
         model = builtin_model(name)
-        assert repr(reducible_lines(model)) == repr(_probe_dedup_lines(model))
+        assert repr(_lines(model)) == repr(_probe_dedup_lines(model))
 
     def test_torsion_lines_are_one_point_set_each(self):
         # <x, y | y^3>, meridian x, longitude y: H1 = Z + Z/3, and the lines
@@ -124,9 +134,9 @@ class TestReducibleLines:
         model = KnotExteriorModel(name="z3", presentation=pres)
         old = _probe_dedup_lines(model)
         assert len(old) == 3 and _point_set_groups(old) == [[0], [1, 2]]
-        assert repr(reducible_lines(model)) == repr(old[:2])
-        assert [(ca, cb, off) for _, ca, cb, off in _line_forms(model)] == \
-            [(0, -1, 0), (0, -1, Fraction(1, 3))]
+        assert repr(_lines(model)) == repr(old[:2])
+        assert [form for form, _ in _line_forms(model)] == \
+            [LineForm(0, -1, Fraction(0)), LineForm(0, -1, Fraction(1, 3))]
 
     def test_random_presentations_one_line_per_point_set(self):
         # the exact key keeps the first line of every point set, in the
@@ -146,7 +156,7 @@ class TestReducibleLines:
             except ValueError:
                 continue
             groups = _point_set_groups(old)
-            assert repr(reducible_lines(model)) == repr([old[grp[0]] for grp in groups])
+            assert repr(_lines(model)) == repr([old[grp[0]] for grp in groups])
             seen += len(old) > 1
             merged += len(groups) < len(old)
         assert seen >= 40 and merged >= 30
@@ -246,7 +256,7 @@ def _random_gluings(rng, k):
 class TestExactLifts:
     def test_transform_acts_on_lifts(self):
         rng = np.random.default_rng(61)
-        curves = tuple(_wrapping_curves(rng, 24)) + tuple(reducible_lines(builtin_model("klein")))
+        curves = tuple(_wrapping_curves(rng, 24)) + tuple(_lines(builtin_model("klein")))
         img = PillowcaseImage(model=unknot_model(), resolution=8, grid_step=0.4,
                               chain_threshold=0.8, points=(), arcs=curves)
         gluings = [GluingMatrix.swap(), GluingMatrix.skew(3),
@@ -270,7 +280,7 @@ class TestExactLifts:
     @pytest.mark.parametrize("name,counts", [
         ("trefoil", [96]), ("trefoil-neg", [96]), ("klein", [192, 192]), ("unknot", [96])])
     def test_reducible_lines_on_exact_lifts(self, name, counts):
-        lines = reducible_lines(builtin_model(name))
+        lines = _lines(builtin_model(name))
         assert [len(line) for line in lines] == counts
         for line in lines:
             lifts = line.lifted_vertices()
@@ -302,8 +312,8 @@ class TestOnLineFilter:
         neg_image = sample_pillowcase_image(torus_knot_model(-2, 3), 60, CFG)
         for img in (trefoil_image, neg_image, klein_image):
             forms = _line_forms(img.model)
-            lines = [line for line, *_ in forms]
-            verdicts = [_on_line(r.point, forms) for r in img.points]
+            lines = [line for _, line in forms]
+            verdicts = [_near_a_form(r.point, forms) for r in img.points]
             assert verdicts == [self._near_a_polyline(r.point, lines) for r in img.points]
             assert any(verdicts) and not all(verdicts)
 
@@ -312,15 +322,16 @@ class TestOnLineFilter:
         models = [builtin_model(n) for n in ("trefoil", "trefoil-neg", "klein", "unknot")]
         for model in models + _slanted_models():
             forms = _line_forms(model)
-            lines = [line for line, *_ in forms]
-            for line, ca, cb, _ in forms:
+            lines = [line for _, line in forms]
+            for form, line in forms:
+                ca, cb = form.ca, form.cb
                 nx, ny = ca / math.hypot(ca, cb), cb / math.hypot(ca, cb)
                 for x, y in line.lifted_vertices()[::3]:
                     for d in (1e-6 * (1 - 1e-6), -1e-6 * (1 - 1e-6),
                               1e-6 * (1 + 1e-6), -1e-6 * (1 + 1e-6)):
                         pt = canonicalize(x + d * nx, y + d * ny)
                         near = abs(d) < 1e-6
-                        assert _on_line(pt, forms) == near, (model, pt, d)
+                        assert _near_a_form(pt, forms) == near, (model, pt, d)
                         assert self._near_a_polyline(pt, lines) == near, (model, pt, d)
 
     def test_sweep_reads_the_exact_forms(self, monkeypatch):
@@ -640,8 +651,6 @@ def _points_by_node(img):
 class TestDiscoveryAndTracking:
     def test_zero_generators(self):
         pres = GroupPresentation(0, (), (), ())
-        assert solve_at_meridian_angle(pres, 0.0) == [Representation(())]
-        assert solve_at_meridian_angle(pres, 1.0) == []
         rep = Representation(())
         assert solver._sweep(pres, [0.0, PI], [0, 1], CFG) == [
             [(rep, irreducibility_gap(rep))], []]
