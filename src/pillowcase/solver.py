@@ -26,8 +26,8 @@ import numpy as np
 
 from .geometry import (DegenerateCurveError, GluingMatrix, LineForm, PillowcasePoint,
                        PillowcasePolyline, canonicalize, detailed_intersections,
-                       distance_components, essential_class, line_crossings,
-                       line_offset, pillowcase_distance, pillowcase_distance_matrix,
+                       distance_components, essential_class, line_offset,
+                       pillowcase_distance, pillowcase_distance_matrix,
                        pillowcase_distances, TWO_PI)
 from .homology import ModelInvalidError, abelianization, smith_normal_form
 from .presentations import (GroupPresentation, KnotExteriorModel, Word,
@@ -182,22 +182,32 @@ def _word_product(tables, word):
     return out
 
 
-def _eval_batch(tables, word):
-    """rho(word) as (B, 4) rows, normalized at the end.
+def _eval_batch(tables, word, out=None):
+    """rho(word) as (B, 4) rows, normalized at the end, into out if given.
 
     Scaling a generator scales the product by the same factor, which the
     final normalization cancels: the residual does not change along the
     radial direction of any generator.  _lm_minimize therefore differentiates
     and steps only along the three tangent directions of each generator.
     """
-    out = np.ascontiguousarray(_word_product(tables, word).T)
-    return out / np.linalg.norm(out, axis=1, keepdims=True)
+    prod = np.ascontiguousarray(_word_product(tables, word).T)
+    return np.divide(prod, np.linalg.norm(prod, axis=1, keepdims=True), out=out)
 
 
 def _residuals(params, words, targets):
-    """Word values minus targets; targets has shape (B, 4 * len(words))."""
+    """Word values minus targets, as (B, m) rows for m = 4 * len(words).
+
+    targets holds T rows of m components, and the B rows of params are
+    B / T blocks of T: row t of every block is compared with targets[t], so
+    a block of probes shares its rows' targets without a tiled copy.
+    """
     tables = _LetterTables(params.transpose(1, 2, 0))
-    return np.concatenate([_eval_batch(tables, w) for w in words], axis=1) - targets
+    out = np.empty((tables.rows, 4 * len(words)))
+    for k, word in enumerate(words):
+        _eval_batch(tables, word, out[:, 4 * k:4 * k + 4])
+    blocks = out.reshape(-1, *targets.shape)
+    blocks -= targets
+    return out
 
 
 def _renorm(params):
@@ -224,26 +234,29 @@ def _tangent_basis(params):
     return np.concatenate([params, -params], axis=2)[:, :, _TANGENT]
 
 
-def _tangent_jacobian(words, targets, params, F):
-    """(basis, J) of (B, n, 4) params whose residuals are the (B, m) rows F.
+def _probed_residuals(words, targets, params):
+    """(F, basis, Fp): residuals of (B, n, 4) params and of their tangent probes.
 
-    basis is _tangent_basis(params).  J is the forward-difference Jacobian
-    along it, as an (m, 3n, B) array: column 3i + c probes params with
-    generator i moved to g + _FD_STEP * (g * e_c), all 3n probes of every
-    row in one residual evaluation.
+    F is the (B, m) residual rows and basis is _tangent_basis(params).  Fp
+    is the (3n, B, m) residuals of the forward-difference probes: Fp[3i + c]
+    is params with generator i moved to g + _FD_STEP * (g * e_c).  The rows
+    and all 3n probes of every row run in one residual evaluation.
     """
     b, n, _ = params.shape
-    npar = 3 * n
     basis = _tangent_basis(params)
-    # pert[i, c] is params with generator i moved along basis[i, c]
+    # stack[1 + 3i + c] is params with generator i moved along basis[i, c]
     moved = (params[:, :, None] + _FD_STEP * basis).transpose(1, 2, 0, 3)
-    pert = np.empty((n, 3, b, n, 4))
-    pert[...] = params
+    stack = np.empty((1 + 3 * n, b, n, 4))
+    stack[...] = params
     for i in range(n):
-        pert[i, :, :, i] = moved[i]
-    Fp = _residuals(pert.reshape(npar * b, n, 4), words, np.tile(targets, (npar, 1)))
-    J = np.ascontiguousarray(((Fp.reshape(npar, b, -1) - F) / _FD_STEP).transpose(2, 0, 1))
-    return basis, J
+        stack[1 + 3 * i:4 + 3 * i, :, i] = moved[i]
+    out = _residuals(stack.reshape(-1, n, 4), words, targets).reshape(1 + 3 * n, b, -1)
+    return out[0], basis, out[1:]
+
+
+def _jacobian(F, Fp):
+    """The (m, 3n, B) forward-difference Jacobian of rows F from their probes Fp."""
+    return np.ascontiguousarray(((Fp - F) / _FD_STEP).transpose(2, 0, 1))
 
 
 def _normal_equations(J, F):
@@ -306,7 +319,7 @@ def _lm_minimize(words, targets, params0, tol):
     Each generator g steps in the tangent space of S^3 at g: the 3n
     unknowns of a row are the coefficients of g * i, g * j and g * k, the
     normal equations come from 3n forward-difference probes along them
-    (_tangent_jacobian), and a step moves g to renorm(g + sum of the
+    (_probed_residuals), and a step moves g to renorm(g + sum of the
     coefficients times the directions) (_tangent_step).  The residual does
     not change along g itself (see _eval_batch), so a fourth direction
     would only add a null column.
@@ -314,11 +327,14 @@ def _lm_minimize(words, targets, params0, tol):
     _MAX_ITER + _POLISH_STEPS steps, stopping early once it has converged and
     spent its _POLISH_STEPS or once its damping exceeds 1e9 unconverged.
     At most _BLOCK_ROWS rows step at a time, and a finished row's slot goes
-    to the next row in order.  A slot keeps its tangent basis and normal
-    equations until a step moves its row, and only then probes again; a
-    rejected unconverged step reuses them and retries with more damping.  A
-    rejected polish step finishes its row, since its state and its 1e-12
-    damping would repeat the same rejected trial on every later polish step.
+    to the next row in order.  Each step takes one residual evaluation: the
+    trial rows together with their own probes.  An accepted trial brings its
+    tangent basis and normal equations along; a rejected unconverged one
+    drops its probes, and its row retries from its own with more damping.
+    Rows enter the window probed, each _BLOCK_ROWS chunk of them in one
+    evaluation.  A rejected polish step finishes its row, since its state
+    and its 1e-12 damping would repeat the same rejected trial on every
+    later polish step.
     """
     params = _renorm(params0)
     R, n, _ = params.shape
@@ -326,12 +342,18 @@ def _lm_minimize(words, targets, params0, tol):
     m = 4 * len(words)
     diag = np.arange(npar)
     target2 = (0.25 * tol) ** 2
-    # the first residuals in window-sized chunks, so no call holds the
-    # letter tables of every row at once
+    # each row's residuals, tangent basis, JtJ (undamped) and JtF, first
+    # probed in window-sized chunks, so no call holds the letter tables of
+    # every row at once
     F = np.empty((R, m))
+    BASIS = np.empty((R, n, 3, 4))
+    JTJ = np.empty((R, npar, npar))
+    JTF = np.empty((R, npar))
     for s in range(0, R, _BLOCK_ROWS):
-        F[s:s + _BLOCK_ROWS] = _residuals(params[s:s + _BLOCK_ROWS], words,
-                                          targets[s:s + _BLOCK_ROWS])
+        rows = slice(s, s + _BLOCK_ROWS)
+        F[rows], BASIS[rows], Fp = _probed_residuals(words, targets[rows], params[rows])
+        JTJ[rows], JTF[rows] = _normal_equations(_jacobian(F[rows], Fp), F[rows])
+        del Fp  # a view that holds the chunk's whole evaluation
     cost = np.einsum("bm,bm->b", F, F)
     lam = np.full(R, 1e-3)
     steps_left = np.full(R, _MAX_ITER + _POLISH_STEPS)
@@ -344,36 +366,19 @@ def _lm_minimize(words, targets, params0, tol):
 
     # every row steps at least once: it starts with steps and polish steps
     # left and with damping 1e-3
-    queue = np.arange(R)
     queued = 0
-    # rows in the window, whether their normal equations need a probe, and
-    # the tangent basis, JtJ (undamped) and JtF of each slot
     window = np.empty(0, dtype=np.intp)
-    stale = np.empty(0, dtype=bool)
-    BASIS = np.empty((0, n, 3, 4))
-    JTJ = np.empty((0, npar, npar))
-    JTF = np.empty((0, npar))
     while True:
-        new = queue[queued:queued + _BLOCK_ROWS - len(window)]
+        new = np.arange(queued, min(R, queued + _BLOCK_ROWS - len(window)))
         queued += len(new)
         window = np.concatenate([window, new])
-        stale = np.concatenate([stale, np.ones(len(new), dtype=bool)])
-        BASIS = np.concatenate([BASIS, np.empty((len(new), n, 3, 4))])
-        JTJ = np.concatenate([JTJ, np.empty((len(new), npar, npar))])
-        JTF = np.concatenate([JTF, np.empty((len(new), npar))])
         if not len(window):
             break
-        probe = window[stale]
-        if len(probe):
-            Fs = F[probe]
-            BASIS[stale], J = _tangent_jacobian(words, targets[probe], params[probe], Fs)
-            JTJ[stale], JTF[stale] = _normal_equations(J, Fs)
-            del J
         conv = cost[window] <= target2
-        A = JTJ.copy()
+        A = JTJ[window]
         A[:, diag, diag] += np.where(conv, 1e-12, lam[window])[:, None]
-        trial = _tangent_step(params[window], BASIS, -_solve_rows(A, JTF))
-        Ft = _residuals(trial, words, targets[window])
+        trial = _tangent_step(params[window], BASIS[window], -_solve_rows(A, JTF[window]))
+        Ft, basis, Fp = _probed_residuals(words, targets[window], trial)
         cost_t = np.einsum("bm,bm->b", Ft, Ft)
         better = cost_t < cost[window]
         take = window[better]
@@ -386,8 +391,14 @@ def _lm_minimize(words, targets, params0, tol):
         lam[up] = np.maximum(lam[up] * 0.35, 1e-12)
         lam[window[~conv & ~better]] *= 8.0
         keep = ~(finished(window) | (conv & ~better))
-        window, stale = window[keep], better[keep]
-        BASIS, JTJ, JTF = BASIS[keep], JTJ[keep], JTF[keep]
+        # the rows that moved and step on take their trial's probes
+        moved = better & keep
+        if moved.any():
+            rows, Fm = window[moved], Ft[moved]
+            BASIS[rows] = basis[moved]
+            JTJ[rows], JTF[rows] = _normal_equations(_jacobian(Fm, Fp[:, moved]), Fm)
+        del Ft, Fp  # views that hold the step's whole evaluation
+        window = window[keep]
     # per-word residual norms; a (1, 4) @ (4, 1) matmul is the same BLAS dot
     # that np.linalg.norm takes on one 4-vector, so the values match it exactly
     seg = F.reshape(R, len(words), 1, 4)
@@ -1216,7 +1227,8 @@ def find_surgery_representation(img: PillowcaseImage, p: int, q: int,
     filling = concat(pow_word(pres.meridian, p), pow_word(pres.longitude, q))
     # exact repeats (a vertex shared by two crossing segments) would rerun
     # the same witness scan and refine, so only first occurrences are tried
-    candidates = dict.fromkeys(pt for arc in img.arcs for pt in line_crossings(arc, p, q))
+    line = LineForm(p, q, Fraction(0))
+    candidates = dict.fromkeys(pt for arc in img.arcs for pt in line.crossings(arc))
     for pt in candidates:
         witness = img.nearest_witness(pt, IRREDUCIBLE_GAP)
         if witness is None:

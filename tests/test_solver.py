@@ -525,6 +525,21 @@ class TestSurgery:
         if expected is None:
             assert reference_scans == len(raw) and len(scanned) == len(distinct)
 
+    def test_filling_line_crossings_are_line_crossings(self, klein_image):
+        # offset 0 gives one target sign and target 0.0: the scan's hits
+        images = [sample_pillowcase_image(torus_knot_model(2, 3), 60, CFG),
+                  sample_pillowcase_image(torus_knot_model(-2, 3), 60, CFG), klein_image]
+        slopes = [(1, 1), (1, 0), (0, 1), (1, -1), (2, 1), (1, 2), (3, -2), (37, -6)]
+        hits = 0
+        for img in images:
+            for p, q in slopes:
+                form = LineForm(p, q, Fraction(0))
+                for arc in img.arcs:
+                    got = form.crossings(arc)
+                    assert repr(got) == repr(line_crossings(arc, p, q))
+                    hits += len(got)
+        assert hits > 1000
+
     def test_nearest_point(self):
         rep = Representation((UnitQuaternion(1.0, 0.0, 0.0, 0.0),))
         recs = [ImagePoint(canonicalize(1.0, 1.0 + d), rep, gap)
@@ -1647,7 +1662,28 @@ def _ambient_step(params, basis, delta):
     return solver._renorm((params.reshape(len(params), -1) + delta).reshape(params.shape))
 
 
-TANGENT = (solver._tangent_jacobian, solver._tangent_step)
+def _tangent_jacobian(words, targets, params, F):
+    """(basis, J): the tangent probes of rows params whose residuals are F, on their own.
+
+    J is the (m, 3n, B) forward-difference Jacobian along
+    _tangent_basis(params): column 3i + c probes params with generator i
+    moved to g + _FD_STEP * (g * e_c), every probe in one residual
+    evaluation against tiled targets.
+    """
+    b, n, _ = params.shape
+    npar = 3 * n
+    basis = solver._tangent_basis(params)
+    moved = (params[:, :, None] + solver._FD_STEP * basis).transpose(1, 2, 0, 3)
+    pert = np.empty((n, 3, b, n, 4))
+    pert[...] = params
+    for i in range(n):
+        pert[i, :, :, i] = moved[i]
+    Fp = solver._residuals(pert.reshape(npar * b, n, 4), words, np.tile(targets, (npar, 1)))
+    J = ((Fp.reshape(npar, b, -1) - F) / solver._FD_STEP).transpose(2, 0, 1)
+    return basis, np.ascontiguousarray(J)
+
+
+TANGENT = (_tangent_jacobian, solver._tangent_step)
 AMBIENT = (_ambient_jacobian, _ambient_step)
 
 
@@ -1794,17 +1830,9 @@ class TestWindowedLM:
         _assert_same_lm(words, targets, start)
 
     def test_refine_from_swap_splice_seeds(self, monkeypatch):
-        from pillowcase import gluer
-        seeds = []
-
-        def record(pres, seed_rep, config=None, extra_relators=()):
-            seeds.append((pres, seed_rep))
-            return None  # so the search goes on to every candidate
-
-        monkeypatch.setattr(gluer, "refine_representation", record)
         cfg = SolverConfig(resolution=40, seed=1)
-        tre = torus_knot_model(2, 3)
-        gluer.search_nonabelian_rep(splice(tre, tre, GluingMatrix.swap()), cfg)
+        seeds = [(pres, seed) for pres, seed, _ in
+                 _refine_seeds(monkeypatch, gluer, lambda: _swap_splice_search(cfg))]
         assert len(seeds) >= 3
         results = [solver.refine_representation(pres, seed, cfg) for pres, seed in seeds]
         assert repr(results) == repr([_refine_reference(pres, seed, cfg)
@@ -1832,26 +1860,91 @@ class TestWindowedLM:
         assert len(repeated) > 10
 
     def test_fewer_solves_and_residual_rows(self, monkeypatch):
-        counts = {}
-
-        def counting(name):
-            inner = getattr(solver, name)
-
-            def wrapped(*args):
-                calls, rows = counts.get(name, (0, 0))
-                counts[name] = (calls + 1, rows + len(args[0]))
-                return inner(*args)
-            return wrapped
-
-        monkeypatch.setattr(solver, "_solve_rows", counting("_solve_rows"))
-        monkeypatch.setattr(solver, "_residuals", counting("_residuals"))
         pres = torus_knot_model(2, 3).presentation
         alphas = [float(a) for a in np.linspace(0.0, PI, 25)]
-        solver._sweep(pres, alphas, range(25), CFG)
-        new, counts = counts, {}
+        with monkeypatch.context() as patch:
+            new = _counting(patch, "_solve_rows", "_residuals")
+            solver._sweep(pres, alphas, range(25), CFG)
+        counts = _counting(monkeypatch, "_solve_rows", "_residuals")
         _sweep_reference(pres, alphas, range(25), CFG)
         assert new["_solve_rows"][0] < counts["_solve_rows"][0]
         assert new["_residuals"][1] < counts["_residuals"][1]
+
+    @pytest.mark.parametrize("system", ["swap-splice", "trefoil"])
+    def test_one_residual_evaluation_per_step(self, monkeypatch, system):
+        # one evaluation per entry chunk of _BLOCK_ROWS rows, then one per
+        # step (one _solve_rows call each): the trials and their probes
+        if system == "swap-splice":
+            cfg = SolverConfig(resolution=40, seed=1)
+            pres, seed, _ = _refine_seeds(monkeypatch, gluer,
+                                          lambda: _swap_splice_search(cfg))[0]
+            run = lambda: solver.refine_representation(pres, seed, cfg)
+            rows = 1
+        else:
+            rows = solver._BLOCK_ROWS + 1
+            alphas = np.random.default_rng(rows).uniform(0.0, PI, rows)
+            words, targets, params0 = _sweep_rows(torus_knot_model(2, 3).presentation,
+                                                  alphas, range(rows),
+                                                  SolverConfig(restarts=1))
+            run = lambda: _lm_minimize(words, targets, params0, CFG.tol)
+        counts = _counting(monkeypatch, "_residuals", "_solve_rows")
+        run()
+        steps = counts["_solve_rows"][0]
+        assert steps > 1
+        entry_chunks = -(-rows // solver._BLOCK_ROWS)
+        assert counts["_residuals"][0] == steps + entry_chunks
+
+    def test_refine_from_surgery_seeds(self, monkeypatch):
+        # the filling relator's path: find_surgery_representation refines
+        # with extra_relators
+        img = sample_pillowcase_image(torus_knot_model(2, 3), 60, CFG)
+        seeds = _refine_seeds(monkeypatch, solver, lambda: [
+            find_surgery_representation(img, p, q, CFG) for p, q in ((1, 1), (1, 0), (0, 1))])
+        assert len(seeds) >= 3 and all(len(extra) == 1 for _, _, extra in seeds)
+        results = [solver.refine_representation(pres, seed, CFG, extra_relators=extra)
+                   for pres, seed, extra in seeds]
+        assert any(r is not None for r in results)
+        assert repr(results) == repr([_refine_reference(pres, seed, CFG, extra)
+                                      for pres, seed, extra in seeds])
+
+
+def _counting(monkeypatch, *names):
+    """(calls, rows of the first argument) of each named solver function, as it runs."""
+    counts = dict.fromkeys(names, (0, 0))
+
+    def wrap(name):
+        inner = getattr(solver, name)
+
+        def wrapped(*args):
+            calls, rows = counts[name]
+            counts[name] = (calls + 1, rows + len(args[0]))
+            return inner(*args)
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(solver, name, wrap(name))
+    return counts
+
+
+def _refine_seeds(monkeypatch, module, run):
+    """(pres, seed_rep, extra_relators) of each module.refine_representation call of run().
+
+    Each call returns None, so a search or scan goes on to every candidate.
+    """
+    seeds = []
+
+    def record(pres, seed_rep, config=None, extra_relators=()):
+        seeds.append((pres, seed_rep, extra_relators))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "refine_representation", record)
+        run()
+    return seeds
+
+
+def _swap_splice_search(config):
+    tre = torus_knot_model(2, 3)
+    return gluer.search_nonabelian_rep(splice(tre, tre, GluingMatrix.swap()), config)
 
 
 # ---------------------------------------------------------------------------
@@ -1902,8 +1995,8 @@ class TestTangentHelper:
     def test_jacobian_is_ambient_jacobian_times_basis(self, system):
         _, words, targets, params = system
         B, n, _ = params.shape
-        F = solver._residuals(params, words, targets)
-        basis, J = solver._tangent_jacobian(words, targets, params, F)
+        F, basis, Fp = solver._probed_residuals(words, targets, params)
+        J = solver._jacobian(F, Fp)
         assert J.shape == (F.shape[1], 3 * n, B)
         _, J4 = _ambient_jacobian(words, targets, params, F)
         J, J4 = J.transpose(2, 0, 1), J4.transpose(2, 0, 1)
@@ -1917,6 +2010,33 @@ class TestTangentHelper:
         longest = max(map(len, words))
         bound = max(1e-6, solver._FD_STEP * longest ** 2 / 4)
         assert np.abs(J - expected.reshape(B, -1, 3 * n)).max() < bound
+
+    @pytest.mark.parametrize("system", _jacobian_systems(), ids=lambda s: s[0])
+    def test_probes_match_the_reference_probe(self, system):
+        # the rows and their probes in one evaluation, bit for bit the
+        # residuals, basis and Jacobian of the rows, then their probes alone
+        _, words, targets, params = system
+        F, basis, Fp = solver._probed_residuals(words, targets, params)
+        F_ref = solver._residuals(params, words, targets)
+        basis_ref, J_ref = _tangent_jacobian(words, targets, params, F_ref)
+        assert F.tobytes() == F_ref.tobytes()
+        assert basis.tobytes() == basis_ref.tobytes()
+        assert solver._jacobian(F, Fp).tobytes() == J_ref.tobytes()
+
+    @pytest.mark.parametrize("system", _jacobian_systems(), ids=lambda s: s[0])
+    def test_targets_broadcast_over_row_blocks(self, system):
+        _, words, targets, params = system
+        blocks = 1 + 3 * params.shape[1]
+        stack = np.concatenate([params] * blocks)
+        stack[len(params):] += 1e-3 * _seeded_units(8, len(stack) - len(params),
+                                                    params.shape[1])
+        got = solver._residuals(stack, words, targets)
+        tiled = np.tile(targets, (blocks, 1))
+        assert got.tobytes() == solver._residuals(stack, words, tiled).tobytes()
+        # the word values, evaluated one by one and joined, minus tiled targets
+        tables = _LetterTables(stack.transpose(1, 2, 0))
+        joined = np.concatenate([_eval_batch(tables, w) for w in words], axis=1)
+        assert got.tobytes() == (joined - tiled).tobytes()
 
     def test_step_moves_along_the_basis(self):
         params = _seeded_units(13, 32, 2)
