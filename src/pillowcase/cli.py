@@ -195,7 +195,8 @@ def cmd_image(args) -> int:
             f"found, class {summary['essential_curve']}" if curve is not None
             else "none"),
         "cut-open lift: " + ("ok" if lift.ok else
-                             f"fails at {len(lift.violations)} witnesses"),
+                             f"fails at {len(lift.violations)} witnesses and "
+                             f"{len(lift.arc_points)} arc vertices"),
         "corner diagnostics: " + (
             ", ".join(str(rec.point) for rec in corners) if corners else "clear"),
         f"sweep: {img.sweep.discovery_nodes} discovery nodes, "

@@ -26,8 +26,18 @@ TWO_PI = 2.0 * math.pi
 #: the corner points bitwise exact despite float remainders
 _SNAP = 1e-12
 
+#: how far an intersection may lie past a segment's end or off its line, and
+#: the unit cross product at or below which two segments are parallel
+_INTERSECT_TOL = 1e-9
+
 #: intersection hits at most 1e-7 apart are one hit (distinct_indices tests <)
 _DEDUP_TOL = math.nextafter(1e-7, math.inf)
+
+#: distinct_points keeps a point 1e-6 or more from every earlier kept point
+_DISTINCT_TOL = 1e-6
+
+#: LineForm.contains takes a point within 1e-6 of the line
+_ON_LINE_TOL = 1e-6
 
 #: distance-matrix entries _close_pairs holds at once; bounds its memory
 #: (about 64 bytes per entry while a block is evaluated)
@@ -373,6 +383,36 @@ class PillowcasePolyline:
         table.flags.writeable = False
         return table
 
+    @cached_property
+    def _box_table(self) -> np.ndarray:
+        """(segments, 8) read-only lifted segment boxes: raw, then padded.
+
+        Columns 0-3 are each segment's box [xlo, xhi, ylo, yhi], and columns
+        4-7 the same box padded by (tol + 64 eps / tol) (1 + length), with
+        tol = _INTERSECT_TOL.  If _segment_intersection(a, b) reports
+        anything, the boxes of a and b lie within tol * (2 + |a| + |b|) of
+        each other in exact arithmetic: a transversal hit is within tol of
+        both segments (t and u overshoot [0, 1] by at most tol / length); a
+        collinear hit has b within tol * (1 + |b|) of the line of a (offset
+        and direction checks) and the projections within tol * |a| along it
+        (hi >= lo - tol).  Rounding moves the hit by at most
+        ~4 eps (|a| + |b|) / |unit_cross| < 4 eps (|a| + |b|) / tol, the
+        near-parallel transversal worst case, plus an ulp of the
+        coordinates.  The two pads sum to at least tol * (2 + |a| + |b|)
+        + 64 eps (|a| + |b|) / tol, and to at least 4 sqrt(64 eps) ~ 5e-7,
+        far above an ulp of any lift reached here, so they cover all of it.
+        """
+        tol = _INTERSECT_TOL
+        xy = self._lift_array
+        x, y = xy[:, 0], xy[:, 1]
+        boxes = np.stack([np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:]),
+                          np.minimum(y[:-1], y[1:]), np.maximum(y[:-1], y[1:])], axis=1)
+        length = np.hypot(x[1:] - x[:-1], y[1:] - y[:-1])
+        pad = (tol + 64.0 * np.finfo(float).eps / tol) * (1.0 + length)
+        table = np.hstack([boxes, boxes + pad[:, None] * np.array([-1.0, 1.0, -1.0, 1.0])])
+        table.flags.writeable = False
+        return table
+
     def _distance_bounds(self, pt: PillowcasePoint) -> np.ndarray:
         """Per segment, a lower bound on every distance _lift_distances gives it.
 
@@ -407,21 +447,19 @@ class PillowcasePolyline:
         return np.sqrt(off[:, 0] + off[:, 1]), t
 
     def _lift_distances(self, pt: PillowcasePoint,
-                        radius: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+                        radius: float) -> tuple[np.ndarray, np.ndarray]:
         """(segments, 18) distances from each segment to the lifts of pt near it, and t.
 
         Row i is for the 18 lifts that _reps_near_array gives around segment
         i's midpoint, in that order.  t is a lift's projection parameter on
         the segment, clipped to [0, 1] (0 on a zero-length segment), and the
         distance is sqrt(ex*ex + ey*ey) of the lift's offset from the point
-        at t, as in pillowcase_distance.  Given a radius, only segments whose
+        at t, as in pillowcase_distance.  Only segments whose
         _distance_bounds entry is at most the radius are scanned; the rows
         of the others read distance inf and t 0.  Their distances exceed the
         radius, so every entry at or below it, and so every least entry
-        there, is where the full scan has it.
+        there, is where the full scan (_scan of every row) has it.
         """
-        if radius is None:
-            return self._scan(pt, slice(None))
         keep = np.flatnonzero(self._distance_bounds(pt) <= radius)
         d = np.full((self.segment_count(), 18), math.inf)
         t = np.zeros_like(d)
@@ -470,12 +508,13 @@ def polyline(points, closed: bool = False) -> PillowcasePolyline:
 # ---------------------------------------------------------------------------
 # intersections
 
-def _segment_intersection(a1, a2, b1, b2, tol: float):
-    """Intersections of two plane segments.
+def _segment_intersection(a1, a2, b1, b2):
+    """Intersections of two plane segments, to within _INTERSECT_TOL.
 
     Returns a list of (x, y, transversal, t_a, t_b).  Collinear overlaps
     report the midpoint of the overlap interval with transversal=False.
     """
+    tol = _INTERSECT_TOL
     ax, ay = a1
     bx, by = a2
     cx, cy = b1
@@ -515,40 +554,6 @@ def _segment_intersection(a1, a2, b1, b2, tol: float):
     return []
 
 
-def _padded_boxes(c: PillowcasePolyline, tol: float) -> np.ndarray:
-    """(segments, 4) lifted segment boxes [xlo, xhi, ylo, yhi], padded.
-
-    If _segment_intersection(a, b, tol) reports anything, the boxes of a
-    and b lie within tol * (2 + |a| + |b|) of each other in exact
-    arithmetic: a transversal hit is within tol of both segments (t and u
-    overshoot [0, 1] by at most tol / length); a collinear hit has b within
-    tol * (1 + |b|) of the line of a (offset and direction checks) and the
-    projections within tol * |a| along it (hi >= lo - tol).  Rounding moves
-    the hit by at most ~4 eps (|a| + |b|) / |unit_cross| < 4 eps (|a| + |b|)
-    / tol, the near-parallel transversal worst case, plus an ulp of the
-    coordinates.  Padding each box by (tol + 64 eps / tol) (1 + length)
-    covers all of it: the two pads sum to at least tol * (2 + |a| + |b|)
-    + 64 eps (|a| + |b|) / tol, and to at least 4 sqrt(64 eps) ~ 5e-7,
-    far above an ulp of any lift reached here.
-    """
-    xy = c._lift_array
-    x, y = xy[:, 0], xy[:, 1]
-    length = np.hypot(x[1:] - x[:-1], y[1:] - y[:-1])
-    if tol > 0.0:
-        pad = (tol + 64.0 * np.finfo(float).eps / tol) * (1.0 + length)
-    else:
-        pad = np.full_like(length, np.inf)
-    return _boxes(c) + pad[:, None] * np.array([-1.0, 1.0, -1.0, 1.0])
-
-
-def _boxes(c: PillowcasePolyline) -> np.ndarray:
-    """(segments, 4) lifted segment boxes [xlo, xhi, ylo, yhi]."""
-    xy = c._lift_array
-    x, y = xy[:, 0], xy[:, 1]
-    return np.stack([np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:]),
-                     np.minimum(y[:-1], y[1:]), np.maximum(y[:-1], y[1:])], axis=1)
-
-
 def _shift_range(lo_a, hi_a, lo_b, hi_b):
     """(k_lo, k_hi): the 2pi k shifts of [lo_b, hi_b] meeting [lo_a, hi_a] are k_lo..k_hi."""
     return np.ceil((lo_a - hi_b) / TWO_PI), np.floor((hi_a - lo_b) / TWO_PI)
@@ -559,22 +564,24 @@ def _flip(boxes):
     return -boxes[:, [1, 0, 3, 2]]
 
 
-def _deck_shifts(c1: PillowcasePolyline, c2: PillowcasePolyline, tol: float):
+def _deck_shifts(c1: PillowcasePolyline, c2: PillowcasePolyline):
     """((i1, i2), per-sign shifts) for the segment pairs some deck image can make meet.
 
-    Broad and narrow phase of detailed_intersections, from one set of
-    padded boxes per curve.  A pair is kept when, for sign 1 or -1, some 2pi
-    shifts in x and in y bring the padded box of sign * seg2[i2] onto the
-    one of seg1[i1]; pairs come in the all-pairs loop order, i1 then i2
-    ascending.  Each (S1, S2) array of shift ranges is dropped once compared.
-    For sign 1, then -1, the shifts of a kept pair are the ranges
+    Broad and narrow phase of detailed_intersections, from each curve's
+    _box_table.  A pair is kept when, for sign 1 or -1, some 2pi shifts in
+    x and in y bring the padded box of sign * seg2[i2] onto the one of
+    seg1[i1]; pairs come in the all-pairs loop order, i1 then i2 ascending.
+    Each (S1, S2) array of shift ranges is dropped once compared.  For sign
+    1, then -1, the shifts of a kept pair are the ranges
     [m_lo, m_hi, n_lo, n_hi] of the deck images sign * seg2[i2] + 2pi (m, n)
-    whose padded box meets the one of seg1[i1], so by the _padded_boxes
-    bound no dropped image gives a hit.  They are also clipped to the
-    floor/ceil range of the unpadded boxes, seg1[i1]'s widened by tol, which
-    bounds them where the pads are wide (tol <= 0 pads without limit).
+    whose padded box meets the one of seg1[i1], so by the _box_table bound
+    no dropped image gives a hit.  They are also clipped to the floor/ceil
+    range of the raw boxes, seg1[i1]'s widened by _INTERSECT_TOL, which
+    bounds them where the pads are wide (two segments some 4e5 long in all).
     """
-    a, b = _padded_boxes(c1, tol), _padded_boxes(c2, tol)
+    tol = _INTERSECT_TOL
+    t1, t2 = c1._box_table, c2._box_table
+    a, b = t1[:, 4:], t2[:, 4:]
     keep = np.zeros((len(a), len(b)), dtype=bool)
     for sb in (b, _flip(b)):
         x, y = (np.less_equal(*_shift_range(a[:, c, None], a[:, c + 1, None],
@@ -584,8 +591,8 @@ def _deck_shifts(c1: PillowcasePolyline, c2: PillowcasePolyline, tol: float):
     # np.nonzero on the 2-D mask takes about six times as long
     i1, i2 = np.divmod(np.flatnonzero(keep), len(b))
     a, b = a[i1], b[i2]
-    ra = _boxes(c1)[i1] + np.array([-tol, tol, -tol, tol])
-    rb = _boxes(c2)[i2]
+    ra = t1[i1, :4] + np.array([-tol, tol, -tol, tol])
+    rb = t2[i2, :4]
     ranges = []
     for sb, srb in ((b, rb), (_flip(b), _flip(rb))):
         k_lo, k_hi = _shift_range(a[:, 0::2], a[:, 1::2], sb[:, 0::2], sb[:, 1::2])
@@ -596,8 +603,7 @@ def _deck_shifts(c1: PillowcasePolyline, c2: PillowcasePolyline, tol: float):
     return list(zip(pairs, np.stack(ranges, axis=1).astype(int).tolist()))
 
 
-def detailed_intersections(c1: PillowcasePolyline, c2: PillowcasePolyline,
-                           tol: float = 1e-9):
+def detailed_intersections(c1: PillowcasePolyline, c2: PillowcasePolyline):
     """All orbifold intersections with segment indices and parameters.
 
     Returns a list of (point, transversal, i1, t1, i2, t2), deduplicated by
@@ -606,7 +612,7 @@ def detailed_intersections(c1: PillowcasePolyline, c2: PillowcasePolyline,
     segs1 = c1.lifted_segments()
     segs2 = c2.lifted_segments()
     found = []
-    for (i1, i2), per_sign in _deck_shifts(c1, c2, tol):
+    for (i1, i2), per_sign in _deck_shifts(c1, c2):
         seg_a = segs1[i1]
         (x1, y1), (x2, y2) = segs2[i2]
         for sgn, (m_lo, m_hi, n_lo, n_hi) in zip((1.0, -1.0), per_sign):
@@ -615,7 +621,7 @@ def detailed_intersections(c1: PillowcasePolyline, c2: PillowcasePolyline,
                 for n in range(n_lo, n_hi + 1):
                     for (x, y, trans, ta, tb) in _segment_intersection(
                             seg_a[0], seg_a[1], (u1 + TWO_PI * m, v1 + TWO_PI * n),
-                            (u2 + TWO_PI * m, v2 + TWO_PI * n), tol):
+                            (u2 + TWO_PI * m, v2 + TWO_PI * n)):
                         found.append((canonicalize(x, y), trans, i1, ta, i2, tb))
     # dedup by orbifold distance <= 1e-7 per segment pair, transversal
     # crossings taking precedence
@@ -625,15 +631,14 @@ def detailed_intersections(c1: PillowcasePolyline, c2: PillowcasePolyline,
     return [found[i] for i in keep]
 
 
-def polyline_intersections(c1: PillowcasePolyline, c2: PillowcasePolyline,
-                           tol: float = 1e-9):
+def polyline_intersections(c1: PillowcasePolyline, c2: PillowcasePolyline):
     """Intersection points of two polylines with transversality flags.
 
     Transversality means the unit segment directions have cross product
-    above tol; tangential overlaps are reported as non-transversal with a
-    representative point of the overlap interval.
+    above _INTERSECT_TOL; tangential overlaps are reported as
+    non-transversal with a representative point of the overlap interval.
     """
-    hits = [(pt, trans) for (pt, trans, *_rest) in detailed_intersections(c1, c2, tol=tol)]
+    hits = [(pt, trans) for (pt, trans, *_rest) in detailed_intersections(c1, c2)]
     keep = distinct_indices([pt for pt, _ in hits], _DEDUP_TOL,
                             keys=[trans for _, trans in hits])
     return [hits[i] for i in keep]
@@ -814,13 +819,9 @@ class LineForm:
         return min(line_offset(pt, self.ca, self.cb, s * TWO_PI * float(self.offset))
                    for s in (1, -1))
 
-    def distance(self, pt: PillowcasePoint) -> float:
-        """Plane distance from pt to the nearest lift of the line."""
-        return self._residual(pt) / math.hypot(self.ca, self.cb)
-
-    def contains(self, pt: PillowcasePoint, tol: float) -> bool:
-        """Whether pt lies within tol of the line: its offset below tol*|(ca, cb)|."""
-        return self._residual(pt) < tol * math.hypot(self.ca, self.cb)
+    def contains(self, pt: PillowcasePoint) -> bool:
+        """Whether pt lies within _ON_LINE_TOL of the line: offset below that * |(ca, cb)|."""
+        return self._residual(pt) < _ON_LINE_TOL * math.hypot(self.ca, self.cb)
 
     def crossings(self, curve: PillowcasePolyline) -> list[PillowcasePoint]:
         """line_crossings of the curve at +2pi*offset, then at -2pi*offset if that differs."""
@@ -915,7 +916,7 @@ def distinct_indices(points, tol: float, keys=None) -> list[int]:
     return [i for i in range(len(points)) if i not in dropped]
 
 
-def distinct_points(points, tol: float = 1e-6) -> list[PillowcasePoint]:
-    """First occurrences, in input order, of points tol apart or more."""
+def distinct_points(points) -> list[PillowcasePoint]:
+    """First occurrences, in input order, of points _DISTINCT_TOL apart or more."""
     points = list(points)
-    return [points[i] for i in distinct_indices(points, tol)]
+    return [points[i] for i in distinct_indices(points, _DISTINCT_TOL)]

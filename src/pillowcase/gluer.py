@@ -137,7 +137,7 @@ def _candidate_points(img1: PillowcaseImage, img2: PillowcaseImage,
     hits = []
     for a1 in img1.numeric_arcs:
         hits += [(pt, "arc_arc") for a2 in arcs2
-                 for pt, _ in polyline_intersections(a1, a2, tol=1e-9)]
+                 for pt, _ in polyline_intersections(a1, a2)]
         hits += [(pt, "arc_line") for l2 in lines2 for pt in l2.crossings(a1)]
     for l1 in img1.lines:
         hits += [(pt, "arc_line") for a2 in arcs2 for pt in l1.crossings(a2)]

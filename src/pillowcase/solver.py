@@ -54,6 +54,8 @@ _SIGNATURE_TOL = 1e-6
 _CHAIN_FACTOR = 8.0
 #: discovery nodes of an image sweep lie at most pi / _DISCOVERY_PER_PI apart
 _DISCOVERY_PER_PI = 24
+#: corner_diagnostics reports irreducible witnesses closer than this to a corner
+_CORNER_RADIUS = 0.05
 
 _CONFIG_RANGES = (
     ("tol", ">", 0), ("restarts", ">=", 1), ("seed", ">=", 0),
@@ -182,8 +184,8 @@ def _word_product(tables, word):
     return out
 
 
-def _eval_batch(tables, word, out=None):
-    """rho(word) as (B, 4) rows, normalized at the end, into out if given.
+def _eval_batch(tables, word, out):
+    """rho(word) as (B, 4) rows, normalized at the end, into out.
 
     Scaling a generator scales the product by the same factor, which the
     final normalization cancels: the residual does not change along the
@@ -707,7 +709,6 @@ class PillowcaseImage:
     model: KnotExteriorModel
     resolution: int
     grid_step: float
-    chain_threshold: float
     points: tuple[ImagePoint, ...]
     arcs: tuple[PillowcasePolyline, ...]
     isolated: tuple[ImagePoint, ...] = ()
@@ -719,8 +720,14 @@ class PillowcaseImage:
         """The arcs chained from witnesses: every arc but the lines' polylines."""
         return self.arcs[:len(self.arcs) - len(self.lines)]
 
-    def irreducible_points(self, gap_threshold: float = IRREDUCIBLE_GAP):
-        return [p for p in self.points if p.gap > gap_threshold]
+    @property
+    def chain_threshold(self) -> float:
+        """Witnesses closer than this are chained into one arc: _CHAIN_FACTOR grid steps."""
+        return _CHAIN_FACTOR * self.grid_step
+
+    def irreducible_points(self):
+        """The points whose gap exceeds IRREDUCIBLE_GAP."""
+        return [p for p in self.points if p.gap > IRREDUCIBLE_GAP]
 
     @cached_property
     def _point_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -933,14 +940,12 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
     # points sitting on an analytic line are kept as witnesses but do not
     # seed numeric arcs of their own
     chainable = [r for r in records if r.gap > IRREDUCIBLE_GAP
-                 or not any(form.contains(r.point, 1e-6) for form, _ in forms)]
-    threshold = _CHAIN_FACTOR * grid_step
-    arcs, isolated = _chain_points(chainable, threshold)
+                 or not any(form.contains(r.point) for form, _ in forms)]
+    arcs, isolated = _chain_points(chainable, _CHAIN_FACTOR * grid_step)
     return PillowcaseImage(
         model=model,
         resolution=resolution,
         grid_step=grid_step,
-        chain_threshold=threshold,
         points=tuple(records),
         arcs=tuple(arcs) + tuple(line for _, line in forms),
         isolated=tuple(isolated),
@@ -959,31 +964,28 @@ class LiftResult:
     The lift to [0, pi] x (R/2piZ) exists iff no image point sits on the
     edges alpha in {0, pi} away from beta = 0; violating witnesses mean the
     ambient manifold admits a non-abelian SU(2) representation, so they are
-    reported rather than discarded.
+    reported rather than discarded.  violations are the witnesses there;
+    arc_points holds, per arc that reaches there, its first vertex there,
+    which no witness carries.
     """
 
     ok: bool
     violations: tuple[ImagePoint, ...]
+    arc_points: tuple[PillowcasePoint, ...]
 
 
 def lift_to_cut_open(img: PillowcaseImage) -> LiftResult:
     tol = 1e-6  # width of the edges alpha in {0, pi} and of the line beta = 0
-    violations = []
-    for rec in img.points:
-        a, b = rec.point.alpha, rec.point.beta
-        on_edge = a < tol or a > math.pi - tol
-        beta_zero = line_offset(rec.point, 0.0, 1.0, 0.0) < tol
-        if on_edge and not beta_zero:
-            violations.append(rec)
-    for arc in img.arcs:
-        for v in arc.vertices:
-            on_edge = v.alpha < tol or v.alpha > math.pi - tol
-            beta_zero = line_offset(v, 0.0, 1.0, 0.0) < tol
-            if on_edge and not beta_zero:
-                violations.append(ImagePoint(point=v, witness=Representation(()),
-                                             gap=0.0))
-                break
-    return LiftResult(ok=not violations, violations=tuple(violations))
+
+    def violates(pt):
+        on_edge = pt.alpha < tol or pt.alpha > math.pi - tol
+        return on_edge and not line_offset(pt, 0.0, 1.0, 0.0) < tol
+
+    violations = tuple(rec for rec in img.points if violates(rec.point))
+    firsts = (next((v for v in arc.vertices if violates(v)), None) for arc in img.arcs)
+    arc_points = tuple(v for v in firsts if v is not None)
+    return LiftResult(ok=not (violations or arc_points), violations=violations,
+                      arc_points=arc_points)
 
 
 def _split_polyline(curve: PillowcasePolyline, cuts):
@@ -1244,9 +1246,8 @@ def find_surgery_representation(img: PillowcaseImage, p: int, q: int,
     return None
 
 
-def corner_diagnostics(img: PillowcaseImage, eps: float = 0.05,
-                       gap_threshold: float = IRREDUCIBLE_GAP):
-    """Irreducible witnesses within eps of the corners (0,0) and (pi,0).
+def corner_diagnostics(img: PillowcaseImage):
+    """Irreducible witnesses within _CORNER_RADIUS of the corners (0,0) and (pi,0).
 
     Such witnesses flag possible limits of irreducibles at the corners,
     which obstruct SU(2)-abelianness of every filling; numerically we can
@@ -1254,9 +1255,9 @@ def corner_diagnostics(img: PillowcaseImage, eps: float = 0.05,
     pillowcase_distances, the scalar ones bit for bit.
     """
     xy, gap = img._point_arrays
-    idx = np.flatnonzero(~(gap <= gap_threshold))
+    idx = np.flatnonzero(~(gap <= IRREDUCIBLE_GAP))
     near = np.zeros(idx.size, dtype=bool)
     for c in (canonicalize(0.0, 0.0), canonicalize(math.pi, 0.0)):
         d = pillowcase_distances(xy[idx], c)
-        near |= d < eps
+        near |= d < _CORNER_RADIUS
     return [img.points[i] for i in idx[near].tolist()]

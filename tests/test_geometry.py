@@ -240,7 +240,7 @@ def _reference_detailed_intersections(c1, c2, tol):
         for i2, seg_b in enumerate(segs2):
             for img in _deck_images(seg_b, xlo, xhi, ylo, yhi):
                 for (x, y, trans, ta, tb) in _segment_intersection(
-                        seg_a[0], seg_a[1], img[0], img[1], tol):
+                        seg_a[0], seg_a[1], img[0], img[1]):
                     found.append((canonicalize(x, y), trans, i1, ta, i2, tb))
     found.sort(key=lambda rec: (rec[0].alpha, rec[0].beta, not rec[1]))
     kept = []
@@ -317,7 +317,8 @@ class TestBroadPhaseEquivalence:
     KINDS = ("collinear", "near-parallel", "touching", "shared")
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-6])
-    def test_matches_all_pairs_loop(self, tol):
+    def test_matches_all_pairs_loop(self, tol, monkeypatch):
+        monkeypatch.setattr(geometry, "_INTERSECT_TOL", tol)
         rng = np.random.default_rng(2024)
         flags, pairs, kept = set(), 0, 0
         for case in range(24):
@@ -326,13 +327,13 @@ class TestBroadPhaseEquivalence:
             walk = polyline([tuple(p) for p in _walk(rng, 25)], closed=True)
             companions = [_companion(rng, c1, kind, tol) for kind in self.KINDS]
             for a, b in [(c1, c1), (c1, walk)] + [(c2, c1) for c2 in companions]:
-                got = detailed_intersections(a, b, tol=tol)
+                got = detailed_intersections(a, b)
                 assert repr(got) == repr(_reference_detailed_intersections(a, b, tol))
-                assert repr(polyline_intersections(a, b, tol=tol)) == \
+                assert repr(polyline_intersections(a, b)) == \
                     repr(_reference_polyline_intersections(a, b, tol))
                 flags.update(rec[1] for rec in got)
                 pairs += a.segment_count() * b.segment_count()
-                kept += len(_deck_shifts(a, b, tol))
+                kept += len(_deck_shifts(a, b))
         # both narrow-phase branches were reached, and pairs were pruned
         assert flags == {True, False}
         assert kept < 0.2 * pairs
@@ -352,28 +353,30 @@ class TestBroadPhaseEquivalence:
                 assert repr(detailed_intersections(a, b)) == \
                     repr(_reference_detailed_intersections(a, b, 1e-9))
                 segs_a, segs_b = a.lifted_segments(), b.lifted_segments()
-                for (i1, i2), _ in _deck_shifts(a, b, 1e-9):
+                for (i1, i2), _ in _deck_shifts(a, b):
                     (x1, y1), (x2, y2) = segs_a[i1]
                     old += len(_deck_images(segs_b[i2], min(x1, x2) - 1e-9, max(x1, x2) + 1e-9,
                                             min(y1, y2) - 1e-9, max(y1, y2) + 1e-9))
         assert 0 < len(tried) < 0.5 * old
 
-    @pytest.mark.parametrize("tol", [0.0, 1e-20])
-    def test_wide_pads_keep_the_floor_ceil_range(self, tol):
-        # tol <= 0 pads without limit and a tiny tol pads by ~1e6, so only
-        # the unpadded floor/ceil range bounds the shifts there
+    @pytest.mark.parametrize("tol", [1e-20])
+    def test_wide_pads_keep_the_floor_ceil_range(self, tol, monkeypatch):
+        # a tiny tol pads by ~1e6, as a segment some 4e5 long is padded at
+        # 1e-9, so only the raw floor/ceil range bounds the shifts there
+        monkeypatch.setattr(geometry, "_INTERSECT_TOL", tol)
         rng = np.random.default_rng(11)
         for case in range(4):
             c1 = polyline([tuple(p) for p in _walk(rng, 12)], closed=bool(case % 2))
             c2 = _companion(rng, c1, "shared", 1e-9)
             for a, b in ((c1, c1), (c1, c2), (c2, c1)):
-                assert repr(detailed_intersections(a, b, tol=tol)) == \
+                assert repr(detailed_intersections(a, b)) == \
                     repr(_reference_detailed_intersections(a, b, tol))
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-6])
-    def test_hits_at_the_tolerance_boundary(self, tol):
+    def test_hits_at_the_tolerance_boundary(self, tol, monkeypatch):
         # a transversal hit reaches tol past a segment's end, and a collinear
         # one tol * |a| along it, so boxes tol apart must still be paired
+        monkeypatch.setattr(geometry, "_INTERSECT_TOL", tol)
         hits = 0
         for frac in (0.5, 0.9, 0.99, 1.01, 1.5):
             for x0, y0 in ((0.4, 1.1), (-5.0, 7.3), (2.0 + TWO_PI, -0.6)):
@@ -381,7 +384,7 @@ class TestBroadPhaseEquivalence:
                 short = polyline([(x0 + 1.0, y0 + frac * tol), (x0 + 1.0, y0 + 0.5)])
                 beyond = polyline([(x0 + 2.5 + frac * tol * 2.5, y0), (x0 + 3.0, y0)])
                 for c1, c2 in ((a, short), (short, a), (a, beyond), (beyond, a)):
-                    got = detailed_intersections(c1, c2, tol=tol)
+                    got = detailed_intersections(c1, c2)
                     assert repr(got) == repr(_reference_detailed_intersections(c1, c2, tol))
                     hits += len(got)
         assert hits
@@ -498,7 +501,7 @@ class TestPointDistanceKernel:
                                       for px, py in _reps_near(pt, 0.5 * (x1 + x2),
                                                                0.5 * (y1 + y2))]
                                      for (x1, y1), (x2, y2) in curve.lifted_segments()])
-                d, t = curve._lift_distances(pt)
+                d, t = curve._scan(pt, slice(None))
                 assert d.tobytes() == expected[..., 0].tobytes()
                 # equal as numbers: a clipped 0 may carry either sign
                 assert (t == expected[..., 1]).all()
@@ -732,9 +735,13 @@ class TestLineCrossings:
         a, b = canonicalize(1.0, 1.0), canonicalize(1.0 + 5e-7, 1.0)
         c = canonicalize(-1.0, -1.0 - 2e-6)
         assert distinct_points([a, b, c, a]) == [a, c]
-        assert distinct_points([b, a], tol=1e-7) == [b, a]
         assert distinct_points([]) == []
         assert distinct_points(iter([a, a, c])) == [a, c]
+
+
+def _plane_distance(form, pt):
+    """Plane distance from pt to the nearest lift of a LineForm's line."""
+    return form._residual(pt) / math.hypot(form.ca, form.cb)
 
 
 def _brute_meet(f1, f2):
@@ -796,12 +803,14 @@ class TestLineForm:
             [round(2 * PI / 3, 12), round(4 * PI / 3, 12)]
 
     def test_distance_and_contains(self):
+        # contains takes the plane distance to the line against 1e-6
         line = LineForm(3, 4, Fraction(1, 3))
         on = canonicalize(TWO_PI / 9, 0.0)
-        off = canonicalize(TWO_PI / 9 + 3 * 1e-3 / 5, 4 * 1e-3 / 5)
-        assert line.distance(on) < 1e-15 and line.contains(on, 1e-6)
-        assert abs(line.distance(off) - 1e-3) < 1e-12
-        assert not line.contains(off, 1e-6) and line.contains(off, 2e-3)
+        assert _plane_distance(line, on) < 1e-15 and line.contains(on)
+        for dist, inside in ((1e-3, False), (2e-6, False), (5e-7, True)):
+            off = canonicalize(TWO_PI / 9 + 3 * dist / 5, 4 * dist / 5)
+            assert abs(_plane_distance(line, off) - dist) < 1e-12
+            assert line.contains(off) == inside
 
     @pytest.mark.parametrize("gluing", [GluingMatrix.swap(), GluingMatrix.skew(2),
                                         GluingMatrix(a=-6, b=1, p=37, c=-6)])
@@ -812,7 +821,7 @@ class TestLineForm:
         for form, line in _line_forms(builtin_model(name)):
             image = line.transformed(gluing.rows())
             moved = form.transformed(gluing)
-            assert max(moved.distance(v) for v in image.vertices) < 1e-12
+            assert max(_plane_distance(moved, v) for v in image.vertices) < 1e-12
             assert moved.offset == form.offset
 
 
@@ -980,7 +989,7 @@ class TestDistancePrefilter:
         dropped = 0
         for curve in image_curves[::2]:
             for pt in _queries(rng, curve)[::2]:
-                d, t = curve._lift_distances(pt)
+                d, t = curve._scan(pt, slice(None))
                 least = d.min()
                 for radius in (least, 1e-7, 1e-6, 0.3, least + 0.05):
                     d_r, t_r = curve._lift_distances(pt, radius)

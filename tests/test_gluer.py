@@ -189,7 +189,7 @@ class TestSearch:
         arcs2 = [arc.transformed(g.rows()) for arc in img.numeric_arcs]
         assert [pt for pt, _ in candidates] == distinct_points(
             [pt for a1 in img.numeric_arcs for a2 in arcs2
-             for pt, _ in polyline_intersections(a1, a2, tol=1e-9)])
+             for pt, _ in polyline_intersections(a1, a2)])
         assert len(candidates) == 32
         assert all(src == "arc_arc" and pt.alpha == PI for pt, src in candidates)
         res = search_nonabelian_rep(splice(kl, kl, g), CFG, image1=img, image2=img)
@@ -225,7 +225,7 @@ def _sampled_candidate_points(img1, arcs2_transformed):
     out = []
     for a1 in img1.arcs:
         for a2 in arcs2_transformed:
-            for (pt, trans) in polyline_intersections(a1, a2, tol=1e-9):
+            for (pt, trans) in polyline_intersections(a1, a2):
                 out.append(pt)
     return distinct_points(out)
 
@@ -262,7 +262,7 @@ class TestExactLineCandidates:
         pairs = []
         intersect = gluer.polyline_intersections
         monkeypatch.setattr(gluer, "polyline_intersections",
-                            lambda a1, a2, tol: pairs.append(a1) or intersect(a1, a2, tol))
+                            lambda a1, a2: pairs.append(a1) or intersect(a1, a2))
         res = search_nonabelian_rep(spliced, config, image1=img1, image2=img2)
         # no reducible line is intersected as a polyline
         assert len(pairs) == len(img1.numeric_arcs) * len(img2.numeric_arcs)
@@ -330,8 +330,7 @@ class TestSlopeLineCertificates:
                [i * PI / 80 for i in range(81)]]
         line = polyline(pts)
         img = PillowcaseImage(model=unknot_model(), resolution=80,
-                              grid_step=PI / 80, chain_threshold=PI / 10,
-                              points=(), arcs=(line,))
+                              grid_step=PI / 80, points=(), arcs=(line,))
         cert = slope_line_certificates(img, 2)
         assert cert.pi_line_connected
         assert cert.contains_half_pi

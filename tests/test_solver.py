@@ -14,7 +14,7 @@ from pillowcase.geometry import (GluingMatrix, LineForm, PillowcasePoint,
                                  PillowcasePolyline, TWO_PI,
                                  apply_integer_matrix, canonicalize,
                                  detailed_intersections, distance_components,
-                                 distinct_points, essential_class,
+                                 distinct_indices, distinct_points, essential_class,
                                  line_crossings, line_offset,
                                  pillowcase_distance, polyline,
                                  polyline_intersections, tau)
@@ -61,7 +61,7 @@ def _lines(model):
 
 def _near_a_form(pt, forms):
     """The sweep's on-line filter: pt within 1e-6 of a form of _line_forms."""
-    return any(form.contains(pt, 1e-6) for form, _ in forms)
+    return any(form.contains(pt) for form, _ in forms)
 
 
 class TestSolveAtAngle:
@@ -257,8 +257,8 @@ class TestExactLifts:
     def test_transform_acts_on_lifts(self):
         rng = np.random.default_rng(61)
         curves = tuple(_wrapping_curves(rng, 24)) + tuple(_lines(builtin_model("klein")))
-        img = PillowcaseImage(model=unknot_model(), resolution=8, grid_step=0.4,
-                              chain_threshold=0.8, points=(), arcs=curves)
+        img = PillowcaseImage(model=unknot_model(), resolution=8, grid_step=0.8 / 8,
+                              points=(), arcs=curves)
         gluings = [GluingMatrix.swap(), GluingMatrix.skew(3),
                    GluingMatrix(-6, 1, 37, -6)] + _random_gluings(rng, 30)
         for g in gluings:
@@ -450,8 +450,7 @@ class TestEssentialCurve:
         loop = polyline([(PI / 2, 0.0), (PI / 2, 1.5), (PI / 2, 3.0),
                          (PI / 2, 4.5)], closed=True)
         img = PillowcaseImage(model=unknot_model(), resolution=8,
-                              grid_step=0.4, chain_threshold=0.8,
-                              points=(), arcs=(loop,))
+                              grid_step=0.8 / 8, points=(), arcs=(loop,))
         found = extract_essential_curve(img)
         assert found is not None and abs(essential_class(found)) == 1
 
@@ -544,8 +543,8 @@ class TestSurgery:
         rep = Representation((UnitQuaternion(1.0, 0.0, 0.0, 0.0),))
         recs = [ImagePoint(canonicalize(1.0, 1.0 + d), rep, gap)
                 for d, gap in ((0.25, 0.5), (0.125, 0.0), (-0.125, 0.2), (0.125, 0.2))]
-        img = PillowcaseImage(model=unknot_model(), resolution=8, grid_step=0.4,
-                              chain_threshold=0.8, points=tuple(recs), arcs=())
+        img = PillowcaseImage(model=unknot_model(), resolution=8, grid_step=0.8 / 8,
+                              points=tuple(recs), arcs=())
         pt = canonicalize(1.0, 1.0)
         # the first of equally near points wins; gap <= min_gap is skipped
         rec, d = img.nearest_point(pt)
@@ -563,22 +562,23 @@ class TestSurgery:
         assert pillowcase_distance(rec.point, pt) == 0.5
 
         def image(t):
-            return PillowcaseImage(model=unknot_model(), resolution=8, grid_step=0.1,
-                                   chain_threshold=t, points=(rec,), arcs=())
+            # chain_threshold is 8 grid steps, and t / 8 is exact
+            return PillowcaseImage(model=unknot_model(), resolution=8, grid_step=t / 8,
+                                   points=(rec,), arcs=())
 
         assert image(0.25).nearest_witness(pt) is rec
         assert image(0.25).nearest_witness(pt, min_gap=0.1) is rec
         assert image(0.25).nearest_witness(pt, min_gap=0.2) is None
         assert image(math.nextafter(0.25, 0.0)).nearest_witness(pt) is None
         assert image(0.25).nearest_witness(canonicalize(1.0, 1.0)) is rec
-        assert PillowcaseImage(model=unknot_model(), resolution=8, grid_step=0.1,
-                               chain_threshold=0.25, points=(),
-                               arcs=()).nearest_witness(pt) is None
+        assert image(0.25).chain_threshold == 0.25
+        assert PillowcaseImage(model=unknot_model(), resolution=8, grid_step=0.25 / 8,
+                               points=(), arcs=()).nearest_witness(pt) is None
 
 
 class TestDiagnosticsAndDeterminism:
     def test_corner_diagnostics_trefoil(self, trefoil_image):
-        assert corner_diagnostics(trefoil_image, eps=0.01) == []
+        assert corner_diagnostics(trefoil_image) == []
 
     def test_sweep_deterministic(self):
         tre = torus_knot_model(2, 3)
@@ -885,7 +885,7 @@ class TestQuaternionKernel:
         tables = _LetterTables(_components(params))
         zero_signs = set()
         for word in [(), (1,), (-2,), (1, 1, -2, -2, -2), (3, -1, 2, -3, -3, 1, -2)]:
-            got = _eval_batch(tables, word)
+            got = _eval_batch(tables, word, np.empty((B, 4)))
             for b in range(B):
                 assert _reprs(got[b]) == _reprs(_components_of(evaluate_word(reps[b], word)))
             zero_signs |= {math.copysign(1.0, v) for v in got[got == 0.0]}
@@ -1187,7 +1187,7 @@ def _project_endpoint_cuts_full_scan(curves, node_tol):
         step = np.diff(c._lift_array, axis=0)
         degenerate = step[:, 0] * step[:, 0] + step[:, 1] * step[:, 1] == 0
         for pt in endpoints:
-            d, t = c._lift_distances(pt)
+            d, t = c._scan(pt, slice(None))
             d[degenerate] = math.inf
             si, li = np.unravel_index(np.argmin(d), d.shape)
             if d[si, li] < node_tol:
@@ -1278,7 +1278,7 @@ def _cloud(rng, n):
 
 def _image_of(points, gaps):
     return PillowcaseImage(
-        model=unknot_model(), resolution=8, grid_step=0.4, chain_threshold=0.8,
+        model=unknot_model(), resolution=8, grid_step=0.8 / 8,
         points=tuple(ImagePoint(p, _ONE, g) for p, g in zip(points, gaps)), arcs=())
 
 
@@ -1459,10 +1459,10 @@ class TestPointKernelScans:
         assert repr(_project_endpoint_cuts(curves, img.chain_threshold)) == \
             repr(_project_endpoint_cuts_reference(curves, img.chain_threshold))
 
-def _corner_diagnostics_reference(img, eps=0.05, gap_threshold=1e-4):
+def _corner_diagnostics_reference(img, eps):
     """The old scalar loop of corner_diagnostics."""
     corners = (canonicalize(0.0, 0.0), canonicalize(PI, 0.0))
-    return [rec for rec in img.points if not rec.gap <= gap_threshold
+    return [rec for rec in img.points if not rec.gap <= 1e-4
             and any(pillowcase_distance(rec.point, c) < eps for c in corners)]
 
 
@@ -1475,13 +1475,14 @@ class TestCornerDiagnostics:
                for t in rng.uniform(-PI, PI, size=3).tolist()]
         return pts + _wrap_points() + _cloud(rng, 30)
 
-    def _assert_matches(self, img, eps, gap_threshold=1e-4):
-        got = corner_diagnostics(img, eps, gap_threshold)
-        expected = _corner_diagnostics_reference(img, eps, gap_threshold)
+    def _assert_matches(self, img, eps, monkeypatch):
+        monkeypatch.setattr(solver, "_CORNER_RADIUS", eps)
+        got = corner_diagnostics(img)
+        expected = _corner_diagnostics_reference(img, eps)
         assert [id(r) for r in got] == [id(r) for r in expected]
         return len(got)
 
-    def test_at_eps_and_one_ulp_either_side(self):
+    def test_at_eps_and_one_ulp_either_side(self, monkeypatch):
         rng = np.random.default_rng(41)
         pts = self._corner_cloud(rng)
         img = _image_of(pts, rng.choice([0.0, 1e-4, 0.2], size=len(pts)).tolist())
@@ -1490,9 +1491,11 @@ class TestCornerDiagnostics:
             for c in (canonicalize(0.0, 0.0), canonicalize(PI, 0.0)):
                 s = pillowcase_distance(p, c)
                 for eps in (math.nextafter(s, 0.0), s, math.nextafter(s, math.inf)):
-                    found += self._assert_matches(img, eps)
-        for gap_threshold in (0.0, 1e-4, 0.2, -math.inf):
-            found += self._assert_matches(img, 0.05, gap_threshold)
+                    found += self._assert_matches(img, eps, monkeypatch)
+        monkeypatch.undo()
+        assert solver._CORNER_RADIUS == 0.05
+        assert [id(r) for r in corner_diagnostics(img)] == \
+            [id(r) for r in _corner_diagnostics_reference(img, 0.05)]
         assert found
 
 # ---------------------------------------------------------------------------
@@ -1574,10 +1577,15 @@ def _proximity_clouds(rng):
             _wrap_points(), _cloud(rng, 50)]
 
 
+def _distinct(points, tol):
+    """distinct_points at any tol: the first occurrences distinct_indices keeps."""
+    return [points[i] for i in distinct_indices(points, tol)]
+
+
 def _proximity_answers(points, radius):
     """repr of every proximity pass at one radius, and of its old loop."""
     got = (distance_components(points, radius), gluer._connected_at_scale(points, radius),
-           distinct_points(points, radius))
+           _distinct(points, radius))
     expected = (_union_find_reference(points, radius),
                 _connected_at_scale_reference(points, radius),
                 _distinct_points_reference(points, radius))
@@ -1602,7 +1610,8 @@ class TestProximityPasses:
         pt = canonicalize(0.5, PI)
         assert distance_components([], 1.0) == []
         assert distance_components([pt], 1.0) == [[0]]
-        assert distinct_points([pt, pt], 0.0) == [pt, pt]
+        assert distinct_indices([pt, pt], 0.0) == [0, 1]
+        assert distinct_points([pt, pt]) == [pt]
         assert gluer._connected_at_scale([pt], 0.0) == (True, 0.0)
 
     @pytest.mark.parametrize("model", [torus_knot_model(2, 3), klein_bottle_model()],
@@ -1636,8 +1645,9 @@ class TestProximityPasses:
                 hits += len(got)
         assert hits
         pts = [r.point for r in img.points] + [v for arc in img.arcs for v in arc.vertices]
-        for tol in (1e-6, img.grid_step):
-            assert repr(distinct_points(pts, tol)) == repr(_distinct_points_reference(pts, tol))
+        assert repr(distinct_points(pts)) == repr(_distinct_points_reference(pts, 1e-6))
+        assert repr(_distinct(pts, img.grid_step)) == \
+            repr(_distinct_points_reference(pts, img.grid_step))
 
 # ---------------------------------------------------------------------------
 # the LM sweep engine against the fixed-block loop it replaced
@@ -2035,7 +2045,8 @@ class TestTangentHelper:
         assert got.tobytes() == solver._residuals(stack, words, tiled).tobytes()
         # the word values, evaluated one by one and joined, minus tiled targets
         tables = _LetterTables(stack.transpose(1, 2, 0))
-        joined = np.concatenate([_eval_batch(tables, w) for w in words], axis=1)
+        joined = np.concatenate([_eval_batch(tables, w, np.empty((tables.rows, 4)))
+                                 for w in words], axis=1)
         assert got.tobytes() == (joined - tiled).tobytes()
 
     def test_step_moves_along_the_basis(self):

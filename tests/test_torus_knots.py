@@ -12,8 +12,7 @@ import pytest
 
 from pillowcase.families import torus_knot_model
 from pillowcase.geometry import essential_class, line_offset
-from pillowcase.solver import (IRREDUCIBLE_GAP, SolverConfig, extract_essential_curve,
-                              sample_pillowcase_image)
+from pillowcase.solver import SolverConfig, extract_essential_curve, sample_pillowcase_image
 
 CFG = SolverConfig()
 RESOLUTION = 100
@@ -23,7 +22,7 @@ KNOTS = [(2, 3), (2, 5), (3, 4), (2, 7), (3, 5), (2, 9)]
 # arcs, but on a line of slope -pq neighbours lie about sqrt(1 + (pq)^2) grid
 # steps apart, so every knot with pq >= 8 breaks into pieces and isolated points.
 _BROKEN_ARCS = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 2: arcs chained by a distance threshold "
+    strict=True, reason="ROADMAP item 1: arcs chained by a distance threshold "
                         "break apart when pq >= 8")
 
 
@@ -46,7 +45,7 @@ def _oracle_offset(pt, p, q):
 @pytest.mark.parametrize("torus_image", KNOTS, ids=_knot_id, indirect=True)
 def test_irreducible_witnesses_on_oracle_lines(torus_image):
     p, q, img = torus_image
-    witnesses = img.irreducible_points(IRREDUCIBLE_GAP)
+    witnesses = img.irreducible_points()
     assert witnesses
     worst = max(_oracle_offset(rec.point, p, q) for rec in witnesses)
     assert worst < 1e-6, worst
