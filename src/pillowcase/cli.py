@@ -14,17 +14,18 @@ import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .families import builtin_model, MODEL_NAMES
 from .geometry import GluingMatrix, essential_class
-from .gluer import search_nonabelian_rep, splice
 from .homology import (ModelInvalidError, enumerate_standard_tuples, filling_homology,
                        glue_homology, seifert_h1, standard_form_reduce)
 from .presentations import KnotExteriorModel
-from .render import image_to_csv, image_to_svg, mark_points, polylines_to_svg
-from .solver import (SolverConfig, corner_diagnostics, extract_essential_curve,
-                     lift_to_cut_open, sample_pillowcase_image)
-from .su2 import NonCommutingPeripheralsError
+
+# solver, gluer, render and su2 are imported by the commands that run them,
+# so a homology command loads none of the sweep, search and render layers.
+if TYPE_CHECKING:
+    from .solver import SolverConfig
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 1
@@ -114,6 +115,7 @@ def _config_from_args(args, job: dict | None = None) -> SolverConfig:
     Job fields and flags named after a SolverConfig field set it; any other
     job key is ignored.
     """
+    from .solver import SolverConfig
     path = getattr(args, "config", None)
     try:
         config = SolverConfig.from_json(path) if path else SolverConfig()
@@ -157,6 +159,8 @@ def _image(model: KnotExteriorModel, config: SolverConfig):
     Refused are a model without exactly one free H1 coordinate and a model
     whose peripheral words do not commute.
     """
+    from .solver import sample_pillowcase_image
+    from .su2 import NonCommutingPeripheralsError
     try:
         return sample_pillowcase_image(model, config.resolution, config)
     except (ModelInvalidError, NonCommutingPeripheralsError) as exc:
@@ -164,6 +168,8 @@ def _image(model: KnotExteriorModel, config: SolverConfig):
 
 
 def cmd_image(args) -> int:
+    from .render import image_to_csv, image_to_svg
+    from .solver import corner_diagnostics, extract_essential_curve, lift_to_cut_open
     model = load_model(args.model)
     config = _config_from_args(args)
     img = _image(model, config)
@@ -275,6 +281,8 @@ def cmd_homology(args) -> int:
 # splice command
 
 def cmd_splice(args) -> int:
+    from .gluer import search_nonabelian_rep, splice
+    from .render import mark_points, polylines_to_svg
     path = Path(args.job)
     if not path.exists():
         raise InputError(f"job file not found: {args.job}")

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .presentations import (GroupPresentation, KnotExteriorModel,
                             concat, pow_word)
-from .su2 import Representation, UnitQuaternion
+
+if TYPE_CHECKING:  # su2 loads only when a representation is built
+    from .su2 import Representation
 
 __all__ = [
     "torus_knot_model", "klein_bottle_model", "unknot_model", "klein_rep",
@@ -85,6 +88,7 @@ def klein_rep(t: float) -> Representation:
     Satisfies the relation exactly; boundary angles are (pi, t) after
     canonicalization, and the image is non-abelian iff e^{it} != +-1.
     """
+    from .su2 import Representation, UnitQuaternion
     return Representation((
         UnitQuaternion(0.0, 0.0, 1.0, 0.0),
         UnitQuaternion(math.cos(t), math.sin(t), 0.0, 0.0),

@@ -321,14 +321,14 @@ class TestSpliceCommand:
         assert json.loads(out)["found"] is True
 
     def test_job_sets_every_config_field(self, capsys, tmp_path, monkeypatch):
-        from pillowcase import cli
+        from pillowcase import gluer
         configs = []
 
         def recording(spliced, config=None, image1=None, image2=None):
             configs.append(config)
             return search_nonabelian_rep(spliced, config, image1=image1, image2=image2)
 
-        monkeypatch.setattr(cli, "search_nonabelian_rep", recording)
+        monkeypatch.setattr(gluer, "search_nonabelian_rep", recording)
         fields = {"tol": 1e-9, "restarts": 3, "seed": 5, "resolution": 7, "min_gap": 0.2}
         job = tmp_path / "job.json"
         job.write_text(json.dumps({"model1": "unknot", "model2": "unknot", **fields}))
@@ -397,14 +397,14 @@ class TestSpliceCommand:
         assert "'resolution' must be int" in err
 
     def test_svg_reuses_search_images(self, capsys, tmp_path, monkeypatch):
-        from pillowcase import cli, gluer
+        from pillowcase import gluer, solver
         calls = []
 
         def counting_sweep(*args, **kwargs):
             calls.append(args[0].name)
             return sample_pillowcase_image(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "sample_pillowcase_image", counting_sweep)
+        monkeypatch.setattr(solver, "sample_pillowcase_image", counting_sweep)
         monkeypatch.setattr(gluer, "sample_pillowcase_image", counting_sweep)
         job = tmp_path / "job.json"
         job.write_text(json.dumps({
