@@ -15,11 +15,11 @@ __version__ = "0.1.0"
 
 # Each public name and the submodule that defines it.
 _ORIGIN = {name: module for module, names in {
-    "geometry": ("GluingMatrix", "LineForm", "PillowcasePoint", "PillowcasePolyline",
+    "geometry": ("LineForm", "PillowcasePoint", "PillowcasePolyline",
                  "canonicalize", "essential_class", "induced_boundary_transform",
                  "pillowcase_distance", "polyline", "polyline_intersections",
                  "sigma", "sigma_p", "tau", "P_POINT", "Q_POINT"),
-    "presentations": ("GroupPresentation", "KnotExteriorModel"),
+    "presentations": ("GluingMatrix", "GroupPresentation", "KnotExteriorModel"),
     "su2": ("Representation", "UnitQuaternion", "boundary_angles",
             "evaluate_word", "irreducibility_gap", "relator_residual"),
     "homology": ("AbelianGroup", "abelianization", "classify_gluing",

@@ -17,13 +17,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .families import builtin_model, MODEL_NAMES
-from .geometry import GluingMatrix, essential_class
 from .homology import (ModelInvalidError, enumerate_standard_tuples, filling_homology,
                        glue_homology, seifert_h1, standard_form_reduce)
-from .presentations import KnotExteriorModel
+from .presentations import GluingMatrix, KnotExteriorModel
 
-# solver, gluer, render and su2 are imported by the commands that run them,
-# so a homology command loads none of the sweep, search and render layers.
+# geometry, solver, gluer, render and su2 are imported by the commands that
+# run them, so a homology command loads none of the geometry, sweep, search
+# and render layers, nor numpy.
 if TYPE_CHECKING:
     from .solver import SolverConfig
 
@@ -168,6 +168,7 @@ def _image(model: KnotExteriorModel, config: SolverConfig):
 
 
 def cmd_image(args) -> int:
+    from .geometry import essential_class
     from .render import image_to_csv, image_to_svg
     from .solver import corner_diagnostics, extract_essential_curve, lift_to_cut_open
     model = load_model(args.model)

@@ -20,6 +20,10 @@ from functools import cached_property
 
 import numpy as np
 
+# geometry uses GluingMatrix only in annotations; the name stays bound for
+# code that imports it from pillowcase.geometry
+from .presentations import GluingMatrix, _is_prime
+
 TWO_PI = 2.0 * math.pi
 
 #: snap-to-edge width applied during canonicalization; keeps exact images of
@@ -98,18 +102,6 @@ P_POINT = canonicalize(0.0, math.pi)
 Q_POINT = canonicalize(math.pi, math.pi)
 
 
-def _is_prime(p: int) -> bool:
-    """Trial-division primality test for the small integers of gluings."""
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def sigma(pt: PillowcasePoint) -> PillowcasePoint:
     """(a, b) -> (-a, 2a + b)."""
     return apply_integer_matrix(((-1, 0), (2, 1)), pt)
@@ -125,46 +117,6 @@ def sigma_p(p: int, pt: PillowcasePoint) -> PillowcasePoint:
     if p == 2 or not _is_prime(p):
         raise ValueError(f"sigma_p needs an odd prime, got {p}")
     return apply_integer_matrix(((-1, 0), (p, 1)), pt)
-
-
-@dataclass(frozen=True)
-class GluingMatrix:
-    """Orientation-reversing torus gluing: mu1 = a mu2 + b lam2, lam1 = p mu2 + c lam2.
-
-    The determinant a*c - b*p must be -1.
-    """
-
-    a: int
-    b: int
-    p: int
-    c: int
-
-    def __post_init__(self):
-        for v in (self.a, self.b, self.p, self.c):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError("gluing entries must be integers")
-        if self.det() != -1:
-            raise ValueError(f"gluing determinant must be -1, got {self.det()}")
-
-    def det(self) -> int:
-        return self.a * self.c - self.b * self.p
-
-    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, self.b), (self.p, self.c))
-
-    def inverse(self) -> "GluingMatrix":
-        # adj/det with det = -1
-        return GluingMatrix(a=-self.c, b=self.b, p=self.p, c=-self.a)
-
-    @classmethod
-    def swap(cls) -> "GluingMatrix":
-        """mu1 <-> lam2, lam1 <-> mu2 (splice gluing)."""
-        return cls(0, 1, 1, 0)
-
-    @classmethod
-    def skew(cls, p: int = 2) -> "GluingMatrix":
-        """mu1 ~ mu2^-1, lam1 ~ mu2^p lam2."""
-        return cls(-1, 0, p, 1)
 
 
 def apply_integer_matrix(rows, pt: PillowcasePoint) -> PillowcasePoint:

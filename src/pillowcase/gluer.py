@@ -18,14 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (GluingMatrix, PillowcasePoint, PillowcasePolyline,
-                       _is_prime, canonicalize, distance_components,
-                       distinct_indices, distinct_points, essential_class,
-                       line_crossings, line_offset, pillowcase_distance,
-                       pillowcase_distance_matrix, polyline_intersections,
-                       TWO_PI)
-from .presentations import (GroupPresentation, KnotExteriorModel, concat,
-                            invert_word, pow_word, shift_word)
+from .geometry import (PillowcasePoint, PillowcasePolyline, _distance_rows,
+                       canonicalize, distance_components, distinct_indices,
+                       distinct_points, essential_class, line_crossings, line_offset,
+                       pillowcase_distance, polyline_intersections, TWO_PI)
+from .presentations import (GluingMatrix, GroupPresentation, KnotExteriorModel,
+                            _is_prime, concat, invert_word, pow_word, shift_word)
 from .solver import (ImagePoint, PillowcaseImage, SolverConfig,
                      refine_representation, sample_pillowcase_image)
 from .su2 import (Representation, align_boundary_to_i_axis, boundary_angles,
@@ -309,8 +307,8 @@ def _connected_at_scale(points, scale: float) -> tuple[bool, float]:
     remaining = set(range(len(points))) - set(component)
     if not remaining:
         return True, 0.0
-    d = pillowcase_distance_matrix(np.array([p.as_tuple() for p in points]))
-    return False, float(d[np.ix_(sorted(remaining), component)].min())
+    xy = np.array([p.as_tuple() for p in points])
+    return False, float(_distance_rows(xy[component], xy[sorted(remaining)]).min())
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .geometry import GluingMatrix, _is_prime
-from .presentations import GroupPresentation, KnotExteriorModel, exponent_vector
+from .presentations import (GluingMatrix, GroupPresentation, KnotExteriorModel,
+                            _is_prime, exponent_vector)
 
 __all__ = [
     "IntegerMatrixPresentation", "AbelianGroup", "Abelianization",
@@ -82,13 +82,7 @@ class AbelianGroup:
 
     @classmethod
     def from_matrix(cls, M, n_generators: int) -> "AbelianGroup":
-        if n_generators == 0:
-            return cls((), 0)
-        if not M or not M[0]:
-            return cls((), n_generators)
-        d, _, _ = smith_normal_form(M)
-        diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-        nonzero = [x for x in diag if x != 0]
+        nonzero = [x for x in _smith_diagonal(M)[0] if x != 0]
         return cls(
             torsion=tuple(x for x in nonzero if x > 1),
             rank=n_generators - len(nonzero),
@@ -203,15 +197,15 @@ def smith_normal_form(M):
     return A, U, V
 
 
+def _smith_diagonal(M):
+    """(diag, U, V) of the Smith form D = U*M*V; M may have no rows or no columns."""
+    D, U, V = smith_normal_form(M)
+    return [row[i] for i, row in enumerate(D) if i < len(row)], U, V
+
+
 def invariant_factors(M) -> list[int]:
     """Diagonal of the Smith form, zeros and ones stripped."""
-    D, _, _ = smith_normal_form(M)
-    out = []
-    for i in range(min(len(D), len(D[0]) if D else 0)):
-        d = D[i][i]
-        if d > 1:
-            out.append(d)
-    return out
+    return [d for d in _smith_diagonal(M)[0] if d > 1]
 
 
 def minor_gcd_invariants(M) -> list[int]:
@@ -274,28 +268,29 @@ def _class_vector(ab: Abelianization, mu_coef: int, lam_coef: int) -> list[int]:
             for m, l in zip(ab.meridian_class, ab.longitude_class)]
 
 
-def _smith_diagonal(M, g: int):
-    """(diag, U) of the Smith form, tolerating empty matrices."""
-    if not M or not M[0]:
-        return [], _identity(g)
-    D, U, _ = smith_normal_form(M)
-    diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
-    return diag, U
+def _smith_coordinates(M, *classes):
+    """coker(M) in Smith coordinates: (diag, free_rows, coordinates).
+
+    diag has one entry per row of M, 0 past the last column; free_rows
+    are the rows where it is 0; coordinates holds U*vec for each class.
+    """
+    diag, U, _ = _smith_diagonal(M)
+    diag += [0] * (len(U) - len(diag))
+    free_rows = [i for i, d in enumerate(diag) if d == 0]
+    coordinates = [[sum(u * x for u, x in zip(row, vec)) for row in U] for vec in classes]
+    return diag, free_rows, coordinates
 
 
 def _order_in_cokernel(vec, M) -> int:
     """Order of a class in coker(M); 0 when the class is non-torsion."""
-    g = len(vec)
-    diag, U = _smith_diagonal(M, g)
-    w = [sum(U[i][j] * vec[j] for j in range(g)) for i in range(g)]
+    diag, _, (w,) = _smith_coordinates(M, vec)
     order = 1
-    for i in range(g):
-        d = diag[i] if i < len(diag) else 0
+    for d, x in zip(diag, w):
         if d == 0:
-            if w[i] != 0:
+            if x != 0:
                 return 0
         else:
-            contrib = d // math.gcd(d, w[i])
+            contrib = d // math.gcd(d, x)
             order = order * contrib // math.gcd(order, contrib)
     return order
 
@@ -313,19 +308,12 @@ def rational_longitude(model: KnotExteriorModel):
     """
     ab = abelianization(model.presentation)
     M = ab.matrix.matrix()
-    g = ab.matrix.rows
-    diag, U = _smith_diagonal(M, g)
-    free_rows = [i for i in range(g) if i >= len(diag) or diag[i] == 0]
+    _, free_rows, (um, ul) = _smith_coordinates(M, ab.meridian_class, ab.longitude_class)
     if not free_rows:
         raise ModelInvalidError("H1 has no free part (not a torus boundary)")
-    mu = ab.meridian_class
-    lam = ab.longitude_class
-    um = [sum(U[i][j] * mu[j] for j in range(g)) for i in free_rows]
-    ul = [sum(U[i][j] * lam[j] for j in range(g)) for i in free_rows]
-    # rational kernel of the 2-column matrix [um | ul]
-    C = [[um[i], ul[i]] for i in range(len(free_rows))]
-    Dc, _, Vc = smith_normal_form(C)
-    rank = sum(1 for i in range(min(len(Dc), 2)) if Dc[i][i] != 0)
+    # rational kernel of the 2-column matrix [um | ul] on the free rows
+    diag, _, Vc = _smith_diagonal([[um[i], ul[i]] for i in free_rows])
+    rank = sum(1 for d in diag if d != 0)
     if rank == 0:
         raise ModelInvalidError("both boundary classes die rationally")
     if rank == 2:
@@ -352,8 +340,6 @@ def filling_homology(model: KnotExteriorModel, slope: tuple[int, int]) -> Abelia
     col = _class_vector(ab, p, q)
     for i, row in enumerate(M):
         row.append(col[i])
-    if not M:
-        M = [[c] for c in col]
     return AbelianGroup.from_matrix(M, ab.matrix.rows)
 
 
@@ -632,12 +618,9 @@ def classify_gluing(model1: KnotExteriorModel, model2: KnotExteriorModel,
     curve = (x * rows[0][0] + y * rows[1][0], x * rows[0][1] + y * rows[1][1])
     ab = abelianization(ess_model.presentation)
     M = ab.matrix.matrix()
-    gcount = ab.matrix.rows
     vec = _class_vector(ab, curve[0], curve[1])
-    diag, U = _smith_diagonal(M, gcount)
-    free_rows = [i for i in range(gcount) if i >= len(diag) or diag[i] == 0]
-    free_image = [sum(U[i][j] * vec[j] for j in range(gcount)) for i in free_rows]
-    free_gcd = math.gcd(*free_image) if free_image else 0
+    _, free_rows, (w,) = _smith_coordinates(M, vec)
+    free_gcd = math.gcd(*(w[i] for i in free_rows))
     divisible = _divisible_in_cokernel(vec, M, p)
     basis_det = ess_class[0] * curve[1] - ess_class[1] * curve[0]
     evidence = {
@@ -655,8 +638,6 @@ def classify_gluing(model1: KnotExteriorModel, model2: KnotExteriorModel,
 
 def _divisible_in_cokernel(vec, M, p: int) -> bool:
     """Whether the class of vec in coker(M) lies in p * coker(M)."""
-    if not M or not M[0]:
-        return all(x % p == 0 for x in vec)
     # vec = p*w + M*u has a solution iff vec is 0 in coker([p*I | M])
     g = len(vec)
     aug = [[p if i == j else 0 for j in range(g)] + list(M[i]) for i in range(g)]

@@ -3,7 +3,8 @@
 Words are tuples of nonzero integers: ``k`` means the k-th generator
 (1-based), ``-k`` its inverse, so ``(1, 2, -1)`` reads g1 g2 g1^-1.
 A knot-exterior model is a presentation together with distinguished
-meridian and longitude words and optional Seifert-fiber data.
+meridian and longitude words and optional Seifert-fiber data.  A
+GluingMatrix is the integer boundary gluing that joins two such exteriors.
 """
 
 from __future__ import annotations
@@ -60,6 +61,58 @@ def exponent_vector(word, generator_count: int) -> tuple[int, ...]:
     for k in word:
         v[abs(k) - 1] += 1 if k > 0 else -1
     return tuple(v)
+
+
+def _is_prime(p: int) -> bool:
+    """Trial-division primality test for the small integers of gluings."""
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+@dataclass(frozen=True)
+class GluingMatrix:
+    """Orientation-reversing torus gluing: mu1 = a mu2 + b lam2, lam1 = p mu2 + c lam2.
+
+    The determinant a*c - b*p must be -1.
+    """
+
+    a: int
+    b: int
+    p: int
+    c: int
+
+    def __post_init__(self):
+        for v in (self.a, self.b, self.p, self.c):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError("gluing entries must be integers")
+        if self.det() != -1:
+            raise ValueError(f"gluing determinant must be -1, got {self.det()}")
+
+    def det(self) -> int:
+        return self.a * self.c - self.b * self.p
+
+    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        return ((self.a, self.b), (self.p, self.c))
+
+    def inverse(self) -> "GluingMatrix":
+        # adj/det with det = -1
+        return GluingMatrix(a=-self.c, b=self.b, p=self.p, c=-self.a)
+
+    @classmethod
+    def swap(cls) -> "GluingMatrix":
+        """mu1 <-> lam2, lam1 <-> mu2 (splice gluing)."""
+        return cls(0, 1, 1, 0)
+
+    @classmethod
+    def skew(cls, p: int = 2) -> "GluingMatrix":
+        """mu1 ~ mu2^-1, lam1 ~ mu2^p lam2."""
+        return cls(-1, 0, p, 1)
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (DegenerateCurveError, GluingMatrix, LineForm, PillowcasePoint,
+from .geometry import (DegenerateCurveError, LineForm, PillowcasePoint,
                        PillowcasePolyline, canonicalize, detailed_intersections,
                        distance_components, essential_class, line_offset,
                        pillowcase_distance, pillowcase_distance_matrix,
                        pillowcase_distances, TWO_PI)
 from .homology import ModelInvalidError, abelianization, smith_normal_form
-from .presentations import (GroupPresentation, KnotExteriorModel, Word,
-                            concat, pow_word)
+from .presentations import (GluingMatrix, GroupPresentation, KnotExteriorModel,
+                            Word, concat, pow_word)
 from .su2 import (Representation, UnitQuaternion, boundary_angles, irreducibility_gap,
                   peripheral_point, relator_residual)
 
@@ -962,11 +962,14 @@ class LiftResult:
     """Outcome of lifting an image off the pillowcase edge folds.
 
     The lift to [0, pi] x (R/2piZ) exists iff no image point sits on the
-    edges alpha in {0, pi} away from beta = 0; violating witnesses mean the
-    ambient manifold admits a non-abelian SU(2) representation, so they are
-    reported rather than discarded.  violations are the witnesses there;
-    arc_points holds, per arc that reaches there, its first vertex there,
-    which no witness carries.
+    edges alpha in {0, pi} away from beta = 0.  violations are the
+    witnesses there, abelian or not; arc_points holds, per arc that reaches
+    there, its first vertex there, which no witness carries.  Only a
+    violation whose gap exceeds IRREDUCIBLE_GAP witnesses a non-abelian
+    SU(2) representation of the ambient manifold: the reducible lines meet
+    the edges at the marked points, so abelian witnesses can violate too
+    (2 of klein's 22 violations at r=60, seed 0, sit at P with gaps near
+    1e-146).
     """
 
     ok: bool
@@ -975,6 +978,8 @@ class LiftResult:
 
 
 def lift_to_cut_open(img: PillowcaseImage) -> LiftResult:
+    """Whether the image lifts to the cut-open pillowcase; see LiftResult for
+    which violations witness a non-abelian representation."""
     tol = 1e-6  # width of the edges alpha in {0, pi} and of the line beta = 0
 
     def violates(pt):

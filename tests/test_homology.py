@@ -5,7 +5,8 @@ from pillowcase.families import (klein_bottle_model, torus_knot_model,
                                  unknot_model)
 from pillowcase.geometry import GluingMatrix
 from pillowcase.homology import (AbelianGroup, ModelInvalidError,
-                                 UnsupportedGluingError, abelianization,
+                                 UnsupportedGluingError, _divisible_in_cokernel,
+                                 abelianization,
                                  classify_gluing, enumerate_standard_tuples,
                                  filling_homology, glue_homology,
                                  integer_determinant, invariant_factors,
@@ -54,6 +55,24 @@ class TestSmithNormalForm:
         for shape in ((2, 4), (4, 2), (3, 5)):
             M = rng.integers(-6, 7, size=shape).tolist()
             check_snf(M)
+
+
+class TestEmptyMatrices:
+    """Matrices with no rows or no columns read through the same Smith form."""
+
+    def test_no_generators_is_trivial(self):
+        assert AbelianGroup.from_matrix([], 0) == AbelianGroup(torsion=(), rank=0)
+
+    def test_no_relations_is_free(self):
+        assert AbelianGroup.from_matrix([[], []], 2) == AbelianGroup(torsion=(), rank=2)
+
+    def test_invariant_factors_of_no_rows(self):
+        assert invariant_factors([]) == []
+
+    def test_divisible_without_relations(self):
+        # coker of a zero-column M is Z^2: divisible by p iff every entry is
+        assert _divisible_in_cokernel([3, -6], [[], []], 3)
+        assert not _divisible_in_cokernel([3, 4], [[], []], 3)
 
 
 class TestAbelianization:

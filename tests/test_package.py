@@ -2,7 +2,8 @@
 
 ``pillowcase`` resolves its public names on first use, and each CLI command
 imports the layers it runs, so a homology command never loads the sweep
-(``solver``), search (``gluer``), render or ``su2`` layers.
+(``solver``), search (``gluer``), render or ``su2`` layers, nor ``geometry``
+and numpy.
 """
 
 import importlib
@@ -41,12 +42,14 @@ EXPORTS = {
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)
 HEAVY = ("pillowcase.solver", "pillowcase.gluer", "pillowcase.render", "pillowcase.su2")
+NUMERIC = ("numpy", "pillowcase.geometry")
 
 
 def loaded_after(code):
-    """The ``pillowcase.*`` modules loaded after running code in a fresh interpreter."""
+    """The ``pillowcase.*`` modules and numpy that code loads in a fresh interpreter."""
     script = (f"import json, sys\n{code}\n"
-              "print(json.dumps([m for m in sys.modules if m.startswith('pillowcase.')]))")
+              "print(json.dumps([m for m in sys.modules\n"
+              "                  if m.startswith('pillowcase.') or m == 'numpy']))")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-c", script], env=env, text=True,
                           capture_output=True, timeout=120, check=True)
@@ -71,6 +74,7 @@ class TestImportGraph:
         loaded = loaded_after(main_call(*argv))
         assert "pillowcase.homology" in loaded
         assert loaded.isdisjoint(HEAVY), sorted(loaded & set(HEAVY))
+        assert loaded.isdisjoint(NUMERIC), sorted(loaded & set(NUMERIC))
 
     def test_image_loads_solver_and_render_but_not_gluer(self):
         loaded = loaded_after(main_call("image", "unknot", "--resolution", "10", "--json"))
@@ -84,6 +88,12 @@ class TestPackageSurface:
                  if getattr(pillowcase, name)
                  is not getattr(importlib.import_module(f"pillowcase.{module}"), name)]
         assert wrong == []
+
+    @pytest.mark.parametrize("name", ["GluingMatrix", "_is_prime"])
+    def test_geometry_rebinds_the_presentations_object(self, name):
+        geometry = importlib.import_module("pillowcase.geometry")
+        presentations = importlib.import_module("pillowcase.presentations")
+        assert getattr(geometry, name) is getattr(presentations, name)
 
     def test_all_lists_the_exports(self):
         assert len(NAMES) == 50
