@@ -455,6 +455,84 @@ class TestEssentialCurve:
         assert found is not None and abs(essential_class(found)) == 1
 
 
+_OPEN = [(0.3, 0.4), (1.1, 0.9), (2.0, 1.5), (2.6, 2.4)]
+_NEAR = [(0.3, 0.4), (1.1, 0.9), (1.1 + 4e-13, 0.9), (2.0, 1.5)]
+_DRIFT = [(0.3, 0.4), (1.1, 0.9), (1.1 + 7e-13, 0.9), (1.1 + 1.4e-12, 0.9), (2.0, 1.5)]
+
+
+class TestSplitPolyline:
+    """_split_polyline and _drop_repeats, pinned to the pieces they have always given.
+
+    Each case is (curve, cuts, vertices of each piece); the floats are the
+    repr of the pieces' canonical vertices, so a match is bit for bit.
+    """
+
+    CASES = {
+        # (0, 1.0) and (1, 0.0) are one cut at vertex 1
+        "vertex_and_mid": (polyline(_OPEN), [(1, 0.0), (0, 1.0), (2, 0.5)], [
+            [(0.3, 0.4), (1.1, 0.9)],
+            [(1.1, 0.9), (2.0, 1.5), (2.3, 1.95)],
+            [(2.3, 1.95), (2.6, 2.4)]]),
+        # 5e-10 apart is one cut, 2e-9 apart two; 5e-10 from a vertex snaps to it
+        "cuts_within_1e-9": (polyline(_OPEN), [(0, 0.4), (0, 0.4 + 5e-10), (1, 0.3),
+                                               (1, 0.3 + 2e-9), (0, 1 - 5e-10)], [
+            [(0.3, 0.4), (0.6200000000000001, 0.6000000000000001)],
+            [(0.6200000000000001, 0.6000000000000001), (1.1, 0.9)],
+            [(1.1, 0.9), (1.37, 1.08)],
+            [(1.37, 1.08), (1.3700000018, 1.0800000012)],
+            [(1.3700000018, 1.0800000012), (2.0, 1.5), (2.6, 2.4)]]),
+        # t is clamped to [0, 1], and the parameter to [0, segments]
+        "clamped": (polyline(_OPEN), [(1, -0.5), (1, 1.7), (3, 0.5), (-1, 0.5)], [
+            [(0.3, 0.4), (1.1, 0.9)],
+            [(1.1, 0.9), (2.0, 1.5)],
+            [(2.0, 1.5), (2.6, 2.4)]]),
+        # segment 3 closes the curve; the last piece ends on the first vertex's lift
+        "closed": (polyline(_OPEN, closed=True), [(0, 0.5), (3, 0.25)], [
+            [(0.3, 0.4), (0.7, 0.65)],
+            [(0.7, 0.65), (1.1, 0.9), (2.0, 1.5), (2.6, 2.4), (2.025, 1.9)],
+            [(2.025, 1.9), (0.2999999999999998, 0.3999999999999999)]]),
+        # stations within 1e-12 of the last one kept are dropped, and the piece
+        # [1, 1.5] keeps one vertex, so it is no piece
+        "near_stations": (polyline(_NEAR), [(1, 0.5), (2, 0.5)], [
+            [(0.3, 0.4), (1.1, 0.9)],
+            [(1.1000000000002, 0.9), (1.5500000000002, 1.2)],
+            [(1.5500000000002, 1.2), (2.0, 1.5)]]),
+        # 7e-13 steps: the second is dropped, the third is 1.4e-12 from the first
+        "drift": (polyline(_DRIFT), [(0, 0.5)], [
+            [(0.3, 0.4), (0.7, 0.65)],
+            [(0.7, 0.65), (1.1, 0.9), (1.1000000000014, 0.9), (2.0, 1.5)]]),
+        # the piece between vertices 1 and 2, 4e-13 apart, is left with one vertex
+        "short_piece": (polyline(_NEAR), [(1, 0.0), (2, 0.0)], [
+            [(0.3, 0.4), (1.1, 0.9)],
+            [(1.1000000000004, 0.9), (2.0, 1.5)]]),
+        # long from_lifts segments: stations wrap and fold when canonicalized
+        "wrapping": (PillowcasePolyline.from_lifts([(0.5, 0.5), (0.5 + 3 * TWO_PI - 0.2, 0.7),
+                                                    (-2.0, 7.0)]),
+                     [(0, 0.5), (0, 0.25), (1, 0.75)], [
+            [(0.5, 0.5), (1.1207963267948964, 5.733185307179586)],
+            [(1.1207963267948964, 5.733185307179586), (2.7415926535897928, 5.683185307179587)],
+            [(2.7415926535897928, 5.683185307179587), (0.3000000000000007, 0.7),
+             (2.9957963267948955, 0.8581853071795864)],
+            [(2.9957963267948955, 0.8581853071795864), (2.0, 5.5663706143591725)]]),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_pieces(self, name):
+        curve, cuts, expected = self.CASES[name]
+        want = [PillowcasePolyline(tuple(PillowcasePoint(*v) for v in piece))
+                for piece in expected]
+        assert repr(solver._split_polyline(curve, cuts)) == repr(want)
+
+    def test_drop_repeats_compares_with_the_last_point_kept(self):
+        pts = [canonicalize(1.0, 2.0), canonicalize(1.0 + 7e-13, 2.0),
+               canonicalize(1.0 + 1.4e-12, 2.0), canonicalize(1.5, 2.0), canonicalize(1.5, 2.0),
+               canonicalize(-1.5, -2.0 + TWO_PI), canonicalize(0.0, 2.0),
+               canonicalize(0.0, TWO_PI - 2.0), canonicalize(0.0, 2.0 + 9e-13)]
+        kept = solver._drop_repeats(pts)
+        assert repr(kept) == repr([PillowcasePoint(1.0, 2.0), PillowcasePoint(1.0000000000014, 2.0),
+                                   PillowcasePoint(1.5, 2.0), PillowcasePoint(0.0, 2.0)])
+
+
 def _surgery_reference(img, p, q, config):
     """find_surgery_representation scanning every raw crossing, repeats too."""
     pres = img.model.presentation
