@@ -13,6 +13,7 @@ its segments may be long (a gluing matrix applied to exact lifts).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,6 +96,30 @@ def canonicalize(alpha_raw: float, beta_raw: float) -> PillowcasePoint:
     if (a == 0.0 or a == math.pi) and b > math.pi:
         b = TWO_PI - b
     return PillowcasePoint(a, b)
+
+
+def _mod_2pi_array(x: np.ndarray) -> np.ndarray:
+    """_mod_2pi of every entry, bit for bit (np.fmod is exact, as math.fmod is)."""
+    y = np.fmod(x, TWO_PI)
+    y = np.where(y < 0.0, y + TWO_PI, y)
+    zero = (y >= TWO_PI) | (TWO_PI - y < _SNAP) | (y < _SNAP)
+    return np.where(zero, 0.0, np.where(np.abs(y - math.pi) < _SNAP, math.pi, y))
+
+
+def _canonical_array(xy: np.ndarray) -> np.ndarray:
+    """Row i: canonicalize(*xy[i]).as_tuple(), bit for bit, for an (n, 2) array.
+
+    The scalar function's branches, taken per row by np.where; a value that
+    is not finite raises ValueError, as there.
+    """
+    if not np.isfinite(xy).all():
+        raise ValueError("angles must be finite")
+    a, b = _mod_2pi_array(xy).T
+    flip = a > math.pi
+    a = np.where(flip, TWO_PI - a, a)
+    b = np.where(flip, _mod_2pi_array(-b), b)
+    b = np.where(((a == 0.0) | (a == math.pi)) & (b > math.pi), TWO_PI - b, b)
+    return np.column_stack([a, b])
 
 
 #: marked points of the pillowcase
@@ -227,6 +252,13 @@ def _distance_rows(xy: np.ndarray, anchors: np.ndarray) -> np.ndarray:
                  _wrap_2pi(y - _SIGNS[:, :, None] * anchors[:, 1, None])).min(axis=0)
 
 
+def _step_distances(xy: np.ndarray) -> np.ndarray:
+    """Entry i: pillowcase_distance(row i, row i + 1) of an (n, 2) array, bit for bit."""
+    x, y = xy[:, 0], xy[:, 1]
+    return _norm(_wrap_2pi(x[:-1] - _SIGNS * x[1:]),
+                 _wrap_2pi(y[:-1] - _SIGNS * y[1:])).min(axis=0)
+
+
 def nearest_lift(pt: PillowcasePoint, anchor: tuple[float, float]) -> tuple[float, float]:
     """Plane lift of pt closest to the anchor point; deterministic on ties."""
     x, y = anchor
@@ -265,13 +297,41 @@ class PillowcasePolyline:
         The lifts are its lift cache as given, so a segment is the plane
         segment between consecutive lifts, however long.  A closed polyline
         takes one lift more than it has vertices: its first vertex's lift
-        reached after going around.
+        reached after going around.  The vertices are canonicalized when
+        they are first read (_vertex_array), and kept; what reads only the
+        lifts (transformed, intersections, crossings, distances) builds no
+        point.  A vertex's lift that is not finite raises ValueError here,
+        as canonicalize does.  The lifts are (x, y) pairs or an (n, 2) array.
         """
-        lifts = tuple((float(x), float(y)) for x, y in lifts)
-        line = cls(tuple(canonicalize(x, y) for x, y in (lifts[:-1] if closed else lifts)),
-                   closed=closed)
-        object.__setattr__(line, "_lifts", lifts)
+        xy = np.array(lifts, dtype=float)
+        if len(xy) - closed < 2:
+            raise ValueError("polyline needs at least two vertices")
+        if not np.isfinite(xy[:len(xy) - closed]).all():
+            raise ValueError("angles must be finite")
+        xy.flags.writeable = False
+        line = cls.__new__(cls)
+        object.__setattr__(line, "closed", closed)
+        object.__setattr__(line, "_lifts", tuple(map(tuple, xy.tolist())))
+        object.__setattr__(line, "_lift_array", xy)
         return line
+
+    def __getattr__(self, name):
+        # only a polyline built from_lifts lacks its vertices until they are read
+        if name != "vertices" or "_lifts" not in self.__dict__:
+            raise AttributeError(name)
+        vertices = tuple(itertools.starmap(PillowcasePoint, self._vertex_array.tolist()))
+        object.__setattr__(self, "vertices", vertices)
+        return vertices
+
+    @cached_property
+    def _vertex_array(self) -> np.ndarray:
+        """The canonical vertices as a read-only (n, 2) array, bitwise their coordinates."""
+        if "vertices" in self.__dict__:
+            xy = np.array([v.as_tuple() for v in self.vertices])
+        else:
+            xy = _canonical_array(self._lift_array[:len(self._lifts) - self.closed])
+        xy.flags.writeable = False
+        return xy
 
     def __len__(self):
         return len(self.vertices)
@@ -413,7 +473,7 @@ class PillowcasePolyline:
         there, is where the full scan (_scan of every row) has it.
         """
         keep = np.flatnonzero(self._distance_bounds(pt) <= radius)
-        d = np.full((self.segment_count(), 18), math.inf)
+        d = np.full((len(self._segment_table), 18), math.inf)
         t = np.zeros_like(d)
         if len(keep):
             d[keep], t[keep] = self._scan(pt, keep)
@@ -439,11 +499,13 @@ class PillowcasePolyline:
         """The image under an integer 2x2 matrix, applied to the plane lifts.
 
         The map is linear on the plane, so the image of a lifted segment is
-        the segment between the images of its ends, however long.
+        the segment between the images of its ends, however long.  The
+        image lifts are a * x + b * y and p * x + c * y, in one array pass.
         """
         (a, b), (p, c) = rows
-        return PillowcasePolyline.from_lifts(
-            [(a * x + b * y, p * x + c * y) for x, y in self._lifts], self.closed)
+        x, y = self._lift_array.T
+        return PillowcasePolyline.from_lifts(np.column_stack([a * x + b * y, p * x + c * y]),
+                                             self.closed)
 
 
 def polyline(points, closed: bool = False) -> PillowcasePolyline:
@@ -516,6 +578,61 @@ def _flip(boxes):
     return -boxes[:, [1, 0, 3, 2]]
 
 
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D array, by a sort (several times faster on short arrays)."""
+    x = np.sort(x)
+    return np.concatenate([x[:1], x[1:][x[1:] != x[:-1]]])
+
+
+def _ranges_to_pairs(rows, lo, hi, order):
+    """(rows repeated, order[lo_k:hi_k] for each k), as two flat arrays."""
+    count = hi - lo
+    start = np.repeat(lo - (np.cumsum(count) - count), count)
+    return np.repeat(rows, count), order[start + np.arange(count.sum())]
+
+
+#: the shifts of the copies of the second intervals that _meeting_pairs sweeps
+_COPY_SHIFTS = np.array([[-TWO_PI], [0.0], [TWO_PI]])
+
+
+def _meeting_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) for the pairs of intervals a[i], b[j] that may meet mod 2pi, each at least once.
+
+    a and b are (n, 2) arrays of intervals [lo, hi].  Every pair for which
+    the float test of _shift_range finds some 2pi k with b[j] + 2pi k
+    meeting a[i] is among them.  That test rounds its quotients by at most
+    2^-52 of the exact ones, so such a k makes the intervals meet in exact
+    arithmetic once each is widened by 2^-52 (|lo| + |hi|).  Each interval
+    is widened by 2^-40 (2pi + |lo| + |hi|), which also covers the rounding
+    of the widths and of the reduction below.  It then starts at lo mod 2pi
+    (np.fmod is exact), in [0, 2pi].  With both starts there, a copy
+    b[j] + 2pi k with k >= 2 that meets a[i] starts after the copy with
+    k = 1, which then meets a[i] too (its end is at least 2pi), and k <= -2
+    likewise gives k = -1; so the copies shifted by -2pi, 0 and 2pi hold
+    every meeting, however wide the intervals.  Two intervals meet when
+    one starts within the other: sorted starts give each interval of a the
+    run of copies that start within it, and each copy the run of a that
+    starts strictly after it and within it, so only pairs that meet are
+    visited.
+    """
+    iv = np.concatenate([a, b])
+    pad = 2.0 ** -40 * (TWO_PI + np.abs(iv).sum(axis=1))
+    start = np.fmod(iv[:, 0] - pad, TWO_PI)
+    start = np.where(start < 0.0, start + TWO_PI, start)
+    end = start + (iv[:, 1] - iv[:, 0] + 2.0 * pad)
+    n = len(a)
+    sa, ea = start[:n], end[:n]
+    sb, eb = (start[n:] + _COPY_SHIFTS).ravel(), (end[n:] + _COPY_SHIFTS).ravel()
+    copy_of = np.arange(len(sb)) % len(b)
+    order_a, order_b = np.argsort(sa), np.argsort(sb)
+    sa_sorted, sb_sorted = sa[order_a], sb[order_b]
+    i, j = _ranges_to_pairs(np.arange(n), np.searchsorted(sb_sorted, sa, "left"),
+                            np.searchsorted(sb_sorted, ea, "right"), copy_of[order_b])
+    j2, i2 = _ranges_to_pairs(copy_of, np.searchsorted(sa_sorted, sb, "right"),
+                              np.searchsorted(sa_sorted, eb, "right"), order_a)
+    return np.concatenate([i, i2]), np.concatenate([j, j2])
+
+
 def _deck_shifts(c1: PillowcasePolyline, c2: PillowcasePolyline):
     """((i1, i2), per-sign shifts) for the segment pairs some deck image can make meet.
 
@@ -523,7 +640,9 @@ def _deck_shifts(c1: PillowcasePolyline, c2: PillowcasePolyline):
     _box_table.  A pair is kept when, for sign 1 or -1, some 2pi shifts in
     x and in y bring the padded box of sign * seg2[i2] onto the one of
     seg1[i1]; pairs come in the all-pairs loop order, i1 then i2 ascending.
-    Each (S1, S2) array of shift ranges is dropped once compared.  For sign
+    That test (_shift_range) runs only on the pairs and signs whose x
+    intervals _meeting_pairs finds, a superset of those that pass it in x,
+    so the kept pairs are those of testing every pair.  For sign
     1, then -1, the shifts of a kept pair are the ranges
     [m_lo, m_hi, n_lo, n_hi] of the deck images sign * seg2[i2] + 2pi (m, n)
     whose padded box meets the one of seg1[i1], so by the _box_table bound
@@ -534,14 +653,12 @@ def _deck_shifts(c1: PillowcasePolyline, c2: PillowcasePolyline):
     tol = _INTERSECT_TOL
     t1, t2 = c1._box_table, c2._box_table
     a, b = t1[:, 4:], t2[:, 4:]
-    keep = np.zeros((len(a), len(b)), dtype=bool)
-    for sb in (b, _flip(b)):
-        x, y = (np.less_equal(*_shift_range(a[:, c, None], a[:, c + 1, None],
-                                            sb[None, :, c], sb[None, :, c + 1]))
-                for c in (0, 2))
-        keep |= x & y
-    # np.nonzero on the 2-D mask takes about six times as long
-    i1, i2 = np.divmod(np.flatnonzero(keep), len(b))
+    signed = np.concatenate([b, _flip(b)])  # sign 1, then sign -1
+    i1, j = _meeting_pairs(a[:, :2], signed[:, :2])
+    x, y = (np.less_equal(*_shift_range(a[i1, c], a[i1, c + 1], signed[j, c], signed[j, c + 1]))
+            for c in (0, 2))
+    keep = x & y
+    i1, i2 = np.divmod(_sorted_unique(i1[keep] * len(b) + j[keep] % len(b)), len(b))
     a, b = a[i1], b[i2]
     ra = t1[i1, :4] + np.array([-tol, tol, -tol, tol])
     rb = t2[i2, :4]
@@ -687,6 +804,11 @@ def line_offset(pt: PillowcasePoint, coef_alpha: float, coef_beta: float,
     """
     val = coef_alpha * pt.alpha + coef_beta * pt.beta - target
     return abs(math.remainder(val, TWO_PI))
+
+
+def _line_offsets(xy: np.ndarray, ca: float, cb: float, target: float) -> np.ndarray:
+    """line_offset of every row (alpha, beta) of an (n, 2) array, bit for bit."""
+    return _abs_remainder(ca * xy[:, 0] + cb * xy[:, 1] - target, TWO_PI)
 
 
 def line_crossings(curve: PillowcasePolyline, ca: float, cb: float,

@@ -12,13 +12,14 @@ constraints that hold when the relevant Dehn surgeries are as assumed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (PillowcasePoint, PillowcasePolyline, _distance_rows,
+from .geometry import (PillowcasePoint, PillowcasePolyline, _distance_rows, _line_offsets,
                        canonicalize, distance_components, distinct_indices,
                        distinct_points, essential_class, line_crossings, line_offset,
                        pillowcase_distance, polyline_intersections, TWO_PI)
@@ -256,14 +257,16 @@ def _points_on_line(img: PillowcaseImage, ca: float, cb: float, target: float,
 
     Includes witness points and arc vertices within tol of the line, plus
     interpolated crossings of arc segments (the sampled curve stands in for
-    the continuum between witnesses).
+    the continuum between witnesses): the points, then per arc its
+    vertices and its crossings.  Points and vertices are tested in one
+    array pass each (_line_offsets), and points are built for the hits only.
     """
-    pts = [rec.point for rec in img.points
-           if line_offset(rec.point, ca, cb, target) < tol]
+    near = _line_offsets(img._point_arrays[0], ca, cb, target) < tol
+    pts = [img.points[i].point for i in np.flatnonzero(near).tolist()]
     for arc in img.arcs:
-        for v in arc.vertices:
-            if line_offset(v, ca, cb, target) < tol:
-                pts.append(v)
+        verts = arc._vertex_array
+        pts += itertools.starmap(PillowcasePoint,
+                                 verts[_line_offsets(verts, ca, cb, target) < tol].tolist())
         pts += line_crossings(arc, ca, cb, target)
     return distinct_points(pts)
 
@@ -372,9 +375,9 @@ def p_avoiding_certificate(curve: PillowcasePolyline, p: int,
 
 
 def _meets_line(curve: PillowcasePolyline, ca, cb, target, tol) -> bool:
-    for v in curve.vertices:
-        if line_offset(v, ca, cb, target) < tol:
-            return True
+    """Whether a vertex lies within tol of the line, or a segment crosses it."""
+    if (_line_offsets(curve._vertex_array, ca, cb, target) < tol).any():
+        return True
     return bool(line_crossings(curve, ca, cb, target))
 
 

@@ -25,7 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import (DegenerateCurveError, LineForm, PillowcasePoint,
-                       PillowcasePolyline, canonicalize, detailed_intersections,
+                       PillowcasePolyline, _canonical_array, _step_distances,
+                       canonicalize, detailed_intersections,
                        distance_components, essential_class, line_offset,
                        pillowcase_distance, pillowcase_distance_matrix,
                        pillowcase_distances, TWO_PI)
@@ -831,13 +832,21 @@ def _line_polyline(a_coef, b_coef, c_mu, c_lam):
          for t in np.linspace(0.0, TWO_PI, steps + 1).tolist()], closed=True)
 
 
-def _drop_repeats(pts):
-    """pts without each point within 1e-12 of the last one kept before it."""
-    cleaned = [pts[0]]
-    for p in pts[1:]:
-        if pillowcase_distance(cleaned[-1], p) > 1e-12:
-            cleaned.append(p)
-    return cleaned
+def _drop_repeats(xy: np.ndarray, step: np.ndarray) -> list[int]:
+    """Rows of an (n, 2) canonical array but each one within 1e-12 of the last one kept before it.
+
+    step[i] is the distance from row i to row i + 1 (_step_distances).  A
+    row right after a kept one is judged by its step, and a row after a
+    dropped one by the distance from the last row kept: both are
+    pillowcase_distance bit for bit.
+    """
+    kept = [0]
+    for i, far in enumerate((step > 1e-12).tolist(), 1):
+        if kept[-1] != i - 1:
+            far = _step_distances(xy[[kept[-1], i]])[0] > 1e-12
+        if far:
+            kept.append(i)
+    return kept
 
 
 def _chain_points(records, threshold):
@@ -997,9 +1006,13 @@ def _split_polyline(curve: PillowcasePolyline, cuts):
     """Split at (segment_index, parameter) pairs; returns open sub-polylines.
 
     Cut parameters landing on a vertex split there; others insert a new
-    vertex at the interpolated point.
+    vertex at the interpolated point.  The stations (the lifted vertices at
+    their indices, and the inserted points at their parameters) are
+    canonicalized in one array pass, and a piece takes the stations within
+    1e-12 of its parameter range, without repeats (_drop_repeats).  Points
+    are built only for the vertices the pieces keep.
     """
-    lifts = curve.lifted_vertices()
+    lifts = curve._lift_array
     nseg = len(lifts) - 1
     params = []
     for seg, t in cuts:
@@ -1013,26 +1026,27 @@ def _split_polyline(curve: PillowcasePolyline, cuts):
         if all(abs(s - c) > 1e-9 for c in cut_params):
             cut_params.append(s)
     cut_params.sort()
-    by_seg = {}
-    for s in cut_params:
-        if s != int(s):
-            by_seg.setdefault(int(s), []).append(s - int(s))
-    stations = []  # (global parameter, plane point)
-    for i in range(nseg):
-        x1, y1 = lifts[i]
-        x2, y2 = lifts[i + 1]
-        stations.append((float(i), (x1, y1)))
-        for t in sorted(by_seg.get(i, [])):
-            stations.append((i + t, (x1 + t * (x2 - x1), y1 + t * (y2 - y1))))
-    stations.append((float(nseg), lifts[-1]))
+    inner = [s for s in cut_params if s != int(s)]
+    seg = np.array([int(s) for s in inner], dtype=int)
+    t = np.array([s - int(s) for s in inner])[:, None]
+    # station parameters: int(s) + t is s exactly, so they sort as the cuts do
+    param = np.concatenate([np.arange(nseg + 1.0), inner])
+    order = np.argsort(param)
+    param = param[order]
+    stations = _canonical_array(np.concatenate(
+        [lifts, lifts[seg] + t * (lifts[seg + 1] - lifts[seg])])[order])
+    step = _step_distances(stations)
     pieces = []
     for lo, hi in zip(cut_params[:-1], cut_params[1:]):
-        verts = [pt for (s, pt) in stations if lo - 1e-12 <= s <= hi + 1e-12]
-        if len(verts) < 2:
+        first = np.searchsorted(param, lo - 1e-12, "left")
+        end = np.searchsorted(param, hi + 1e-12, "right")
+        if end - first < 2:
             continue
-        cleaned = _drop_repeats([canonicalize(x, y) for x, y in verts])
+        verts = stations[first:end]
+        cleaned = verts[_drop_repeats(verts, step[first:end - 1])].tolist()
         if len(cleaned) >= 2:
-            pieces.append(PillowcasePolyline(tuple(cleaned), closed=False))
+            pieces.append(PillowcasePolyline(tuple(itertools.starmap(PillowcasePoint, cleaned)),
+                                             closed=False))
     return pieces
 
 

@@ -1,5 +1,4 @@
 import math
-import types
 from fractions import Fraction
 
 import numpy as np
@@ -82,6 +81,26 @@ class TestCanonicalize:
         # exact corner images stay exact through float remainders
         assert canonicalize(-PI, 4 * PI).as_tuple() == (PI, 0.0)
         assert canonicalize(6 * PI + 1e-14, 0.0).alpha == 0.0
+
+    def test_array_form_is_the_scalar_bitwise(self):
+        # near the snap lattice pi Z, signed zeros, just below 2pi, large and
+        # negative values, in every pairing of alpha and beta
+        rng = np.random.default_rng(8)
+        lattice = PI * np.arange(-8, 9)
+        near = [lattice + d for d in (0.0, 1e-13, -1e-13, 9e-13, -9e-13, 1e-12, -1e-12,
+                                      1.1e-12, -1.1e-12, 1e-11)]
+        values = np.concatenate(near + [
+            [0.0, -0.0, TWO_PI - 1e-13, -(TWO_PI - 1e-13), TWO_PI - 1e-12, np.nextafter(TWO_PI, 0),
+             PI - 5e-13, PI + 5e-13, 1e6, -1e6, 1e6 + 0.5, -1e6 - 0.25, 3e6 * PI, -7e5 * PI],
+            rng.uniform(-1e6, 1e6, size=40), rng.uniform(-20.0, 20.0, size=100)])
+        xy = np.array(np.meshgrid(values, values)).reshape(2, -1).T
+        scalar = np.array([canonicalize(a, b).as_tuple() for a, b in xy.tolist()])
+        assert geometry._canonical_array(xy).tobytes() == scalar.tobytes()
+
+    def test_array_form_rejects_nonfinite(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                geometry._canonical_array(np.array([[0.5, 1.0], [0.2, bad]]))
 
 
 class TestInvolutions:
@@ -313,6 +332,57 @@ def _companion(rng, c1, kind, tol):
                     closed=bool(rng.integers(0, 2)) and len(pts) > 2)
 
 
+def _reference_deck_shifts(c1, c2):
+    """_deck_shifts with the all-pairs mask: every pair's shift ranges, both signs."""
+    tol = geometry._INTERSECT_TOL
+    t1, t2 = c1._box_table, c2._box_table
+    a, b = t1[:, 4:], t2[:, 4:]
+    keep = np.zeros((len(a), len(b)), dtype=bool)
+    for sb in (b, geometry._flip(b)):
+        x, y = (np.less_equal(*geometry._shift_range(a[:, c, None], a[:, c + 1, None],
+                                                     sb[None, :, c], sb[None, :, c + 1]))
+                for c in (0, 2))
+        keep |= x & y
+    i1, i2 = np.divmod(np.flatnonzero(keep), len(b))
+    a, b = a[i1], b[i2]
+    ra = t1[i1, :4] + np.array([-tol, tol, -tol, tol])
+    rb = t2[i2, :4]
+    ranges = []
+    for sb, srb in ((b, rb), (geometry._flip(b), geometry._flip(rb))):
+        k_lo, k_hi = geometry._shift_range(a[:, 0::2], a[:, 1::2], sb[:, 0::2], sb[:, 1::2])
+        k_lo = np.maximum(k_lo, np.floor((ra[:, 0::2] - srb[:, 1::2]) / TWO_PI))
+        k_hi = np.minimum(k_hi, np.ceil((ra[:, 1::2] - srb[:, 0::2]) / TWO_PI))
+        ranges.append(np.stack([k_lo[:, 0], k_hi[:, 0], k_lo[:, 1], k_hi[:, 1]], axis=1))
+    pairs = zip(i1.tolist(), i2.tolist())
+    return list(zip(pairs, np.stack(ranges, axis=1).astype(int).tolist()))
+
+
+@pytest.fixture(scope="module")
+def splice_arc_pairs():
+    """(arc, glued arc) pairs of the trefoil and trefoil-neg images at r=60.
+
+    Image 2's arcs are mapped by swap, skew:3 and (-6, 1, 37, -6), as a
+    splice search maps them, so their lifts and segments are long.
+    """
+    from pillowcase.families import builtin_model
+    from pillowcase.solver import SolverConfig, sample_pillowcase_image
+    imgs = {name: sample_pillowcase_image(builtin_model(name), 60, SolverConfig())
+            for name in ("trefoil", "trefoil-neg")}
+    pairs = []
+    for first, second in (("trefoil", "trefoil"), ("trefoil", "trefoil-neg")):
+        for g in (GluingMatrix.swap(), GluingMatrix.skew(3), GluingMatrix(-6, 1, 37, -6)):
+            mapped = [arc.transformed(g.rows()) for arc in imgs[second].arcs]
+            pairs += [(a1, a2) for a1 in imgs[first].arcs for a2 in mapped]
+    return pairs
+
+
+def _lattice_walk(rng, n):
+    """from_lifts polyline whose vertices sit on multiples of pi/2: boxes touch at 2pi k."""
+    steps = rng.integers(-5, 6, size=(n, 2)).cumsum(axis=0)
+    return PillowcasePolyline.from_lifts([(TWO_PI * i / 4, TWO_PI * j / 4)
+                                          for i, j in steps.tolist()])
+
+
 class TestBroadPhaseEquivalence:
     KINDS = ("collinear", "near-parallel", "touching", "shared")
 
@@ -388,6 +458,57 @@ class TestBroadPhaseEquivalence:
                     assert repr(got) == repr(_reference_detailed_intersections(c1, c2, tol))
                     hits += len(got)
         assert hits
+
+    def test_deck_shifts_match_the_all_pairs_mask_on_glued_arcs(self, splice_arc_pairs):
+        tested = kept = 0
+        for a1, a2 in splice_arc_pairs:
+            got = _deck_shifts(a1, a2)
+            assert got == _reference_deck_shifts(a1, a2)
+            tested += a1.segment_count() * a2.segment_count()
+            kept += len(got)
+        assert 0 < kept < 0.05 * tested
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-20])
+    def test_deck_shifts_on_wide_and_touching_boxes(self, tol, monkeypatch):
+        # steps up to 4pi make boxes wider than 2pi, and at tol = 1e-20 the
+        # pads make every box wider; lattice walks touch at exact 2pi k
+        monkeypatch.setattr(geometry, "_INTERSECT_TOL", tol)
+        rng = np.random.default_rng(23)
+        wide = 0
+        for case in range(12):
+            steps = rng.uniform(-2 * TWO_PI, 2 * TWO_PI, size=(10, 2))
+            long = PillowcasePolyline.from_lifts([tuple(p) for p in steps.cumsum(axis=0)],
+                                                 closed=bool(case % 2))
+            walk = polyline([tuple(p) for p in _walk(rng, 20)])
+            lattice, other = _lattice_walk(rng, 12), _lattice_walk(rng, 9)
+            for a, b in ((long, walk), (walk, long), (long, long), (lattice, other),
+                         (lattice, lattice), (lattice, long)):
+                assert _deck_shifts(a, b) == _reference_deck_shifts(a, b)
+            box = long._box_table
+            wide += int((box[:, 5] - box[:, 4] >= TWO_PI).sum())
+        for a, b in ((lattice, other), (other, lattice)):
+            assert repr(detailed_intersections(a, b)) == \
+                repr(_reference_detailed_intersections(a, b, tol))
+        assert wide
+
+    def test_meeting_pairs_cover_the_float_test(self):
+        # endpoints on and one ulp off fl(2pi k), widths 0 to beyond 2pi
+        ends = [TWO_PI * k for k in range(-4, 5)] + [0.7, -2.3, 11.1]
+        ends = sorted({f(e) for e in ends for f in (lambda e: e, lambda e: np.nextafter(e, 9e9),
+                                                    lambda e: np.nextafter(e, -9e9))})
+        iv = np.array([(lo, hi) for lo in ends for hi in ends if hi >= lo])
+        iv = np.vstack([iv, [[0.3, 0.3 + TWO_PI], [-1.0, 6.0]]])
+        a, b = iv[::3], iv
+        lo, hi = geometry._shift_range(a[:, 0, None], a[:, 1, None], b[None, :, 0], b[None, :, 1])
+        passing = np.flatnonzero(lo <= hi)
+        i, j = geometry._meeting_pairs(a, b)
+        found = np.unique(i * len(b) + j)
+        assert np.isin(passing, found).all()
+        # the pads add only pairs that nearly touch
+        i, j = np.divmod(np.setdiff1d(found, passing), len(b))
+        gap = np.minimum(np.abs(np.remainder(a[i, 0] - b[j, 1], TWO_PI)),
+                         np.abs(np.remainder(b[j, 0] - a[i, 1], TWO_PI)))
+        assert (np.minimum(gap, TWO_PI - gap) < 1e-9).all()
 
     def test_min_distance_matches_scalar_loop(self):
         rng = np.random.default_rng(77)
@@ -670,15 +791,23 @@ class TestLineCrossings:
 
     @pytest.mark.parametrize("target", [0.0, PI])
     def test_points_on_line_and_meets_line_unchanged(self, target):
+        # the image's points are the curve's vertices, and its arcs include
+        # a from_lifts image of the curve, whose vertices are built lazily
+        from pillowcase.families import unknot_model
         from pillowcase.gluer import _meets_line, _points_on_line
+        from pillowcase.solver import ImagePoint, PillowcaseImage
         for kind, ca, cb, curve in self._curves(31, target, TWO_PI):
             other = polyline([(0.4, 0.3), (2.9, 5.1), (1.7, 2.2)])
-            img = types.SimpleNamespace(points=(), arcs=(curve, other))
+            mapped = curve.transformed(GluingMatrix.skew(3).rows())
+            img = PillowcaseImage(model=unknot_model(), resolution=8, grid_step=0.1,
+                                  points=tuple(ImagePoint(v, None, 0.0) for v in curve.vertices),
+                                  arcs=(curve, other, mapped))
             for tol in (1e-6, 0.01):
                 assert repr(_points_on_line(img, ca, cb, target, tol)) == \
                     repr(_reference_points_on_line(img, ca, cb, target, tol))
-                assert _meets_line(curve, ca, cb, target, tol) == \
-                    _reference_meets_line(curve, ca, cb, target, tol)
+                for arc in (curve, mapped):
+                    assert _meets_line(arc, ca, cb, target, tol) == \
+                        _reference_meets_line(arc, ca, cb, target, tol)
 
     def test_surgery_candidates(self):
         gained = {kind: 0 for kind in self.KINDS}
@@ -901,6 +1030,65 @@ class TestFromLifts:
         # one segment wraps three times in alpha: three crossings of alpha = 1
         curve = PillowcasePolyline.from_lifts([(1.5, 0.5), (1.5 + 3 * TWO_PI, 0.5)])
         assert len(line_crossings(curve, 1.0, 0.0, 1.0)) == 3
+
+    LIFTS = [(0.5, 7.0), (-3.0, 20.0), (9.0, -4.0), (PI, -PI), (0.5 + TWO_PI, 7.0 - 2 * TWO_PI)]
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_lazy_vertices_compare_as_eager_ones(self, closed):
+        import pickle
+        lazy = PillowcasePolyline.from_lifts(self.LIFTS, closed)
+        fresh = PillowcasePolyline.from_lifts(self.LIFTS, closed)
+        eager = PillowcasePolyline.from_lifts(self.LIFTS, closed)
+        eager.vertices
+        verts = self.LIFTS[:-1] if closed else self.LIFTS
+        short = polyline(verts, closed=closed)
+        assert "vertices" not in lazy.__dict__ and "vertices" in eager.__dict__
+        assert lazy == eager == short and hash(lazy) == hash(eager) == hash(short)
+        assert repr(fresh) == repr(eager) == repr(short)
+        assert len(PillowcasePolyline.from_lifts(self.LIFTS, closed)) == len(short)
+        for curve in (PillowcasePolyline.from_lifts(self.LIFTS, closed), eager):
+            back = pickle.loads(pickle.dumps(curve))
+            assert back == short and repr(back) == repr(short)
+            assert back.lifted_vertices() == self.LIFTS
+        # read once, the vertices are kept
+        assert lazy.vertices is lazy.vertices
+
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_lift_raises_at_construction(self, closed, bad):
+        for i in range(len(self.LIFTS) - closed):
+            lifts = list(self.LIFTS)
+            lifts[i] = (lifts[i][0], bad)
+            with pytest.raises(ValueError, match="finite"):
+                PillowcasePolyline.from_lifts(lifts, closed)
+        with pytest.raises(ValueError, match="two vertices"):
+            PillowcasePolyline.from_lifts(self.LIFTS[:2], closed=True)
+
+    def test_lift_readers_canonicalize_only_their_hits(self, monkeypatch):
+        # transformed and min_distance_to build no point, and crossings and
+        # intersections canonicalize one point per hit they find
+        calls, hits = [], []
+        canon, inner = geometry.canonicalize, geometry._segment_intersection
+        monkeypatch.setattr(geometry, "canonicalize", lambda *a: calls.append(a) or canon(*a))
+        monkeypatch.setattr(geometry, "_segment_intersection",
+                            lambda *a: hits.extend(inner(*a)) or inner(*a))
+        rng = np.random.default_rng(12)
+        base = PillowcasePolyline.from_lifts([tuple(p) for p in _walk(rng, 40)], closed=True)
+        other = polyline([tuple(p) for p in _walk(rng, 30)])
+        crossings = 0
+        for rows in (((0, 1), (1, 0)), ((-1, 0), (3, 1)), ((-6, 1), (37, -6))):
+            del calls[:]
+            mapped = base.transformed(rows)
+            mapped.min_distance_to(P_POINT)
+            assert calls == []
+            found = LineForm(1, 1, Fraction(1, 3)).crossings(mapped)
+            assert len(calls) == len(found)
+            crossings += len(found)
+            del calls[:], hits[:]
+            polyline_intersections(other, mapped)
+            assert len(calls) == len(hits)
+            assert "vertices" not in mapped.__dict__
+        assert crossings and hits
 
 
 class TestHelpers:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pillowcase import gluer, solver
+from pillowcase import geometry, gluer, solver
 from pillowcase.families import (builtin_model, klein_bottle_model,
                                  torus_knot_model, unknot_model)
 from pillowcase.geometry import (GluingMatrix, LineForm, PillowcasePoint,
@@ -528,7 +528,8 @@ class TestSplitPolyline:
                canonicalize(1.0 + 1.4e-12, 2.0), canonicalize(1.5, 2.0), canonicalize(1.5, 2.0),
                canonicalize(-1.5, -2.0 + TWO_PI), canonicalize(0.0, 2.0),
                canonicalize(0.0, TWO_PI - 2.0), canonicalize(0.0, 2.0 + 9e-13)]
-        kept = solver._drop_repeats(pts)
+        xy = np.array([p.as_tuple() for p in pts])
+        kept = [pts[i] for i in solver._drop_repeats(xy, geometry._step_distances(xy))]
         assert repr(kept) == repr([PillowcasePoint(1.0, 2.0), PillowcasePoint(1.0000000000014, 2.0),
                                    PillowcasePoint(1.5, 2.0), PillowcasePoint(0.0, 2.0)])
 
