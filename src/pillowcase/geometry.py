@@ -337,7 +337,8 @@ class PillowcasePolyline:
         return len(self.vertices)
 
     def segment_count(self) -> int:
-        return len(self.vertices) - 1 + (1 if self.closed else 0)
+        """One fewer than the lifts; a from_lifts polyline builds no vertex for it."""
+        return len(self._lifts) - 1
 
     @cached_property
     def _lifts(self) -> tuple[tuple[float, float], ...]:
@@ -473,7 +474,7 @@ class PillowcasePolyline:
         there, is where the full scan (_scan of every row) has it.
         """
         keep = np.flatnonzero(self._distance_bounds(pt) <= radius)
-        d = np.full((len(self._segment_table), 18), math.inf)
+        d = np.full((self.segment_count(), 18), math.inf)
         t = np.zeros_like(d)
         if len(keep):
             d[keep], t[keep] = self._scan(pt, keep)

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -1035,17 +1036,17 @@ class TestFromLifts:
 
     @pytest.mark.parametrize("closed", [False, True])
     def test_lazy_vertices_compare_as_eager_ones(self, closed):
-        import pickle
         lazy = PillowcasePolyline.from_lifts(self.LIFTS, closed)
         fresh = PillowcasePolyline.from_lifts(self.LIFTS, closed)
         eager = PillowcasePolyline.from_lifts(self.LIFTS, closed)
-        eager.vertices
+        assert eager.vertices
         verts = self.LIFTS[:-1] if closed else self.LIFTS
         short = polyline(verts, closed=closed)
         assert "vertices" not in lazy.__dict__ and "vertices" in eager.__dict__
         assert lazy == eager == short and hash(lazy) == hash(eager) == hash(short)
         assert repr(fresh) == repr(eager) == repr(short)
         assert len(PillowcasePolyline.from_lifts(self.LIFTS, closed)) == len(short)
+        assert fresh.segment_count() == short.segment_count() == len(short) - 1 + closed
         for curve in (PillowcasePolyline.from_lifts(self.LIFTS, closed), eager):
             back = pickle.loads(pickle.dumps(curve))
             assert back == short and repr(back) == repr(short)
@@ -1069,9 +1070,14 @@ class TestFromLifts:
         # intersections canonicalize one point per hit they find
         calls, hits = [], []
         canon, inner = geometry.canonicalize, geometry._segment_intersection
+
+        def segment_hits(*args):
+            found = inner(*args)
+            hits.extend(found)
+            return found
+
         monkeypatch.setattr(geometry, "canonicalize", lambda *a: calls.append(a) or canon(*a))
-        monkeypatch.setattr(geometry, "_segment_intersection",
-                            lambda *a: hits.extend(inner(*a)) or inner(*a))
+        monkeypatch.setattr(geometry, "_segment_intersection", segment_hits)
         rng = np.random.default_rng(12)
         base = PillowcasePolyline.from_lifts([tuple(p) for p in _walk(rng, 40)], closed=True)
         other = polyline([tuple(p) for p in _walk(rng, 30)])
@@ -1087,6 +1093,7 @@ class TestFromLifts:
             del calls[:], hits[:]
             polyline_intersections(other, mapped)
             assert len(calls) == len(hits)
+            mapped.segment_count()
             assert "vertices" not in mapped.__dict__
         assert crossings and hits
 
