@@ -586,7 +586,7 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
 
 
 def _ranges_to_pairs(rows, lo, hi, order):
-    """(rows repeated, order[lo_k:hi_k] for each k), as two flat arrays."""
+    """Each rows[k] paired with each of order[lo[k]:hi[k]], as two flat index arrays."""
     count = hi - lo
     start = np.repeat(lo - (np.cumsum(count) - count), count)
     return np.repeat(rows, count), order[start + np.arange(count.sum())]
