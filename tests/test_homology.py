@@ -1,7 +1,11 @@
+import hashlib
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from pillowcase.families import (klein_bottle_model, torus_knot_model,
+from pillowcase.families import (builtin_model, klein_bottle_model, torus_knot_model,
                                  unknot_model)
 from pillowcase.geometry import GluingMatrix
 from pillowcase.homology import (AbelianGroup, ModelInvalidError,
@@ -368,3 +372,27 @@ class TestClassifyGluing:
         tre = torus_knot_model(2, 3)
         with pytest.raises(ValueError):
             classify_gluing(tre, tre, GluingMatrix.swap(), p=4)
+
+    def test_case_table_is_pinned(self):
+        # every gluing of two of trefoil, trefoil-neg, T(2,5) and klein with
+        # entries in [-3, 3] whose H1 is nontrivial 2- or 3-torsion, as
+        # classify_gluing has always placed it
+        reports = [classify_gluing(m1, m2, g, p) for m1, m2, g, p in _torsion_gluings()]
+        assert len(reports) == 330
+        assert Counter(r.case for r in reports) == {"1b": 240, "2": 90}
+        digest = hashlib.sha256("\n".join(map(repr, reports)).encode())
+        assert digest.hexdigest() == \
+            "150f81c42240b58db7d3b4e875a6cf49cb0acce430e0ed96dde6339a0731b9e7"
+
+
+def _torsion_gluings():
+    """(model1, model2, gluing, p): the pairs of four models glued with H1 = (Z/p)^r, r >= 1."""
+    models = [builtin_model(n) for n in ("trefoil", "trefoil-neg", "torus:2,5", "klein")]
+    gluings = [GluingMatrix(a, b, p, c) for a, b, p, c in itertools.product(range(-3, 4), repeat=4)
+               if a * c - b * p == -1]
+    for m1, m2 in itertools.combinations_with_replacement(models, 2):
+        for g in gluings:
+            h = glue_homology(m1, m2, g)
+            for p in (2, 3):
+                if not h.is_trivial() and h.is_p_torsion(p):
+                    yield m1, m2, g, p

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -19,7 +20,8 @@ from pillowcase.geometry import (GluingMatrix, LineForm, PillowcasePoint,
                                  pillowcase_distance, polyline,
                                  polyline_intersections, tau)
 from pillowcase.gluer import splice
-from pillowcase.homology import abelianization, smith_normal_form
+from pillowcase.homology import (ModelInvalidError, abelianization, rational_longitude,
+                                 smith_normal_form)
 from pillowcase.presentations import (GroupPresentation, KnotExteriorModel,
                                       concat, pow_word)
 from pillowcase.solver import (ImagePoint, PillowcaseImage, SolverConfig,
@@ -160,6 +162,58 @@ class TestReducibleLines:
             seen += len(old) > 1
             merged += len(groups) < len(old)
         assert seen >= 40 and merged >= 30
+
+    def test_forms_and_lifts_are_pinned(self):
+        # the reprs of the forms and each polyline's lift bytes and closed
+        # flag, as _line_forms has always given them
+        digest = hashlib.sha256()
+        for model in _pinned_line_models():
+            digest.update(b"model")
+            for form, line in _line_forms(model):
+                digest.update(repr(form).encode())
+                digest.update(np.array(line.lifted_vertices(), dtype=float).tobytes())
+                digest.update(b"closed" if line.closed else b"open")
+        assert digest.hexdigest() == \
+            "04d1681c9c7c95e9bb92abe3f7affc7c0bc897451ffe602de29b886cf5c891a1"
+
+    def test_lines_are_the_rational_longitude(self):
+        # wherever both are defined, every line is x*alpha + y*beta = 2pi*j/order
+        # for the rational longitude ((x, y), order), once for each 0 <= j <= order/2
+        rng = random.Random(11)
+        models = _pinned_line_models()
+        for _ in range(400):
+            n = rng.randint(1, 3)
+            models.append(KnotExteriorModel(name="random", presentation=GroupPresentation(
+                generator_count=n,
+                relators=tuple(_power_word(rng, n, 3) for _ in range(rng.randint(0, n))),
+                meridian=_power_word(rng, n, 2), longitude=_power_word(rng, n, 2))))
+        checked = torsion = 0
+        for model in models:
+            try:
+                forms = [form for form, _ in _line_forms(model)]
+                (x, y), order = rational_longitude(model)
+            except ModelInvalidError:
+                continue
+            assert all((form.ca, form.cb) in ((x, y), (-x, -y)) for form in forms), model
+            assert sorted(form.offset for form in forms) == \
+                [Fraction(j, order) for j in range(order // 2 + 1)], model
+            checked += 1
+            torsion += order > 1
+        assert checked >= 200 and torsion >= 25
+
+
+def _z3_model():
+    """<x, y | [x, y], y^3>, meridian x, longitude y: H1 = Z + Z/3, the longitude of order 3."""
+    return KnotExteriorModel(name="z3", presentation=GroupPresentation(
+        generator_count=2, relators=((1, 2, -1, -2), (2, 2, 2)), meridian=(1,), longitude=(2,)))
+
+
+def _pinned_line_models():
+    """The built-in models, T(p, q) for 2 <= |p| <= 7 and 2 <= q <= 8, the slanted and Z/3 models."""
+    torus = [torus_knot_model(s * p, q) for p in range(2, 8) for s in (1, -1)
+             for q in range(2, 9) if math.gcd(p, q) == 1]
+    return ([builtin_model(n) for n in ("trefoil", "trefoil-neg", "klein", "unknot")]
+            + torus + _slanted_models() + [_z3_model()])
 
 
 def _power_word(rng, n, runs):
