@@ -20,36 +20,11 @@ __all__ = [
     "smith_normal_form", "invariant_factors", "abelianization",
     "rational_longitude", "filling_homology", "glue_homology", "seifert_h1",
     "standard_form_reduce", "enumerate_standard_tuples", "classify_gluing",
-    "minor_gcd_invariants",
 ]
 
 
 def _identity(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def integer_determinant(M) -> int:
-    """Fraction-free Bareiss determinant of a square integer matrix."""
-    n = len(M)
-    if n == 0:
-        return 1
-    A = [row[:] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for r in range(k + 1, n):
-                if A[r][k] != 0:
-                    A[k], A[r] = A[r], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -198,41 +173,14 @@ def smith_normal_form(M):
 
 
 def _smith_diagonal(M):
-    """(diag, U, V) of the Smith form D = U*M*V; M may have no rows or no columns."""
-    D, U, V = smith_normal_form(M)
-    return [row[i] for i, row in enumerate(D) if i < len(row)], U, V
+    """(diag, V) of the Smith form D = U*M*V; M may have no rows or no columns."""
+    D, _, V = smith_normal_form(M)
+    return [row[i] for i, row in enumerate(D) if i < len(row)], V
 
 
 def invariant_factors(M) -> list[int]:
     """Diagonal of the Smith form, zeros and ones stripped."""
     return [d for d in _smith_diagonal(M)[0] if d > 1]
-
-
-def minor_gcd_invariants(M) -> list[int]:
-    """Invariant factors via determinantal divisors (independent slow route).
-
-    d_k = gcd of all k x k minors; the k-th invariant factor is
-    d_k / d_{k-1}.  Intended for small matrices in tests.
-    """
-    from itertools import combinations
-    n = len(M)
-    m = len(M[0]) if n else 0
-    divisors = [1]
-    for k in range(1, min(n, m) + 1):
-        g = 0
-        for rows in combinations(range(n), k):
-            for cols in combinations(range(m), k):
-                sub = [[M[i][j] for j in cols] for i in rows]
-                g = math.gcd(g, abs(integer_determinant(sub)))
-        divisors.append(g)
-        if g == 0:
-            break
-    out = []
-    for k in range(1, len(divisors)):
-        if divisors[k] == 0:
-            break
-        out.append(divisors[k] // divisors[k - 1])
-    return [d for d in out if d > 1]
 
 
 # ---------------------------------------------------------------------------
@@ -268,31 +216,26 @@ def _class_vector(ab: Abelianization, mu_coef: int, lam_coef: int) -> list[int]:
             for m, l in zip(ab.meridian_class, ab.longitude_class)]
 
 
-def _smith_coordinates(M, *classes):
-    """coker(M) in Smith coordinates: (diag, free_rows, coordinates).
+def _boundary_coordinates(pres: GroupPresentation):
+    """H1 of pres and its boundary classes in one Smith form: (diag, free_rows, mu, lam).
 
-    diag has one entry per row of M, 0 past the last column; free_rows
-    are the rows where it is 0; coordinates holds U*vec for each class.
+    D = U*E*V for the relator-by-generator exponent matrix E (one zero row
+    when there is no relator), so H1 = Z^g / (rows of E) is the sum of the
+    Z/diag[i] in the coordinates V^T*vec.  diag has one entry per generator,
+    0 past the last relator; free_rows are where it is 0; mu and lam are
+    the coordinates of the meridian and the longitude.
     """
-    diag, U, _ = _smith_diagonal(M)
-    diag += [0] * (len(U) - len(diag))
-    free_rows = [i for i, d in enumerate(diag) if d == 0]
-    coordinates = [[sum(u * x for u, x in zip(row, vec)) for row in U] for vec in classes]
-    return diag, free_rows, coordinates
+    g = pres.generator_count
+    diag, V = _smith_diagonal([exponent_vector(r, g) for r in pres.relators] or [[0] * g])
+    diag += [0] * (g - len(diag))
+    mu, lam = ([sum(x * row[j] for x, row in zip(exponent_vector(word, g), V)) for j in range(g)]
+               for word in (pres.meridian, pres.longitude))
+    return diag, [i for i, d in enumerate(diag) if d == 0], mu, lam
 
 
-def _order_in_cokernel(vec, M) -> int:
-    """Order of a class in coker(M); 0 when the class is non-torsion."""
-    diag, _, (w,) = _smith_coordinates(M, vec)
-    order = 1
-    for d, x in zip(diag, w):
-        if d == 0:
-            if x != 0:
-                return 0
-        else:
-            contrib = d // math.gcd(d, x)
-            order = order * contrib // math.gcd(order, contrib)
-    return order
+def _divisible(diag, w, p: int) -> bool:
+    """Whether the class with Smith coordinates w lies in p * H1: gcd(p, d) | x on each row."""
+    return all(x % math.gcd(p, d) == 0 for d, x in zip(diag, w))
 
 
 class ModelInvalidError(ValueError):
@@ -306,28 +249,25 @@ def rational_longitude(model: KnotExteriorModel):
     H1(boundary; Q) -> H1(M; Q), sign-normalized with y >= 0 (then x >= 0),
     and order is the order of its image in H1(M; Z).
     """
-    ab = abelianization(model.presentation)
-    M = ab.matrix.matrix()
-    _, free_rows, (um, ul) = _smith_coordinates(M, ab.meridian_class, ab.longitude_class)
+    diag, free_rows, mu, lam = _boundary_coordinates(model.presentation)
     if not free_rows:
         raise ModelInvalidError("H1 has no free part (not a torus boundary)")
-    # rational kernel of the 2-column matrix [um | ul] on the free rows
-    diag, _, Vc = _smith_diagonal([[um[i], ul[i]] for i in free_rows])
-    rank = sum(1 for d in diag if d != 0)
-    if rank == 0:
+    # the rational kernel of the free rows of [mu | lam]: rank 1 iff the
+    # nonzero rows are parallel
+    rows = [(mu[i], lam[i]) for i in free_rows if mu[i] or lam[i]]
+    if not rows:
         raise ModelInvalidError("both boundary classes die rationally")
-    if rank == 2:
+    a, b = rows[0]
+    if any(a * l - b * m for m, l in rows):
         raise ModelInvalidError("no boundary class dies rationally")
-    x, y = Vc[0][1], Vc[1][1]
-    gcd = math.gcd(x, y)
-    if gcd:
-        x, y = x // gcd, y // gcd
+    gcd = math.gcd(a, b)
+    x, y = b // gcd, -a // gcd
     if y < 0 or (y == 0 and x < 0):
         x, y = -x, -y
-    order = _order_in_cokernel(_class_vector(ab, x, y), M)
-    if order == 0:
-        raise ModelInvalidError("rational longitude candidate is non-torsion")
-    return (x, y), order
+    # x*mu + y*lam vanishes on the free rows; its order is the lcm of its
+    # orders on the torsion rows
+    cls = [x * m + y * l for m, l in zip(mu, lam)]
+    return (x, y), math.lcm(*(d // math.gcd(d, c) for d, c in zip(diag, cls) if d))
 
 
 def filling_homology(model: KnotExteriorModel, slope: tuple[int, int]) -> AbelianGroup:
@@ -616,18 +556,14 @@ def classify_gluing(model1: KnotExteriorModel, model2: KnotExteriorModel,
     x, y = other_class
     rows = g.inverse().rows() if side == 1 else g.rows()
     curve = (x * rows[0][0] + y * rows[1][0], x * rows[0][1] + y * rows[1][1])
-    ab = abelianization(ess_model.presentation)
-    M = ab.matrix.matrix()
-    vec = _class_vector(ab, curve[0], curve[1])
-    _, free_rows, (w,) = _smith_coordinates(M, vec)
-    free_gcd = math.gcd(*(w[i] for i in free_rows))
-    divisible = _divisible_in_cokernel(vec, M, p)
+    diag, free_rows, mu, lam = _boundary_coordinates(ess_model.presentation)
+    w = [curve[0] * m + curve[1] * l for m, l in zip(mu, lam)]
     basis_det = ess_class[0] * curve[1] - ess_class[1] * curve[0]
     evidence = {
         "essential_order": p,
         "free_rank": len(free_rows),
-        "dual_longitude_free_image": free_gcd,
-        "dual_longitude_divisible_by_p": bool(divisible),
+        "dual_longitude_free_image": math.gcd(*(w[i] for i in free_rows)),
+        "dual_longitude_divisible_by_p": _divisible(diag, w, p),
         "dual_longitude_class_on_essential_side": curve,
         "boundary_basis_det": basis_det,
     }
@@ -635,10 +571,3 @@ def classify_gluing(model1: KnotExteriorModel, model2: KnotExteriorModel,
                       longitude1=(r1, o1), longitude2=(r2, o2),
                       essential_side=side, evidence=evidence)
 
-
-def _divisible_in_cokernel(vec, M, p: int) -> bool:
-    """Whether the class of vec in coker(M) lies in p * coker(M)."""
-    # vec = p*w + M*u has a solution iff vec is 0 in coker([p*I | M])
-    g = len(vec)
-    aug = [[p if i == j else 0 for j in range(g)] + list(M[i]) for i in range(g)]
-    return _order_in_cokernel(vec, aug) == 1

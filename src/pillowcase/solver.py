@@ -30,7 +30,7 @@ from .geometry import (DegenerateCurveError, LineForm, PillowcasePoint,
                        distance_components, essential_class, line_offset,
                        pillowcase_distance, pillowcase_distance_matrix,
                        pillowcase_distances, TWO_PI)
-from .homology import ModelInvalidError, abelianization, smith_normal_form
+from .homology import ModelInvalidError, _boundary_coordinates
 from .presentations import (GluingMatrix, GroupPresentation, KnotExteriorModel,
                             Word, concat, pow_word)
 from .su2 import (Representation, UnitQuaternion, boundary_angles, irreducibility_gap,
@@ -582,20 +582,6 @@ def _cold_solutions(pres: GroupPresentation, alphas, keys, config: SolverConfig)
     return kept
 
 
-def _sweep(pres: GroupPresentation, alphas, keys,
-           config: SolverConfig) -> list[list[tuple[Representation, float]]]:
-    """(solution, irreducibility gap) pairs at each meridian angle alphas[i], per node.
-
-    The cold solve of _cold_solutions: config.restarts random restarts per
-    node, drawn from default_rng([config.seed, keys[i]]), then the accept
-    and dedup pass.  Each node's solutions are sorted by decreasing gap,
-    then by their conjugation invariants.  The image sweep solves only its
-    discovery nodes cold and tracks the rest; run over every node, this is
-    the all-node cold reference that tracking is tested against.
-    """
-    return [_by_gap(node) for node in _cold_solutions(pres, alphas, keys, config)]
-
-
 def _track(pres: GroupPresentation, grid, kept, discovery, config: SolverConfig) -> dict:
     """Fill the grid nodes between discovery nodes by warm-started LM steps.
 
@@ -775,35 +761,21 @@ def _line_forms(model: KnotExteriorModel) -> list[tuple[LineForm, PillowcasePoly
 
     The reducible lines are the boundary image of the diagonal (abelian)
     representations: angle assignments theta with E theta = 0 mod 2pi for
-    the relator exponent matrix E, solved by Smith normal form, one line per
-    torsion character that acts on the boundary, parametrized by the free
-    angle.  The line of integer direction (a, b), g = gcd(a, b), is the
-    point set ca*alpha + cb*beta = +-2pi*offset (mod 2pi) with ca, cb = b/g,
-    -a/g; offset is an exact Fraction in [0, 1/2], so equal offsets are one
-    line.
+    the relator exponent matrix E, read in the Smith coordinates of
+    homology._boundary_coordinates, one line per torsion character that
+    acts on the boundary, parametrized by the free angle.  The line of
+    integer direction (a, b), g = gcd(a, b), is the point set
+    ca*alpha + cb*beta = +-2pi*offset (mod 2pi) with ca, cb = b/g, -a/g;
+    offset is an exact Fraction in [0, 1/2], so equal offsets are one line.
     A model without exactly one free H1 coordinate gets the line beta = 0
     if its longitude is nullhomologous, and raises ModelInvalidError
     otherwise.
     """
-    pres = model.presentation
-    g = pres.generator_count
-    ab = abelianization(pres)
-    E = [[ab.matrix.entries[i][j] for i in range(g)]
-         for j in range(ab.matrix.cols)]  # one row per relator
-    if not E:
-        E = [[0] * g]
-    D, U, V = smith_normal_form(E)
-    diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
+    diag, free_idx, mu_psi, lam_psi = _boundary_coordinates(model.presentation)
     torsion_idx = [i for i, d in enumerate(diag) if d >= 2]
-    free_idx = [i for i in range(g) if i >= len(diag) or diag[i] == 0]
-    mu = ab.meridian_class
-    lam = ab.longitude_class
-    # angle coefficients in psi coordinates: theta = V psi
-    mu_psi = [sum(mu[i] * V[i][j] for i in range(g)) for j in range(g)]
-    lam_psi = [sum(lam[i] * V[i][j] for i in range(g)) for j in range(g)]
     if len(free_idx) != 1:
         # not a knot-exterior shape; fall back to the nullhomologous line
-        if all(v == 0 for v in lam):
+        if not any(lam_psi):
             return [(LineForm(0, -1, Fraction(0)), _line_polyline(1, 0, 0.0, 0.0))]
         raise ModelInvalidError("model does not have a single free H1 coordinate")
     f = free_idx[0]
@@ -908,10 +880,10 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
     """Sweep the meridian angle over a uniform grid and image the solutions.
 
     The discovery nodes (_discovery_nodes, at most pi / _DISCOVERY_PER_PI or
-    one grid step apart) are solved cold by _sweep's random restarts, node i
-    keyed by i; every other node is filled by tracking the discovery
-    solutions (_track).  Each node's solutions are sorted by decreasing gap,
-    then by their conjugation invariants.  Collects the boundary angles of
+    one grid step apart) are solved cold by _cold_solutions' random
+    restarts, node i keyed by i; every other node is filled by tracking the
+    discovery solutions (_track).  Each node's solutions are sorted by
+    decreasing gap, then by their conjugation invariants.  Collects the boundary angles of
     every solution in one batch (_boundary_points) and its gap from the
     accept pass (_gaps), both bitwise what su2.boundary_angles and
     su2.irreducibility_gap give; attaches the analytically enumerated

@@ -18,14 +18,16 @@ from pillowcase.geometry import (GluingMatrix, P_POINT, Q_POINT, TWO_PI,
 from pillowcase.gluer import search_nonabelian_rep, splice
 from pillowcase.homology import (AbelianGroup, enumerate_standard_tuples,
                                  filling_homology, glue_homology,
-                                 invariant_factors, minor_gcd_invariants,
-                                 replay_standard_form, seifert_h1,
-                                 smith_normal_form, standard_form_reduce)
+                                 invariant_factors, replay_standard_form,
+                                 seifert_h1, smith_normal_form,
+                                 standard_form_reduce)
 from pillowcase.presentations import concat, pow_word
 from pillowcase.solver import (SolverConfig, extract_essential_curve,
                                find_surgery_representation,
                                sample_pillowcase_image)
 from pillowcase.su2 import irreducibility_gap, relator_residual
+
+from oracles import minor_gcd_invariants
 
 PI = math.pi
 CFG = SolverConfig()

@@ -9,14 +9,16 @@ from pillowcase.families import (builtin_model, klein_bottle_model, torus_knot_m
                                  unknot_model)
 from pillowcase.geometry import GluingMatrix
 from pillowcase.homology import (AbelianGroup, ModelInvalidError,
-                                 UnsupportedGluingError, _divisible_in_cokernel,
-                                 abelianization,
+                                 UnsupportedGluingError, _boundary_coordinates,
+                                 _divisible, abelianization,
                                  classify_gluing, enumerate_standard_tuples,
                                  filling_homology, glue_homology,
-                                 integer_determinant, invariant_factors,
-                                 minor_gcd_invariants, rational_longitude,
+                                 invariant_factors, rational_longitude,
                                  replay_standard_form, seifert_h1,
                                  smith_normal_form, standard_form_reduce)
+from pillowcase.presentations import GroupPresentation
+
+from oracles import integer_determinant, minor_gcd_invariants
 
 
 def as_np(M):
@@ -74,9 +76,13 @@ class TestEmptyMatrices:
         assert invariant_factors([]) == []
 
     def test_divisible_without_relations(self):
-        # coker of a zero-column M is Z^2: divisible by p iff every entry is
-        assert _divisible_in_cokernel([3, -6], [[], []], 3)
-        assert not _divisible_in_cokernel([3, 4], [[], []], 3)
+        # H1 of a presentation without relators is Z^2: divisible by p iff
+        # every entry is; the classes [3, -6] and [3, 4] are mu and lam
+        pres = GroupPresentation(2, (), (1, 1, 1) + (-2,) * 6, (1, 1, 1) + (2,) * 4)
+        diag, free_rows, mu, lam = _boundary_coordinates(pres)
+        assert diag == [0, 0] and free_rows == [0, 1]
+        assert _divisible(diag, mu, 3)
+        assert not _divisible(diag, lam, 3)
 
 
 class TestAbelianization:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pillowcase import geometry, gluer, solver
+from pillowcase import geometry, gluer, homology, solver
 from pillowcase.families import (builtin_model, klein_bottle_model,
                                  torus_knot_model, unknot_model)
 from pillowcase.geometry import (GluingMatrix, LineForm, PillowcasePoint,
@@ -51,9 +51,23 @@ def klein_image():
     return sample_pillowcase_image(klein_bottle_model(), 60, CFG)
 
 
+def _sweep(pres, alphas, keys, config):
+    """(solution, irreducibility gap) pairs at each meridian angle alphas[i], per node.
+
+    The cold solve of solver._cold_solutions: config.restarts random
+    restarts per node, drawn from default_rng([config.seed, keys[i]]), then
+    the accept and dedup pass.  Each node's solutions are sorted by
+    decreasing gap, then by their conjugation invariants.  The image sweep
+    solves only its discovery nodes cold and tracks the rest; run over
+    every node, this is the all-node cold reference that tracking is
+    tested against.
+    """
+    return [solver._by_gap(node) for node in solver._cold_solutions(pres, alphas, keys, config)]
+
+
 def _solve(pres, alpha):
     """The cold solutions at one meridian angle, keyed by round(alpha * 1e9)."""
-    return [rep for rep, _ in solver._sweep(pres, [alpha], [round(alpha * 1e9)], CFG)[0]]
+    return [rep for rep, _ in _sweep(pres, [alpha], [round(alpha * 1e9)], CFG)[0]]
 
 
 def _lines(model):
@@ -391,8 +405,8 @@ class TestOnLineFilter:
     def test_sweep_reads_the_exact_forms(self, monkeypatch):
         # one Smith form per sweep, and no polyline distance scan
         calls = []
-        snf = solver.smith_normal_form
-        monkeypatch.setattr(solver, "smith_normal_form",
+        snf = homology.smith_normal_form
+        monkeypatch.setattr(homology, "smith_normal_form",
                             lambda *a: calls.append(1) or snf(*a))
 
         def refuse(*_):
@@ -749,7 +763,7 @@ class TestSweepEngine:
         img = sample_pillowcase_image(model, 25, CFG)
         grid = np.linspace(0.0, PI, 25)
         per_node = [rep for i in range(25) for rep, _ in
-                    solver._sweep(model.presentation, [float(grid[i])], [i], CFG)[0]]
+                    _sweep(model.presentation, [float(grid[i])], [i], CFG)[0]]
         assert len(img.points) == len(per_node) > 0
         assert _witness_bytes(r.witness for r in img.points) == _witness_bytes(per_node)
 
@@ -800,7 +814,7 @@ class TestDiscoveryAndTracking:
     def test_zero_generators(self):
         pres = GroupPresentation(0, (), (), ())
         rep = Representation(())
-        assert solver._sweep(pres, [0.0, PI], [0, 1], CFG) == [
+        assert _sweep(pres, [0.0, PI], [0, 1], CFG) == [
             [(rep, irreducibility_gap(rep))], []]
         model = KnotExteriorModel(name="point", presentation=pres)
         img = sample_pillowcase_image(model, 200, CFG)
@@ -824,7 +838,7 @@ class TestDiscoveryAndTracking:
     def test_stride_one_grid_is_the_cold_sweep(self, model):
         img = sample_pillowcase_image(model, 48, CFG)
         grid = np.linspace(0.0, PI, 48)
-        cold = solver._sweep(model.presentation, [float(a) for a in grid], range(48), CFG)
+        cold = _sweep(model.presentation, [float(a) for a in grid], range(48), CFG)
         assert _witness_bytes(r.witness for r in img.points) == _witness_bytes(
             rep for sols in cold for rep, _ in sols)
         assert img.sweep == solver.SweepStats(discovery_nodes=48, discovery_rows=960)
@@ -836,7 +850,7 @@ class TestDiscoveryAndTracking:
         by_node = _points_by_node(img)
         nodes = solver._discovery_nodes(100)
         grid = np.linspace(0.0, PI, 100)
-        cold = solver._sweep(model.presentation, [float(grid[i]) for i in nodes], nodes, CFG)
+        cold = _sweep(model.presentation, [float(grid[i]) for i in nodes], nodes, CFG)
         for i, sols in zip(nodes, cold):
             kept = {_witness_bytes([r.witness]) for r in by_node.get(i, [])}
             assert {_witness_bytes([rep]) for rep, _ in sols} <= kept
@@ -851,7 +865,7 @@ class TestDiscoveryAndTracking:
         model, config = _TRACKED_MODELS[name], SolverConfig(seed=seed)
         img = sample_pillowcase_image(model, 200, config)
         grid = np.linspace(0.0, PI, 200)
-        cold = solver._sweep(model.presentation, [float(a) for a in grid], range(200), config)
+        cold = _sweep(model.presentation, [float(a) for a in grid], range(200), config)
         by_node = _points_by_node(img)
         for i, sols in enumerate(cold):
             tracked = [canonicalize(float(grid[i]), r.point.beta) for r in by_node.get(i, [])]
@@ -887,7 +901,7 @@ class TestDiscoveryAndTracking:
         # (the end nodes have one, the others two), and the tracked
         # witnesses are the points beyond the discovery witnesses
         grid = np.linspace(0.0, PI, 200)
-        cold = solver._sweep(model.presentation, [float(grid[i]) for i in nodes], nodes, CFG)
+        cold = _sweep(model.presentation, [float(grid[i]) for i in nodes], nodes, CFG)
         sides = [1] + [2] * (len(nodes) - 2) + [1]
         assert s.tracks_started == sum(k * len(sols) for k, sols in zip(sides, cold))
         assert s.tracked_witnesses == len(img.points) - sum(map(len, cold))
@@ -1930,7 +1944,7 @@ class TestWindowedLM:
         config = SolverConfig(restarts=restarts)
         pres = model.presentation
         alphas = [float(a) for a in np.linspace(0.0, PI, nodes)]
-        got = solver._sweep(pres, alphas, range(nodes), config)
+        got = _sweep(pres, alphas, range(nodes), config)
         assert repr(got) == repr(_sweep_reference(pres, alphas, range(nodes), config))
         assert sum(map(len, got)) > 0
         # the rows of all nodes in one call, against the reference per block
@@ -1946,7 +1960,7 @@ class TestWindowedLM:
     def test_one_node_sweep(self):
         pres = torus_knot_model(2, 3).presentation
         key = [int(round(PI / 3 * 1e9))]
-        got = solver._sweep(pres, [PI / 3], key, CFG)
+        got = _sweep(pres, [PI / 3], key, CFG)
         assert repr(got) == repr(_sweep_reference(pres, [PI / 3], key, CFG))
         assert got[0]
 
@@ -2007,7 +2021,7 @@ class TestWindowedLM:
         alphas = [float(a) for a in np.linspace(0.0, PI, 25)]
         with monkeypatch.context() as patch:
             new = _counting(patch, "_solve_rows", "_residuals")
-            solver._sweep(pres, alphas, range(25), CFG)
+            _sweep(pres, alphas, range(25), CFG)
         counts = _counting(monkeypatch, "_solve_rows", "_residuals")
         _sweep_reference(pres, alphas, range(25), CFG)
         assert new["_solve_rows"][0] < counts["_solve_rows"][0]
@@ -2227,7 +2241,7 @@ class TestTangentOutputPolicy:
     def test_trefoil_witnesses_unchanged(self, model, nodes):
         pres = model.presentation
         alphas = [float(a) for a in np.linspace(0.0, PI, nodes)]
-        got = solver._sweep(pres, alphas, range(nodes), CFG)
+        got = _sweep(pres, alphas, range(nodes), CFG)
         old = _sweep_reference(pres, alphas, range(nodes), CFG, coords=AMBIENT)
         assert [len(node) for node in got] == [len(node) for node in old]
         for alpha, new_node, old_node in zip(alphas, got, old):
@@ -2242,7 +2256,7 @@ class TestTangentOutputPolicy:
     def test_klein_witnesses_unchanged_off_alpha_pi(self, nodes):
         pres = klein_bottle_model().presentation
         alphas = [float(a) for a in np.linspace(0.0, PI, nodes)]
-        got = solver._sweep(pres, alphas, range(nodes), CFG)
+        got = _sweep(pres, alphas, range(nodes), CFG)
         old = _sweep_reference(pres, alphas, range(nodes), CFG, coords=AMBIENT)
         assert [len(node) for node in got] == [len(node) for node in old]
         for alpha, new_node, old_node in zip(alphas, got, old):
