@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -521,6 +522,99 @@ class TestEssentialCurve:
                               grid_step=0.8 / 8, points=(), arcs=(loop,))
         found = extract_essential_curve(img)
         assert found is not None and abs(essential_class(found)) == 1
+
+    def test_candidates_are_pinned(self, monkeypatch):
+        # every curve extract_essential_curve hands to essential_class (its
+        # repr, lift bytes, and class or exception type), and the curve it
+        # returns, as they have always been
+        images = [(key, _cached_image(*key)) for key in itertools.product(
+            ("trefoil", "trefoil-neg", "klein", "torus:2,5", "torus:3,4"), (60, 100), (0, 1))]
+        digest = hashlib.sha256()
+
+        def recording_class(curve):
+            digest.update(repr(curve).encode())
+            digest.update(np.array(curve.lifted_vertices(), dtype=float).tobytes())
+            try:
+                cls = essential_class(curve)
+            except Exception as exc:
+                digest.update(type(exc).__name__.encode())
+                raise
+            digest.update(repr(cls).encode())
+            return cls
+
+        monkeypatch.setattr(solver, "essential_class", recording_class)
+        for key, img in images:
+            digest.update(repr(key).encode())
+            digest.update(repr(extract_essential_curve(img)).encode())
+        assert digest.hexdigest() == \
+            "29fd9715763687a2f5667ca9cbe2ae9dfdf1e57c243719e2c82ea03813dc92b5"
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_image(name, resolution, seed):
+    return sample_pillowcase_image(builtin_model(name), resolution,
+                                   SolverConfig(resolution=resolution, seed=seed))
+
+
+_NODES = {0: (0.5, 1.0), 1: (1.0, 1.0), 2: (1.5, 1.2), 3: (2.0, 1.5), 4: (0.6, 2.0),
+          5: (1.2, 2.6), 6: (2.1, 2.4), 7: (2.5, 4.0), 8: (2.8, 4.6)}
+
+
+def _edge(u, v, *via, start=None, end=None):
+    """A graph edge (u, v, piece): the piece runs from node u through via to node v."""
+    return (u, v, polyline([start or _NODES[u], *via, end or _NODES[v]]))
+
+
+def _cycle_walk(n_nodes, edges):
+    """The closed polylines of extract_essential_curve's cycle walk, in order."""
+    walks = (solver._assemble_cycle(cyc, edges) for cyc in solver._fundamental_cycles(n_nodes, edges))
+    return [curve for curve in walks if curve is not None]
+
+
+class TestCycleWalk:
+    """The fundamental cycles of hand-built graphs, pinned to the closed
+    polylines they have always given.
+
+    Each case is (node count, edges, vertices of each closed polyline); the
+    floats are the repr of the canonical vertices, so a match is bit for bit.
+    """
+
+    CASES = {
+        # a self-loop is its piece, closed, as it is: the repeated end vertex
+        # stays, and so does a loop of two vertices
+        "self_loops": (1, [_edge(0, 0, (0.8, 1.5), (0.3, 1.4)),
+                           _edge(0, 0, end=(0.5 + 5e-8, 1.0))], [
+            [(0.5, 1.0), (0.8, 1.5), (0.3, 1.4), (0.5, 1.0)],
+            [(0.5, 1.0), (0.50000005, 1.0)]]),
+        # edge 0 is the forest; each other edge is walked from its u, the
+        # stored (1, 0) included, and the closing repeat of the start is dropped
+        "parallel": (2, [_edge(0, 1, (0.75, 0.8)), _edge(1, 0, (0.75, 1.3)),
+                         _edge(0, 1, (0.75, 1.6))], [
+            [(1.0, 1.0), (0.75, 1.3), (0.5, 1.0), (0.75, 0.8)],
+            [(0.5, 1.0), (0.75, 1.6), (1.0, 1.0), (0.75, 0.8)]]),
+        # two trees, rooted at 0 and 7; forest edges stored child first are
+        # walked reversed; ends 3e-7 apart join at one vertex, 2e-6 apart at two
+        "deep_forest": (9, [_edge(0, 1), _edge(2, 1, (1.2, 0.9)), _edge(2, 3),
+                            _edge(0, 4, (0.4, 1.5)), _edge(5, 4),
+                            _edge(3, 5, (1.7, 2.2), end=(1.2 + 3e-7, 2.6)), _edge(5, 6),
+                            _edge(6, 3, (2.3, 2.0), start=(2.1 + 2e-6, 2.4)),
+                            _edge(7, 8, (2.7, 4.2)), _edge(8, 7, (2.6, 4.5))], [
+            [(2.0, 1.5), (1.7, 2.2), (1.2000003, 2.6), (0.6, 2.0), (0.4, 1.5), (0.5, 1.0),
+             (1.0, 1.0), (1.2, 0.9), (1.5, 1.2)],
+            [(2.100002, 2.4), (2.3, 2.0), (2.0, 1.5), (1.5, 1.2), (1.2, 0.9), (1.0, 1.0),
+             (0.5, 1.0), (0.4, 1.5), (0.6, 2.0), (1.2, 2.6), (2.1, 2.4)],
+            [(2.8, 4.6), (2.6, 4.5), (2.5, 4.0), (2.7, 4.2)]]),
+        # two straight edges between the same nodes walk to (0, 1, 0); with the
+        # closing repeat dropped two vertices are left, and the walk gives nothing
+        "below_three": (2, [_edge(0, 1), _edge(0, 1)], []),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_cycles(self, name):
+        n_nodes, edges, expected = self.CASES[name]
+        want = [PillowcasePolyline(tuple(PillowcasePoint(*v) for v in cyc), closed=True)
+                for cyc in expected]
+        assert repr(_cycle_walk(n_nodes, edges)) == repr(want)
 
 
 _OPEN = [(0.3, 0.4), (1.1, 0.9), (2.0, 1.5), (2.6, 2.4)]
