@@ -768,13 +768,15 @@ def _line_forms(model: KnotExteriorModel) -> list[tuple[LineForm, PillowcasePoly
     ca*alpha + cb*beta = +-2pi*offset (mod 2pi) with ca, cb = b/g, -a/g;
     offset is an exact Fraction in [0, 1/2], so equal offsets are one line.
     A model without exactly one free H1 coordinate gets the line beta = 0
-    if its longitude is nullhomologous, and raises ModelInvalidError
-    otherwise.
+    if its longitude's exponent sum on every generator is zero, and raises
+    ModelInvalidError otherwise: a longitude that is zero in H1 only
+    through the relators (x^2 in <x | x^2>) is refused.
     """
     diag, free_idx, mu_psi, lam_psi = _boundary_coordinates(model.presentation)
     torsion_idx = [i for i, d in enumerate(diag) if d >= 2]
     if len(free_idx) != 1:
-        # not a knot-exterior shape; fall back to the nullhomologous line
+        # not a knot-exterior shape; the line beta = 0 for a longitude whose
+        # exponent sums all vanish (lam_psi is zero iff they do, V being unimodular)
         if not any(lam_psi):
             return [(LineForm(0, -1, Fraction(0)), _line_polyline(1, 0, 0.0, 0.0))]
         raise ModelInvalidError("model does not have a single free H1 coordinate")
@@ -1049,8 +1051,19 @@ def _project_endpoint_cuts(curves, node_tol):
     return cuts
 
 
-def _fundamental_cycles(n_nodes, edges):
-    """Cycles of a multigraph: one per non-forest edge, via BFS forest paths."""
+def _cycle_polylines(n_nodes, edges):
+    """The closed polylines of a multigraph's fundamental cycles, in order.
+
+    edges are (u, v, piece), the open polyline piece running from node u to
+    node v.  A BFS forest grows from each unvisited node in index order,
+    taking each node's edges in edge order.  Each non-forest edge (u, v), in
+    edge order, then gives one cycle, walked from u: along the edge to v, up
+    the forest from v to the common ancestor, and down to u.  This walk sets
+    the sign of the cycle's essential_class.  A piece's first vertex is
+    dropped when within 1e-6 of the walk's last, and the walk's last
+    vertices while within 1e-9 of its first; a walk left with fewer than 3
+    vertices gives nothing.  A self-loop gives its piece, closed, as it is.
+    """
     adj = [[] for _ in range(n_nodes)]
     for ei, (u, v, _) in enumerate(edges):
         adj[u].append((v, ei))
@@ -1059,111 +1072,80 @@ def _fundamental_cycles(n_nodes, edges):
     depth = [0] * n_nodes
     visited = [False] * n_nodes
     tree_edges = set()
-    order = []
     for root in range(n_nodes):
         if visited[root]:
             continue
         visited[root] = True
         queue = [root]
-        while queue:
-            u = queue.pop(0)
-            order.append(u)
-            for (v, ei) in adj[u]:
+        for u in queue:  # the queue grows as it is walked
+            for v, ei in adj[u]:
                 if not visited[v]:
                     visited[v] = True
                     parent[v] = (u, ei)
                     depth[v] = depth[u] + 1
                     tree_edges.add(ei)
                     queue.append(v)
-    cycles = []
-    for ei, (u, v, _) in enumerate(edges):
+
+    def walked_from(ei, node):
+        """The vertices of edge ei's piece, from its end at node."""
+        start, _, piece = edges[ei]
+        return piece.vertices if start == node else piece.vertices[::-1]
+
+    for ei, (u, v, piece) in enumerate(edges):
         if ei in tree_edges:
             continue
         if u == v:
-            cycles.append([ei])
+            yield PillowcasePolyline(piece.vertices, closed=True)
             continue
-        pu, pv = u, v
-        path_u, path_v = [], []
-        while depth[pu] > depth[pv]:
-            pnode, pedge = parent[pu]
-            path_u.append(pedge)
-            pu = pnode
-        while depth[pv] > depth[pu]:
-            pnode, pedge = parent[pv]
-            path_v.append(pedge)
-            pv = pnode
-        while pu != pv:
-            pnode, pedge = parent[pu]
-            path_u.append(pedge)
-            pu = pnode
-            pnode, pedge = parent[pv]
-            path_v.append(pedge)
-            pv = pnode
-        # walk u --ei--> v --path_v--> LCA --reversed path_u--> u
-        cycles.append([ei] + path_v + path_u[::-1])
-    return cycles
+        up, down = [], []  # from v up to the common ancestor; from it down to u, last first
+        a, b = v, u
+        while a != b:
+            if depth[a] >= depth[b]:
+                p, pe = parent[a]
+                up.append(walked_from(pe, a))
+                a = p
+            else:
+                p, pe = parent[b]
+                down.append(walked_from(pe, p))
+                b = p
+        verts = list(piece.vertices)
+        for pts in up + down[::-1]:
+            if pillowcase_distance(verts[-1], pts[0]) < 1e-6:
+                pts = pts[1:]
+            verts.extend(pts)
+        while len(verts) > 2 and pillowcase_distance(verts[0], verts[-1]) < 1e-9:
+            verts.pop()
+        if len(verts) >= 3:
+            yield PillowcasePolyline(tuple(verts), closed=True)
 
 
-def _assemble_cycle(edge_ids, edges):
-    """Concatenate edge paths around a cycle into one closed polyline."""
-    if len(edge_ids) == 1:
-        u, v, path = edges[edge_ids[0]]
-        if u == v:
-            return PillowcasePolyline(path.vertices, closed=True)
-    # orient edges to walk the cycle
-    verts = []
-    # build node sequence
-    first_u, first_v, _ = edges[edge_ids[0]]
-    # determine starting node: the shared node of first and last edge
-    last_u, last_v, _ = edges[edge_ids[-1]]
-    if first_u in (last_u, last_v):
-        current = first_u
-    else:
-        current = first_v
-    for ei in edge_ids:
-        u, v, path = edges[ei]
-        pts = list(path.vertices)
-        if u == current:
-            nxt = v
-        elif v == current:
-            nxt = u
-            pts = pts[::-1]
-        else:
-            raise ValueError("cycle edges are not contiguous")
-        if verts:
-            pts = pts[1:] if pillowcase_distance(verts[-1], pts[0]) < 1e-6 else pts
-        verts.extend(pts)
-        current = nxt
-    # drop closing duplicate
-    while len(verts) > 2 and pillowcase_distance(verts[0], verts[-1]) < 1e-9:
-        verts.pop()
-    if len(verts) < 3:
-        return None
-    return PillowcasePolyline(tuple(verts), closed=True)
+def _essential_candidates(curves):
+    """(|class|, curve) for each curve of nonzero essential_class, in order;
+    a curve too degenerate to have a class is skipped."""
+    for curve in curves:
+        try:
+            cls = essential_class(curve)
+        except DegenerateCurveError:
+            continue
+        if cls != 0:
+            yield abs(cls), curve
 
 
 def extract_essential_curve(img: PillowcaseImage) -> PillowcasePolyline | None:
     """Find a closed curve of nonzero class in the arcs of an image.
 
-    Builds the planar graph of all arcs (splitting at mutual intersections
-    and at endpoints resting on other arcs), then tests the fundamental
-    cycles for nonzero winding around the marked points.  Returns one
-    essential cycle or None.
+    The closed arcs are candidates as they are.  Unless one has class +-1,
+    the planar graph of all arcs (split at mutual intersections and at
+    endpoints resting on other arcs, ends merged within node_tol) gives
+    one more candidate per fundamental cycle, walked as _cycle_polylines
+    says.  Returns a candidate of least |class|, the shortest of those, or
+    None.
     """
     curves = img.arcs
     if not curves:
         return None
     node_tol = max(img.chain_threshold, 1e-7)
-    candidates = []
-    # closed single arcs are cycle candidates on their own
-    for c in curves:
-        if c.closed:
-            try:
-                cls = essential_class(c)
-            except DegenerateCurveError:
-                continue
-            if cls != 0:
-                candidates.append((abs(cls), c))
+    candidates = list(_essential_candidates(c for c in curves if c.closed))
     if candidates and min(c for c, _ in candidates) == 1:
         return min(candidates, key=lambda item: (item[0], item[1].length()))[1]
     cuts = {i: [] for i in range(len(curves))}
@@ -1184,19 +1166,7 @@ def extract_essential_curve(img: PillowcaseImage) -> PillowcasePolyline | None:
     nodes = distance_components(endpoints, node_tol)
     node_of = {i: node for node, comp in enumerate(nodes) for i in comp}
     edges = [(node_of[2 * k], node_of[2 * k + 1], p) for k, p in enumerate(pieces)]
-    for cyc in _fundamental_cycles(len(nodes), edges):
-        try:
-            curve = _assemble_cycle(cyc, edges)
-        except ValueError:
-            continue
-        if curve is None:
-            continue
-        try:
-            cls = essential_class(curve)
-        except DegenerateCurveError:
-            continue
-        if cls != 0:
-            candidates.append((abs(cls), curve))
+    candidates.extend(_essential_candidates(_cycle_polylines(len(nodes), edges)))
     if not candidates:
         return None
     return min(candidates, key=lambda item: (item[0], item[1].length()))[1]

@@ -54,9 +54,6 @@ class UnitQuaternion:
         s = math.sin(angle) / n
         return cls(math.cos(angle), s * ux, s * uy, s * uz)
 
-    def norm(self) -> float:
-        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-
     def normalized(self) -> "UnitQuaternion":
         return UnitQuaternion.from_components(self.w, self.x, self.y, self.z)
 

@@ -178,6 +178,18 @@ class TestReducibleLines:
             merged += len(groups) < len(old)
         assert seen >= 40 and merged >= 30
 
+    def test_fallback_reads_the_longitude_exponent_sums(self):
+        # without one free H1 coordinate, beta = 0 is the line of a longitude
+        # whose exponent sums vanish, not of every longitude zero in H1
+        def x_squared(longitude):
+            return KnotExteriorModel(name="x^2", presentation=GroupPresentation(
+                generator_count=1, relators=((1, 1),), meridian=(), longitude=longitude))
+
+        assert [form for form, _ in _line_forms(x_squared(()))] == \
+            [LineForm(0, -1, Fraction(0))]
+        with pytest.raises(ModelInvalidError):
+            _line_forms(x_squared((1, 1)))
+
     def test_forms_and_lifts_are_pinned(self):
         # the reprs of the forms and each polyline's lift bytes and closed
         # flag, as _line_forms has always given them
@@ -567,8 +579,7 @@ def _edge(u, v, *via, start=None, end=None):
 
 def _cycle_walk(n_nodes, edges):
     """The closed polylines of extract_essential_curve's cycle walk, in order."""
-    walks = (solver._assemble_cycle(cyc, edges) for cyc in solver._fundamental_cycles(n_nodes, edges))
-    return [curve for curve in walks if curve is not None]
+    return list(solver._cycle_polylines(n_nodes, edges))
 
 
 class TestCycleWalk:
