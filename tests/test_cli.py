@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import asdict
@@ -6,11 +7,12 @@ import pytest
 
 from pillowcase.cli import (EXIT_BAD_INPUT, EXIT_CONTRACT, EXIT_NOT_FOUND,
                             EXIT_OK, load_model, main, parse_gluing)
-from pillowcase.families import torus_knot_model
-from pillowcase.geometry import PillowcasePoint
+from pillowcase.families import builtin_model, torus_knot_model
+from pillowcase.geometry import PillowcasePoint, PillowcasePolyline, canonicalize
 from pillowcase.gluer import search_nonabelian_rep
-from pillowcase.render import (image_to_csv, image_to_svg, mark_points,
-                               polylines_to_svg)
+from pillowcase.presentations import GluingMatrix
+from pillowcase.render import (_fold_curve_paths, image_to_csv, image_to_svg,
+                               mark_points, polylines_to_svg)
 from pillowcase.solver import SolverConfig, sample_pillowcase_image
 
 
@@ -511,3 +513,32 @@ class TestRender:
         assert header == "kind,index,alpha,beta,gap"
         kinds = {row.split(",")[0] for row in rows}
         assert kinds == {"arc", "point"}
+
+    def test_fold_is_pinned(self):
+        # the reprs of the runs _fold_curve_paths has always drawn, on images,
+        # their gluing images and hand-built lines across the domain's edges
+        curves = []
+        for name in ("trefoil", "trefoil-neg", "klein"):
+            for resolution in (60, 200):
+                for seed in (0, 1):
+                    img = sample_pillowcase_image(builtin_model(name), resolution,
+                                                  SolverConfig(seed=seed))
+                    curves += img.arcs
+                    curves += img.transform_arcs(GluingMatrix.swap())
+                    curves += img.transform_arcs(GluingMatrix.skew(3))
+        curves += [
+            # across alpha = 0, alpha = pi and beta = 0 = 2pi
+            PillowcasePolyline.from_lifts([(0.4, 1.0), (-0.3, 1.2), (-0.5, 2.0)]),
+            PillowcasePolyline.from_lifts([(2.9, 4.0), (3.5, 4.1), (3.3, 5.0)]),
+            PillowcasePolyline.from_lifts([(1.0, 6.0), (1.2, 6.6), (1.5, -0.4)]),
+            # a zero-length segment
+            PillowcasePolyline.from_lifts([(1.0, 1.0), (1.0, 1.0), (2.0, 3.0)]),
+            # closed, through a corner
+            PillowcasePolyline.from_lifts([(0.0, 0.0), (0.6, 3.0), (-0.6, 5.0), (0.0, 0.0)],
+                                          closed=True),
+            PillowcasePolyline((canonicalize(0.2, 6.1), canonicalize(3.0, 0.3),
+                                canonicalize(1.0, 3.0)), closed=True),
+        ]
+        digest = hashlib.sha256("\n".join(repr(_fold_curve_paths(c)) for c in curves).encode())
+        assert digest.hexdigest() == \
+            "616043485b068fa096b9622853bcdf73c3abc71736a7251958735dd35d656aa1"
