@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 
-from .geometry import PillowcasePolyline, TWO_PI, canonicalize
+import numpy as np
+
+from .geometry import PillowcasePolyline, TWO_PI, _canonical_array
 from .solver import PillowcaseImage
 
 __all__ = ["image_to_svg", "image_to_csv", "polylines_to_svg", "mark_points"]
@@ -78,24 +80,25 @@ def _frame() -> list[str]:
 
 
 def _fold_curve_paths(curve: PillowcasePolyline):
-    """Sample a polyline and break it where it folds across the domain edges."""
-    runs = []
-    current = []
-    prev = None
-    for (x1, y1), (x2, y2) in curve.lifted_segments():
-        for i in range(_SAMPLES_PER_SEGMENT + 1):
-            t = i / _SAMPLES_PER_SEGMENT
-            pt = canonicalize(x1 + t * (x2 - x1), y1 + t * (y2 - y1))
-            xy = _xy(pt.alpha, pt.beta)
-            if prev is not None and math.hypot(xy[0] - prev[0], xy[1] - prev[1]) > 40:
-                if len(current) > 1:
-                    runs.append(current)
-                current = []
-            current.append(xy)
-            prev = xy
-    if len(current) > 1:
-        runs.append(current)
-    return runs
+    """Sample a polyline and break it where it folds across the domain edges.
+
+    Each lifted segment a -> b is sampled at a + t * (b - a) for
+    t = i / _SAMPLES_PER_SEGMENT, 0 <= i <= _SAMPLES_PER_SEGMENT, and
+    canonicalized, in one array pass with the float operations of
+    canonicalize and _xy.  A step of more than 40 pixels, by math.hypot, is
+    a fold.
+    """
+    lifts = curve._lift_array
+    a, b = lifts[:-1, None], lifts[1:, None]
+    t = (np.arange(_SAMPLES_PER_SEGMENT + 1) / _SAMPLES_PER_SEGMENT)[:, None]
+    alpha, beta = _canonical_array((a + t * (b - a)).reshape(-1, 2)).T
+    x = _MARGIN + _W * alpha / math.pi
+    y = _MARGIN + _H * (1.0 - beta / TWO_PI)
+    dx, dy = np.diff(x), np.diff(y)
+    fold = np.array(list(map(math.hypot, dx.tolist(), dy.tolist()))) > 40
+    points = list(zip(x.tolist(), y.tolist()))
+    ends = [0, *(np.nonzero(fold)[0] + 1).tolist(), len(points)]
+    return [points[s:e] for s, e in zip(ends[:-1], ends[1:]) if e - s > 1]
 
 
 def polylines_to_svg(curves, points=(), title: str = "") -> str:

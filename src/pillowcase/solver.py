@@ -132,24 +132,50 @@ _TERMS = np.array([[0, 1, 2, 3],
 _TERMS_INV = np.where(_TERMS % 4 == 0, _TERMS, (_TERMS + 4) % 8)
 
 
+class _Workspace(dict):
+    """Flat scratch buffers of one _lm_minimize call, reused across its evaluations.
+
+    take(key, shape) hands out the contiguous prefix of the key's buffer,
+    which grows to the largest size asked of it, so the steps of a call do
+    not fault in fresh arrays.  A prefix, not a strided view of a bigger
+    array: numpy runs slower on those.
+    """
+
+    def take(self, key, shape):
+        size = math.prod(shape)
+        buf = self.get(key)
+        if buf is None or buf.size < size:
+            buf = self[key] = self._allocate(size)
+        return buf[:size].reshape(shape)
+
+    @staticmethod
+    def _allocate(size):
+        return np.empty(size)
+
+
 class _LetterTables(dict):
     """Right-multiplication table of each word letter on (n, 4, B) component rows.
 
     table[j, i] is the (B,) factor of term j of component i of a * letter;
     a table is built on first use.  terms is the scratch buffer of _qstep.
+    The stack g8, the tables and terms come from the workspace (a fresh one
+    by default).
     """
 
-    def __init__(self, comps):
+    def __init__(self, comps, workspace=None):
         super().__init__()
         n, _, self.rows = comps.shape
-        self._g8 = np.empty((n, 8, self.rows))
+        self._workspace = _Workspace() if workspace is None else workspace
+        self._g8 = self._workspace.take("g8", (n, 8, self.rows))
         self._g8[:, :4] = comps
         np.negative(self._g8[:, :4], out=self._g8[:, 4:])
-        self.terms = np.empty((4, 4, self.rows))
+        self.terms = self._workspace.take("terms", (4, 4, self.rows))
 
     def __missing__(self, k):
+        # mode="clip" writes straight into out; the indices are in range
         table = self[k] = np.take(self._g8[abs(k) - 1], _TERMS if k > 0 else _TERMS_INV,
-                                  axis=0)
+                                  axis=0, out=self._workspace.take(k, (4, 4, self.rows)),
+                                  mode="clip")
         return table
 
 
@@ -197,14 +223,14 @@ def _eval_batch(tables, word, out):
     return np.divide(prod, np.linalg.norm(prod, axis=1, keepdims=True), out=out)
 
 
-def _residuals(params, words, targets):
+def _residuals(params, words, targets, workspace=None):
     """Word values minus targets, as (B, m) rows for m = 4 * len(words).
 
     targets holds T rows of m components, and the B rows of params are
     B / T blocks of T: row t of every block is compared with targets[t], so
     a block of probes shares its rows' targets without a tiled copy.
     """
-    tables = _LetterTables(params.transpose(1, 2, 0))
+    tables = _LetterTables(params.transpose(1, 2, 0), workspace)
     out = np.empty((tables.rows, 4 * len(words)))
     for k, word in enumerate(words):
         _eval_batch(tables, word, out[:, 4 * k:4 * k + 4])
@@ -237,23 +263,25 @@ def _tangent_basis(params):
     return np.concatenate([params, -params], axis=2)[:, :, _TANGENT]
 
 
-def _probed_residuals(words, targets, params):
+def _probed_residuals(words, targets, params, workspace):
     """(F, basis, Fp): residuals of (B, n, 4) params and of their tangent probes.
 
     F is the (B, m) residual rows and basis is _tangent_basis(params).  Fp
     is the (3n, B, m) residuals of the forward-difference probes: Fp[3i + c]
     is params with generator i moved to g + _FD_STEP * (g * e_c).  The rows
-    and all 3n probes of every row run in one residual evaluation.
+    and all 3n probes of every row run in one residual evaluation, on the
+    workspace's buffers.
     """
     b, n, _ = params.shape
     basis = _tangent_basis(params)
     # stack[1 + 3i + c] is params with generator i moved along basis[i, c]
     moved = (params[:, :, None] + _FD_STEP * basis).transpose(1, 2, 0, 3)
-    stack = np.empty((1 + 3 * n, b, n, 4))
+    stack = workspace.take("stack", (1 + 3 * n, b, n, 4))
     stack[...] = params
     for i in range(n):
         stack[1 + 3 * i:4 + 3 * i, :, i] = moved[i]
-    out = _residuals(stack.reshape(-1, n, 4), words, targets).reshape(1 + 3 * n, b, -1)
+    out = _residuals(stack.reshape(-1, n, 4), words, targets, workspace)
+    out = out.reshape(1 + 3 * n, b, -1)
     return out[0], basis, out[1:]
 
 
@@ -352,9 +380,12 @@ def _lm_minimize(words, targets, params0, tol):
     BASIS = np.empty((R, n, 3, 4))
     JTJ = np.empty((R, npar, npar))
     JTF = np.empty((R, npar))
+    # the letter tables and probe stack of every evaluation of this call
+    workspace = _Workspace()
     for s in range(0, R, _BLOCK_ROWS):
         rows = slice(s, s + _BLOCK_ROWS)
-        F[rows], BASIS[rows], Fp = _probed_residuals(words, targets[rows], params[rows])
+        F[rows], BASIS[rows], Fp = _probed_residuals(words, targets[rows], params[rows],
+                                                     workspace)
         JTJ[rows], JTF[rows] = _normal_equations(_jacobian(F[rows], Fp), F[rows])
         del Fp  # a view that holds the chunk's whole evaluation
     cost = np.einsum("bm,bm->b", F, F)
@@ -381,7 +412,7 @@ def _lm_minimize(words, targets, params0, tol):
         A = JTJ[window]
         A[:, diag, diag] += np.where(conv, 1e-12, lam[window])[:, None]
         trial = _tangent_step(params[window], BASIS[window], -_solve_rows(A, JTF[window]))
-        Ft, basis, Fp = _probed_residuals(words, targets[window], trial)
+        Ft, basis, Fp = _probed_residuals(words, targets[window], trial, workspace)
         cost_t = np.einsum("bm,bm->b", Ft, Ft)
         better = cost_t < cost[window]
         take = window[better]

@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from pillowcase.cli import (EXIT_BAD_INPUT, EXIT_CONTRACT, EXIT_NOT_FOUND,
@@ -11,7 +12,7 @@ from pillowcase.families import builtin_model, torus_knot_model
 from pillowcase.geometry import PillowcasePoint, PillowcasePolyline, canonicalize
 from pillowcase.gluer import search_nonabelian_rep
 from pillowcase.presentations import GluingMatrix
-from pillowcase.render import (_fold_curve_paths, image_to_csv, image_to_svg,
+from pillowcase.render import (_fold_curve_paths, _xy, image_to_csv, image_to_svg,
                                mark_points, polylines_to_svg)
 from pillowcase.solver import SolverConfig, sample_pillowcase_image
 
@@ -501,6 +502,25 @@ class TestGluingParsing:
                          torus_knot_model(2, 3))
 
 
+def _fold_reference(curve):
+    """The scalar SVG fold: 9 samples per lifted segment, a break at a step over 40."""
+    runs, current, prev = [], [], None
+    for (x1, y1), (x2, y2) in curve.lifted_segments():
+        for i in range(9):
+            t = i / 8
+            pt = canonicalize(x1 + t * (x2 - x1), y1 + t * (y2 - y1))
+            xy = _xy(pt.alpha, pt.beta)
+            if prev is not None and math.hypot(xy[0] - prev[0], xy[1] - prev[1]) > 40:
+                if len(current) > 1:
+                    runs.append(current)
+                current = []
+            current.append(xy)
+            prev = xy
+    if len(current) > 1:
+        runs.append(current)
+    return runs
+
+
 class TestRender:
     def test_svg_and_csv(self):
         img = sample_pillowcase_image(torus_knot_model(2, 3), 25,
@@ -542,3 +562,12 @@ class TestRender:
         digest = hashlib.sha256("\n".join(repr(_fold_curve_paths(c)) for c in curves).encode())
         assert digest.hexdigest() == \
             "616043485b068fa096b9622853bcdf73c3abc71736a7251958735dd35d656aa1"
+
+    def test_fold_steps_near_40_pixels_follow_math_hypot(self):
+        # 2000 segments of eight 40-pixel steps in random directions: steps
+        # that np.hypot would put on the other side of 40 fold as the scalar
+        # loop folds them
+        theta = np.random.default_rng(5).uniform(0.0, 2 * math.pi, 2000)
+        steps = np.column_stack([math.pi * np.cos(theta), -math.pi * np.sin(theta)])
+        curve = PillowcasePolyline.from_lifts(np.cumsum(np.vstack([[1.5, 3.0], steps]), axis=0))
+        assert _fold_curve_paths(curve) == _fold_reference(curve)

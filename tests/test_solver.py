@@ -33,7 +33,7 @@ from pillowcase.solver import (ImagePoint, PillowcaseImage, SolverConfig,
                                _chain_points, _line_forms, _line_polyline,
                                _project_endpoint_cuts, _LetterTables, _qstep,
                                _rep_from_params, _relator_residuals, _solve_rows,
-                               _word_product, _boundary_points, _gaps)
+                               _word_product, _boundary_points, _gaps, _Workspace)
 from pillowcase.su2 import (NonCommutingPeripheralsError, Representation,
                             UnitQuaternion, boundary_angles, evaluate_word,
                             irreducibility_gap, relator_residual)
@@ -2257,7 +2257,8 @@ class TestTangentHelper:
     def test_jacobian_is_ambient_jacobian_times_basis(self, system):
         _, words, targets, params = system
         B, n, _ = params.shape
-        F, basis, Fp = solver._probed_residuals(words, targets, params)
+        F, basis, Fp = solver._probed_residuals(words, targets, params,
+                                                  solver._Workspace())
         J = solver._jacobian(F, Fp)
         assert J.shape == (F.shape[1], 3 * n, B)
         _, J4 = _ambient_jacobian(words, targets, params, F)
@@ -2278,7 +2279,8 @@ class TestTangentHelper:
         # the rows and their probes in one evaluation, bit for bit the
         # residuals, basis and Jacobian of the rows, then their probes alone
         _, words, targets, params = system
-        F, basis, Fp = solver._probed_residuals(words, targets, params)
+        F, basis, Fp = solver._probed_residuals(words, targets, params,
+                                                  solver._Workspace())
         F_ref = solver._residuals(params, words, targets)
         basis_ref, J_ref = _tangent_jacobian(words, targets, params, F_ref)
         assert F.tobytes() == F_ref.tobytes()
@@ -2336,6 +2338,65 @@ def _witness_points(pres, node):
 # alpha = pi/6 and 5pi/6, where e^{2i alpha} is a root of its Alexander
 # polynomial; the 25-node grid puts nodes 4 and 20 on them
 _ARC_ENDS = (PI / 6, 5 * PI / 6)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("system", ["trefoil", "swap-splice"])
+    def test_residuals_reuse_one_workspace(self, system):
+        # batches that shrink and grow again read only their own prefixes:
+        # every batch's bytes are those of a fresh evaluation
+        tre = torus_knot_model(2, 3)
+        pres = tre.presentation if system == "trefoil" else \
+            splice(tre, tre, GluingMatrix.swap()).amalgamated
+        workspace = _Workspace()
+        for i, rows in enumerate([1792, 7, 1, 574, 1792]):
+            params = _seeded_units(20 + i, rows, pres.generator_count)
+            if system == "trefoil":
+                alphas = np.random.default_rng(i).uniform(0.0, PI, rows)
+                words, targets, _ = _sweep_rows(pres, alphas, range(rows),
+                                                SolverConfig(restarts=1))
+            else:
+                words = list(pres.relators)
+                targets = np.tile([1.0, 0.0, 0.0, 0.0] * len(words), (rows, 1))
+            got = solver._residuals(params, words, targets, workspace)
+            assert got.tobytes() == solver._residuals(params, words, targets).tobytes()
+
+    def test_lm_call_allocates_a_buffer_only_when_it_grows(self, monkeypatch):
+        # the 520 discovery rows of a trefoil r=200 sweep in one LM call
+        requests, allocations = [], []
+        take, allocate = _Workspace.take, _Workspace._allocate
+
+        def counted_take(workspace, key, shape):
+            requests.append((id(workspace), key, math.prod(shape)))
+            return take(workspace, key, shape)
+
+        def counted_allocate(size):
+            allocations.append(size)
+            return allocate(size)
+
+        monkeypatch.setattr(_Workspace, "take", counted_take)
+        monkeypatch.setattr(_Workspace, "_allocate", staticmethod(counted_allocate))
+        nodes = solver._discovery_nodes(200)
+        grid = np.linspace(0.0, PI, 200)
+        words, targets, params0 = _sweep_rows(torus_knot_model(2, 3).presentation,
+                                              [float(grid[i]) for i in nodes], nodes,
+                                              SolverConfig())
+        assert len(params0) == 520
+        _lm_minimize(words, targets, params0, CFG.tol)
+        assert len({ws for ws, _, _ in requests}) == 1
+        largest, grown = {}, []
+        for _, key, size in requests:
+            if size > largest.get(key, 0):
+                largest[key] = size
+                grown.append(size)
+        assert allocations == grown
+        assert len(allocations) < len(requests) // 10
+
+    def test_sweeps_repeat_across_models(self):
+        trefoil, klein = torus_knot_model(2, 3), klein_bottle_model()
+        first = repr(sample_pillowcase_image(trefoil, 60, CFG))
+        sample_pillowcase_image(klein, 60, CFG)
+        assert repr(sample_pillowcase_image(trefoil, 60, CFG)) == first
 
 
 class TestTangentOutputPolicy:
