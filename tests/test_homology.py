@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,7 @@ from pillowcase.families import (builtin_model, klein_bottle_model, torus_knot_m
 from pillowcase.geometry import GluingMatrix
 from pillowcase.homology import (AbelianGroup, ModelInvalidError,
                                  UnsupportedGluingError, _boundary_coordinates,
-                                 _divisible, abelianization,
+                                 _divisible, _smith_diagonal, abelianization,
                                  classify_gluing, enumerate_standard_tuples,
                                  filling_homology, glue_homology,
                                  invariant_factors, rational_longitude,
@@ -61,6 +62,42 @@ class TestSmithNormalForm:
         for shape in ((2, 4), (4, 2), (3, 5)):
             M = rng.integers(-6, 7, size=shape).tolist()
             check_snf(M)
+
+
+def _pin_matrices():
+    """Seeded integer matrices of every shape 0x0 .. 8x8, entries -9..9.
+
+    Of the eight drawn per shape, the last four get a zero row, and the last
+    two a zero column as well.
+    """
+    rng = random.Random(3001)
+    for n in range(9):
+        for m in range(9):
+            for k in range(8):
+                M = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
+                if k >= 4 and n:
+                    M[rng.randrange(n)] = [0] * m
+                if k >= 6 and m:
+                    j = rng.randrange(m)
+                    for row in M:
+                        row[j] = 0
+                yield n, M
+
+
+class TestSmithFormPin:
+    """The Smith forms of every reader, pinned to what they have always given."""
+
+    def test_outputs_are_pinned(self):
+        digest = hashlib.sha256()
+        for n, M in _pin_matrices():
+            D, U, V = smith_normal_form(M)
+            diag = [row[i] for i, row in enumerate(D) if i < len(row)]
+            nonzero = [d for d in diag if d]
+            assert AbelianGroup.from_matrix(M, n) == AbelianGroup(
+                torsion=tuple(d for d in nonzero if d > 1), rank=n - len(nonzero))
+            digest.update(repr(((D, U, V), _smith_diagonal(M))).encode())
+        assert digest.hexdigest() == \
+            "a9f0c7f6a461ad2c6b2b96a0acfbfed40ab59a646ecf166b9cd7f902f9f1e165"
 
 
 class TestEmptyMatrices:
