@@ -57,7 +57,7 @@ class AbelianGroup:
 
     @classmethod
     def from_matrix(cls, M, n_generators: int) -> "AbelianGroup":
-        nonzero = [x for x in _smith_diagonal(M)[0] if x != 0]
+        nonzero = [x for x in _smith_diagonal(M, track_v=False)[0] if x != 0]
         return cls(
             torsion=tuple(x for x in nonzero if x > 1),
             rank=n_generators - len(nonzero),
@@ -87,100 +87,105 @@ class AbelianGroup:
         return " | ".join(parts)
 
 
+def _smith_eliminate(A, U=None, V=None):
+    """Reduce the list-of-lists A in place to its Smith form D.
+
+    Each row operation is applied to U and each column operation to V when
+    that matrix is given, so D = U*A*V for U and V the identity on entry;
+    the operations, and so D, do not depend on which of U and V are given.
+    The pivot is the first entry of least absolute value in the remaining
+    block, in row-major order.
+    """
+    n = len(A)
+    m = len(A[0]) if n else 0
+    column_ops = (A,) if V is None else (A, V)
+    t = 0
+    while t < min(n, m):
+        best = 0
+        for i in range(t, n):
+            row = A[i]
+            for j in range(t, m):
+                x = abs(row[j])
+                if x and (not best or x < best):
+                    best, pi, pj = x, i, j
+                    if x == 1:
+                        break
+            if best == 1:
+                break
+        if not best:
+            break
+        A[t], A[pi] = A[pi], A[t]
+        if U is not None:
+            U[t], U[pi] = U[pi], U[t]
+        if pj != t:
+            for R in column_ops:
+                for row in R:
+                    row[t], row[pj] = row[pj], row[t]
+        if A[t][t] < 0:
+            A[t] = [-a for a in A[t]]
+            if U is not None:
+                U[t] = [-a for a in U[t]]
+        # clear column and row t; restart if a remainder creates smaller entries
+        top = A[t]
+        d = top[t]
+        clean = True
+        for i in range(t + 1, n):
+            q = A[i][t] // d
+            if q:
+                A[i] = row = [a - q * b for a, b in zip(A[i], top)]
+                if U is not None:
+                    U[i] = [a - q * b for a, b in zip(U[i], U[t])]
+                if row[t]:
+                    clean = False
+        for j in range(t + 1, m):
+            q = top[j] // d
+            if q:
+                for R in column_ops:
+                    for row in R:
+                        row[j] -= q * row[t]
+                if top[j]:
+                    clean = False
+        if not clean:
+            continue
+        # enforce divisibility d_t | everything below-right
+        if d > 1:
+            offender = next((i for i in range(t + 1, n)
+                             if any(x % d for x in A[i][t + 1:])), None)
+            if offender is not None:
+                A[t] = [a + b for a, b in zip(top, A[offender])]
+                if U is not None:
+                    U[t] = [a + b for a, b in zip(U[t], U[offender])]
+                continue
+        t += 1
+
+
 def smith_normal_form(M):
     """Exact Smith normal form: returns (D, U, V) with D = U*M*V.
 
     U and V are unimodular, D is diagonal with nonnegative entries
     satisfying d_i | d_{i+1}.
     """
-    A = [[int(x) for x in row] for row in M]
-    n = len(A)
-    m = len(A[0]) if n else 0
-    U = _identity(n)
-    V = _identity(m)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, mult):
-        # row dst += mult * row src
-        A[dst] = [a + mult * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a + mult * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(src, dst, mult):
-        for row in A:
-            row[dst] += mult * row[src]
-        for row in V:
-            row[dst] += mult * row[src]
-
-    def negate_row(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-
-    t = 0
-    while t < min(n, m):
-        # find smallest nonzero pivot in the remaining block
-        pivot = None
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < best):
-                    best = abs(A[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        if A[t][t] < 0:
-            negate_row(t)
-        # clear row and column t; restart if a remainder creates smaller entries
-        clean = True
-        for i in range(t + 1, n):
-            if A[i][t] != 0:
-                q = A[i][t] // A[t][t]
-                add_row(t, i, -q)
-                if A[i][t] != 0:
-                    clean = False
-        for j in range(t + 1, m):
-            if A[t][j] != 0:
-                q = A[t][j] // A[t][t]
-                add_col(t, j, -q)
-                if A[t][j] != 0:
-                    clean = False
-        if not clean:
-            continue
-        # enforce divisibility d_t | everything below-right
-        offender = None
-        for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if A[i][j] % A[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
-        t += 1
-    return A, U, V
+    D = [[int(x) for x in row] for row in M]
+    U = _identity(len(D))
+    V = _identity(len(D[0]) if D else 0)
+    _smith_eliminate(D, U, V)
+    return D, U, V
 
 
-def _smith_diagonal(M):
-    """(diag, V) of the Smith form D = U*M*V; M may have no rows or no columns."""
-    D, _, V = smith_normal_form(M)
+def _smith_diagonal(M, track_v=True):
+    """(diag, V) of the Smith form D = U*M*V; M may have no rows or no columns.
+
+    U is never tracked, and V only when track_v is set (else it is None).
+    """
+    D = [[int(x) for x in row] for row in M]
+    V = _identity(len(D[0]) if D else 0) if track_v else None
+    _smith_eliminate(D, V=V)
     return [row[i] for i, row in enumerate(D) if i < len(row)], V
 
 
 def invariant_factors(M) -> list[int]:
     """Diagonal of the Smith form, zeros and ones stripped."""
-    return [d for d in _smith_diagonal(M)[0] if d > 1]
+    return [d for d in _smith_diagonal(M, track_v=False)[0] if d > 1]
 
 
 # ---------------------------------------------------------------------------
@@ -198,22 +203,20 @@ class Abelianization:
         return self.matrix.group()
 
 
+def _exponents(pres: GroupPresentation):
+    """Exponent vectors of the relators, the meridian and the longitude."""
+    g = pres.generator_count
+    return ([exponent_vector(r, g) for r in pres.relators],
+            exponent_vector(pres.meridian, g), exponent_vector(pres.longitude, g))
+
+
 def abelianization(pres: GroupPresentation) -> Abelianization:
     """Exponent-sum matrix of the relators with meridian/longitude images."""
+    cols, mu, lam = _exponents(pres)
     g = pres.generator_count
-    cols = [exponent_vector(r, g) for r in pres.relators]
     entries = tuple(tuple(col[i] for col in cols) for i in range(g))
     imp = IntegerMatrixPresentation(rows=g, cols=len(cols), entries=entries)
-    return Abelianization(
-        matrix=imp,
-        meridian_class=exponent_vector(pres.meridian, g),
-        longitude_class=exponent_vector(pres.longitude, g),
-    )
-
-
-def _class_vector(ab: Abelianization, mu_coef: int, lam_coef: int) -> list[int]:
-    return [mu_coef * m + lam_coef * l
-            for m, l in zip(ab.meridian_class, ab.longitude_class)]
+    return Abelianization(matrix=imp, meridian_class=mu, longitude_class=lam)
 
 
 def _boundary_coordinates(pres: GroupPresentation):
@@ -226,10 +229,11 @@ def _boundary_coordinates(pres: GroupPresentation):
     the coordinates of the meridian and the longitude.
     """
     g = pres.generator_count
-    diag, V = _smith_diagonal([exponent_vector(r, g) for r in pres.relators] or [[0] * g])
+    relators, *boundary = _exponents(pres)
+    diag, V = _smith_diagonal(relators or [[0] * g])
     diag += [0] * (g - len(diag))
-    mu, lam = ([sum(x * row[j] for x, row in zip(exponent_vector(word, g), V)) for j in range(g)]
-               for word in (pres.meridian, pres.longitude))
+    mu, lam = ([sum(x * row[j] for x, row in zip(vec, V)) for j in range(g)]
+               for vec in boundary)
     return diag, [i for i, d in enumerate(diag) if d == 0], mu, lam
 
 
@@ -270,40 +274,33 @@ def rational_longitude(model: KnotExteriorModel):
     return (x, y), math.lcm(*(d // math.gcd(d, c) for d, c in zip(diag, cls) if d))
 
 
+def _filling_relation_matrix(model: KnotExteriorModel, slope: tuple[int, int]):
+    """Relation matrix of the Dehn filling along mu^p lam^q: the relators plus the slope."""
+    p, q = slope
+    cols, mu, lam = _exponents(model.presentation)
+    cols.append([p * m + q * l for m, l in zip(mu, lam)])
+    return [list(r) for r in zip(*cols)], len(mu)
+
+
 def filling_homology(model: KnotExteriorModel, slope: tuple[int, int]) -> AbelianGroup:
     """H1 of the Dehn filling along mu^p lam^q (gcd(p, q) = 1)."""
     p, q = slope
     if math.gcd(p, q) != 1:
         raise ValueError(f"slope ({p}, {q}) is not primitive")
-    ab = abelianization(model.presentation)
-    M = ab.matrix.matrix()
-    col = _class_vector(ab, p, q)
-    for i, row in enumerate(M):
-        row.append(col[i])
-    return AbelianGroup.from_matrix(M, ab.matrix.rows)
+    return AbelianGroup.from_matrix(*_filling_relation_matrix(model, slope))
 
 
 def _glue_relation_matrix(model1: KnotExteriorModel, model2: KnotExteriorModel,
                           g: GluingMatrix):
     """Mayer-Vietoris relation matrix for the union along the boundary torus."""
-    ab1 = abelianization(model1.presentation)
-    ab2 = abelianization(model2.presentation)
-    g1 = ab1.matrix.rows
-    g2 = ab2.matrix.rows
-    n = g1 + g2
-    cols = []
-    for j in range(ab1.matrix.cols):
-        cols.append([ab1.matrix.entries[i][j] for i in range(g1)] + [0] * g2)
-    for j in range(ab2.matrix.cols):
-        cols.append([0] * g1 + [ab2.matrix.entries[i][j] for i in range(g2)])
+    cols1, mu1, lam1 = _exponents(model1.presentation)
+    cols2, mu2, lam2 = _exponents(model2.presentation)
+    zero1, zero2 = (0,) * len(mu1), (0,) * len(mu2)
+    cols = [c + zero2 for c in cols1] + [zero1 + c for c in cols2]
     # mu1 = a mu2 + b lam2 and lam1 = p mu2 + c lam2 in the glued manifold
-    mu1 = list(ab1.meridian_class) + [0] * g2
-    lam1 = list(ab1.longitude_class) + [0] * g2
-    side2_mu = [0] * g1 + _class_vector(ab2, g.a, g.b)
-    side2_lam = [0] * g1 + _class_vector(ab2, g.p, g.c)
-    cols.append([mu1[i] - side2_mu[i] for i in range(n)])
-    cols.append([lam1[i] - side2_lam[i] for i in range(n)])
-    return [[col[i] for col in cols] for i in range(n)], n
+    for side1, (x, y) in zip((mu1, lam1), g.rows()):
+        cols.append(side1 + tuple(-(x * m + y * l) for m, l in zip(mu2, lam2)))
+    return [list(r) for r in zip(*cols)], len(mu1) + len(mu2)
 
 
 def glue_homology(model1: KnotExteriorModel, model2: KnotExteriorModel,

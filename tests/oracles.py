@@ -52,3 +52,45 @@ def minor_gcd_invariants(M) -> list[int]:
             break
         out.append(divisors[k] // divisors[k - 1])
     return [d for d in out if d > 1]
+
+
+def _class_vector(ab, mu_coef: int, lam_coef: int) -> list[int]:
+    return [mu_coef * m + lam_coef * l
+            for m, l in zip(ab.meridian_class, ab.longitude_class)]
+
+
+def abelianized_glue_matrix(model1, model2, g):
+    """Mayer-Vietoris relation matrix of a gluing, built through two abelianizations.
+
+    Rows are the generators of both sides, columns the relators of side 1,
+    then of side 2, then mu1 - (a mu2 + b lam2) and lam1 - (p mu2 + c lam2).
+    """
+    from pillowcase.homology import abelianization
+    ab1 = abelianization(model1.presentation)
+    ab2 = abelianization(model2.presentation)
+    g1 = ab1.matrix.rows
+    g2 = ab2.matrix.rows
+    n = g1 + g2
+    cols = []
+    for j in range(ab1.matrix.cols):
+        cols.append([ab1.matrix.entries[i][j] for i in range(g1)] + [0] * g2)
+    for j in range(ab2.matrix.cols):
+        cols.append([0] * g1 + [ab2.matrix.entries[i][j] for i in range(g2)])
+    mu1 = list(ab1.meridian_class) + [0] * g2
+    lam1 = list(ab1.longitude_class) + [0] * g2
+    side2_mu = [0] * g1 + _class_vector(ab2, g.a, g.b)
+    side2_lam = [0] * g1 + _class_vector(ab2, g.p, g.c)
+    cols.append([mu1[i] - side2_mu[i] for i in range(n)])
+    cols.append([lam1[i] - side2_lam[i] for i in range(n)])
+    return [[col[i] for col in cols] for i in range(n)], n
+
+
+def abelianized_filling_matrix(model, slope):
+    """Relation matrix of the Dehn filling along mu^p lam^q, built through the abelianization."""
+    from pillowcase.homology import abelianization
+    ab = abelianization(model.presentation)
+    M = ab.matrix.matrix()
+    col = _class_vector(ab, *slope)
+    for i, row in enumerate(M):
+        row.append(col[i])
+    return M, ab.matrix.rows

@@ -11,7 +11,8 @@ from pillowcase.families import (builtin_model, klein_bottle_model, torus_knot_m
 from pillowcase.geometry import GluingMatrix
 from pillowcase.homology import (AbelianGroup, ModelInvalidError,
                                  UnsupportedGluingError, _boundary_coordinates,
-                                 _divisible, _smith_diagonal, abelianization,
+                                 _divisible, _filling_relation_matrix,
+                                 _glue_relation_matrix, _smith_diagonal, abelianization,
                                  classify_gluing, enumerate_standard_tuples,
                                  filling_homology, glue_homology,
                                  invariant_factors, rational_longitude,
@@ -19,7 +20,8 @@ from pillowcase.homology import (AbelianGroup, ModelInvalidError,
                                  smith_normal_form, standard_form_reduce)
 from pillowcase.presentations import GroupPresentation
 
-from oracles import integer_determinant, minor_gcd_invariants
+from oracles import (abelianized_filling_matrix, abelianized_glue_matrix,
+                     integer_determinant, minor_gcd_invariants)
 
 
 def as_np(M):
@@ -218,6 +220,32 @@ class TestGlueHomology:
             h12 = glue_homology(m1, m2, g)
             h21 = glue_homology(m2, m1, g.inverse())
             assert h12 == h21
+
+
+RELATION_MODELS = ("trefoil", "trefoil-neg", "klein", "unknot", "torus:2,5", "torus:3,4")
+
+
+class TestRelationMatrices:
+    """The relation matrices built from exponent vectors equal the abelianization route."""
+
+    def test_glue_matrix_matches_abelianization(self):
+        models = [builtin_model(n) for n in RELATION_MODELS]
+        gluings = [GluingMatrix(a, b, p, c)
+                   for a, b, p, c in itertools.product(range(-3, 4), repeat=4)
+                   if a * c - b * p == -1]
+        count = 0
+        for m1, m2 in itertools.product(models, repeat=2):
+            for g in gluings:
+                assert _glue_relation_matrix(m1, m2, g) == abelianized_glue_matrix(m1, m2, g)
+                count += 1
+        assert count == 4176
+
+    def test_filling_matrix_matches_abelianization(self):
+        for name in RELATION_MODELS:
+            model = builtin_model(name)
+            for slope in ((1, 0), (0, 1), (-5, 2), (12, 5), (3, -1), (-7, -3)):
+                assert _filling_relation_matrix(model, slope) == \
+                    abelianized_filling_matrix(model, slope)
 
 
 class TestSeifert:

@@ -416,11 +416,11 @@ class TestOnLineFilter:
                         assert self._near_a_polyline(pt, lines) == near, (model, pt, d)
 
     def test_sweep_reads_the_exact_forms(self, monkeypatch):
-        # one Smith form per sweep, and no polyline distance scan
+        # one Smith elimination per sweep, and no polyline distance scan
         calls = []
-        snf = homology.smith_normal_form
-        monkeypatch.setattr(homology, "smith_normal_form",
-                            lambda *a: calls.append(1) or snf(*a))
+        eliminate = homology._smith_eliminate
+        monkeypatch.setattr(homology, "_smith_eliminate",
+                            lambda *a, **k: calls.append(1) or eliminate(*a, **k))
 
         def refuse(*_):
             raise AssertionError("min_distance_to called")
