@@ -125,7 +125,7 @@ def _smith_eliminate(A, U=None, V=None):
             A[t] = [-a for a in A[t]]
             if U is not None:
                 U[t] = [-a for a in U[t]]
-        # clear column and row t; restart if a remainder creates smaller entries
+        # clear row and column t; restart if a remainder creates smaller entries
         top = A[t]
         d = top[t]
         clean = True
