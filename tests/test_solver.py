@@ -1017,6 +1017,18 @@ class TestDiscoveryAndTracking:
         assert all(by_node.get(i) for i in range(200))
         assert sample_pillowcase_image(model, 200, CFG).sweep == s
 
+    @pytest.mark.parametrize("name, resolution, seed, digest", [
+        ("trefoil", 200, 0, "9d1f4d2174a838f71be80b5dfa285b467e22794649cc917d2d0a57819d49822a"),
+        ("klein", 100, 3, "c2dfda1da2d223e7a6b8b0feae69fda88eff48050c36ad832d30ccd00aca798f"),
+        ("torus:2,5", 100, 3,
+         "7242a16e3c30603ee60d06546cb89b66d12257077993421c6586ed2da2a33c5b"),
+    ])
+    def test_points_and_counts_are_pinned(self, name, resolution, seed, digest):
+        # every witness, point and gap, and the SweepStats, as they have always been
+        img = sample_pillowcase_image(builtin_model(name), resolution,
+                                      SolverConfig(resolution=resolution, seed=seed))
+        assert hashlib.sha256(repr((img.points, img.sweep)).encode()).hexdigest() == digest
+
     def test_accept_pass_matches_kept_solutions(self):
         model = torus_knot_model(2, 3)
         params, max_res = _lm_block(model, np.linspace(0.0, PI, 12), CFG)
@@ -1143,6 +1155,39 @@ class TestQuaternionKernel:
             zero_signs |= {math.copysign(1.0, v) for v in got[got == 0.0]}
         if B > 16:
             assert zero_signs == {1.0, -1.0}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("B", [1, 16, 256, 2048])
+    def test_renorm_matches_from_components(self, B, n):
+        # every generator of every row, signed zeros included
+        params = _random_stacks(np.random.default_rng([B, n]), B, n)
+        got = solver._renorm(params)
+        assert got.shape == params.shape
+        expected = [[_components_of(UnitQuaternion.from_components(*q)) for q in row]
+                    for row in params.tolist()]
+        assert _reprs(got.ravel()) == _reprs(np.array(expected).ravel())
+        if B > 16:
+            signs = {math.copysign(1.0, v) for v in got[got == 0.0]}
+            assert signs == {1.0, -1.0}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("B", [1, 16, 256, 2048])
+    def test_eval_batch_into_residual_columns(self, B, n):
+        # each word's (B, 4) block of a wider residual matrix, as _residuals
+        # writes it, against evaluate_word row by row
+        params = _random_stacks(np.random.default_rng([B, n, 1]), B, n)
+        reps = [Representation(tuple(UnitQuaternion(*q) for q in row))
+                for row in params.tolist()]
+        letters = [k for g in range(1, n + 1) for k in (g, -g)]
+        words = [(), (1,), tuple(letters), tuple(reversed(letters * 2))]
+        tables = _LetterTables(_components(params))
+        out = np.full((B, 4 * len(words)), np.nan)
+        for k, word in enumerate(words):
+            block = out[:, 4 * k:4 * k + 4]
+            assert _eval_batch(tables, word, block) is block
+        expected = [[c for word in words for c in _components_of(evaluate_word(rep, word))]
+                    for rep in reps]
+        assert _reprs(out.ravel()) == _reprs(np.array(expected).ravel())
 
 
 def _invariant_signature_reference(rep, pres):
@@ -2099,6 +2144,17 @@ class TestWindowedLM:
         results = [solver.refine_representation(pres, seed, cfg) for pres, seed in seeds]
         assert repr(results) == repr([_refine_reference(pres, seed, cfg)
                                       for pres, seed in seeds])
+
+    def test_refine_from_swap_splice_seeds_is_pinned(self, monkeypatch):
+        # the reference above shares _renorm and _residuals with the solver,
+        # so this pins the refined representations themselves
+        cfg = SolverConfig(resolution=40, seed=1)
+        seeds = [(pres, seed) for pres, seed, _ in
+                 _refine_seeds(monkeypatch, gluer, lambda: _swap_splice_search(cfg))]
+        results = [solver.refine_representation(pres, seed, cfg) for pres, seed in seeds]
+        assert len(results) == 8 and None not in results
+        assert hashlib.sha256(repr(results).encode()).hexdigest() == \
+            "053cdeb1a0f83afd793c9644714b2c75a9d71566fed5743ca55bba6288448b89"
 
     def test_rejected_polish_step_is_repeated(self):
         # once the reference rejects a converged row's polish step, every
