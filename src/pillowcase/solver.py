@@ -124,6 +124,12 @@ class SolverConfig:
 # exactly, so adding a[j] * g8[_TERMS[j, i]], where g8 stacks g's
 # components and their negatives, rounds to the same bits.  Row j of
 # _TERMS_INV reads g^-1 = (w, -x, -y, -z) from the same g8.
+#
+# Normalization runs on the component rows too: _norm adds the squares as
+# UnitQuaternion.from_components does, ((w*w + x*x) + y*y) + z*z, with one
+# explicit add each.  np.linalg.norm over a length-4 axis adds the same
+# squares in the same order from +0.0, and a square is never -0.0, so both
+# round to these bits; _norm skips its transposed copy and its reduction.
 
 _TERMS = np.array([[0, 1, 2, 3],
                    [5, 0, 7, 2],
@@ -138,15 +144,24 @@ class _Workspace(dict):
     take(key, shape) hands out the contiguous prefix of the key's buffer,
     which grows to the largest size asked of it, so the steps of a call do
     not fault in fresh arrays.  A prefix, not a strided view of a bigger
-    array: numpy runs slower on those.
+    array: numpy runs slower on those.  While a key's shape repeats, take
+    hands back the view it made last time.
     """
 
+    def __init__(self):
+        super().__init__()
+        self._views = {}
+
     def take(self, key, shape):
+        view = self._views.get(key)
+        if view is not None and view.shape == shape:
+            return view
         size = math.prod(shape)
         buf = self.get(key)
         if buf is None or buf.size < size:
             buf = self[key] = self._allocate(size)
-        return buf[:size].reshape(shape)
+        view = self._views[key] = buf[:size].reshape(shape)
+        return view
 
     @staticmethod
     def _allocate(size):
@@ -173,9 +188,9 @@ class _LetterTables(dict):
 
     def __missing__(self, k):
         # mode="clip" writes straight into out; the indices are in range
-        table = self[k] = np.take(self._g8[abs(k) - 1], _TERMS if k > 0 else _TERMS_INV,
-                                  axis=0, out=self._workspace.take(k, (4, 4, self.rows)),
-                                  mode="clip")
+        table = self[k] = self._g8[abs(k) - 1].take(
+            _TERMS if k > 0 else _TERMS_INV, axis=0,
+            out=self._workspace.take(k, (4, 4, self.rows)), mode="clip")
         return table
 
 
@@ -191,6 +206,15 @@ def _qstep(a, table, terms, out):
     out += terms[2]
     out += terms[3]
     return out
+
+
+def _norm(w, x, y, z):
+    """sqrt(((w*w + x*x) + y*y) + z*z) of component arrays, in from_components' order."""
+    n = w * w
+    n += x * x
+    n += y * y
+    n += z * z
+    return np.sqrt(n, out=n)
 
 
 def _components(params):
@@ -212,15 +236,18 @@ def _word_product(tables, word):
 
 
 def _eval_batch(tables, word, out):
-    """rho(word) as (B, 4) rows, normalized at the end, into out.
+    """rho(word) as (B, 4) rows, normalized at the end, into out; returns out.
 
+    The product is normalized on its (4, B) component rows by _norm and
+    divided straight into out.T, bit for bit evaluate_word.
     Scaling a generator scales the product by the same factor, which the
     final normalization cancels: the residual does not change along the
     radial direction of any generator.  _lm_minimize therefore differentiates
     and steps only along the three tangent directions of each generator.
     """
-    prod = np.ascontiguousarray(_word_product(tables, word).T)
-    return np.divide(prod, np.linalg.norm(prod, axis=1, keepdims=True), out=out)
+    prod = _word_product(tables, word)
+    np.divide(prod, _norm(*prod), out=out.T)
+    return out
 
 
 def _residuals(params, words, targets, workspace=None):
@@ -240,7 +267,12 @@ def _residuals(params, words, targets, workspace=None):
 
 
 def _renorm(params):
-    return params / np.linalg.norm(params, axis=2, keepdims=True)
+    """(B, n, 4) params with each generator divided by its _norm.
+
+    The bits of UnitQuaternion.from_components, per generator.  It serves
+    _tangent_step and the rows entering _lm_minimize.
+    """
+    return params / _norm(*params.transpose(2, 0, 1))[..., None]
 
 
 # Row c of _TANGENT reads g * e_c, for e_c = i, j, k, from the stack of g's
@@ -403,9 +435,10 @@ def _lm_minimize(words, targets, params0, tol):
     queued = 0
     window = np.empty(0, dtype=np.intp)
     while True:
-        new = np.arange(queued, min(R, queued + _BLOCK_ROWS - len(window)))
-        queued += len(new)
-        window = np.concatenate([window, new])
+        if queued < R:
+            new = np.arange(queued, min(R, queued + _BLOCK_ROWS - len(window)))
+            queued += len(new)
+            window = np.concatenate([window, new])
         if not len(window):
             break
         conv = cost[window] <= target2
@@ -448,7 +481,7 @@ def _rep_from_params(row) -> Representation:
 def _unit(q):
     """UnitQuaternion.from_components on (w, x, y, z) component arrays."""
     w, x, y, z = q
-    n = np.sqrt(w * w + x * x + y * y + z * z)
+    n = _norm(w, x, y, z)
     if (n == 0.0).any():
         raise ValueError("zero quaternion cannot be normalized")
     return w / n, x / n, y / n, z / n
