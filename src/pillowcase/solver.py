@@ -129,7 +129,7 @@ class SolverConfig:
 # UnitQuaternion.from_components does, ((w*w + x*x) + y*y) + z*z, with one
 # explicit add each.  np.linalg.norm over a length-4 axis adds the same
 # squares in the same order from +0.0, and a square is never -0.0, so both
-# round to these bits; _norm skips its transposed copy and its reduction.
+# round to these bits, but _norm needs no (B, 4) copy and no reduction.
 
 _TERMS = np.array([[0, 1, 2, 3],
                    [5, 0, 7, 2],
@@ -441,16 +441,20 @@ def _lm_minimize(words, targets, params0, tol):
             window = np.concatenate([window, new])
         if not len(window):
             break
+        # the row gathers run as ndarray.take and compress, which copy whole
+        # rows in about half the time of fancy indexing on these arrays
         conv = cost[window] <= target2
-        A = JTJ[window]
+        A = JTJ.take(window, axis=0)
         A[:, diag, diag] += np.where(conv, 1e-12, lam[window])[:, None]
-        trial = _tangent_step(params[window], BASIS[window], -_solve_rows(A, JTF[window]))
-        Ft, basis, Fp = _probed_residuals(words, targets[window], trial, workspace)
+        trial = _tangent_step(params.take(window, axis=0), BASIS.take(window, axis=0),
+                              -_solve_rows(A, JTF.take(window, axis=0)))
+        Ft, basis, Fp = _probed_residuals(words, targets.take(window, axis=0), trial,
+                                          workspace)
         cost_t = np.einsum("bm,bm->b", Ft, Ft)
         better = cost_t < cost[window]
         take = window[better]
-        params[take] = trial[better]
-        F[take] = Ft[better]
+        params[take] = trial.compress(better, axis=0)
+        F[take] = Ft.compress(better, axis=0)
         cost[take] = cost_t[better]
         steps_left[window] -= 1
         polish_left[window[conv]] -= 1
@@ -461,9 +465,10 @@ def _lm_minimize(words, targets, params0, tol):
         # the rows that moved and step on take their trial's probes
         moved = better & keep
         if moved.any():
-            rows, Fm = window[moved], Ft[moved]
-            BASIS[rows] = basis[moved]
-            JTJ[rows], JTF[rows] = _normal_equations(_jacobian(Fm, Fp[:, moved]), Fm)
+            rows, Fm = window[moved], Ft.compress(moved, axis=0)
+            BASIS[rows] = basis.compress(moved, axis=0)
+            JTJ[rows], JTF[rows] = _normal_equations(
+                _jacobian(Fm, Fp.compress(moved, axis=1)), Fm)
         del Ft, Fp  # views that hold the step's whole evaluation
         window = window[keep]
     # per-word residual norms; a (1, 4) @ (4, 1) matmul is the same BLAS dot
