@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -18,7 +19,7 @@ from pillowcase.gluer import (CandidateCounts, p_avoiding_certificate,
                               _candidate_points, _side2_angles)
 from pillowcase.homology import abelianization, glue_homology
 from pillowcase.solver import (PillowcaseImage, SolverConfig,
-                               extract_essential_curve,
+                               extract_essential_curve, find_surgery_representation,
                                sample_pillowcase_image)
 from pillowcase.su2 import relator_residual
 
@@ -29,6 +30,45 @@ CFG = SolverConfig(resolution=100)
 @pytest.fixture(scope="module")
 def trefoil_image():
     return sample_pillowcase_image(torus_knot_model(2, 3), 100, CFG)
+
+
+@pytest.fixture(scope="module")
+def search_images(trefoil_image):
+    """The trefoil and trefoil-neg images at r=100, seed 0, with their models."""
+    models = {"tre": torus_knot_model(2, 3), "neg": torus_knot_model(-2, 3)}
+    images = {"tre": trefoil_image,
+              "neg": sample_pillowcase_image(models["neg"], 100, CFG)}
+    return models, images
+
+
+#: the five splice searches of the library reuse path: (image 1, image 2, gluing)
+_SEARCH_PATH_GLUINGS = (
+    ("tre", "tre", GluingMatrix.swap()),
+    ("neg", "neg", GluingMatrix.swap()),
+    ("tre", "tre", GluingMatrix.skew(2)),
+    ("tre", "neg", GluingMatrix.skew(3)),
+    ("tre", "neg", GluingMatrix(a=-6, b=1, p=37, c=-6)),
+)
+
+
+def _search_path(models, images, surgeries=True):
+    """The library reuse path on two swept images, as perfbench's search op runs it.
+
+    Five splice searches, the essential curve of each image, the (1, 1) and
+    (1, 0) surgeries of the trefoil (left out when surgeries is false) and
+    the slope certificates for p = 3, 5, 7.
+    """
+    tre, neg = images["tre"], images["neg"]
+    searches = [search_nonabelian_rep(splice(models[a], models[b], g), CFG,
+                                      image1=images[a], image2=images[b])
+                for a, b, g in _SEARCH_PATH_GLUINGS]
+    curves = (extract_essential_curve(tre), extract_essential_curve(neg))
+    surgery = ((find_surgery_representation(tre, 1, 1, CFG),
+                find_surgery_representation(tre, 1, 0, CFG)) if surgeries else ())
+    certificates = [(slope_line_certificates(tre, p),
+                     p_avoiding_certificate(curves[0], p, partner=curves[1]))
+                    for p in (3, 5, 7)]
+    return searches, curves, surgery, certificates
 
 
 class TestSplice:
@@ -208,6 +248,18 @@ class TestSearch:
         assert r1.boundary_point == r2.boundary_point
         assert [q for q in r1.representation.images] == \
             [q for q in r2.representation.images]
+
+    def test_search_path_answer_is_pinned(self, search_images):
+        # found, representation, diagnostics and CandidateCounts of every
+        # search, both curves with their lifts, both surgeries and every
+        # certificate pair
+        searches, curves, surgery, certificates = _search_path(*search_images)
+        answer = (searches, [(c, c.lifted_vertices()) for c in curves], surgery,
+                  certificates)
+        assert [r.found for r in searches] == [True, True, True, True, False]
+        assert None not in curves and surgery[0] is not None and surgery[1] is None
+        assert hashlib.sha256(repr(answer).encode()).hexdigest() == \
+            "19ca3e48fc8e14aa1fc247bbdacf3d56dcda4f0126938b50624d01161a390f84"
 
 
 _MOTEGI = GluingMatrix(a=-6, b=1, p=37, c=-6)
