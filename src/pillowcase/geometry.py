@@ -260,19 +260,22 @@ def _step_distances(xy: np.ndarray) -> np.ndarray:
 
 
 def nearest_lift(pt: PillowcasePoint, anchor: tuple[float, float]) -> tuple[float, float]:
-    """Plane lift of pt closest to the anchor point; deterministic on ties."""
+    """Plane lift of pt closest to the anchor point; deterministic on ties.
+
+    The lift of sign 1 wins unless the one of sign -1 is nearer by more
+    than 1e-15.  The two signs are written out: x + a is x - (-a) bit for
+    bit.  A NaN coordinate gives None.
+    """
     x, y = anchor
-    best = None
-    best_d = math.inf
-    for s in (1.0, -1.0):
-        ax, ay = s * pt.alpha, s * pt.beta
-        dx = math.remainder(x - ax, TWO_PI)
-        dy = math.remainder(y - ay, TWO_PI)
-        d = math.hypot(dx, dy)
-        if d < best_d - 1e-15:
-            best_d = d
-            best = (x - dx, y - dy)
-    return best
+    a, b = pt.alpha, pt.beta
+    dx1 = math.remainder(x - a, TWO_PI)
+    dy1 = math.remainder(y - b, TWO_PI)
+    d1 = math.hypot(dx1, dy1)
+    dx2 = math.remainder(x + a, TWO_PI)
+    dy2 = math.remainder(y + b, TWO_PI)
+    if math.hypot(dx2, dy2) < d1 - 1e-15:
+        return (x - dx2, y - dy2)
+    return (x - dx1, y - dy1) if d1 < math.inf else None
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +482,17 @@ class PillowcasePolyline:
         if len(keep):
             d[keep], t[keep] = self._scan(pt, keep)
         return d, t
+
+    def within(self, pt: PillowcasePoint, radius: float) -> bool:
+        """Whether min_distance_to(pt) <= radius, scanning only the segments that can tell.
+
+        A segment whose _distance_bounds entry exceeds the radius has every
+        distance beyond it, so it cannot decide the test; when no segment
+        is left, nothing is scanned.  A strict test d < r is
+        within(pt, math.nextafter(r, 0.0)).
+        """
+        keep = np.flatnonzero(self._distance_bounds(pt) <= radius)
+        return len(keep) > 0 and bool(self._scan(pt, keep)[0].min() <= radius)
 
     def min_distance_to(self, pt: PillowcasePoint) -> float:
         """Distance from pt (any point, marked or not) to the polyline's segments.
@@ -752,7 +766,7 @@ def essential_class(curve: PillowcasePolyline) -> int:
     if not np.isfinite(xy).all():
         raise ValueError("essential_class needs finite lifts")
     for marked in (P_POINT, Q_POINT):
-        if curve.min_distance_to(marked) <= 1e-7:
+        if curve.within(marked, 1e-7):
             raise DegenerateCurveError(f"curve passes through marked point {marked}")
     for eps in _REFERENCE_EPSILONS:
         if not (_abs_remainder(xy[:, 1] - (math.pi + eps), TWO_PI) < 1e-11).any():

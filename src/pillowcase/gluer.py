@@ -172,8 +172,8 @@ def search_nonabelian_rep(spliced: SplicedManifold, config: SolverConfig | None 
     g = spliced.gluing
     candidates = _candidate_points(img1, img2, g)
 
-    scored = []
     dropped = Counter()
+    live = []
     for pt, _ in candidates:
         gamma, delta = _side2_angles(g, pt)
         beta_zero = line_offset(pt, 0.0, 1.0, 0.0) < 1e-6
@@ -181,12 +181,15 @@ def search_nonabelian_rep(spliced: SplicedManifold, config: SolverConfig | None 
         if beta_zero and delta_zero:
             dropped["both_abelian"] += 1  # both restrictions would be forced abelian
             continue
-        rec1 = img1.nearest_witness(pt)
-        rec2 = img2.nearest_witness(canonicalize(gamma, delta))
+        live.append((pt, (gamma, delta)))
+    recs1 = img1.nearest_witnesses([pt for pt, _ in live])
+    recs2 = img2.nearest_witnesses([canonicalize(*angles) for _, angles in live])
+    scored = []
+    for (pt, angles), rec1, rec2 in zip(live, recs1, recs2):
         if rec1 is None or rec2 is None:
             dropped["no_witness"] += 1
             continue
-        scored.append((min(rec1.gap, rec2.gap), pt, (gamma, delta), rec1, rec2))
+        scored.append((min(rec1.gap, rec2.gap), pt, angles, rec1, rec2))
     scored.sort(key=lambda item: (-item[0], item[1].alpha, item[1].beta))
     counts = CandidateCounts(**Counter(source for _, source in candidates), **dropped)
 
@@ -346,7 +349,7 @@ def p_avoiding_certificate(curve: PillowcasePolyline, p: int,
         raise ValueError("p must be an odd prime >= 3")
     ess = essential_class(curve)
     corners = (canonicalize(0.0, 0.0), canonicalize(math.pi, 0.0))
-    avoids = all(curve.min_distance_to(c) > tol for c in corners)
+    avoids = not any(curve.within(c, tol) for c in corners)
     meets0 = _meets_line(curve, 0.0, 1.0, 0.0, tol)
     meets_pi = _meets_line(curve, 0.0, 1.0, math.pi, tol)
     touches = _line_touch_points(curve, p)
@@ -359,9 +362,10 @@ def p_avoiding_certificate(curve: PillowcasePolyline, p: int,
     shared = []
     if partner is not None:
         image = partner.transformed(((-1, 0), (p, 1)))  # sigma_p, on exact lifts
+        below = math.nextafter(tol, 0.0)  # d < tol is d <= below
         for k in range(1, (p - 1) // 2 + 1):
             a_k = canonicalize(2 * k * math.pi / p, 0.0)
-            if curve.min_distance_to(a_k) < tol and partner.min_distance_to(a_k) < tol:
+            if curve.within(a_k, below) and partner.within(a_k, below):
                 trans = any(
                     t and pillowcase_distance(pt, a_k) < 10 * tol
                     for (pt, t) in polyline_intersections(curve, image))

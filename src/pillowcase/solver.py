@@ -25,7 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import (DegenerateCurveError, LineForm, PillowcasePoint,
-                       PillowcasePolyline, _canonical_array, _step_distances,
+                       PillowcasePolyline, _PAIR_BLOCK, _canonical_array,
+                       _distance_rows, _step_distances,
                        canonicalize, detailed_intersections,
                        distance_components, essential_class, line_offset,
                        pillowcase_distance, pillowcase_distance_matrix,
@@ -800,13 +801,29 @@ class PillowcaseImage:
         pillowcase_distances, the scalar ones bit for bit, and the first
         least of them in point order wins.
         """
+        return self.nearest_points([pt], min_gap)[0]
+
+    def nearest_points(self, pts, min_gap: float = -math.inf) -> list:
+        """nearest_point(pt, min_gap) of each of a sequence of points, in one scan.
+
+        Row i of _distance_rows is pillowcase_distances to pts[i] bit for
+        bit, and a row's argmin is its first least entry.  The rows are
+        taken at most _PAIR_BLOCK distances at a time.
+        """
         xy, gap = self._point_arrays
         idx = np.flatnonzero(~(gap <= min_gap))
         if idx.size == 0:
-            return None, math.inf
-        d = pillowcase_distances(xy[idx], pt)
-        k = int(np.argmin(d))
-        return self.points[idx[k]], float(d[k])
+            return [(None, math.inf)] * len(pts)
+        if idx.size < len(xy):
+            xy = xy[idx]
+        anchors = np.array([p.as_tuple() for p in pts]).reshape(-1, 2)
+        rows = max(1, _PAIR_BLOCK // len(xy))
+        found = []
+        for lo in range(0, len(anchors), rows):
+            d = _distance_rows(xy, anchors[lo:lo + rows])
+            k = d.argmin(axis=1)
+            found += zip(idx[k].tolist(), d[np.arange(len(k)), k].tolist())
+        return [(self.points[i], dist) for i, dist in found]
 
     def nearest_witness(self, pt: PillowcasePoint,
                         min_gap: float = -math.inf) -> ImagePoint | None:
@@ -814,8 +831,12 @@ class PillowcaseImage:
 
         A point at exactly twice the threshold is accepted.
         """
-        rec, d = self.nearest_point(pt, min_gap)
-        return rec if d <= 2 * self.chain_threshold else None
+        return self.nearest_witnesses([pt], min_gap)[0]
+
+    def nearest_witnesses(self, pts, min_gap: float = -math.inf) -> list:
+        """nearest_witness(pt, min_gap) of each of a sequence of points, in one scan."""
+        gate = 2 * self.chain_threshold
+        return [rec if d <= gate else None for rec, d in self.nearest_points(pts, min_gap)]
 
     def transform_arcs(self, gluing: GluingMatrix) -> tuple[PillowcasePolyline, ...]:
         """Every arc under the map a gluing induces, applied to its plane lifts."""

@@ -1,6 +1,8 @@
-"""Independent slow references for the exact homology layer, used by the tests."""
+"""Independent slow references for the exact homology layer and the geometry, used by the tests."""
 
 import math
+
+TWO_PI = 2.0 * math.pi
 
 
 def integer_determinant(M) -> int:
@@ -94,3 +96,21 @@ def abelianized_filling_matrix(model, slope):
     for i, row in enumerate(M):
         row.append(col[i])
     return M, ab.matrix.rows
+
+
+def nearest_lift_two_pass(pt, anchor):
+    """Plane lift of pt closest to the anchor: the loop over the signs 1, -1 that
+    geometry.nearest_lift writes out, a sign's lift kept only when nearer than
+    the best so far by more than 1e-15."""
+    x, y = anchor
+    best = None
+    best_d = math.inf
+    for s in (1.0, -1.0):
+        ax, ay = s * pt.alpha, s * pt.beta
+        dx = math.remainder(x - ax, TWO_PI)
+        dy = math.remainder(y - ay, TWO_PI)
+        d = math.hypot(dx, dy)
+        if d < best_d - 1e-15:
+            best_d = d
+            best = (x - dx, y - dy)
+    return best

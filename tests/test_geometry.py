@@ -13,11 +13,12 @@ from pillowcase.geometry import (GluingMatrix, DegenerateCurveError, LineForm, P
                                  detailed_intersections,
                                  distinct_points, essential_class,
                                  induced_boundary_transform, line_crossings,
-                                 line_offset, pillowcase_distance,
+                                 line_offset, nearest_lift, pillowcase_distance,
                                  pillowcase_distance_matrix,
                                  pillowcase_distances, polyline,
                                  polyline_intersections,
                                  sigma, sigma_p, tau)
+from oracles import nearest_lift_two_pass
 
 PI = math.pi
 
@@ -290,6 +291,12 @@ def _reference_min_distance(curve, pt):
     return best
 
 
+def _assert_within_matches(curve, pt, d):
+    """within(pt, r) is d <= r at r = d and one float either side of it."""
+    for r in (math.nextafter(d, -math.inf), d, math.nextafter(d, math.inf)):
+        assert curve.within(pt, r) == (d <= r), (pt, r)
+
+
 def _walk(rng, n):
     """Plane points of a random walk with short, medium and wrapping steps."""
     steps = rng.normal(size=(n - 1, 2)) * rng.choice([0.03, 0.4, 1.5], size=(n - 1, 1))
@@ -525,8 +532,9 @@ class TestBroadPhaseEquivalence:
                    canonicalize(*(on_segment + 1e-7 * rng.normal(size=2)))]
             pts += [canonicalize(*rng.uniform(-10, 10, size=2)) for _ in range(5)]
             for pt in pts:
-                assert repr(curve.min_distance_to(pt)) == \
-                    repr(_reference_min_distance(curve, pt))
+                d = _reference_min_distance(curve, pt)
+                assert repr(curve.min_distance_to(pt)) == repr(d)
+                _assert_within_matches(curve, pt, d)
 
 
 def _wrap_points():
@@ -1109,6 +1117,33 @@ class TestHelpers:
         p2 = canonicalize(0.0, PI / 2)
         assert pillowcase_distance(p1, p2) < 1e-12
 
+    def test_nearest_lift_matches_the_two_pass_loop(self):
+        # signed zeros, points on the edges alpha in {0, pi}, and anchors at
+        # the involution's fixed points, equally far from both signs' lifts,
+        # or a few 1e-16 off them, where the 1e-15 margin decides
+        rng = np.random.default_rng(20)
+        pts = [canonicalize(*rng.uniform(-8, 8, size=2)) for _ in range(200)]
+        pts += _wrap_points() + [P_POINT, Q_POINT]
+        pts += [PillowcasePoint(a, b) for a in (0.0, -0.0, PI) for b in (0.0, -0.0, 1.0)]
+        anchors = [tuple(a) for a in rng.uniform(-20, 20, size=(30, 2)).tolist()]
+        anchors += [(x, y) for x in (0.0, -0.0, PI, -PI, TWO_PI) for y in (0.0, -0.0, PI)]
+        anchors += [(-k * 1e-16, 0.0) for k in (1, 2, 4)] + [(0.0, -3e-16)]
+        ties = margin = 0
+        for pt in pts:
+            for x, y in anchors + [pt.as_tuple(), (-pt.alpha, -pt.beta)]:
+                assert repr(nearest_lift(pt, (x, y))) == \
+                    repr(nearest_lift_two_pass(pt, (x, y)))
+                d1 = math.hypot(math.remainder(x - pt.alpha, TWO_PI),
+                                math.remainder(y - pt.beta, TWO_PI))
+                d2 = math.hypot(math.remainder(x + pt.alpha, TWO_PI),
+                                math.remainder(y + pt.beta, TWO_PI))
+                ties += d1 == d2
+                margin += 0.0 < d1 - d2 <= 1e-15
+        assert ties > 100 and margin > 10
+        # a NaN coordinate gives no lift
+        nan = PillowcasePoint(math.nan, 1.0)
+        assert nearest_lift(nan, (0.0, 0.0)) is nearest_lift_two_pass(nan, (0.0, 0.0)) is None
+
     def test_distance_matches_exhaustive_candidates(self):
         rng = np.random.default_rng(19)
         for _ in range(2000):
@@ -1162,8 +1197,9 @@ class TestDistancePrefilter:
             lifts = np.array(curve.lifted_vertices())
             long_segments += (np.hypot(*np.diff(lifts, axis=0).T) > PI).sum()
             for pt in _queries(rng, curve):
-                assert repr(curve.min_distance_to(pt)) == \
-                    repr(_reference_min_distance(curve, pt))
+                d = _reference_min_distance(curve, pt)
+                assert repr(curve.min_distance_to(pt)) == repr(d)
+                _assert_within_matches(curve, pt, d)
         assert long_segments
 
     def test_closed_line_polylines(self):
@@ -1174,8 +1210,9 @@ class TestDistancePrefilter:
             line = PillowcasePolyline.from_lifts(
                 [(cb * t + 0.3, -ca * t + 1.1) for t in ts], closed=True)
             for pt in _queries(rng, line):
-                assert repr(line.min_distance_to(pt)) == \
-                    repr(_reference_min_distance(line, pt))
+                d = _reference_min_distance(line, pt)
+                assert repr(line.min_distance_to(pt)) == repr(d)
+                _assert_within_matches(line, pt, d)
 
     def test_dropped_rows_lie_beyond_the_radius(self, image_curves):
         # rows within the radius are the full scan's bytes; the rest are
@@ -1203,6 +1240,7 @@ class TestDistancePrefilter:
             loop = PillowcasePolyline.from_lifts(
                 [(a, 0.0), (a, 2.0), (a, PI), (a, 4.5), (a, TWO_PI)], closed=True)
             assert loop.min_distance_to(P_POINT) == a == _reference_min_distance(loop, P_POINT)
+            assert loop.within(P_POINT, 1e-7) == degenerate
             got, want = _outcome(essential_class, loop), _outcome(_reference_essential_class, loop)
             assert got == want
             assert (got[0] == "DegenerateCurveError") == degenerate
@@ -1217,6 +1255,7 @@ class TestDistancePrefilter:
             loop = PillowcasePolyline.from_lifts(
                 [(a, 0.0), (a, 2.0), (a, 4.0), (a, TWO_PI)], closed=True)
             assert loop.min_distance_to(corner) == a == _reference_min_distance(loop, corner)
+            assert loop.within(corner, tol) == (a <= tol)
             assert p_avoiding_certificate(loop, 3).avoids_corners == (a > tol)
         a_k = canonicalize(TWO_PI / 3, 0.0)
         for b in (math.nextafter(tol, 0.0), tol):
@@ -1224,6 +1263,9 @@ class TestDistancePrefilter:
                 [(a_k.alpha + s, b) for s in (0.0, 1.0, 2.5, 4.0, TWO_PI)], closed=True)
             assert loop.min_distance_to(a_k) == b == _reference_min_distance(loop, a_k)
             assert (loop.min_distance_to(a_k) < tol) == (b < tol)
+            # the shared points are those strictly within tol of both curves
+            shared = p_avoiding_certificate(loop, 3, partner=loop).shared_transversal
+            assert [pt for pt, _ in shared] == ([a_k] if b < tol else [])
 
 
 def _reference_essential_class(curve, marked_points=(P_POINT, Q_POINT)):

@@ -10,7 +10,8 @@ import pytest
 from pillowcase import gluer
 from pillowcase.families import (builtin_model, klein_bottle_model, torus_knot_model,
                                  unknot_model)
-from pillowcase.geometry import (GluingMatrix, canonicalize, detailed_intersections,
+from pillowcase.geometry import (GluingMatrix, PillowcasePolyline, canonicalize,
+                                 detailed_intersections,
                                  distinct_points, line_offset, pillowcase_distance,
                                  pillowcase_distances, polyline,
                                  polyline_intersections, tau)
@@ -260,6 +261,20 @@ class TestSearch:
         assert None not in curves and surgery[0] is not None and surgery[1] is None
         assert hashlib.sha256(repr(answer).encode()).hexdigest() == \
             "19ca3e48fc8e14aa1fc247bbdacf3d56dcda4f0126938b50624d01161a390f84"
+
+    def test_search_path_makes_no_distance_scan(self, monkeypatch, search_images):
+        # the searches, curves and certificates test their radii with
+        # within, and a search scans each side's witnesses once for all its
+        # candidates; the surgeries keep their lazy per-crossing scans
+        def refuse(name):
+            def call(*_args, **_kwargs):
+                raise AssertionError(f"{name} called")
+            return call
+        monkeypatch.setattr(PillowcasePolyline, "min_distance_to", refuse("min_distance_to"))
+        monkeypatch.setattr(PillowcaseImage, "nearest_witness", refuse("nearest_witness"))
+        searches, curves, _, _ = _search_path(*search_images, surgeries=False)
+        assert [r.found for r in searches] == [True, True, True, True, False]
+        assert None not in curves
 
 
 _MOTEGI = GluingMatrix(a=-6, b=1, p=37, c=-6)

@@ -804,6 +804,15 @@ class TestSurgery:
         assert img.nearest_point(pt, min_gap=0.0)[0] is recs[2]
         assert img.nearest_point(pt, min_gap=0.2)[0] is recs[0]
         assert img.nearest_point(pt, min_gap=0.5) == (None, math.inf)
+        # a batch is nearest_point of each of its points, ties and gates kept
+        batch = [pt, recs[3].point, canonicalize(1.0, 0.5), pt]
+        for min_gap in (-math.inf, 0.0, 0.2, 0.5):
+            got = img.nearest_points(batch, min_gap)
+            want = [img.nearest_point(q, min_gap) for q in batch]
+            assert [d for _, d in got] == [d for _, d in want]
+            assert all(a is b for (a, _), (b, _) in zip(got, want))
+            assert img.nearest_points([], min_gap) == []
+        assert img.nearest_points(batch)[1][0] is recs[1]
 
     def test_nearest_witness_gate(self):
         # the witness sits exactly 0.5 from the query: within 2t at t = 0.25,
@@ -826,6 +835,14 @@ class TestSurgery:
         assert image(0.25).chain_threshold == 0.25
         assert PillowcaseImage(model=unknot_model(), resolution=8, grid_step=0.25 / 8,
                                points=(), arcs=()).nearest_witness(pt) is None
+        # a batch gates each of its points as nearest_witness does
+        batch = [pt, canonicalize(1.0, 1.0), pt]
+        assert image(0.25).nearest_witnesses(batch) == [rec, rec, rec]
+        assert image(math.nextafter(0.25, 0.0)).nearest_witnesses(batch) == [None, rec, None]
+        assert image(0.25).nearest_witnesses(batch, min_gap=0.2) == [None, None, None]
+        assert image(0.25).nearest_witnesses([]) == []
+        assert PillowcaseImage(model=unknot_model(), resolution=8, grid_step=0.25 / 8,
+                               points=(), arcs=()).nearest_witnesses(batch) == [None] * 3
 
 
 class TestDiagnosticsAndDeterminism:
@@ -1619,26 +1636,39 @@ def _touching_curves(rng, curves):
 
 
 class TestPointKernelScans:
-    def test_nearest_point_matches_scalar_scan(self):
+    def test_nearest_point_matches_scalar_scan(self, monkeypatch):
         rng = np.random.default_rng(31)
         cloud = _cloud(rng, 120)
         gaps = rng.choice([0.0, 0.1, 0.2, 0.5, math.nan], size=len(cloud)).tolist()
         img = _image_of(cloud, gaps)
+        queries = _queries(rng, cloud)
         ties = 0
-        for pt in _queries(rng, cloud):
-            # gaps exactly at min_gap are skipped; a nan gap is never <= min_gap
-            for min_gap in (-math.inf, 0.0, 0.1, 0.2, 0.5, 1.0):
-                expected = _nearest_point_reference(img, pt, min_gap)
-                assert _picked(img, img.nearest_point(pt, min_gap)) == \
-                    _picked(img, expected)
-                ties += sum(pillowcase_distance(r.point, pt) == expected[1]
+        for min_gap in (-math.inf, 0.0, 0.1, 0.2, 0.5, 1.0):
+            expected = [_picked(img, _nearest_point_reference(img, pt, min_gap))
+                        for pt in queries]
+            for pt, want in zip(queries, expected):
+                # gaps exactly at min_gap are skipped; a nan gap is never <= min_gap
+                assert _picked(img, img.nearest_point(pt, min_gap)) == want
+                ties += sum(repr(pillowcase_distance(r.point, pt)) == want[1]
                             for r in img.points if not r.gap <= min_gap) > 1
+            # the batch in one block of rows, and in blocks of one row
+            assert [_picked(img, r) for r in img.nearest_points(queries, min_gap)] == expected
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_PAIR_BLOCK", 1)
+                assert [_picked(img, r) for r in img.nearest_points(queries, min_gap)] == \
+                    expected
         assert ties > 0
 
     def test_nearest_point_empty_image(self):
         img = _image_of([], [])
         assert img.nearest_point(canonicalize(0.0, PI)) == (None, math.inf)
         assert img.nearest_point(canonicalize(0.0, PI), min_gap=0.0) == (None, math.inf)
+        marked = [canonicalize(0.0, PI), canonicalize(PI, PI)]
+        assert img.nearest_points(marked) == [(None, math.inf)] * 2
+        assert img.nearest_points([]) == []
+        # an image whose every point is gated out answers like an empty one
+        gated = _image_of([canonicalize(0.0, PI), canonicalize(1.0, 1.0)], [0.0, 0.1])
+        assert gated.nearest_points(marked, min_gap=0.1) == [(None, math.inf)] * 2
 
     def test_chain_points_matches_scalar_chaining(self):
         rng = np.random.default_rng(33)
