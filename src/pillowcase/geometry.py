@@ -44,7 +44,7 @@ _DISTINCT_TOL = 1e-6
 #: LineForm.contains takes a point within 1e-6 of the line
 _ON_LINE_TOL = 1e-6
 
-#: distance-matrix entries _close_pairs holds at once; bounds its memory
+#: distance-matrix entries _row_blocks holds at once; bounds its memory
 #: (about 64 bytes per entry while a block is evaluated)
 _PAIR_BLOCK = 1 << 16
 
@@ -235,21 +235,27 @@ def pillowcase_distances(xy: np.ndarray, pt: PillowcasePoint) -> np.ndarray:
                  _wrap_2pi(y - _SIGNS * pt.beta)).min(axis=0)
 
 
-def pillowcase_distance_matrix(xy: np.ndarray) -> np.ndarray:
-    """(n, n) distances between the rows (alpha, beta) of an (n, 2) array.
-
-    Row i is pillowcase_distances(xy, point i) bit for bit: the same
-    operations, broadcast over the points.  The matrix is symmetric, since
-    negating a difference negates its wrap exactly.
-    """
-    return _distance_rows(xy, xy)
-
-
 def _distance_rows(xy: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """Row i: pillowcase_distances(xy, anchor i), bit for bit."""
+    """Row i: pillowcase_distances(xy, anchor i), bit for bit.
+
+    The scalar operations, broadcast over the anchors; an entry depends
+    only on its own point and anchor.  _distance_rows(xy, xy) is
+    symmetric, since negating a difference negates its wrap exactly.
+    """
     x, y = xy[:, 0], xy[:, 1]
     return _norm(_wrap_2pi(x - _SIGNS[:, :, None] * anchors[:, 0, None]),
                  _wrap_2pi(y - _SIGNS[:, :, None] * anchors[:, 1, None])).min(axis=0)
+
+
+def _row_blocks(xy: np.ndarray, anchors: np.ndarray):
+    """(lo, _distance_rows(xy, anchors[lo:lo + rows])) over the anchors, in order.
+
+    Each block holds at most _PAIR_BLOCK distances, and at least one row;
+    xy must not be empty.
+    """
+    rows = max(1, _PAIR_BLOCK // len(xy))
+    for lo in range(0, len(anchors), rows):
+        yield lo, _distance_rows(xy, anchors[lo:lo + rows])
 
 
 def _step_distances(xy: np.ndarray) -> np.ndarray:
@@ -351,7 +357,10 @@ class PillowcasePolyline:
         if self.closed:
             seq.append(first)
         for v in seq:
-            lifts.append(nearest_lift(v, lifts[-1]))
+            lift = nearest_lift(v, lifts[-1])
+            if lift is None:
+                raise ValueError("angles must be finite")
+            lifts.append(lift)
         return tuple(lifts)
 
     @cached_property
@@ -430,7 +439,7 @@ class PillowcasePolyline:
         return table
 
     def _distance_bounds(self, pt: PillowcasePoint) -> np.ndarray:
-        """Per segment, a lower bound on every distance _lift_distances gives it.
+        """Per segment, a lower bound on every distance _scan gives it.
 
         The bound is pillowcase_distances from the segment's midpoint to pt,
         minus half the segment's length and a pad.  In exact arithmetic a
@@ -441,17 +450,26 @@ class PillowcasePolyline:
         most C = |xa| + |ya| + |xb| + |yb|), the lifts (within 3pi of the
         midpoint per coordinate), the length (at most 2C) and the distances
         (below 5).  That is under 8 eps (7C + 25) in all, and the pad is
-        256 eps (1 + C), which covers it.
+        256 eps (1 + C), which covers it.  So a segment whose bound exceeds
+        a radius has every distance beyond it, and a scan at that radius
+        may drop it.
         """
         table = self._segment_table
         return pillowcase_distances(table[:, 5:7], pt) - table[:, 7]
 
     def _scan(self, pt: PillowcasePoint, rows) -> tuple[np.ndarray, np.ndarray]:
-        """_lift_distances of the segments in rows (an index array or a slice).
+        """Distances from the segments in rows to the lifts of pt near each, and t.
 
-        x and y run as the two rows of one (segments, 2, 18) array, each by
-        its own operations: t from (px - xa) * dx + (py - ya) * dy, and the
-        distance from ex * ex + ey * ey.
+        rows is an index array or a slice, and both arrays have a row of 18
+        entries per segment in it.  Row i is for the 18 lifts that
+        _reps_near_array gives around its segment's midpoint, in that
+        order.  t is a lift's projection parameter on the segment, clipped
+        to [0, 1] (0 on a zero-length segment), and the distance is
+        sqrt(ex*ex + ey*ey) of the lift's offset from the point at t, as in
+        pillowcase_distance.  x and y run as the two rows of one
+        (segments, 2, 18) array, each by its own operations: t from
+        (px - xa) * dx + (py - ya) * dy, and the distance from
+        ex * ex + ey * ey.  A row depends only on its own segment.
         """
         table = self._segment_table[rows]
         start, step = table[:, 0:2, None], table[:, 2:4, None]
@@ -461,27 +479,6 @@ class PillowcasePolyline:
         off = lift - (start + t[:, None] * step)
         off = off * off
         return np.sqrt(off[:, 0] + off[:, 1]), t
-
-    def _lift_distances(self, pt: PillowcasePoint,
-                        radius: float) -> tuple[np.ndarray, np.ndarray]:
-        """(segments, 18) distances from each segment to the lifts of pt near it, and t.
-
-        Row i is for the 18 lifts that _reps_near_array gives around segment
-        i's midpoint, in that order.  t is a lift's projection parameter on
-        the segment, clipped to [0, 1] (0 on a zero-length segment), and the
-        distance is sqrt(ex*ex + ey*ey) of the lift's offset from the point
-        at t, as in pillowcase_distance.  Only segments whose
-        _distance_bounds entry is at most the radius are scanned; the rows
-        of the others read distance inf and t 0.  Their distances exceed the
-        radius, so every entry at or below it, and so every least entry
-        there, is where the full scan (_scan of every row) has it.
-        """
-        keep = np.flatnonzero(self._distance_bounds(pt) <= radius)
-        d = np.full((self.segment_count(), 18), math.inf)
-        t = np.zeros_like(d)
-        if len(keep):
-            d[keep], t[keep] = self._scan(pt, keep)
-        return d, t
 
     def within(self, pt: PillowcasePoint, radius: float) -> bool:
         """Whether min_distance_to(pt) <= radius, scanning only the segments that can tell.
@@ -497,8 +494,8 @@ class PillowcasePolyline:
     def min_distance_to(self, pt: PillowcasePoint) -> float:
         """Distance from pt (any point, marked or not) to the polyline's segments.
 
-        The least entry of _lift_distances: over every segment, the distance
-        to the nearest of the lifts of pt around its midpoint.  Only the
+        The least entry of _scan over every segment: the distance to the
+        nearest of the lifts of pt around each midpoint.  Only the
         segments that can hold it are scanned: the radius is the scanned
         distance of the segment with the least _distance_bounds entry.
         """
@@ -950,17 +947,16 @@ class LineForm:
 def _close_pairs(points, radius: float) -> list[tuple[int, int]]:
     """Index pairs (i, j), i != j, of points closer than radius, row by row.
 
-    The verdicts read rows of pillowcase_distance_matrix, _PAIR_BLOCK entries
-    at a time, whose entries are the scalar pillowcase_distance bit for bit.
+    The verdicts read the rows of _distance_rows(xy, xy) by _row_blocks,
+    whose entries are the scalar pillowcase_distance bit for bit.
     d <= r is d < nextafter(r, inf).
     """
     if len(points) < 2:
         return []
     xy = np.array([p.as_tuple() for p in points]).reshape(len(points), 2)
-    rows = max(1, _PAIR_BLOCK // len(xy))
     pairs = []
-    for lo in range(0, len(xy), rows):
-        near = np.nonzero(_distance_rows(xy, xy[lo:lo + rows]) < radius)
+    for lo, d in _row_blocks(xy, xy):
+        near = np.nonzero(d < radius)
         pairs += [(lo + i, j) for i, j in zip(*(idx.tolist() for idx in near)) if lo + i != j]
     return pairs
 

@@ -25,12 +25,11 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import (DegenerateCurveError, LineForm, PillowcasePoint,
-                       PillowcasePolyline, _PAIR_BLOCK, _canonical_array,
-                       _distance_rows, _step_distances,
+                       PillowcasePolyline, _canonical_array, _distance_rows,
+                       _row_blocks, _step_distances,
                        canonicalize, detailed_intersections,
                        distance_components, essential_class, line_offset,
-                       pillowcase_distance, pillowcase_distance_matrix,
-                       pillowcase_distances, TWO_PI)
+                       pillowcase_distance, pillowcase_distances, TWO_PI)
 from .homology import ModelInvalidError, _boundary_coordinates
 from .presentations import (GluingMatrix, GroupPresentation, KnotExteriorModel,
                             Word, concat, pow_word)
@@ -794,21 +793,13 @@ class PillowcaseImage:
         xy.flags.writeable = gap.flags.writeable = False
         return xy, gap
 
-    def nearest_point(self, pt: PillowcasePoint, min_gap: float = -math.inf):
-        """(record, distance) of the first closest point with gap > min_gap.
-
-        (None, inf) when no point qualifies.  The distances are
-        pillowcase_distances, the scalar ones bit for bit, and the first
-        least of them in point order wins.
-        """
-        return self.nearest_points([pt], min_gap)[0]
-
     def nearest_points(self, pts, min_gap: float = -math.inf) -> list:
-        """nearest_point(pt, min_gap) of each of a sequence of points, in one scan.
+        """(record, distance) of the first closest point with gap > min_gap, per point of pts.
 
-        Row i of _distance_rows is pillowcase_distances to pts[i] bit for
-        bit, and a row's argmin is its first least entry.  The rows are
-        taken at most _PAIR_BLOCK distances at a time.
+        (None, inf) when no point qualifies.  All of pts are answered in one
+        scan: row i of _distance_rows is pillowcase_distances to pts[i],
+        the scalar ones bit for bit, and a row's argmin is its first least
+        entry, in point order.  The rows are taken by _row_blocks.
         """
         xy, gap = self._point_arrays
         idx = np.flatnonzero(~(gap <= min_gap))
@@ -817,24 +808,17 @@ class PillowcaseImage:
         if idx.size < len(xy):
             xy = xy[idx]
         anchors = np.array([p.as_tuple() for p in pts]).reshape(-1, 2)
-        rows = max(1, _PAIR_BLOCK // len(xy))
         found = []
-        for lo in range(0, len(anchors), rows):
-            d = _distance_rows(xy, anchors[lo:lo + rows])
+        for _, d in _row_blocks(xy, anchors):
             k = d.argmin(axis=1)
             found += zip(idx[k].tolist(), d[np.arange(len(k)), k].tolist())
         return [(self.points[i], dist) for i, dist in found]
 
-    def nearest_witness(self, pt: PillowcasePoint,
-                        min_gap: float = -math.inf) -> ImagePoint | None:
-        """nearest_point(pt, min_gap), if it is within 2 * chain_threshold of pt.
+    def nearest_witnesses(self, pts, min_gap: float = -math.inf) -> list:
+        """Per point of pts, its nearest_points record if within 2 * chain_threshold, else None.
 
         A point at exactly twice the threshold is accepted.
         """
-        return self.nearest_witnesses([pt], min_gap)[0]
-
-    def nearest_witnesses(self, pts, min_gap: float = -math.inf) -> list:
-        """nearest_witness(pt, min_gap) of each of a sequence of points, in one scan."""
         gate = 2 * self.chain_threshold
         return [rec if d <= gate else None for rec, d in self.nearest_points(pts, min_gap)]
 
@@ -917,13 +901,14 @@ def _chain_points(records, threshold):
     """Greedy nearest-neighbor chaining of witness points into polylines.
 
     The components of the points closer than threshold are the chains'
-    pools; the walk reads rows of pillowcase_distance_matrix and steps to
-    the nearest point left, the least index of a tie.
+    pools; the walk reads rows of _distance_rows(xy, xy) and steps to the
+    nearest point left, the least index of a tie.
     """
     pts = [r.point for r in records]
     if not pts:
         return [], []
-    distances = pillowcase_distance_matrix(np.array([p.as_tuple() for p in pts]))
+    xy = np.array([p.as_tuple() for p in pts])
+    distances = _distance_rows(xy, xy)
     arcs = []
     isolated = []
     for comp in distance_components(pts, threshold):
@@ -1117,11 +1102,12 @@ def _split_polyline(curve: PillowcasePolyline, cuts):
 def _project_endpoint_cuts(curves, node_tol):
     """Cuts where some curve's endpoint lands on another curve's interior.
 
-    Each cut is at the first closest (segment, lift) of _lift_distances in
-    row-major order, zero-length segments skipped, if it is within node_tol;
-    the cut's parameter is that lift's t.  The scan takes node_tol as its
-    radius, so it skips the segments that cannot come within node_tol and
-    cuts where the scan of every segment does.
+    Each cut is at the first closest (segment, lift) of the curve's _scan
+    in row-major order, zero-length segments skipped, if it is within
+    node_tol; the cut's parameter is that lift's t.  Only the segments
+    whose _distance_bounds entry is at most node_tol are scanned: the
+    others cannot come within node_tol, so the cuts are those of the scan
+    of every segment.
     """
     cuts = {i: [] for i in range(len(curves))}
     endpoints = []
@@ -1131,13 +1117,15 @@ def _project_endpoint_cuts(curves, node_tol):
             endpoints.append(c.vertices[-1])
     for j, c in enumerate(curves):
         step = np.diff(c._lift_array, axis=0)
-        degenerate = step[:, 0] * step[:, 0] + step[:, 1] * step[:, 1] == 0
+        live = step[:, 0] * step[:, 0] + step[:, 1] * step[:, 1] != 0
         for pt in endpoints:
-            d, t = c._lift_distances(pt, node_tol)
-            d[degenerate] = math.inf
-            si, li = np.unravel_index(np.argmin(d), d.shape)
-            if d[si, li] < node_tol:
-                cuts[j].append((int(si), float(t[si, li])))
+            rows = np.flatnonzero(live & (c._distance_bounds(pt) <= node_tol))
+            if not rows.size:
+                continue
+            d, t = c._scan(pt, rows)
+            k, li = np.unravel_index(np.argmin(d), d.shape)
+            if d[k, li] < node_tol:
+                cuts[j].append((int(rows[k]), float(t[k, li])))
     return cuts
 
 
@@ -1279,11 +1267,11 @@ def find_surgery_representation(img: PillowcaseImage, p: int, q: int,
     pres = img.model.presentation
     filling = concat(pow_word(pres.meridian, p), pow_word(pres.longitude, q))
     # exact repeats (a vertex shared by two crossing segments) would rerun
-    # the same witness scan and refine, so only first occurrences are tried
+    # the same refine, so only first occurrences are tried; their witnesses
+    # come from one scan
     line = LineForm(p, q, Fraction(0))
-    candidates = dict.fromkeys(pt for arc in img.arcs for pt in line.crossings(arc))
-    for pt in candidates:
-        witness = img.nearest_witness(pt, IRREDUCIBLE_GAP)
+    candidates = list(dict.fromkeys(pt for arc in img.arcs for pt in line.crossings(arc)))
+    for witness in img.nearest_witnesses(candidates, IRREDUCIBLE_GAP):
         if witness is None:
             continue
         refined = refine_representation(pres, witness.witness, config,

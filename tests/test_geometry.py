@@ -14,7 +14,6 @@ from pillowcase.geometry import (GluingMatrix, DegenerateCurveError, LineForm, P
                                  distinct_points, essential_class,
                                  induced_boundary_transform, line_crossings,
                                  line_offset, nearest_lift, pillowcase_distance,
-                                 pillowcase_distance_matrix,
                                  pillowcase_distances, polyline,
                                  polyline_intersections,
                                  sigma, sigma_p, tau)
@@ -554,7 +553,7 @@ class TestPointDistanceKernel:
         pts += [PillowcasePoint(0.0, TWO_PI - 1e-9), PillowcasePoint(PI, TWO_PI - 1e-9),
                 PillowcasePoint(-PI, -PI), PillowcasePoint(2 * PI, 3 * PI)]
         xy = np.array([p.as_tuple() for p in pts])
-        matrix = pillowcase_distance_matrix(xy)
+        matrix = geometry._distance_rows(xy, xy)
         for i, q in enumerate(pts):
             expected = np.array([pillowcase_distance(p, q) for p in pts])
             assert pillowcase_distances(xy, q).tobytes() == expected.tobytes()
@@ -576,14 +575,14 @@ class TestPointDistanceKernel:
 
     def test_empty(self):
         assert pillowcase_distances(np.empty((0, 2)), P_POINT).shape == (0,)
-        assert pillowcase_distance_matrix(np.empty((0, 2))).shape == (0, 0)
+        assert geometry._distance_rows(np.empty((0, 2)), np.empty((0, 2))).shape == (0, 0)
 
     def test_matrix_rows_are_the_kernel_bitwise(self):
         rng = np.random.default_rng(13)
         pts = [canonicalize(*rng.uniform(-10, 10, size=2)) for _ in range(150)]
         pts += _wrap_points() + [tau(p) for p in pts[:20]] + pts[:10]
         xy = np.array([p.as_tuple() for p in pts])
-        d = pillowcase_distance_matrix(xy)
+        d = geometry._distance_rows(xy, xy)
         for i, p in enumerate(pts):
             assert d[i].tobytes() == pillowcase_distances(xy, p).tobytes()
         assert d.tobytes() == d.T.tobytes()
@@ -596,7 +595,8 @@ class TestPointDistanceKernel:
         pts = [canonicalize(*(c + rng.normal(scale=0.02, size=2)))
                for c in centres for _ in range(10)] + _wrap_points()
         assert len(pts) ** 2 > 4 * geometry._PAIR_BLOCK
-        full = pillowcase_distance_matrix(np.array([p.as_tuple() for p in pts]))
+        xy = np.array([p.as_tuple() for p in pts])
+        full = geometry._distance_rows(xy, xy)
         for radius in (1e-9, 0.01, 0.05):
             near = zip(*(idx.tolist() for idx in np.nonzero(full < radius)))
             expected = repr([(i, j) for i, j in near if i != j])
@@ -1073,6 +1073,26 @@ class TestFromLifts:
         with pytest.raises(ValueError, match="two vertices"):
             PillowcasePolyline.from_lifts(self.LIFTS[:2], closed=True)
 
+    READERS = {"lifted_vertices": PillowcasePolyline.lifted_vertices,
+               "segment_count": PillowcasePolyline.segment_count,
+               "within": lambda c: c.within(P_POINT, 1e-7),
+               "min_distance_to": lambda c: c.min_distance_to(P_POINT),
+               "essential_class": essential_class}
+
+    # essential_class takes closed polylines only
+    @pytest.mark.parametrize("closed, read", [(closed, read) for read in READERS
+                                              for closed in (False, True)
+                                              if closed or read != "essential_class"])
+    def test_nan_vertex_raises_at_first_lift_read(self, closed, read):
+        # given vertices are not checked; the first read of their lifts
+        # raises for a NaN in the first, a middle or the last vertex
+        verts = [canonicalize(0.5, 1.0), canonicalize(2.0, 3.0), canonicalize(1.0, 5.0)]
+        for i, v in enumerate(verts):
+            for bad in (PillowcasePoint(math.nan, v.beta), PillowcasePoint(v.alpha, math.nan)):
+                curve = PillowcasePolyline(tuple(verts[:i] + [bad] + verts[i + 1:]), closed)
+                with pytest.raises(ValueError, match="angles must be finite"):
+                    self.READERS[read](curve)
+
     def test_lift_readers_canonicalize_only_their_hits(self, monkeypatch):
         # transformed and min_distance_to build no point, and crossings and
         # intersections canonicalize one point per hit they find
@@ -1215,22 +1235,19 @@ class TestDistancePrefilter:
                 _assert_within_matches(line, pt, d)
 
     def test_dropped_rows_lie_beyond_the_radius(self, image_curves):
-        # rows within the radius are the full scan's bytes; the rest are
-        # inf here and beyond the radius there
+        # a scan at a radius drops the rows whose bound exceeds it: every
+        # distance the full scan gives such a row lies beyond the radius
         rng = np.random.default_rng(42)
         dropped = 0
         for curve in image_curves[::2]:
             for pt in _queries(rng, curve)[::2]:
-                d, t = curve._scan(pt, slice(None))
+                d, _ = curve._scan(pt, slice(None))
+                bound = curve._distance_bounds(pt)
                 least = d.min()
                 for radius in (least, 1e-7, 1e-6, 0.3, least + 0.05):
-                    d_r, t_r = curve._lift_distances(pt, radius)
-                    kept = np.isfinite(d_r).all(axis=1)
-                    assert np.isinf(d_r[~kept]).all() and (t_r[~kept] == 0.0).all()
-                    assert d_r[kept].tobytes() == d[kept].tobytes()
-                    assert (t_r[kept] == t[kept]).all()
-                    assert (d[~kept] > radius).all()
-                    dropped += (~kept).sum()
+                    beyond = bound > radius
+                    assert (d[beyond] > radius).all()
+                    dropped += beyond.sum()
         assert dropped
 
     def test_essential_class_at_its_radius(self):

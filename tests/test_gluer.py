@@ -52,20 +52,20 @@ _SEARCH_PATH_GLUINGS = (
 )
 
 
-def _search_path(models, images, surgeries=True):
+def _search_path(models, images):
     """The library reuse path on two swept images, as perfbench's search op runs it.
 
     Five splice searches, the essential curve of each image, the (1, 1) and
-    (1, 0) surgeries of the trefoil (left out when surgeries is false) and
-    the slope certificates for p = 3, 5, 7.
+    (1, 0) surgeries of the trefoil and the slope certificates for p = 3, 5,
+    7.
     """
     tre, neg = images["tre"], images["neg"]
     searches = [search_nonabelian_rep(splice(models[a], models[b], g), CFG,
                                       image1=images[a], image2=images[b])
                 for a, b, g in _SEARCH_PATH_GLUINGS]
     curves = (extract_essential_curve(tre), extract_essential_curve(neg))
-    surgery = ((find_surgery_representation(tre, 1, 1, CFG),
-                find_surgery_representation(tre, 1, 0, CFG)) if surgeries else ())
+    surgery = (find_surgery_representation(tre, 1, 1, CFG),
+               find_surgery_representation(tre, 1, 0, CFG))
     certificates = [(slope_line_certificates(tre, p),
                      p_avoiding_certificate(curves[0], p, partner=curves[1]))
                     for p in (3, 5, 7)]
@@ -264,17 +264,24 @@ class TestSearch:
 
     def test_search_path_makes_no_distance_scan(self, monkeypatch, search_images):
         # the searches, curves and certificates test their radii with
-        # within, and a search scans each side's witnesses once for all its
-        # candidates; the surgeries keep their lazy per-crossing scans
-        def refuse(name):
-            def call(*_args, **_kwargs):
-                raise AssertionError(f"{name} called")
-            return call
-        monkeypatch.setattr(PillowcasePolyline, "min_distance_to", refuse("min_distance_to"))
-        monkeypatch.setattr(PillowcaseImage, "nearest_witness", refuse("nearest_witness"))
-        searches, curves, _, _ = _search_path(*search_images, surgeries=False)
+        # within; a search scans each side's witnesses once for all its
+        # candidates, and a surgery its distinct crossings' witnesses once
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("min_distance_to called")
+
+        scans = []
+        scan = PillowcaseImage.nearest_points
+
+        def counting(img, pts, min_gap=-math.inf):
+            scans.append(len(pts))
+            return scan(img, pts, min_gap)
+
+        monkeypatch.setattr(PillowcasePolyline, "min_distance_to", refuse)
+        monkeypatch.setattr(PillowcaseImage, "nearest_points", counting)
+        searches, curves, surgery, _ = _search_path(*search_images)
         assert [r.found for r in searches] == [True, True, True, True, False]
-        assert None not in curves
+        assert None not in curves and surgery[0] is not None and surgery[1] is None
+        assert len(scans) == 2 * len(searches) + len(surgery)
 
 
 _MOTEGI = GluingMatrix(a=-6, b=1, p=37, c=-6)

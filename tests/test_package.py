@@ -6,9 +6,12 @@ imports the layers it runs, so a homology command never loads the sweep
 and numpy.
 """
 
+import dataclasses
 import importlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +20,10 @@ import pytest
 
 import pillowcase
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+SUBMODULES = ("cli", "families", "geometry", "gluer", "homology", "presentations",
+              "render", "solver", "su2")
 
 # what ``pillowcase/__init__.py`` exported when it imported every layer eagerly
 EXPORTS = {
@@ -115,3 +121,30 @@ class TestPackageSurface:
         with pytest.raises(AttributeError, match="no_such_name"):
             pillowcase.no_such_name
         assert not hasattr(pillowcase, "solve_at_meridian_angle")
+
+
+class TestReadme:
+    def test_dotted_references_resolve(self):
+        # a backticked `module.name` or `Class.attr` in README.md names
+        # something the code has; dataclass fields count as attributes, and
+        # file names (`solver.py`) are skipped
+        modules = {name: importlib.import_module(f"pillowcase.{name}") for name in SUBMODULES}
+        classes = {obj.__name__: obj for module in modules.values()
+                   for obj in vars(module).values()
+                   if inspect.isclass(obj) and obj.__module__ == module.__name__}
+
+        def has(owner, name):
+            fields = dataclasses.fields(owner) if dataclasses.is_dataclass(owner) else ()
+            return hasattr(owner, name) or name in {f.name for f in fields}
+
+        text = (ROOT / "README.md").read_text()
+        checked, missing = 0, []
+        for head, name in sorted(set(re.findall(r"`([A-Za-z_]\w*)\.(\w+)`", text))):
+            owner = modules.get(head) or classes.get(head)
+            if owner is None or name == "py":
+                continue
+            checked += 1
+            if not has(owner, name):
+                missing.append(f"{head}.{name}")
+        assert missing == []
+        assert checked

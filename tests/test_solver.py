@@ -708,11 +708,11 @@ class TestSplitPolyline:
 
 
 def _surgery_reference(img, p, q, config):
-    """find_surgery_representation scanning every raw crossing, repeats too."""
+    """find_surgery_representation scanning lazily, one raw crossing at a time, repeats too."""
     pres = img.model.presentation
     filling = concat(pow_word(pres.meridian, p), pow_word(pres.longitude, q))
     for pt in [pt for arc in img.arcs for pt in line_crossings(arc, p, q)]:
-        witness = img.nearest_witness(pt, solver.IRREDUCIBLE_GAP)
+        witness = img.nearest_witnesses([pt], solver.IRREDUCIBLE_GAP)[0]
         if witness is None:
             continue
         refined = solver.refine_representation(pres, witness.witness, config,
@@ -756,25 +756,22 @@ class TestSurgery:
     @pytest.mark.parametrize("name, p, q", [("trefoil", 1, 1), ("trefoil", 1, 0),
                                             ("trefoil", 0, 1), ("klein", 0, 1)])
     def test_repeated_crossings_scanned_once(self, request, monkeypatch, name, p, q):
+        # the distinct crossings, in crossing order, get their witnesses from
+        # one nearest_points call; the answer is the lazy scan's
         img = request.getfixturevalue(f"{name}_image")
-        scanned = []
-        scan = PillowcaseImage.nearest_witness
-
-        def counting(img, pt, min_gap=-math.inf):
-            scanned.append(pt)
-            return scan(img, pt, min_gap)
-
-        monkeypatch.setattr(PillowcaseImage, "nearest_witness", counting)
         expected = _surgery_reference(img, p, q, CFG)
-        reference_scans = len(scanned)
-        scanned.clear()
+        calls = []
+        scan = PillowcaseImage.nearest_points
+
+        def counting(img, pts, min_gap=-math.inf):
+            calls.append((list(pts), min_gap))
+            return scan(img, pts, min_gap)
+
+        monkeypatch.setattr(PillowcaseImage, "nearest_points", counting)
         assert repr(find_surgery_representation(img, p, q, CFG)) == repr(expected)
         raw = [pt for arc in img.arcs for pt in line_crossings(arc, p, q)]
         distinct = list(dict.fromkeys(raw))
-        assert scanned == distinct[:len(scanned)]
-        assert len(scanned) <= reference_scans
-        if expected is None:
-            assert reference_scans == len(raw) and len(scanned) == len(distinct)
+        assert calls == [(distinct, solver.IRREDUCIBLE_GAP)]
 
     def test_filling_line_crossings_are_line_crossings(self, klein_image):
         # offset 0 gives one target sign and target 0.0: the scan's hits
@@ -799,16 +796,16 @@ class TestSurgery:
                               points=tuple(recs), arcs=())
         pt = canonicalize(1.0, 1.0)
         # the first of equally near points wins; gap <= min_gap is skipped
-        rec, d = img.nearest_point(pt)
+        [(rec, d)] = img.nearest_points([pt])
         assert rec is recs[1] and d == pillowcase_distance(recs[1].point, pt)
-        assert img.nearest_point(pt, min_gap=0.0)[0] is recs[2]
-        assert img.nearest_point(pt, min_gap=0.2)[0] is recs[0]
-        assert img.nearest_point(pt, min_gap=0.5) == (None, math.inf)
-        # a batch is nearest_point of each of its points, ties and gates kept
+        assert img.nearest_points([pt], min_gap=0.0)[0][0] is recs[2]
+        assert img.nearest_points([pt], min_gap=0.2)[0][0] is recs[0]
+        assert img.nearest_points([pt], min_gap=0.5) == [(None, math.inf)]
+        # a batch answers each of its points as it would alone, ties and gates kept
         batch = [pt, recs[3].point, canonicalize(1.0, 0.5), pt]
         for min_gap in (-math.inf, 0.0, 0.2, 0.5):
             got = img.nearest_points(batch, min_gap)
-            want = [img.nearest_point(q, min_gap) for q in batch]
+            want = [img.nearest_points([q], min_gap)[0] for q in batch]
             assert [d for _, d in got] == [d for _, d in want]
             assert all(a is b for (a, _), (b, _) in zip(got, want))
             assert img.nearest_points([], min_gap) == []
@@ -827,22 +824,22 @@ class TestSurgery:
             return PillowcaseImage(model=unknot_model(), resolution=8, grid_step=t / 8,
                                    points=(rec,), arcs=())
 
-        assert image(0.25).nearest_witness(pt) is rec
-        assert image(0.25).nearest_witness(pt, min_gap=0.1) is rec
-        assert image(0.25).nearest_witness(pt, min_gap=0.2) is None
-        assert image(math.nextafter(0.25, 0.0)).nearest_witness(pt) is None
-        assert image(0.25).nearest_witness(canonicalize(1.0, 1.0)) is rec
+        assert image(0.25).nearest_witnesses([pt]) == [rec]
+        assert image(0.25).nearest_witnesses([pt], min_gap=0.1) == [rec]
+        assert image(0.25).nearest_witnesses([pt], min_gap=0.2) == [None]
+        assert image(math.nextafter(0.25, 0.0)).nearest_witnesses([pt]) == [None]
+        assert image(0.25).nearest_witnesses([canonicalize(1.0, 1.0)]) == [rec]
         assert image(0.25).chain_threshold == 0.25
-        assert PillowcaseImage(model=unknot_model(), resolution=8, grid_step=0.25 / 8,
-                               points=(), arcs=()).nearest_witness(pt) is None
-        # a batch gates each of its points as nearest_witness does
+        empty = PillowcaseImage(model=unknot_model(), resolution=8, grid_step=0.25 / 8,
+                                points=(), arcs=())
+        assert empty.nearest_witnesses([pt]) == [None]
+        # a batch gates each of its points as it would alone
         batch = [pt, canonicalize(1.0, 1.0), pt]
         assert image(0.25).nearest_witnesses(batch) == [rec, rec, rec]
         assert image(math.nextafter(0.25, 0.0)).nearest_witnesses(batch) == [None, rec, None]
         assert image(0.25).nearest_witnesses(batch, min_gap=0.2) == [None, None, None]
         assert image(0.25).nearest_witnesses([]) == []
-        assert PillowcaseImage(model=unknot_model(), resolution=8, grid_step=0.25 / 8,
-                               points=(), arcs=()).nearest_witnesses(batch) == [None] * 3
+        assert empty.nearest_witnesses(batch) == [None] * 3
 
 
 class TestDiagnosticsAndDeterminism:
@@ -1436,11 +1433,11 @@ class TestBatchedDiagnostics:
 
 
 # ---------------------------------------------------------------------------
-# the point-distance kernel behind nearest_point, _chain_points and
+# the point-distance kernel behind nearest_points, _chain_points and
 # _project_endpoint_cuts, against the scalar scans it replaced
 
 def _nearest_point_reference(img, pt, min_gap=-math.inf):
-    """The old scalar scan of PillowcaseImage.nearest_point."""
+    """The old scalar scan behind PillowcaseImage.nearest_points, for one point."""
     best, best_d = None, math.inf
     for rec in img.points:
         if rec.gap <= min_gap:
@@ -1597,7 +1594,7 @@ def _image_of(points, gaps):
 
 
 def _picked(img, result):
-    """(index by identity, repr of distance) of a nearest_point answer."""
+    """(index by identity, repr of distance) of a nearest_points entry."""
     rec, d = result
     return (next((i for i, r in enumerate(img.points) if r is rec), None), repr(d))
 
@@ -1648,21 +1645,21 @@ class TestPointKernelScans:
                         for pt in queries]
             for pt, want in zip(queries, expected):
                 # gaps exactly at min_gap are skipped; a nan gap is never <= min_gap
-                assert _picked(img, img.nearest_point(pt, min_gap)) == want
+                assert _picked(img, img.nearest_points([pt], min_gap)[0]) == want
                 ties += sum(repr(pillowcase_distance(r.point, pt)) == want[1]
                             for r in img.points if not r.gap <= min_gap) > 1
             # the batch in one block of rows, and in blocks of one row
             assert [_picked(img, r) for r in img.nearest_points(queries, min_gap)] == expected
             with monkeypatch.context() as m:
-                m.setattr(solver, "_PAIR_BLOCK", 1)
+                m.setattr(geometry, "_PAIR_BLOCK", 1)
                 assert [_picked(img, r) for r in img.nearest_points(queries, min_gap)] == \
                     expected
         assert ties > 0
 
     def test_nearest_point_empty_image(self):
         img = _image_of([], [])
-        assert img.nearest_point(canonicalize(0.0, PI)) == (None, math.inf)
-        assert img.nearest_point(canonicalize(0.0, PI), min_gap=0.0) == (None, math.inf)
+        assert img.nearest_points([canonicalize(0.0, PI)]) == [(None, math.inf)]
+        assert img.nearest_points([canonicalize(0.0, PI)], min_gap=0.0) == [(None, math.inf)]
         marked = [canonicalize(0.0, PI), canonicalize(PI, PI)]
         assert img.nearest_points(marked) == [(None, math.inf)] * 2
         assert img.nearest_points([]) == []
@@ -1774,10 +1771,9 @@ class TestPointKernelScans:
         img = sample_pillowcase_image(model, 25, CFG)
         queries = [r.point for r in img.points]
         queries += [v for arc in img.arcs for v in arc.vertices[::7]]
-        for pt in queries:
-            for min_gap in (-math.inf, solver.IRREDUCIBLE_GAP):
-                assert _picked(img, img.nearest_point(pt, min_gap)) == \
-                    _picked(img, _nearest_point_reference(img, pt, min_gap))
+        for min_gap in (-math.inf, solver.IRREDUCIBLE_GAP):
+            assert [_picked(img, r) for r in img.nearest_points(queries, min_gap)] == \
+                [_picked(img, _nearest_point_reference(img, pt, min_gap)) for pt in queries]
         records = list(img.points)
         for threshold in (img.chain_threshold, 0.25 * img.chain_threshold):
             assert repr(_chain_points(records, threshold)) == \
