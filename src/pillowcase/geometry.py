@@ -309,13 +309,14 @@ class PillowcasePolyline:
         reached after going around.  The vertices are canonicalized when
         they are first read (_vertex_array), and kept; what reads only the
         lifts (transformed, intersections, crossings, distances) builds no
-        point.  A vertex's lift that is not finite raises ValueError here,
-        as canonicalize does.  The lifts are (x, y) pairs or an (n, 2) array.
+        point.  A lift that is not finite, the closing one too, raises
+        ValueError here, as canonicalize does.  The lifts are (x, y) pairs
+        or an (n, 2) array.
         """
         xy = np.array(lifts, dtype=float)
         if len(xy) - closed < 2:
             raise ValueError("polyline needs at least two vertices")
-        if not np.isfinite(xy[:len(xy) - closed]).all():
+        if not np.isfinite(xy).all():
             raise ValueError("angles must be finite")
         xy.flags.writeable = False
         line = cls.__new__(cls)
@@ -426,6 +427,8 @@ class PillowcasePolyline:
         coordinates.  The two pads sum to at least tol * (2 + |a| + |b|)
         + 64 eps (|a| + |b|) / tol, and to at least 4 sqrt(64 eps) ~ 5e-7,
         far above an ulp of any lift reached here, so they cover all of it.
+        _deck_shifts reads both halves in one pass: the padded boxes give
+        each pair's window of deck shifts, and the raw ones clip it.
         """
         tol = _INTERSECT_TOL
         xy = self._lift_array
@@ -585,11 +588,6 @@ def _shift_range(lo_a, hi_a, lo_b, hi_b):
     return np.ceil((lo_a - hi_b) / TWO_PI), np.floor((hi_a - lo_b) / TWO_PI)
 
 
-def _flip(boxes):
-    """Boxes [xlo, xhi, ylo, yhi] of the negated segments."""
-    return -boxes[:, [1, 0, 3, 2]]
-
-
 def _sorted_unique(x: np.ndarray) -> np.ndarray:
     """np.unique of a 1-D array, by a sort (several times faster on short arrays)."""
     x = np.sort(x)
@@ -646,42 +644,36 @@ def _meeting_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _deck_shifts(c1: PillowcasePolyline, c2: PillowcasePolyline):
-    """((i1, i2), per-sign shifts) for the segment pairs some deck image can make meet.
+    """((i1, i2), sign, [m_lo, m_hi, n_lo, n_hi]) per segment pair and sign with an image to try.
 
-    Broad and narrow phase of detailed_intersections, from each curve's
-    _box_table.  A pair is kept when, for sign 1 or -1, some 2pi shifts in
-    x and in y bring the padded box of sign * seg2[i2] onto the one of
-    seg1[i1]; pairs come in the all-pairs loop order, i1 then i2 ascending.
-    That test (_shift_range) runs only on the pairs and signs whose x
-    intervals _meeting_pairs finds, a superset of those that pass it in x,
-    so the kept pairs are those of testing every pair.  For sign
-    1, then -1, the shifts of a kept pair are the ranges
-    [m_lo, m_hi, n_lo, n_hi] of the deck images sign * seg2[i2] + 2pi (m, n)
-    whose padded box meets the one of seg1[i1], so by the _box_table bound
-    no dropped image gives a hit.  They are also clipped to the floor/ceil
-    range of the raw boxes, seg1[i1]'s widened by _INTERSECT_TOL, which
-    bounds them where the pads are wide (two segments some 4e5 long in all).
+    Broad and narrow phase of detailed_intersections, in one pass over
+    each curve's _box_table.  The window [m_lo, m_hi, n_lo, n_hi] holds
+    the deck images sign * seg2[i2] + 2pi (m, n) whose padded box meets
+    the one of seg1[i1] (_shift_range), so by the _box_table bound no
+    dropped image gives a hit.  It is clipped to the floor/ceil range of
+    the raw boxes, seg1[i1]'s widened by _INTERSECT_TOL, which bounds it
+    where the pads are wide (two segments some 4e5 long in all).  Only
+    the pairs and signs whose padded x intervals _meeting_pairs finds are
+    computed, a superset of those with a non-empty x window, and a row is
+    kept when its window is non-empty in x and in y.  Rows come in the
+    all-pairs loop order: i1, then i2 ascending, then sign 1 before -1.
     """
     tol = _INTERSECT_TOL
     t1, t2 = c1._box_table, c2._box_table
-    a, b = t1[:, 4:], t2[:, 4:]
-    signed = np.concatenate([b, _flip(b)])  # sign 1, then sign -1
-    i1, j = _meeting_pairs(a[:, :2], signed[:, :2])
-    x, y = (np.less_equal(*_shift_range(a[i1, c], a[i1, c + 1], signed[j, c], signed[j, c + 1]))
-            for c in (0, 2))
-    keep = x & y
-    i1, i2 = np.divmod(_sorted_unique(i1[keep] * len(b) + j[keep] % len(b)), len(b))
-    a, b = a[i1], b[i2]
-    ra = t1[i1, :4] + np.array([-tol, tol, -tol, tol])
-    rb = t2[i2, :4]
-    ranges = []
-    for sb, srb in ((b, rb), (_flip(b), _flip(rb))):
-        k_lo, k_hi = _shift_range(a[:, 0::2], a[:, 1::2], sb[:, 0::2], sb[:, 1::2])
-        k_lo = np.maximum(k_lo, np.floor((ra[:, 0::2] - srb[:, 1::2]) / TWO_PI))
-        k_hi = np.minimum(k_hi, np.ceil((ra[:, 1::2] - srb[:, 0::2]) / TWO_PI))
-        ranges.append(np.stack([k_lo[:, 0], k_hi[:, 0], k_lo[:, 1], k_hi[:, 1]], axis=1))
-    pairs = zip(i1.tolist(), i2.tolist())
-    return list(zip(pairs, np.stack(ranges, axis=1).astype(int).tolist()))
+    n2 = len(t2)
+    signed = np.concatenate([t2, -t2[:, [1, 0, 3, 2, 5, 4, 7, 6]]])  # sign 1, then sign -1
+    i1, j = _meeting_pairs(t1[:, 4:6], signed[:, 4:6])
+    key = _sorted_unique((i1 * n2 + j % n2) * 2 + j // n2)  # (i1, i2, sign) order
+    i1, i2, neg = key // (2 * n2), key // 2 % n2, key % 2
+    a, sb = t1[i1], signed[i2 + neg * n2]
+    k_lo, k_hi = _shift_range(a[:, 4::2], a[:, 5::2], sb[:, 4::2], sb[:, 5::2])
+    ra = a[:, :4] + np.array([-tol, tol, -tol, tol])
+    k_lo = np.maximum(k_lo, np.floor((ra[:, 0::2] - sb[:, 1:4:2]) / TWO_PI))
+    k_hi = np.minimum(k_hi, np.ceil((ra[:, 1::2] - sb[:, 0:4:2]) / TWO_PI))
+    keep = np.flatnonzero((k_lo <= k_hi).all(axis=1))
+    windows = np.stack([k_lo[keep, 0], k_hi[keep, 0], k_lo[keep, 1], k_hi[keep, 1]], axis=1)
+    pairs = zip(i1[keep].tolist(), i2[keep].tolist())
+    return list(zip(pairs, (1 - 2 * neg[keep]).tolist(), windows.astype(int).tolist()))
 
 
 def detailed_intersections(c1: PillowcasePolyline, c2: PillowcasePolyline):
@@ -693,17 +685,16 @@ def detailed_intersections(c1: PillowcasePolyline, c2: PillowcasePolyline):
     segs1 = c1.lifted_segments()
     segs2 = c2.lifted_segments()
     found = []
-    for (i1, i2), per_sign in _deck_shifts(c1, c2):
+    for (i1, i2), sgn, (m_lo, m_hi, n_lo, n_hi) in _deck_shifts(c1, c2):
         seg_a = segs1[i1]
         (x1, y1), (x2, y2) = segs2[i2]
-        for sgn, (m_lo, m_hi, n_lo, n_hi) in zip((1.0, -1.0), per_sign):
-            u1, v1, u2, v2 = sgn * x1, sgn * y1, sgn * x2, sgn * y2
-            for m in range(m_lo, m_hi + 1):
-                for n in range(n_lo, n_hi + 1):
-                    for (x, y, trans, ta, tb) in _segment_intersection(
-                            seg_a[0], seg_a[1], (u1 + TWO_PI * m, v1 + TWO_PI * n),
-                            (u2 + TWO_PI * m, v2 + TWO_PI * n)):
-                        found.append((canonicalize(x, y), trans, i1, ta, i2, tb))
+        u1, v1, u2, v2 = sgn * x1, sgn * y1, sgn * x2, sgn * y2
+        for m in range(m_lo, m_hi + 1):
+            for n in range(n_lo, n_hi + 1):
+                for (x, y, trans, ta, tb) in _segment_intersection(
+                        seg_a[0], seg_a[1], (u1 + TWO_PI * m, v1 + TWO_PI * n),
+                        (u2 + TWO_PI * m, v2 + TWO_PI * n)):
+                    found.append((canonicalize(x, y), trans, i1, ta, i2, tb))
     # dedup by orbifold distance <= 1e-7 per segment pair, transversal
     # crossings taking precedence
     found.sort(key=lambda rec: (rec[0].alpha, rec[0].beta, not rec[1]))
@@ -754,14 +745,13 @@ def essential_class(curve: PillowcasePolyline) -> int:
     deterministic epsilon so crossings at vertices are unambiguous: the
     first of _REFERENCE_EPSILONS with no lift within 1e-11 of pi + eps mod
     2pi, tested on all lifts at once (_abs_remainder).  Curves passing
-    within 1e-7 of P or Q raise DegenerateCurveError, and lifts that are
-    not finite raise ValueError.
+    within 1e-7 of P or Q raise DegenerateCurveError.  The lifts are
+    finite: a polyline whose lifts are not raises ValueError when it is
+    built from them, or when they are first read from its vertices.
     """
     if not curve.closed:
         raise ValueError("essential_class needs a closed polyline")
     xy = curve._lift_array
-    if not np.isfinite(xy).all():
-        raise ValueError("essential_class needs finite lifts")
     for marked in (P_POINT, Q_POINT):
         if curve.within(marked, 1e-7):
             raise DegenerateCurveError(f"curve passes through marked point {marked}")

@@ -359,16 +359,17 @@ def p_avoiding_certificate(curve: PillowcasePolyline, p: int,
             allowed.append(pt)
         else:
             disallowed.append(pt)
-    shared = []
+    shared, crossings = [], None
     if partner is not None:
-        image = partner.transformed(((-1, 0), (p, 1)))  # sigma_p, on exact lifts
         below = math.nextafter(tol, 0.0)  # d < tol is d <= below
         for k in range(1, (p - 1) // 2 + 1):
             a_k = canonicalize(2 * k * math.pi / p, 0.0)
             if curve.within(a_k, below) and partner.within(a_k, below):
-                trans = any(
-                    t and pillowcase_distance(pt, a_k) < 10 * tol
-                    for (pt, t) in polyline_intersections(curve, image))
+                if crossings is None:
+                    image = partner.transformed(((-1, 0), (p, 1)))  # sigma_p, on exact lifts
+                    crossings = polyline_intersections(curve, image)
+                trans = any(t and pillowcase_distance(pt, a_k) < 10 * tol
+                            for (pt, t) in crossings)
                 shared.append((a_k, trans))
     passes = (ess != 0 and avoids and meets0 and meets_pi and not disallowed)
     return AvoidingCurveReport(

@@ -449,14 +449,36 @@ class TestPAvoidingCertificate:
         for pt in report.touch_points:
             assert min(abs(pt.alpha - k * PI / 5) for k in range(1, 5)) < 1e-3
 
+    @staticmethod
+    def _count_intersections(monkeypatch):
+        calls = []
+        intersect = gluer.polyline_intersections
+        monkeypatch.setattr(gluer, "polyline_intersections",
+                            lambda c1, c2: calls.append(1) or intersect(c1, c2))
+        return calls
+
     @pytest.mark.parametrize("p", [31, 37])
-    def test_trefoil_curve_shared_points_transversal(self, trefoil_image, p):
+    def test_trefoil_curve_shared_points_transversal(self, trefoil_image, p, monkeypatch):
         # sigma_p of the partner maps its exact lifts, so each shared point
-        # (2k pi/p, 0) is seen as the crossing it is
+        # (2k pi/p, 0) is seen as the crossing it is; the crossings are
+        # found once, at the first shared point, for all of them
         curve = extract_essential_curve(trefoil_image)
+        calls = self._count_intersections(monkeypatch)
         report = p_avoiding_certificate(curve, p, partner=curve)
         assert len(report.shared_transversal) > 1
         assert all(trans for _, trans in report.shared_transversal)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_no_shared_point_intersects_nothing(self, search_images, p, monkeypatch):
+        # the trefoil and trefoil-neg curves share no (2k pi/p, 0), as on
+        # the search path, so no crossing is looked for
+        _, images = search_images
+        curves = [extract_essential_curve(images[k]) for k in ("tre", "neg")]
+        calls = self._count_intersections(monkeypatch)
+        report = p_avoiding_certificate(curves[0], p, partner=curves[1])
+        assert report.shared_transversal == ()
+        assert calls == []
 
     def test_transversality_at_shared_point(self):
         # two curves through (2pi/3, 0): one flat along beta = 0, one steep
