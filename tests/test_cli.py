@@ -89,6 +89,57 @@ class TestHomologyCommands:
         assert code == EXIT_BAD_INPUT
 
 
+# (argv, exit code, stdout, stderr) of each homology subcommand, in text and
+# --json, and of the gluing and standard-form refusals, byte for byte
+_HOMOLOGY_GOLDEN = [
+    ("glue trefoil trefoil-neg --gluing fiber-swap", EXIT_OK, "H1 = Z/37  (37)\n", ""),
+    ("glue trefoil trefoil-neg --gluing fiber-swap --json", EXIT_OK,
+     '{"group": "Z/37", "invariant_factors": [37], "rank": 0}\n', ""),
+    ("fill klein 3 1", EXIT_OK, "H1 = Z/12  (12)\n", ""),
+    ("fill klein 3 1 --json", EXIT_OK,
+     '{"group": "Z/12", "invariant_factors": [12], "rank": 0}\n', ""),
+    ("seifert -- 2 1 3 1 5 -4", EXIT_OK, "H1 = 0  order formula 1\n", ""),
+    ("seifert --json -- 2 1 3 1 5 -4", EXIT_OK,
+     '{"invariant_factors": [], "order": 1, "rank": 0}\n', ""),
+    ("standard-form 7 24 17 5", EXIT_OK,
+     "(a, b, c) = (2, 1, 2)  moves [(2, 3), (1, 1)]\n", ""),
+    ("standard-form 7 24 17 5 --json", EXIT_OK,
+     '{"a": 2, "b": 1, "c": 2, "orientation_reversed": false, "p": 5, '
+     '"twist_moves": [[2, 3], [1, 1]]}\n', ""),
+    ("standard-form 4 3 5 7 --allow-reversal", EXIT_OK,
+     "(a, b, c) = (3, 1, 2)  moves [(2, 1), (1, -1)]  orientation reversed\n", ""),
+    ("standard-form 4 3 5 7 --allow-reversal --json", EXIT_OK,
+     '{"a": 3, "b": 1, "c": 2, "orientation_reversed": true, "p": 7, '
+     '"twist_moves": [[2, 1], [1, -1]]}\n', ""),
+    ("tuples 7", EXIT_OK,
+     "(a, b, c) = (-1, 0, 1)\n(a, b, c) = (3, 1, 2)\n(a, b, c) = (2, 1, 3)\n", ""),
+    ("tuples 7 --json", EXIT_OK,
+     '{"p": 7, "tuples": [[-1, 0, 1], [3, 1, 2], [2, 1, 3]]}\n', ""),
+    ("glue trefoil trefoil --gluing 1,0,0,1", EXIT_CONTRACT, "",
+     "contract violation: gluing determinant must be -1, got 1\n"),
+    ("glue trefoil trefoil --gluing 1,2", EXIT_BAD_INPUT, "",
+     "error: cannot parse gluing '1,2'\n"),
+    ("glue trefoil trefoil --gluing skew:x", EXIT_BAD_INPUT, "",
+     "error: bad skew gluing 'skew:x'\n"),
+    ("glue klein trefoil --gluing fiber-swap", EXIT_BAD_INPUT, "",
+     "error: fiber-swap needs models with fiber slopes\n"),
+    ("fill trefoil 2 4", EXIT_BAD_INPUT, "", "error: slope (2, 4) is not primitive\n"),
+    ("seifert 2 1 0 1 5 1", EXIT_BAD_INPUT, "",
+     "error: fiber multiplicities must be >= 2\n"),
+    ("standard-form 1 0 1 4", EXIT_CONTRACT, "",
+     "contract violation: p must be prime, got 4\n"),
+    ("standard-form 1 0 1 5", EXIT_CONTRACT, "",
+     "contract violation: determinant a*c - b*p must be -1, got 1\n"),
+    ("tuples 9", EXIT_CONTRACT, "", "contract violation: p must be an odd prime, got 9\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", _HOMOLOGY_GOLDEN,
+                         ids=[case[0] for case in _HOMOLOGY_GOLDEN])
+def test_homology_output_is_pinned(capsys, argv, code, out, err):
+    assert run(capsys, "homology", *argv.split()) == (code, out, err)
+
+
 class TestImageCommand:
     def test_unknot_image(self, capsys, tmp_path):
         svg = tmp_path / "img.svg"
