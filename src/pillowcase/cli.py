@@ -9,6 +9,7 @@ from -1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -58,32 +59,29 @@ def load_model(ref: str) -> KnotExteriorModel:
 
 def parse_gluing(spec, model1: KnotExteriorModel | None = None,
                  model2: KnotExteriorModel | None = None) -> GluingMatrix:
-    """Parse swap | fiber-swap | skew | skew:p | a,b,p,c | mapping."""
+    """Parse swap | fiber-swap | skew | skew:p | a,b,p,c | mapping.
+
+    swap and skew:p have determinant -1 for every p; the other entries are
+    checked at one site, where another determinant is a contract violation.
+    """
     if isinstance(spec, dict):
         # bool is an int subclass, so it is refused by name, as in SolverConfig.from_dict
         entries = {k: spec.get(k) for k in ("a", "b", "p", "c")}
         if any(isinstance(v, bool) or not isinstance(v, int) for v in entries.values()):
             raise InputError(f"gluing mapping needs integer a,b,p,c: {spec}")
-        try:
-            return GluingMatrix(**entries)
-        except ValueError as exc:
-            raise ContractError(str(exc)) from exc
-    if not isinstance(spec, str):
+    elif not isinstance(spec, str):
         raise InputError(f"gluing must be a string or a mapping: {spec!r}")
-    if spec == "swap":
+    elif spec == "swap":
         return GluingMatrix.swap()
-    if spec in ("skew", "sigma"):
+    elif spec in ("skew", "sigma"):
         return GluingMatrix.skew(2)
-    if spec.startswith("skew:") or spec.startswith("sigma:"):
+    elif spec.startswith("skew:") or spec.startswith("sigma:"):
         try:
             p = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise InputError(f"bad skew gluing {spec!r}") from exc
-        try:
-            return GluingMatrix.skew(p)
-        except ValueError as exc:
-            raise ContractError(str(exc)) from exc
-    if spec == "fiber-swap":
+        return GluingMatrix.skew(p)
+    elif spec == "fiber-swap":
         if model1 is None or model2 is None:
             raise InputError("fiber-swap needs both models")
         if model1.fiber_slope is None or model2.fiber_slope is None:
@@ -93,18 +91,15 @@ def parse_gluing(spec, model1: KnotExteriorModel | None = None,
         if abs(e1) != 1:
             raise InputError("side-1 fiber slope is not dual to the meridian")
         # mu1 = fiber2 and fiber1 = mu2
-        a, b = f2, e2
-        p, c = (1 - f1 * f2) * e1, -f1 * e2 * e1
+        entries = {"a": f2, "b": e2, "p": (1 - f1 * f2) * e1, "c": -f1 * e2 * e1}
+    else:
         try:
-            return GluingMatrix(a=a, b=b, p=p, c=c)
+            a, b, p, c = (int(v) for v in spec.split(","))
         except ValueError as exc:
-            raise ContractError(str(exc)) from exc
+            raise InputError(f"cannot parse gluing {spec!r}") from exc
+        entries = {"a": a, "b": b, "p": p, "c": c}
     try:
-        a, b, p, c = (int(v) for v in spec.split(","))
-    except ValueError as exc:
-        raise InputError(f"cannot parse gluing {spec!r}") from exc
-    try:
-        return GluingMatrix(a=a, b=b, p=p, c=c)
+        return GluingMatrix(**entries)
     except ValueError as exc:
         raise ContractError(str(exc)) from exc
 
@@ -217,65 +212,67 @@ def cmd_image(args) -> int:
 # ---------------------------------------------------------------------------
 # homology commands
 
-def cmd_homology(args) -> int:
-    sub = args.homology_command
-    if sub == "glue":
-        m1 = load_model(args.model1)
-        m2 = load_model(args.model2)
-        g = parse_gluing(args.gluing, m1, m2)
-        group = glue_homology(m1, m2, g)
-        _emit({"invariant_factors": list(group.torsion), "rank": group.rank,
-               "group": str(group)},
-              args.json, f"H1 = {group}  ({group.pretty_factors()})")
-        return EXIT_OK
-    if sub == "fill":
-        model = load_model(args.model)
-        if math.gcd(args.p, args.q) != 1:
-            raise InputError(f"slope ({args.p}, {args.q}) is not primitive")
-        group = filling_homology(model, (args.p, args.q))
-        _emit({"invariant_factors": list(group.torsion), "rank": group.rank,
-               "group": str(group)},
-              args.json, f"H1 = {group}  ({group.pretty_factors()})")
-        return EXIT_OK
-    if sub == "seifert":
-        vals = args.values
-        data = [(vals[0], vals[1]), (vals[2], vals[3]), (vals[4], vals[5])]
-        try:
-            res = seifert_h1(data)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        _emit({"invariant_factors": list(res.group.torsion),
-               "rank": res.group.rank, "order": res.order_formula},
-              args.json,
-              f"H1 = {res.group}  order formula {res.order_formula}"
-              + ("  (b1 > 0)" if res.positive_rank else ""))
-        return EXIT_OK
-    if sub == "standard-form":
-        try:
-            res = standard_form_reduce(args.a, args.b, args.c, args.p,
-                                       allow_reversal=args.allow_reversal)
-        except ValueError as exc:
-            if "determinant" in str(exc) or "prime" in str(exc):
-                raise ContractError(str(exc)) from exc
-            raise InputError(str(exc)) from exc
-        _emit({"a": res.a, "b": res.b, "c": res.c, "p": res.p,
-               "twist_moves": [list(m) for m in res.twist_moves],
-               "orientation_reversed": res.orientation_reversed},
-              args.json,
-              f"(a, b, c) = ({res.a}, {res.b}, {res.c})  moves "
-              f"{list(res.twist_moves)}"
-              + ("  orientation reversed" if res.orientation_reversed else ""))
-        return EXIT_OK
-    if sub == "tuples":
-        try:
-            tuples = enumerate_standard_tuples(args.p)
-        except ValueError as exc:
-            raise ContractError(str(exc)) from exc
-        _emit({"p": args.p, "tuples": [list(t) for t in tuples]},
-              args.json,
-              "\n".join(f"(a, b, c) = ({a}, {b}, {c})" for a, b, c in tuples))
-        return EXIT_OK
-    raise InputError(f"unknown homology subcommand {sub!r}")
+def _emit_group(group, as_json: bool) -> int:
+    _emit({"invariant_factors": list(group.torsion), "rank": group.rank,
+           "group": str(group)},
+          as_json, f"H1 = {group}  ({group.pretty_factors()})")
+    return EXIT_OK
+
+
+def cmd_glue(args) -> int:
+    m1 = load_model(args.model1)
+    m2 = load_model(args.model2)
+    return _emit_group(glue_homology(m1, m2, parse_gluing(args.gluing, m1, m2)), args.json)
+
+
+def cmd_fill(args) -> int:
+    model = load_model(args.model)
+    if math.gcd(args.p, args.q) != 1:
+        raise InputError(f"slope ({args.p}, {args.q}) is not primitive")
+    return _emit_group(filling_homology(model, (args.p, args.q)), args.json)
+
+
+def cmd_seifert(args) -> int:
+    vals = args.values
+    data = [(vals[0], vals[1]), (vals[2], vals[3]), (vals[4], vals[5])]
+    try:
+        res = seifert_h1(data)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    _emit({"invariant_factors": list(res.group.torsion),
+           "rank": res.group.rank, "order": res.order_formula},
+          args.json,
+          f"H1 = {res.group}  order formula {res.order_formula}"
+          + ("  (b1 > 0)" if res.positive_rank else ""))
+    return EXIT_OK
+
+
+def cmd_standard_form(args) -> int:
+    # standard_form_reduce refuses only a non-prime p and a determinant other than -1
+    try:
+        res = standard_form_reduce(args.a, args.b, args.c, args.p,
+                                   allow_reversal=args.allow_reversal)
+    except ValueError as exc:
+        raise ContractError(str(exc)) from exc
+    _emit({"a": res.a, "b": res.b, "c": res.c, "p": res.p,
+           "twist_moves": [list(m) for m in res.twist_moves],
+           "orientation_reversed": res.orientation_reversed},
+          args.json,
+          f"(a, b, c) = ({res.a}, {res.b}, {res.c})  moves "
+          f"{list(res.twist_moves)}"
+          + ("  orientation reversed" if res.orientation_reversed else ""))
+    return EXIT_OK
+
+
+def cmd_tuples(args) -> int:
+    try:
+        tuples = enumerate_standard_tuples(args.p)
+    except ValueError as exc:
+        raise ContractError(str(exc)) from exc
+    _emit({"p": args.p, "tuples": [list(t) for t in tuples]},
+          args.json,
+          "\n".join(f"(a, b, c) = ({a}, {b}, {c})" for a, b, c in tuples))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +345,9 @@ def cmd_splice(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; each leaf command's func runs it."""
     parser = argparse.ArgumentParser(
         prog="pillowcase",
         description="SU(2) pillowcase images, splice search, and homology calculus")
@@ -368,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_img.set_defaults(func=cmd_image)
 
     p_hom = sub.add_parser("homology", help="exact integer homology queries")
-    hom_sub = p_hom.add_subparsers(dest="homology_command", required=True)
+    hom_sub = p_hom.add_subparsers(required=True)
 
     p_glue = hom_sub.add_parser("glue", help="H1 of a glued pair of exteriors")
     p_glue.add_argument("model1")
@@ -376,17 +375,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_glue.add_argument("--gluing", required=True,
                         help="swap | fiber-swap | skew[:p] | a,b,p,c")
     p_glue.add_argument("--json", action="store_true")
+    p_glue.set_defaults(func=cmd_glue)
 
     p_fill = hom_sub.add_parser("fill", help="H1 of a Dehn filling")
     p_fill.add_argument("model")
     p_fill.add_argument("p", type=int)
     p_fill.add_argument("q", type=int)
     p_fill.add_argument("--json", action="store_true")
+    p_fill.set_defaults(func=cmd_fill)
 
     p_sfs = hom_sub.add_parser("seifert", help="H1 of a 3-fiber Seifert space")
     p_sfs.add_argument("values", type=int, nargs=6,
                        metavar=("N"), help="a1 b1 a2 b2 a3 b3")
     p_sfs.add_argument("--json", action="store_true")
+    p_sfs.set_defaults(func=cmd_seifert)
 
     p_std = hom_sub.add_parser("standard-form", help="normalize a gluing tuple")
     p_std.add_argument("a", type=int)
@@ -395,12 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_std.add_argument("p", type=int)
     p_std.add_argument("--allow-reversal", action="store_true")
     p_std.add_argument("--json", action="store_true")
+    p_std.set_defaults(func=cmd_standard_form)
 
     p_tup = hom_sub.add_parser("tuples", help="standard tuples for a prime")
     p_tup.add_argument("p", type=int)
     p_tup.add_argument("--json", action="store_true")
-
-    p_hom.set_defaults(func=cmd_homology)
+    p_tup.set_defaults(func=cmd_tuples)
 
     p_spl = sub.add_parser("splice", help="search a splice for representations")
     p_spl.add_argument("job", help="job spec JSON file")
@@ -412,8 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

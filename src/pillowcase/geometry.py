@@ -498,17 +498,9 @@ class PillowcasePolyline:
         """Distance from pt (any point, marked or not) to the polyline's segments.
 
         The least entry of _scan over every segment: the distance to the
-        nearest of the lifts of pt around each midpoint.  Only the
-        segments that can hold it are scanned: the radius is the scanned
-        distance of the segment with the least _distance_bounds entry.
+        nearest of the lifts of pt around each midpoint.
         """
-        bound = self._distance_bounds(pt)
-        r = int(np.argmin(bound))
-        radius = self._scan(pt, slice(r, r + 1))[0].min()
-        keep = np.flatnonzero(bound <= radius)
-        if len(keep) == 1:
-            return float(radius)
-        return float(self._scan(pt, keep)[0].min())
+        return float(self._scan(pt, slice(None))[0].min())
 
     def transformed(self, rows) -> "PillowcasePolyline":
         """The image under an integer 2x2 matrix, applied to the plane lifts.

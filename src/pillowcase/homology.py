@@ -407,17 +407,11 @@ def standard_form_reduce(a: int, b: int, c: int, p: int,
         raise ValueError(f"determinant a*c - b*p must be -1, got {a * c - b * p}")
     moves = []
     flipped = False
-    # step 1: reduce c modulo p
-    if allow_reversal:
-        r = c % p
-        if r > p / 2:
-            r -= p
-        q = (c - r) // p
-    else:
-        r = c % p
-        if r == 0:
-            raise ValueError("c cannot be a multiple of p when a*c - b*p = -1")
-        q = (c - r) // p
+    # step 1: reduce c modulo p; p cannot divide c, as a*c - b*p = -1
+    r = c % p
+    if allow_reversal and r > p / 2:
+        r -= p
+    q = (c - r) // p
     if q != 0:
         a, b, c = _apply_side2_twist(a, b, c, p, q)
         moves.append((2, q))

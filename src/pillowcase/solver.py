@@ -32,7 +32,7 @@ from .geometry import (DegenerateCurveError, LineForm, PillowcasePoint,
                        pillowcase_distance, pillowcase_distances, TWO_PI)
 from .homology import ModelInvalidError, _boundary_coordinates
 from .presentations import (GluingMatrix, GroupPresentation, KnotExteriorModel,
-                            Word, concat, pow_word)
+                            concat, pow_word)
 from .su2 import (Representation, UnitQuaternion, boundary_angles, irreducibility_gap,
                   peripheral_point, relator_residual)
 
@@ -701,14 +701,10 @@ def _track(pres: GroupPresentation, grid, kept, discovery, config: SolverConfig)
 
 
 def refine_representation(pres: GroupPresentation, seed_rep: Representation,
-                          config: SolverConfig | None = None,
-                          extra_relators: tuple[Word, ...] = ()) -> Representation | None:
-    """Polish a nearby representation of pres (plus extra relators) by LM."""
+                          config: SolverConfig | None = None) -> Representation | None:
+    """Polish a nearby representation of pres by LM."""
     config = config or SolverConfig()
-    working = pres
-    for w in extra_relators:
-        working = working.with_relator(w)
-    words = list(working.relators)
+    words = list(pres.relators)
     if not words:
         return seed_rep
     targets = np.array([[1.0, 0.0, 0.0, 0.0] * len(words)])
@@ -1265,7 +1261,7 @@ def find_surgery_representation(img: PillowcaseImage, p: int, q: int,
         raise ValueError(f"slope ({p}, {q}) is not primitive")
     config = config or SolverConfig()
     pres = img.model.presentation
-    filling = concat(pow_word(pres.meridian, p), pow_word(pres.longitude, q))
+    filled = pres.with_relator(concat(pow_word(pres.meridian, p), pow_word(pres.longitude, q)))
     # exact repeats (a vertex shared by two crossing segments) would rerun
     # the same refine, so only first occurrences are tried; their witnesses
     # come from one scan
@@ -1274,12 +1270,11 @@ def find_surgery_representation(img: PillowcaseImage, p: int, q: int,
     for witness in img.nearest_witnesses(candidates, IRREDUCIBLE_GAP):
         if witness is None:
             continue
-        refined = refine_representation(pres, witness.witness, config,
-                                        extra_relators=(filling,))
+        refined = refine_representation(filled, witness.witness, config)
         if refined is None:
             continue
         gap = irreducibility_gap(refined)
-        res = relator_residual(refined, pres.with_relator(filling))
+        res = relator_residual(refined, filled)
         if res < config.tol and gap > IRREDUCIBLE_GAP:
             return refined, boundary_angles(refined, pres)
     return None

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -6,6 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from pillowcase import cli
 from pillowcase.cli import (EXIT_BAD_INPUT, EXIT_CONTRACT, EXIT_NOT_FOUND,
                             EXIT_OK, load_model, main, parse_gluing)
 from pillowcase.families import builtin_model, torus_knot_model
@@ -138,6 +140,26 @@ _HOMOLOGY_GOLDEN = [
                          ids=[case[0] for case in _HOMOLOGY_GOLDEN])
 def test_homology_output_is_pinned(capsys, argv, code, out, err):
     assert run(capsys, "homology", *argv.split()) == (code, out, err)
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        assert run(capsys, "homology", "tuples", "7")[0] == EXIT_OK
+        assert run(capsys, "homology", "fill", "klein", "3", "1")[0] == EXIT_OK
+    finally:
+        cli.build_parser.cache_clear()
+    # the top parser once, and each subcommand's parser once
+    assert progs.count("pillowcase") == 1
+    assert len(progs) == len(set(progs))
 
 
 class TestImageCommand:

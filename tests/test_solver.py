@@ -710,17 +710,16 @@ class TestSplitPolyline:
 def _surgery_reference(img, p, q, config):
     """find_surgery_representation scanning lazily, one raw crossing at a time, repeats too."""
     pres = img.model.presentation
-    filling = concat(pow_word(pres.meridian, p), pow_word(pres.longitude, q))
+    filled = pres.with_relator(concat(pow_word(pres.meridian, p), pow_word(pres.longitude, q)))
     for pt in [pt for arc in img.arcs for pt in line_crossings(arc, p, q)]:
         witness = img.nearest_witnesses([pt], solver.IRREDUCIBLE_GAP)[0]
         if witness is None:
             continue
-        refined = solver.refine_representation(pres, witness.witness, config,
-                                               extra_relators=(filling,))
+        refined = solver.refine_representation(filled, witness.witness, config)
         if refined is None:
             continue
         gap = irreducibility_gap(refined)
-        res = relator_residual(refined, pres.with_relator(filling))
+        res = relator_residual(refined, filled)
         if res < config.tol and gap > solver.IRREDUCIBLE_GAP:
             return refined, boundary_angles(refined, pres)
     return None
@@ -2088,10 +2087,8 @@ def _sweep_reference(pres, alphas, keys, config, coords=TANGENT):
     return out
 
 
-def _refine_reference(pres, seed_rep, config, extra_relators=()):
+def _refine_reference(pres, seed_rep, config):
     """The old refine_representation, on the reference LM."""
-    for w in extra_relators:
-        pres = pres.with_relator(w)
     words = list(pres.relators)
     targets = np.array([[1.0, 0.0, 0.0, 0.0] * len(words)])
     params0 = np.array([[[q.w, q.x, q.y, q.z] for q in seed_rep.images]])
@@ -2240,16 +2237,16 @@ class TestWindowedLM:
 
     def test_refine_from_surgery_seeds(self, monkeypatch):
         # the filling relator's path: find_surgery_representation refines
-        # with extra_relators
+        # on the model's presentation with the filling relator appended
         img = sample_pillowcase_image(torus_knot_model(2, 3), 60, CFG)
-        seeds = _refine_seeds(monkeypatch, solver, lambda: [
-            find_surgery_representation(img, p, q, CFG) for p, q in ((1, 1), (1, 0), (0, 1))])
-        assert len(seeds) >= 3 and all(len(extra) == 1 for _, _, extra in seeds)
-        results = [solver.refine_representation(pres, seed, CFG, extra_relators=extra)
-                   for pres, seed, extra in seeds]
+        seeds = [(pres, seed) for pres, seed, _ in _refine_seeds(monkeypatch, solver, lambda: [
+            find_surgery_representation(img, p, q, CFG) for p, q in ((1, 1), (1, 0), (0, 1))])]
+        relators = len(img.model.presentation.relators)
+        assert len(seeds) >= 3 and all(len(pres.relators) == relators + 1 for pres, _ in seeds)
+        results = [solver.refine_representation(pres, seed, CFG) for pres, seed in seeds]
         assert any(r is not None for r in results)
-        assert repr(results) == repr([_refine_reference(pres, seed, CFG, extra)
-                                      for pres, seed, extra in seeds])
+        assert repr(results) == repr([_refine_reference(pres, seed, CFG)
+                                      for pres, seed in seeds])
 
 
 def _counting(monkeypatch, *names):
@@ -2271,14 +2268,14 @@ def _counting(monkeypatch, *names):
 
 
 def _refine_seeds(monkeypatch, module, run):
-    """(pres, seed_rep, extra_relators) of each module.refine_representation call of run().
+    """(pres, seed_rep, config) of each module.refine_representation call of run().
 
     Each call returns None, so a search or scan goes on to every candidate.
     """
     seeds = []
 
-    def record(pres, seed_rep, config=None, extra_relators=()):
-        seeds.append((pres, seed_rep, extra_relators))
+    def record(pres, seed_rep, config=None):
+        seeds.append((pres, seed_rep, config))
 
     with monkeypatch.context() as patch:
         patch.setattr(module, "refine_representation", record)
