@@ -157,7 +157,7 @@ def _image(model: KnotExteriorModel, config: SolverConfig):
     from .solver import sample_pillowcase_image
     from .su2 import NonCommutingPeripheralsError
     try:
-        return sample_pillowcase_image(model, config.resolution, config)
+        return sample_pillowcase_image(model, config=config)
     except (ModelInvalidError, NonCommutingPeripheralsError) as exc:
         raise InputError(f"model {model.name!r}: {exc}") from exc
 

@@ -949,12 +949,22 @@ def distance_components(points, radius: float) -> list[list[int]]:
     Each component is a sorted list of indices; components come in order
     of their least index.
     """
-    neighbours = [[] for _ in points]
-    for i, j in _close_pairs(points, radius):
+    return _pair_components(len(points), _close_pairs(points, radius))
+
+
+def _pair_components(n: int, pairs) -> list[list[int]]:
+    """Components of the graph on n nodes whose edges are the index pairs (i, j).
+
+    Each pair joins j to i's neighbours; with both (i, j) and (j, i) given,
+    as _close_pairs gives them, the graph is undirected.  Each component is
+    a sorted list of indices, in order of its least index.
+    """
+    neighbours = [[] for _ in range(n)]
+    for i, j in pairs:
         neighbours[i].append(j)
-    seen = [False] * len(points)
+    seen = [False] * n
     components = []
-    for start in range(len(points)):
+    for start in range(n):
         if seen[start]:
             continue
         seen[start] = True

@@ -167,8 +167,8 @@ def search_nonabelian_rep(spliced: SplicedManifold, config: SolverConfig | None 
     the candidates by source and drop reason (CandidateCounts).
     """
     config = config or SolverConfig()
-    img1 = image1 or sample_pillowcase_image(spliced.model1, config.resolution, config)
-    img2 = image2 or sample_pillowcase_image(spliced.model2, config.resolution, config)
+    img1 = image1 or sample_pillowcase_image(spliced.model1, config=config)
+    img2 = image2 or sample_pillowcase_image(spliced.model2, config=config)
     g = spliced.gluing
     candidates = _candidate_points(img1, img2, g)
 

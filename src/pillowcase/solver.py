@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import (DegenerateCurveError, LineForm, PillowcasePoint,
                        PillowcasePolyline, _canonical_array, _distance_rows,
-                       _row_blocks, _step_distances,
+                       _pair_components, _row_blocks, _step_distances,
                        canonicalize, detailed_intersections,
                        distance_components, essential_class, line_offset,
                        pillowcase_distance, pillowcase_distances, TWO_PI)
@@ -897,17 +897,20 @@ def _chain_points(records, threshold):
     """Greedy nearest-neighbor chaining of witness points into polylines.
 
     The components of the points closer than threshold are the chains'
-    pools; the walk reads rows of _distance_rows(xy, xy) and steps to the
-    nearest point left, the least index of a tie.
+    pools, read from the rows of _distance_rows(xy, xy), as
+    distance_components would read them; the walk steps to the nearest
+    point left, the least index of a tie.
     """
     pts = [r.point for r in records]
     if not pts:
         return [], []
     xy = np.array([p.as_tuple() for p in pts])
     distances = _distance_rows(xy, xy)
+    near = np.nonzero(distances < threshold)
+    pairs = [(i, j) for i, j in zip(*(idx.tolist() for idx in near)) if i != j]
     arcs = []
     isolated = []
-    for comp in distance_components(pts, threshold):
+    for comp in _pair_components(len(pts), pairs):
         if len(comp) == 1:
             isolated.append(records[comp[0]])
             continue

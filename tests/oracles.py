@@ -114,3 +114,16 @@ def nearest_lift_two_pass(pt, anchor):
             best_d = d
             best = (x - dx, y - dy)
     return best
+
+
+def reps_near(pt, x, y):
+    """Plane lifts of pt within one lattice step of (x, y), both signs."""
+    out = []
+    for s in (1.0, -1.0):
+        ax, ay = s * pt.alpha, s * pt.beta
+        m0 = round((x - ax) / TWO_PI)
+        n0 = round((y - ay) / TWO_PI)
+        for dm in (-1, 0, 1):
+            for dn in (-1, 0, 1):
+                out.append((ax + TWO_PI * (m0 + dm), ay + TWO_PI * (n0 + dn)))
+    return out

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from pillowcase.families import (klein_bottle_model, klein_filling_analysis,
                                  torus_knot_model)
@@ -23,10 +22,10 @@ from pillowcase.homology import (AbelianGroup, enumerate_standard_tuples,
                                  standard_form_reduce)
 from pillowcase.presentations import concat, pow_word
 from pillowcase.solver import (SolverConfig, extract_essential_curve,
-                               find_surgery_representation,
-                               sample_pillowcase_image)
+                               find_surgery_representation)
 from pillowcase.su2 import irreducibility_gap, relator_residual
 
+from images import image
 from oracles import minor_gcd_invariants
 
 PI = math.pi
@@ -35,11 +34,6 @@ CFG = SolverConfig()
 
 def report(number, name, started):
     print(f"\nACCEPTANCE {number} ({name}): PASS ({time.monotonic() - started:.1f}s)")
-
-
-@pytest.fixture(scope="module")
-def trefoil_image_200():
-    return sample_pillowcase_image(torus_knot_model(2, 3), 200, CFG)
 
 
 def test_criterion_1_involution_algebra():
@@ -64,7 +58,7 @@ def test_criterion_1_involution_algebra():
 def test_criterion_2_klein_bottle_model():
     started = time.monotonic()
     model = klein_bottle_model()
-    img = sample_pillowcase_image(model, 100, CFG)
+    img = image(model, 100)
     irr = img.irreducible_points()
     assert irr, "sweep found no irreducible witnesses"
     for rec in irr:
@@ -82,9 +76,9 @@ def test_criterion_2_klein_bottle_model():
     report(2, "Klein-bottle model", started)
 
 
-def test_criterion_3_trefoil_image(trefoil_image_200):
+def test_criterion_3_trefoil_image():
+    img = image(torus_knot_model(2, 3), 200)
     started = time.monotonic()
-    img = trefoil_image_200
     irr = img.irreducible_points()
     assert irr
     on_line = sum(1 for rec in irr if line_offset(rec.point, 6, 1, PI) <= 1e-6)
@@ -124,12 +118,12 @@ def _swap_branch_oracle():
     return out
 
 
-def test_criterion_4_trefoil_splice(trefoil_image_200):
-    started = time.monotonic()
+def test_criterion_4_trefoil_splice():
     tre = torus_knot_model(2, 3)
+    img = image(tre, 200)
+    started = time.monotonic()
     spliced = splice(tre, tre, GluingMatrix.swap())
-    result = search_nonabelian_rep(spliced, CFG, image1=trefoil_image_200,
-                                   image2=trefoil_image_200)
+    result = search_nonabelian_rep(spliced, CFG, image1=img, image2=img)
     assert result.found
     assert result.residual < 1e-8
     assert result.gap_side1 > 0.1 and result.gap_side2 > 0.1
@@ -149,7 +143,8 @@ def test_criterion_5_motegi_splice():
     assert glue_homology(tre, neg, gluing) == AbelianGroup(torsion=(37,), rank=0)
     config = SolverConfig(resolution=400)
     spliced = splice(tre, neg, gluing)
-    result = search_nonabelian_rep(spliced, config)
+    result = search_nonabelian_rep(spliced, config, image1=image(tre, 400),
+                                   image2=image(neg, 400))
     assert not result.found
     # evidence is recorded with the resolution it was gathered at
     assert result.resolution == 400
@@ -224,10 +219,11 @@ def test_criterion_7_homology_suite():
     report(7, "homology suite", started)
 
 
-def test_criterion_8_surgery_representation(trefoil_image_200):
-    started = time.monotonic()
+def test_criterion_8_surgery_representation():
     tre = torus_knot_model(2, 3)
-    found = find_surgery_representation(trefoil_image_200, 1, 1, CFG)
+    img = image(tre, 200)
+    started = time.monotonic()
+    found = find_surgery_representation(img, 1, 1, CFG)
     assert found is not None
     rep, pt = found
     filled = tre.presentation.with_relator(
@@ -238,7 +234,7 @@ def test_criterion_8_surgery_representation(trefoil_image_200):
     # reads 5a = pi mod 2pi, giving a in {pi/5, 3pi/5} on the open branch
     assert min(abs(pt.alpha - PI / 5), abs(pt.alpha - 3 * PI / 5)) < 1e-3
     assert irreducibility_gap(rep) > 0.1
-    assert find_surgery_representation(trefoil_image_200, 1, 0, CFG) is None
+    assert find_surgery_representation(img, 1, 0, CFG) is None
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"runtime {elapsed:.1f}s exceeds 1min"
     report(8, "surgery representation", started)

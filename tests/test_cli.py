@@ -18,6 +18,8 @@ from pillowcase.render import (_fold_curve_paths, _xy, image_to_csv, image_to_sv
                                mark_points, polylines_to_svg)
 from pillowcase.solver import SolverConfig, sample_pillowcase_image
 
+from images import image
+
 
 # the trefoil group <x, y | xyx = yxy> with two meridians as meridian and
 # longitude: one free H1 coordinate, and peripheral words that do not commute
@@ -230,7 +232,7 @@ class TestImageCommand:
         code, out, _ = run(capsys, "image", "trefoil", "--resolution", "100", "--json")
         assert code == EXIT_OK
         sweep = json.loads(out)["sweep"]
-        img = sample_pillowcase_image(torus_knot_model(2, 3), 100, SolverConfig())
+        img = image(torus_knot_model(2, 3), 100)
         assert sweep == asdict(img.sweep)
         assert (sweep["discovery_nodes"], sweep["discovery_rows"]) == (26, 520)
         assert sweep["tracked_witnesses"] > 0
@@ -492,8 +494,8 @@ class TestSpliceCommand:
         assert calls == ["torus(2,3)", "torus(-2,3)"]
         # the same drawing as from images swept apart from the search
         cfg = SolverConfig(resolution=40, seed=1)
-        img1 = sample_pillowcase_image(load_model("trefoil"), 40, cfg)
-        img2 = sample_pillowcase_image(load_model("trefoil-neg"), 40, cfg)
+        img1 = image(load_model("trefoil"), 40, cfg)
+        img2 = image(load_model("trefoil-neg"), 40, cfg)
         g = parse_gluing("skew:3")
         svg = polylines_to_svg(
             list(img1.arcs) + list(img2.transform_arcs(g)),
@@ -596,8 +598,7 @@ def _fold_reference(curve):
 
 class TestRender:
     def test_svg_and_csv(self):
-        img = sample_pillowcase_image(torus_knot_model(2, 3), 25,
-                                      SolverConfig())
+        img = image(torus_knot_model(2, 3), 25)
         svg = image_to_svg(img)
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert "polyline" in svg
@@ -614,8 +615,7 @@ class TestRender:
         for name in ("trefoil", "trefoil-neg", "klein"):
             for resolution in (60, 200):
                 for seed in (0, 1):
-                    img = sample_pillowcase_image(builtin_model(name), resolution,
-                                                  SolverConfig(seed=seed))
+                    img = image(builtin_model(name), resolution, SolverConfig(seed=seed))
                     curves += img.arcs
                     curves += img.transform_arcs(GluingMatrix.swap())
                     curves += img.transform_arcs(GluingMatrix.skew(3))

@@ -17,26 +17,14 @@ from pillowcase.geometry import (GluingMatrix, DegenerateCurveError, LineForm, P
                                  pillowcase_distances, polyline,
                                  polyline_intersections,
                                  sigma, sigma_p, tau)
-from oracles import nearest_lift_two_pass
+from images import image
+from oracles import nearest_lift_two_pass, reps_near
 
 PI = math.pi
 
 
 def close(p, q, tol=1e-9):
     return pillowcase_distance(p, q) <= tol
-
-
-def _reps_near(pt, x, y):
-    """Plane lifts of pt within one lattice step of (x, y), both signs."""
-    out = []
-    for s in (1.0, -1.0):
-        ax, ay = s * pt.alpha, s * pt.beta
-        m0 = round((x - ax) / TWO_PI)
-        n0 = round((y - ay) / TWO_PI)
-        for dm in (-1, 0, 1):
-            for dn in (-1, 0, 1):
-                out.append((ax + TWO_PI * (m0 + dm), ay + TWO_PI * (n0 + dn)))
-    return out
 
 
 def _point_segment(px, py, x1, y1, x2, y2):
@@ -285,7 +273,7 @@ def _reference_min_distance(curve, pt):
     """The all-segments scalar loop that min_distance_to must reproduce."""
     best = math.inf
     for (x1, y1), (x2, y2) in curve.lifted_segments():
-        for (px, py) in _reps_near(pt, 0.5 * (x1 + x2), 0.5 * (y1 + y2)):
+        for (px, py) in reps_near(pt, 0.5 * (x1 + x2), 0.5 * (y1 + y2)):
             best = min(best, _point_segment(px, py, x1, y1, x2, y2)[0])
     return best
 
@@ -365,9 +353,7 @@ def splice_arc_pairs():
     splice search maps them, so their lifts and segments are long.
     """
     from pillowcase.families import builtin_model
-    from pillowcase.solver import SolverConfig, sample_pillowcase_image
-    imgs = {name: sample_pillowcase_image(builtin_model(name), 60, SolverConfig())
-            for name in ("trefoil", "trefoil-neg")}
+    imgs = {name: image(builtin_model(name), 60) for name in ("trefoil", "trefoil-neg")}
     pairs = []
     for first, second in (("trefoil", "trefoil"), ("trefoil", "trefoil-neg")):
         for g in (GluingMatrix.swap(), GluingMatrix.skew(3), GluingMatrix(-6, 1, 37, -6)):
@@ -621,8 +607,8 @@ class TestPointDistanceKernel:
             queries = _wrap_points()[::3] + [canonicalize(*rng.uniform(-10, 10, size=2))]
             for pt in queries:
                 expected = np.array([[_point_segment(px, py, x1, y1, x2, y2)
-                                      for px, py in _reps_near(pt, 0.5 * (x1 + x2),
-                                                               0.5 * (y1 + y2))]
+                                      for px, py in reps_near(pt, 0.5 * (x1 + x2),
+                                                              0.5 * (y1 + y2))]
                                      for (x1, y1), (x2, y2) in curve.lifted_segments()])
                 d, t = curve._scan(pt, slice(None))
                 assert d.tobytes() == expected[..., 0].tobytes()
@@ -1166,7 +1152,7 @@ class TestHelpers:
             p1 = canonicalize(rng.uniform(-8, 8), rng.uniform(-8, 8))
             p2 = canonicalize(rng.uniform(-8, 8), rng.uniform(-8, 8))
             ref = min(math.hypot(p1.alpha - u, p1.beta - v)
-                      for (u, v) in _reps_near(p2, p1.alpha, p1.beta))
+                      for (u, v) in reps_near(p2, p1.alpha, p1.beta))
             assert abs(ref - pillowcase_distance(p1, p2)) < 1e-12
 
 
@@ -1181,8 +1167,7 @@ def image_curves():
     are from_lifts polylines whose segments are long.
     """
     from pillowcase.families import builtin_model
-    from pillowcase.solver import SolverConfig, sample_pillowcase_image
-    img = sample_pillowcase_image(builtin_model("trefoil"), 40, SolverConfig())
+    img = image(builtin_model("trefoil"), 40)
     arcs = list(img.arcs)
     assert any(arc.closed for arc in arcs)
     mapped = [arc.transformed(g.rows()) for g in (GluingMatrix(-6, 1, 37, -6),

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import math
 import tracemalloc
@@ -20,26 +19,25 @@ from pillowcase.gluer import (CandidateCounts, p_avoiding_certificate,
                               _candidate_points, _side2_angles)
 from pillowcase.homology import abelianization, glue_homology
 from pillowcase.solver import (PillowcaseImage, SolverConfig,
-                               extract_essential_curve, find_surgery_representation,
-                               sample_pillowcase_image)
+                               extract_essential_curve, find_surgery_representation)
 from pillowcase.su2 import relator_residual
+
+from images import image
 
 PI = math.pi
 CFG = SolverConfig(resolution=100)
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def trefoil_image():
-    return sample_pillowcase_image(torus_knot_model(2, 3), 100, CFG)
+    return image(torus_knot_model(2, 3), 100, CFG)
 
 
-@pytest.fixture(scope="module")
-def search_images(trefoil_image):
+@pytest.fixture
+def search_images():
     """The trefoil and trefoil-neg images at r=100, seed 0, with their models."""
     models = {"tre": torus_knot_model(2, 3), "neg": torus_knot_model(-2, 3)}
-    images = {"tre": trefoil_image,
-              "neg": sample_pillowcase_image(models["neg"], 100, CFG)}
-    return models, images
+    return models, {key: image(model, 100, CFG) for key, model in models.items()}
 
 
 #: the five splice searches of the library reuse path: (image 1, image 2, gluing)
@@ -145,7 +143,8 @@ class TestSearch:
         tre = torus_knot_model(2, 3)
         assert glue_homology(kl, tre, GluingMatrix.swap()).torsion == (2, 2)
         spliced = splice(kl, tre, GluingMatrix.swap())
-        res = search_nonabelian_rep(spliced, SolverConfig(resolution=80))
+        res = search_nonabelian_rep(spliced, SolverConfig(resolution=80),
+                                    image1=image(kl, 80), image2=image(tre, 80))
         assert res.found
         assert res.residual < 1e-8
         assert res.gap_side1 > 0.1 and res.gap_side2 > 0.1
@@ -157,7 +156,8 @@ class TestSearch:
         tre = torus_knot_model(2, 3)
         neg = torus_knot_model(-2, 3)
         spliced = splice(tre, neg, GluingMatrix(a=-6, b=1, p=37, c=-6))
-        res = search_nonabelian_rep(spliced, CFG)
+        res = search_nonabelian_rep(spliced, CFG, image1=image(tre, 100, CFG),
+                                    image2=image(neg, 100, CFG))
         assert not res.found
         assert res.resolution == CFG.resolution
 
@@ -166,7 +166,7 @@ class TestSearch:
         # beta = 0 and at delta = 0: both sides abelian, nothing to refine
         neg = torus_knot_model(-2, 3)
         g = GluingMatrix(a=-6, b=1, p=37, c=-6)
-        img2 = sample_pillowcase_image(neg, 100, CFG)
+        img2 = image(neg, 100, CFG)
         arcs2 = img2.transform_arcs(g)
         assert [a.segment_count() for a in arcs2] == [a.segment_count() for a in img2.arcs]
         assert sum(a.segment_count() for a in arcs2) == 161
@@ -203,7 +203,7 @@ class TestSearch:
         # a Klein reducible line overlaps its own image under (1, 0, 0, -1):
         # 2304 collinear hits, whose full distance matrix with its
         # temporaries takes about 340 MB
-        img = sample_pillowcase_image(klein_bottle_model(), 60, CFG)
+        img = image(klein_bottle_model(), 60, CFG)
         g = GluingMatrix(1, 0, 0, -1)
         line = img.arcs[-1]
         hits = [pt for pt, *_ in detailed_intersections(line, line.transformed(g.rows()))]
@@ -222,7 +222,7 @@ class TestSearch:
         # no points; the candidates are the numeric arcs' hits with their own
         # images, on the edge alpha = pi, and the first one refined is found
         kl = klein_bottle_model()
-        img = sample_pillowcase_image(kl, 60, CFG)
+        img = image(kl, 60, CFG)
         g = GluingMatrix(1, 0, 0, -1)
         assert [l1.meet(l2.transformed(g)) for l1 in img.lines for l2 in img.lines] \
             == [[]] * 4
@@ -287,12 +287,6 @@ class TestSearch:
 _MOTEGI = GluingMatrix(a=-6, b=1, p=37, c=-6)
 
 
-@functools.lru_cache(maxsize=None)
-def _image(name, resolution, seed):
-    config = SolverConfig(resolution=resolution, seed=seed)
-    return sample_pillowcase_image(builtin_model(name), resolution, config)
-
-
 def _sampled_candidate_points(img1, arcs2_transformed):
     """The candidates as found before exact lines: every arc pair intersected
     as polylines, the reducible lines as their sampled polylines."""
@@ -323,7 +317,9 @@ class TestExactLineCandidates:
     ])
     def test_same_candidates_and_search(self, monkeypatch, name1, name2, gluing,
                                         resolution, seed):
-        img1, img2 = _image(name1, resolution, seed), _image(name2, resolution, seed)
+        config = SolverConfig(resolution=resolution, seed=seed)
+        img1 = image(builtin_model(name1), resolution, config)
+        img2 = image(builtin_model(name2), resolution, config)
         exact = [pt for pt, _ in _candidate_points(img1, img2, gluing)]
         sampled = _sampled_candidate_points(img1, img2.transform_arcs(gluing))
         assert len(exact) == len(sampled) > 0
@@ -331,7 +327,6 @@ class TestExactLineCandidates:
             for pt in pts:
                 assert min(pillowcase_distance(pt, q) for q in others) < 1e-9, pt
 
-        config = SolverConfig(resolution=resolution, seed=seed)
         spliced = splice(img1.model, img2.model, gluing)
         pairs = []
         intersect = gluer.polyline_intersections
@@ -392,7 +387,7 @@ class TestSlopeLineCertificates:
         assert cert.contains_half_pi
 
     def test_klein_p2(self):
-        img = sample_pillowcase_image(klein_bottle_model(), 60, CFG)
+        img = image(klein_bottle_model(), 60, CFG)
         cert = slope_line_certificates(img, 2)
         assert not cert.avoid_zero_line
         # the beta = pi family of diagonal representations crosses the line

@@ -13,15 +13,14 @@ import pytest
 
 from pillowcase.families import klein_bottle_model
 from pillowcase.geometry import PillowcasePoint
-from pillowcase.solver import (IRREDUCIBLE_GAP, SolverConfig, lift_to_cut_open,
-                               sample_pillowcase_image)
+from pillowcase.solver import IRREDUCIBLE_GAP, lift_to_cut_open
 
-CFG = SolverConfig()
+from images import image
 
 
-@pytest.fixture(scope="module", params=[60, 200], ids=lambda r: f"r={r}")
+@pytest.fixture(params=[60, 200], ids=lambda r: f"r={r}")
 def klein_image(request):
-    return sample_pillowcase_image(klein_bottle_model(), request.param, CFG)
+    return image(klein_bottle_model(), request.param)
 
 
 def test_irreducible_witnesses_on_the_edge(klein_image):

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import itertools
 import math
@@ -38,18 +37,21 @@ from pillowcase.su2 import (NonCommutingPeripheralsError, Representation,
                             UnitQuaternion, boundary_angles, evaluate_word,
                             irreducibility_gap, relator_residual)
 
+from images import image
+from oracles import reps_near
+
 PI = math.pi
 CFG = SolverConfig()
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def trefoil_image():
-    return sample_pillowcase_image(torus_knot_model(2, 3), 120, CFG)
+    return image(torus_knot_model(2, 3), 120)
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def klein_image():
-    return sample_pillowcase_image(klein_bottle_model(), 60, CFG)
+    return image(klein_bottle_model(), 60)
 
 
 def _sweep(pres, alphas, keys, config):
@@ -390,7 +392,7 @@ class TestOnLineFilter:
         return any(line.min_distance_to(pt) < 1e-6 for line in lines)
 
     def test_witness_verdicts(self, trefoil_image, klein_image):
-        neg_image = sample_pillowcase_image(torus_knot_model(-2, 3), 60, CFG)
+        neg_image = image(torus_knot_model(-2, 3), 60)
         for img in (trefoil_image, neg_image, klein_image):
             forms = _line_forms(img.model)
             lines = [line for _, line in forms]
@@ -475,7 +477,7 @@ class TestSweep:
             assert min(pillowcase_distance(target, q) for q in pts) < 1e-6
 
     def test_unknot_image(self):
-        img = sample_pillowcase_image(unknot_model(), 40, CFG)
+        img = image(unknot_model(), 40)
         assert len(img.arcs) == 1
         for rec in img.points:
             assert line_offset(rec.point, 0, 1, 0) < 1e-9
@@ -489,7 +491,7 @@ class TestSweep:
         # two irreducible families (v-angle pi/5 and 3pi/5) share the
         # pillowcase line 10a + b = pi; the restarts must reach both basins
         model = torus_knot_model(2, 5)
-        img = sample_pillowcase_image(model, 60, CFG)
+        img = image(model, 60)
         irr = img.irreducible_points()
         assert irr
         for rec in irr:
@@ -511,7 +513,7 @@ class TestLift:
                    for v in res.violations)
 
     def test_line_alone_lifts(self):
-        img = sample_pillowcase_image(unknot_model(), 30, CFG)
+        img = image(unknot_model(), 30)
         assert lift_to_cut_open(img).ok
 
 
@@ -524,7 +526,7 @@ class TestEssentialCurve:
         assert curve.min_distance_to(canonicalize(PI / 2, 0.0)) < 1e-3
 
     def test_unknot_none(self):
-        img = sample_pillowcase_image(unknot_model(), 30, CFG)
+        img = image(unknot_model(), 30)
         assert extract_essential_curve(img) is None
 
     def test_synthetic_loop(self):
@@ -539,8 +541,11 @@ class TestEssentialCurve:
         # every curve extract_essential_curve hands to essential_class (its
         # repr, lift bytes, and class or exception type), and the curve it
         # returns, as they have always been
-        images = [(key, _cached_image(*key)) for key in itertools.product(
-            ("trefoil", "trefoil-neg", "klein", "torus:2,5", "torus:3,4"), (60, 100), (0, 1))]
+        keys = itertools.product(
+            ("trefoil", "trefoil-neg", "klein", "torus:2,5", "torus:3,4"), (60, 100), (0, 1))
+        images = [((name, resolution, seed),
+                   image(builtin_model(name), resolution, SolverConfig(seed=seed)))
+                  for name, resolution, seed in keys]
         digest = hashlib.sha256()
 
         def recording_class(curve):
@@ -560,12 +565,6 @@ class TestEssentialCurve:
             digest.update(repr(extract_essential_curve(img)).encode())
         assert digest.hexdigest() == \
             "29fd9715763687a2f5667ca9cbe2ae9dfdf1e57c243719e2c82ea03813dc92b5"
-
-
-@functools.lru_cache(maxsize=None)
-def _cached_image(name, resolution, seed):
-    return sample_pillowcase_image(builtin_model(name), resolution,
-                                   SolverConfig(resolution=resolution, seed=seed))
 
 
 _NODES = {0: (0.5, 1.0), 1: (1.0, 1.0), 2: (1.5, 1.2), 3: (2.0, 1.5), 4: (0.6, 2.0),
@@ -774,8 +773,8 @@ class TestSurgery:
 
     def test_filling_line_crossings_are_line_crossings(self, klein_image):
         # offset 0 gives one target sign and target 0.0: the scan's hits
-        images = [sample_pillowcase_image(torus_knot_model(2, 3), 60, CFG),
-                  sample_pillowcase_image(torus_knot_model(-2, 3), 60, CFG), klein_image]
+        images = [image(torus_knot_model(2, 3), 60), image(torus_knot_model(-2, 3), 60),
+                  klein_image]
         slopes = [(1, 1), (1, 0), (0, 1), (1, -1), (2, 1), (1, 2), (3, -2), (37, -6)]
         hits = 0
         for img in images:
@@ -935,7 +934,7 @@ class TestDiscoveryAndTracking:
         assert _sweep(pres, [0.0, PI], [0, 1], CFG) == [
             [(rep, irreducibility_gap(rep))], []]
         model = KnotExteriorModel(name="point", presentation=pres)
-        img = sample_pillowcase_image(model, 200, CFG)
+        img = image(model, 200)
         assert [r.witness for r in img.points] == [rep]
         assert img.sweep.discovery_rows == img.sweep.tracks_started == 0
 
@@ -954,7 +953,7 @@ class TestDiscoveryAndTracking:
     @pytest.mark.parametrize("model", [torus_knot_model(2, 3), klein_bottle_model()],
                              ids=["trefoil", "klein"])
     def test_stride_one_grid_is_the_cold_sweep(self, model):
-        img = sample_pillowcase_image(model, 48, CFG)
+        img = image(model, 48)
         grid = np.linspace(0.0, PI, 48)
         cold = _sweep(model.presentation, [float(a) for a in grid], range(48), CFG)
         assert _witness_bytes(r.witness for r in img.points) == _witness_bytes(
@@ -964,7 +963,7 @@ class TestDiscoveryAndTracking:
     @pytest.mark.parametrize("model", [torus_knot_model(2, 3), klein_bottle_model()],
                              ids=["trefoil", "klein"])
     def test_discovery_witnesses_are_the_cold_ones(self, model):
-        img = sample_pillowcase_image(model, 100, CFG)
+        img = image(model, 100)
         by_node = _points_by_node(img)
         nodes = solver._discovery_nodes(100)
         grid = np.linspace(0.0, PI, 100)
@@ -981,7 +980,7 @@ class TestDiscoveryAndTracking:
         # (the LM pins a witness's alpha only to within tol: one klein
         # seed-2 cold witness sits 2.1e-9 off its node)
         model, config = _TRACKED_MODELS[name], SolverConfig(seed=seed)
-        img = sample_pillowcase_image(model, 200, config)
+        img = image(model, 200, config)
         grid = np.linspace(0.0, PI, 200)
         cold = _sweep(model.presentation, [float(a) for a in grid], range(200), config)
         by_node = _points_by_node(img)
@@ -997,8 +996,8 @@ class TestDiscoveryAndTracking:
         # one restart per discovery node finds one solution there at most;
         # tracks that pass the other discovery nodes fill in the rest
         model = torus_knot_model(2, 3)
-        img = sample_pillowcase_image(model, 200, SolverConfig(restarts=1))
-        full = sample_pillowcase_image(model, 200, CFG)
+        img = image(model, 200, SolverConfig(restarts=1))
+        full = image(model, 200)
         assert img.sweep.discovery_rows == 26
         nodes = set(solver._discovery_nodes(200))
         at_discovery = sum(len(v) for i, v in _points_by_node(img).items() if i in nodes)
@@ -1010,7 +1009,7 @@ class TestDiscoveryAndTracking:
     @pytest.mark.parametrize("name", list(_TRACKED_MODELS))
     def test_sweep_counts(self, name):
         model = _TRACKED_MODELS[name]
-        img = sample_pillowcase_image(model, 200, CFG)
+        img = image(model, 200)
         s = img.sweep
         assert (s.discovery_nodes, s.discovery_rows) == (26, 520)
         nodes = solver._discovery_nodes(200)
@@ -1028,6 +1027,7 @@ class TestDiscoveryAndTracking:
         assert s.track_rows == s.tracked_witnesses + s.track_stops_failed \
             + s.track_stops_matched
         assert all(by_node.get(i) for i in range(200))
+        # a fresh sweep, not the shared image, counts the same
         assert sample_pillowcase_image(model, 200, CFG).sweep == s
 
     @pytest.mark.parametrize("name, resolution, seed, digest", [
@@ -1038,8 +1038,7 @@ class TestDiscoveryAndTracking:
     ])
     def test_points_and_counts_are_pinned(self, name, resolution, seed, digest):
         # every witness, point and gap, and the SweepStats, as they have always been
-        img = sample_pillowcase_image(builtin_model(name), resolution,
-                                      SolverConfig(resolution=resolution, seed=seed))
+        img = image(builtin_model(name), resolution, SolverConfig(seed=seed))
         assert hashlib.sha256(repr((img.points, img.sweep)).encode()).hexdigest() == digest
 
     def test_accept_pass_matches_kept_solutions(self):
@@ -1355,7 +1354,7 @@ class TestBatchedDiagnostics:
         ids=["trefoil", "trefoil-neg", "klein", "unknot", "T(2,5)", "T(3,4)"])
     def test_image_points_bitwise(self, model, resolution, seed):
         pres = model.presentation
-        img = sample_pillowcase_image(model, resolution, SolverConfig(seed=seed))
+        img = image(model, resolution, SolverConfig(seed=seed))
         reps = [r.witness for r in img.points]
         assert len(reps) > 0
         expected = [boundary_angles(rep, pres) for rep in reps]
@@ -1370,7 +1369,7 @@ class TestBatchedDiagnostics:
                              ids=["unknot", "klein"])
     def test_central_holonomies_read_exact_angles(self, model):
         pres = model.presentation
-        reps = [r.witness for r in sample_pillowcase_image(model, 60, CFG).points]
+        reps = [r.witness for r in image(model, 60).points]
         points = _boundary_points(reps, pres)
         central = 0
         for rep, pt in zip(reps, points):
@@ -1447,19 +1446,6 @@ def _nearest_point_reference(img, pt, min_gap=-math.inf):
     return best, best_d
 
 
-def _reps_near(pt, x, y):
-    """Plane lifts of pt within one lattice step of (x, y), both signs."""
-    out = []
-    for s in (1.0, -1.0):
-        ax, ay = s * pt.alpha, s * pt.beta
-        m0 = round((x - ax) / TWO_PI)
-        n0 = round((y - ay) / TWO_PI)
-        for dm in (-1, 0, 1):
-            for dn in (-1, 0, 1):
-                out.append((ax + TWO_PI * (m0 + dm), ay + TWO_PI * (n0 + dn)))
-    return out
-
-
 def _project_endpoint_cuts_reference(curves, node_tol):
     """The old scalar scan of _project_endpoint_cuts, with sqrt for hypot."""
     cuts = {i: [] for i in range(len(curves))}
@@ -1473,7 +1459,7 @@ def _project_endpoint_cuts_reference(curves, node_tol):
         for pt in endpoints:
             best = None
             for si, ((x1, y1), (x2, y2)) in enumerate(segs):
-                for (px, py) in _reps_near(pt, 0.5 * (x1 + x2), 0.5 * (y1 + y2)):
+                for (px, py) in reps_near(pt, 0.5 * (x1 + x2), 0.5 * (y1 + y2)):
                     dx, dy = x2 - x1, y2 - y1
                     L2 = dx * dx + dy * dy
                     if L2 == 0:
@@ -1743,7 +1729,7 @@ class TestPointKernelScans:
     def test_project_endpoint_cuts_radius_on_image_arcs(self, name):
         # the radius skips only segments that cannot cut: the same cuts as
         # the scan of every segment, on the arcs and on their Motegi images
-        img = sample_pillowcase_image(builtin_model(name), 60, CFG)
+        img = image(builtin_model(name), 60)
         arcs = list(img.arcs)
         mapped = [arc.transformed(GluingMatrix(-6, 1, 37, -6).rows()) for arc in arcs]
         node_tol = max(img.chain_threshold, 1e-7)
@@ -1767,7 +1753,7 @@ class TestPointKernelScans:
     @pytest.mark.parametrize("model", [torus_knot_model(2, 3), klein_bottle_model()],
                              ids=["trefoil", "klein"])
     def test_real_images(self, model):
-        img = sample_pillowcase_image(model, 25, CFG)
+        img = image(model, 25)
         queries = [r.point for r in img.points]
         queries += [v for arc in img.arcs for v in arc.vertices[::7]]
         for min_gap in (-math.inf, solver.IRREDUCIBLE_GAP):
@@ -1940,7 +1926,7 @@ class TestProximityPasses:
                              ids=["trefoil", "klein"])
     def test_real_images(self, model, monkeypatch):
         rng = np.random.default_rng(43)
-        img = sample_pillowcase_image(model, 25, CFG)
+        img = image(model, 25)
         # the endpoint merge and the pi-line connectivity, on their own inputs
         merges, scans = [], []
         connected_at_scale = gluer._connected_at_scale
@@ -2238,7 +2224,7 @@ class TestWindowedLM:
     def test_refine_from_surgery_seeds(self, monkeypatch):
         # the filling relator's path: find_surgery_representation refines
         # on the model's presentation with the filling relator appended
-        img = sample_pillowcase_image(torus_knot_model(2, 3), 60, CFG)
+        img = image(torus_knot_model(2, 3), 60)
         seeds = [(pres, seed) for pres, seed, _ in _refine_seeds(monkeypatch, solver, lambda: [
             find_surgery_representation(img, p, q, CFG) for p, q in ((1, 1), (1, 0), (0, 1))])]
         relators = len(img.model.presentation.relators)
@@ -2285,7 +2271,9 @@ def _refine_seeds(monkeypatch, module, run):
 
 def _swap_splice_search(config):
     tre = torus_knot_model(2, 3)
-    return gluer.search_nonabelian_rep(splice(tre, tre, GluingMatrix.swap()), config)
+    img = image(tre, config.resolution, config)
+    return gluer.search_nonabelian_rep(splice(tre, tre, GluingMatrix.swap()), config,
+                                       image1=img, image2=img)
 
 
 # ---------------------------------------------------------------------------

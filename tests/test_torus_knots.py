@@ -12,9 +12,10 @@ import pytest
 
 from pillowcase.families import torus_knot_model
 from pillowcase.geometry import essential_class, line_offset
-from pillowcase.solver import SolverConfig, extract_essential_curve, sample_pillowcase_image
+from pillowcase.solver import extract_essential_curve
 
-CFG = SolverConfig()
+from images import image
+
 RESOLUTION = 100
 KNOTS = [(2, 3), (2, 5), (3, 4), (2, 7), (3, 5), (2, 9)]
 
@@ -30,11 +31,11 @@ def _knot_id(knot):
     return "T({},{})".format(*knot)
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def torus_image(request):
-    """(p, q, image): one sweep of T(p, q) at r=100 per module."""
+    """(p, q, image of T(p, q) at r=100)."""
     p, q = request.param
-    return p, q, sample_pillowcase_image(torus_knot_model(p, q), RESOLUTION, CFG)
+    return p, q, image(torus_knot_model(p, q), RESOLUTION)
 
 
 def _oracle_offset(pt, p, q):
