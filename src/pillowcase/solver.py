@@ -1136,10 +1136,10 @@ def _cycle_polylines(n_nodes, edges):
     taking each node's edges in edge order.  Each non-forest edge (u, v), in
     edge order, then gives one cycle, walked from u: along the edge to v, up
     the forest from v to the common ancestor, and down to u.  This walk sets
-    the sign of the cycle's essential_class.  A piece's first vertex is
-    dropped when within 1e-6 of the walk's last, and the walk's last
-    vertices while within 1e-9 of its first; a walk left with fewer than 3
-    vertices gives nothing.  A self-loop gives its piece, closed, as it is.
+    the sign of the cycle's essential_class; a self-loop (u = v) walks its
+    piece alone.  A piece's first vertex is dropped when within 1e-6 of the
+    walk's last, and the walk's last vertices while within 1e-9 of its
+    first; a walk left with fewer than 3 vertices gives nothing.
     """
     adj = [[] for _ in range(n_nodes)]
     for ei, (u, v, _) in enumerate(edges):
@@ -1171,9 +1171,6 @@ def _cycle_polylines(n_nodes, edges):
     for ei, (u, v, piece) in enumerate(edges):
         if ei in tree_edges:
             continue
-        if u == v:
-            yield PillowcasePolyline(piece.vertices, closed=True)
-            continue
         up, down = [], []  # from v up to the common ancestor; from it down to u, last first
         a, b = v, u
         while a != b:
@@ -1196,35 +1193,18 @@ def _cycle_polylines(n_nodes, edges):
             yield PillowcasePolyline(tuple(verts), closed=True)
 
 
-def _essential_candidates(curves):
-    """(|class|, curve) for each curve of nonzero essential_class, in order;
-    a curve too degenerate to have a class is skipped."""
-    for curve in curves:
-        try:
-            cls = essential_class(curve)
-        except DegenerateCurveError:
-            continue
-        if cls != 0:
-            yield abs(cls), curve
-
-
 def extract_essential_curve(img: PillowcaseImage) -> PillowcasePolyline | None:
     """Find a closed curve of nonzero class in the arcs of an image.
 
-    The closed arcs are candidates as they are.  Unless one has class +-1,
-    the planar graph of all arcs (split at mutual intersections and at
-    endpoints resting on other arcs, ends merged within node_tol) gives
-    one more candidate per fundamental cycle, walked as _cycle_polylines
-    says.  Returns a candidate of least |class|, the shortest of those, or
-    None.
+    The candidates are the closed arcs as they are, then one closed polyline
+    per fundamental cycle of the planar graph of all arcs (split at mutual
+    intersections and at endpoints resting on other arcs, ends merged within
+    node_tol), walked as _cycle_polylines says.  A candidate too degenerate
+    to have a class is skipped.  Returns a candidate of least nonzero
+    |class|, the shortest of those, or None.
     """
     curves = img.arcs
-    if not curves:
-        return None
     node_tol = max(img.chain_threshold, 1e-7)
-    candidates = list(_essential_candidates(c for c in curves if c.closed))
-    if candidates and min(c for c, _ in candidates) == 1:
-        return min(candidates, key=lambda item: (item[0], item[1].length()))[1]
     cuts = {i: [] for i in range(len(curves))}
     for i in range(len(curves)):
         for j in range(i + 1, len(curves)):
@@ -1236,14 +1216,20 @@ def extract_essential_curve(img: PillowcaseImage) -> PillowcasePolyline | None:
     pieces = []
     for i, c in enumerate(curves):
         pieces.extend(_split_polyline(c, cuts[i]))
-    if not pieces:
-        return None
     # merge endpoints into graph nodes: piece k runs from endpoint 2k to 2k + 1
     endpoints = [v for p in pieces for v in (p.vertices[0], p.vertices[-1])]
     nodes = distance_components(endpoints, node_tol)
     node_of = {i: node for node, comp in enumerate(nodes) for i in comp}
     edges = [(node_of[2 * k], node_of[2 * k + 1], p) for k, p in enumerate(pieces)]
-    candidates.extend(_essential_candidates(_cycle_polylines(len(nodes), edges)))
+    candidates = []
+    for curve in itertools.chain((c for c in curves if c.closed),
+                                 _cycle_polylines(len(nodes), edges)):
+        try:
+            cls = abs(essential_class(curve))
+        except DegenerateCurveError:
+            continue
+        if cls:
+            candidates.append((cls, curve))
     if not candidates:
         return None
     return min(candidates, key=lambda item: (item[0], item[1].length()))[1]

@@ -537,6 +537,31 @@ class TestEssentialCurve:
         found = extract_essential_curve(img)
         assert found is not None and abs(essential_class(found)) == 1
 
+    def test_cycle_beats_closed_arc(self, monkeypatch):
+        # a class-1 loop detours to alpha = 2.6; an open arc at alpha = 1.8
+        # crosses the detour twice, so the graph has a shorter class-1 cycle,
+        # and the least (|class|, length) candidate wins over the closed arc
+        loop = polyline([(PI / 2, b) for b in (0.0, 0.5, 1.0, 1.5, 2.0)]
+                        + [(2.6, b) for b in (2.5, 3.0, 3.5, 4.0)]
+                        + [(PI / 2, b) for b in (4.5, 5.0, 5.5, 6.0)], closed=True)
+        chord = polyline([(1.8, b) for b in (1.8, 2.5, 3.2, 3.9, 4.7)])
+        img = PillowcaseImage(model=unknot_model(), resolution=40,
+                              grid_step=0.8 / 40, points=(), arcs=(loop, chord))
+        recorded = []
+
+        def recording_class(curve):
+            cls = essential_class(curve)
+            recorded.append((abs(cls), curve.length(), curve))
+            return cls
+
+        monkeypatch.setattr(solver, "essential_class", recording_class)
+        found = extract_essential_curve(img)
+        # the closed arc, then the graph's two cycles: the loop again and the shortcut
+        assert len(recorded) == 3 and recorded[0][2] is loop
+        best = min((item for item in recorded if item[0]), key=lambda item: item[:2])
+        assert found is best[2] and best[0] == 1
+        assert best[1] < loop.length()
+
     @staticmethod
     def _pinned_images():
         keys = itertools.product(
@@ -577,7 +602,7 @@ class TestEssentialCurve:
             digest.update(repr(key).encode())
             extract_essential_curve(img)
         assert digest.hexdigest() == \
-            "aa26248838b4317d1a6fb93faa0b269125ea6a15bd40bc256d2808b9411c7bfd"
+            "cc5186470295f439cff52fb35e1bf4b8bde8b58586b393c56b715fe6a62b7c7f"
 
 
 _NODES = {0: (0.5, 1.0), 1: (1.0, 1.0), 2: (1.5, 1.2), 3: (2.0, 1.5), 4: (0.6, 2.0),
@@ -603,12 +628,11 @@ class TestCycleWalk:
     """
 
     CASES = {
-        # a self-loop is its piece, closed, as it is: the repeated end vertex
-        # stays, and so does a loop of two vertices
+        # a self-loop is walked as every other edge: the closing repeat of
+        # its start is dropped, and a loop of two vertices gives nothing
         "self_loops": (1, [_edge(0, 0, (0.8, 1.5), (0.3, 1.4)),
                            _edge(0, 0, end=(0.5 + 5e-8, 1.0))], [
-            [(0.5, 1.0), (0.8, 1.5), (0.3, 1.4), (0.5, 1.0)],
-            [(0.5, 1.0), (0.50000005, 1.0)]]),
+            [(0.5, 1.0), (0.8, 1.5), (0.3, 1.4)]]),
         # edge 0 is the forest; each other edge is walked from its u, the
         # stored (1, 0) included, and the closing repeat of the start is dropped
         "parallel": (2, [_edge(0, 1, (0.75, 0.8)), _edge(1, 0, (0.75, 1.3)),
