@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (PillowcasePoint, PillowcasePolyline, _distance_rows, _line_offsets,
-                       canonicalize, distance_components, distinct_indices,
+from .geometry import (PillowcasePoint, PillowcasePolyline, _DISTINCT_TOL, _distance_rows,
+                       _line_offsets, canonicalize, distance_components, distinct_indices,
                        distinct_points, essential_class, line_crossings, line_offset,
                        pillowcase_distance, polyline_intersections, TWO_PI)
 from .presentations import (GluingMatrix, GroupPresentation, KnotExteriorModel,
@@ -128,8 +128,8 @@ def _candidate_points(img1: PillowcaseImage, img2: PillowcaseImage,
     (arc_arc), a line's form and a numeric arc by LineForm.crossings
     (arc_line), and two forms by LineForm.meet, exactly (line_line); image
     2's forms are transformed.  Pairs come arc of image 1 (numeric, then
-    lines) by arc of image 2 (likewise); a hit within 1e-6 of an earlier
-    one is dropped, as in distinct_points.
+    lines) by arc of image 2 (likewise); a hit within _DISTINCT_TOL of an
+    earlier one is dropped, as in distinct_points.
     """
     arcs2 = [arc.transformed(gluing.rows()) for arc in img2.numeric_arcs]
     lines2 = [line.transformed(gluing) for line in img2.lines]
@@ -142,7 +142,7 @@ def _candidate_points(img1: PillowcaseImage, img2: PillowcaseImage,
         hits += [(pt, "arc_line") for a2 in arcs2 for pt in l1.crossings(a2)]
         hits += [(canonicalize(TWO_PI * float(x), TWO_PI * float(y)), "line_line")
                  for l2 in lines2 for x, y in l1.meet(l2)]
-    return [hits[i] for i in distinct_indices([pt for pt, _ in hits], 1e-6)]
+    return [hits[i] for i in distinct_indices([pt for pt, _ in hits], _DISTINCT_TOL)]
 
 
 def _side2_angles(gluing: GluingMatrix, pt: PillowcasePoint) -> tuple[float, float]:
