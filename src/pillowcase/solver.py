@@ -471,10 +471,10 @@ def _lm_minimize(words, targets, params0, tol):
                 _jacobian(Fm, Fp.compress(moved, axis=1)), Fm)
         del Ft, Fp  # views that hold the step's whole evaluation
         window = window[keep]
-    # per-word residual norms; a (1, 4) @ (4, 1) matmul is the same BLAS dot
-    # that np.linalg.norm takes on one 4-vector, so the values match it exactly
-    seg = F.reshape(R, len(words), 1, 4)
-    max_res = np.sqrt(seg @ seg.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3), initial=0.0)
+    # per-word residual norms by _norm's explicit adds: a BLAS dot would
+    # round by the CPU's OpenBLAS kernel
+    seg = F.reshape(R, len(words), 4)
+    max_res = _norm(*seg.transpose(2, 0, 1)).max(axis=1, initial=0.0)
     return params, max_res
 
 
@@ -504,34 +504,12 @@ def _dist_to_one(q):
                    + np.float_power(y, 2) + np.float_power(z, 2))
 
 
-def _relator_residuals(units, relators):
-    """su2.relator_residual of each row of (n, 4, B) unit component rows."""
-    tables = _LetterTables(units)
-    worst = np.zeros(tables.rows)
-    for r in relators:
-        d = _dist_to_one(_unit(_word_product(tables, r)))
-        worst = np.where(d > worst, d, worst)  # max(worst, d), as Python takes it
-    return worst
-
-
 def _commutator(a, b, tables, ka, kb):
     """((a * b) * a^-1) * b^-1 on (4, B) rows, where tables letter ka is a and kb is b."""
     out = a.copy()
     for k in (kb, -ka, -kb):
         _qstep(out, tables[k], tables.terms, out)
     return out
-
-
-def _gaps(units):
-    """su2.irreducibility_gap of each row of (n, 4, B) unit component rows."""
-    n = units.shape[0]
-    tables = _LetterTables(units)
-    gap = np.zeros(tables.rows)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = _dist_to_one(_commutator(units[i], units[j], tables, i + 1, j + 1))
-            gap = np.where(d > gap, d, gap)  # max(gap, d), as Python takes it
-    return gap
 
 
 def _boundary_points(reps, pres: GroupPresentation) -> list:
@@ -557,19 +535,33 @@ def _boundary_points(reps, pres: GroupPresentation) -> list:
     return [peripheral_point(c[:4], c[4:8], *c[8:]) for c in cols.T.tolist()]
 
 
-def _signatures(units, meridian):
-    """Conjugation invariants of each row, one column each.
+def _row_checks(units, pres: GroupPresentation):
+    """(relator residual, irreducibility gap, invariants) of (n, 4, B) unit component rows.
 
-    Generator and pair-product traces, then the meridian's w and |x|.
+    The residual is su2.relator_residual and the gap su2.irreducibility_gap,
+    bit for bit.  The conjugation invariants, one column each, are the
+    generator and pair-product traces, then the meridian's w and |x|.  All
+    three read one _LetterTables: each pair product g_i * g_j gives its
+    trace and goes on to the pair's commutator, (g_i * g_j) * g_i^-1 * g_j^-1.
     """
     n = units.shape[0]
     tables = _LetterTables(units)
+    residual = np.zeros(tables.rows)
+    for r in pres.relators:
+        d = _dist_to_one(_unit(_word_product(tables, r)))
+        residual = np.where(d > residual, d, residual)  # max(residual, d), as Python takes it
+    gap = np.zeros(tables.rows)
     cols = [units[i, 0] for i in range(n)]
-    cols += [_qstep(units[i], tables[j + 1], tables.terms, np.empty_like(units[i]))[0]
-             for i in range(n) for j in range(i + 1, n)]
-    w, x, _, _ = _unit(_word_product(tables, meridian))
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair = _qstep(units[i], tables[j + 1], tables.terms, np.empty_like(units[i]))
+            cols.append(pair[0])
+            comm = _qstep(pair, tables[-(i + 1)], tables.terms, np.empty_like(pair))
+            d = _dist_to_one(_qstep(comm, tables[-(j + 1)], tables.terms, comm))
+            gap = np.where(d > gap, d, gap)  # max(gap, d), as Python takes it
+    w, x, _, _ = _unit(_word_product(tables, pres.meridian))
     cols += [w, np.abs(x)]
-    return np.stack(cols, axis=1)
+    return residual, gap, np.stack(cols, axis=1)
 
 
 #: outcomes of an LM row in _distinct_solutions
@@ -587,29 +579,27 @@ def _distinct_solutions(pres: GroupPresentation, params, max_res, config: Solver
     invariants match a solution already kept at its node, whether an earlier
     row's or one kept before the call.  kept[node] is the list of
     (irreducibility gap, invariants, solution) entries of the node, and each
-    new solution is appended to it.  Rows are taken in order, _BLOCK_ROWS at a
-    time to bound the temporaries.  Returns each row's outcome: _ACCEPTED,
-    _FAILED or _MATCHED.
+    new solution is appended to it.  Rows are taken in order; their relator
+    residuals, gaps and invariants come from one _row_checks call.  Returns
+    each row's outcome: _ACCEPTED, _FAILED or _MATCHED.
     """
     outcome = np.full(len(params), _FAILED)
-    for start in range(0, len(params), _BLOCK_ROWS):
-        # ~(r >= tol) rather than r < tol, so a NaN residual passes as it does
-        # in the scalar checks
-        rows = start + np.nonzero(~(max_res[start:start + _BLOCK_ROWS] >= config.tol))[0]
-        units = np.stack(_unit(_components(params[rows]).swapaxes(0, 1)), axis=1)
-        ok = ~(_relator_residuals(units, pres.relators) >= config.tol)
-        sigs = _signatures(units, pres.meridian).tolist()
-        gaps = _gaps(units).tolist()
-        for k in np.nonzero(ok)[0].tolist():
-            sig = tuple(sigs[k])
-            node = kept[node_of[rows[k]]]
-            if any(all(abs(u - v) < _SIGNATURE_TOL for u, v in zip(sig, other))
-                   for _, other, _ in node):
-                outcome[rows[k]] = _MATCHED
-                continue
-            rep = Representation(tuple(UnitQuaternion(*q) for q in units[:, :, k]))
-            node.append((gaps[k], sig, rep))
-            outcome[rows[k]] = _ACCEPTED
+    # ~(r >= tol) rather than r < tol, so a NaN residual passes as it does
+    # in the scalar checks
+    rows = np.nonzero(~(max_res >= config.tol))[0]
+    units = np.stack(_unit(_components(params[rows]).swapaxes(0, 1)), axis=1)
+    residual, gaps, sigs = _row_checks(units, pres)
+    gaps, sigs = gaps.tolist(), sigs.tolist()
+    for k in np.nonzero(~(residual >= config.tol))[0].tolist():
+        sig = tuple(sigs[k])
+        node = kept[node_of[rows[k]]]
+        if any(all(abs(u - v) < _SIGNATURE_TOL for u, v in zip(sig, other))
+               for _, other, _ in node):
+            outcome[rows[k]] = _MATCHED
+            continue
+        rep = Representation(tuple(UnitQuaternion(*q) for q in units[:, :, k]))
+        node.append((gaps[k], sig, rep))
+        outcome[rows[k]] = _ACCEPTED
     return outcome
 
 
@@ -961,7 +951,7 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
     discovery solutions (_track).  Each node's solutions are sorted by
     decreasing gap, then by their conjugation invariants.  Collects the boundary angles of
     every solution in one batch (_boundary_points) and its gap from the
-    accept pass (_gaps), both bitwise what su2.boundary_angles and
+    accept pass (_row_checks), both bitwise what su2.boundary_angles and
     su2.irreducibility_gap give; attaches the analytically enumerated
     reducible lines, and chains nearby numeric points into arcs (isolated
     points are reported separately).  The image's sweep field counts the

@@ -31,8 +31,8 @@ from pillowcase.solver import (ImagePoint, PillowcaseImage, SolverConfig,
                                _distinct_solutions, _eval_batch, _lm_minimize,
                                _chain_points, _line_forms, _line_polyline,
                                _project_endpoint_cuts, _LetterTables, _qstep,
-                               _rep_from_params, _relator_residuals, _solve_rows,
-                               _word_product, _boundary_points, _gaps, _Workspace)
+                               _rep_from_params, _row_checks, _solve_rows,
+                               _word_product, _boundary_points, _Workspace)
 from pillowcase.su2 import (NonCommutingPeripheralsError, Representation,
                             UnitQuaternion, boundary_angles, evaluate_word,
                             irreducibility_gap, relator_residual)
@@ -932,8 +932,8 @@ class TestSweepEngine:
 
         monkeypatch.setattr(solver, "irreducibility_gap", counting)
         img = sample_pillowcase_image(model, 25, CFG)
-        # the accept pass reads every gap from one batched _gaps call per
-        # block, so the sweep makes no scalar irreducibility_gap call
+        # the accept pass reads every gap from one batched _row_checks call
+        # per LM call, so the sweep makes no scalar irreducibility_gap call
         assert calls == [] and len(img.points) > 0
         assert [r.gap for r in img.points] == [irreducibility_gap(r.witness)
                                                for r in img.points]
@@ -1309,7 +1309,13 @@ def _assert_residuals_bitwise(pres, params):
     reps = [_rep_from_params(row) for row in params]
     units = _components(np.array([[_components_of(q) for q in rep.images] for rep in reps]))
     expected = [relator_residual(rep, pres) for rep in reps]
-    assert _relator_residuals(units, pres.relators).tolist() == expected
+    assert _row_checks(units, pres)[0].tolist() == expected
+
+
+_ACCEPT_PRESENTATIONS = pytest.mark.parametrize("pres", [
+    torus_knot_model(2, 3).presentation, klein_bottle_model().presentation,
+    splice(torus_knot_model(2, 3), torus_knot_model(-2, 3),
+           GluingMatrix.swap()).amalgamated], ids=["trefoil", "klein", "splice"])
 
 
 class TestAcceptPass:
@@ -1321,13 +1327,20 @@ class TestAcceptPass:
         # rows were accepted, and some of them dropped as duplicates
         assert 0 < sum(map(len, got)) < int((max_res < CFG.tol).sum())
 
-    @pytest.mark.parametrize("pres", [
-        torus_knot_model(2, 3).presentation, klein_bottle_model().presentation,
-        splice(torus_knot_model(2, 3), torus_knot_model(-2, 3),
-               GluingMatrix.swap()).amalgamated], ids=["trefoil", "klein", "splice"])
+    @_ACCEPT_PRESENTATIONS
     def test_relator_residuals_bitwise(self, pres):
         rng = np.random.default_rng(3)
         _assert_residuals_bitwise(pres, rng.standard_normal((1000, pres.generator_count, 4)))
+
+    @_ACCEPT_PRESENTATIONS
+    def test_invariants_bitwise(self, pres):
+        # signed-zero generators give pair traces and meridian components of
+        # both zero signs
+        params = _random_stacks(np.random.default_rng(9), 1000, pres.generator_count)
+        reps = [_rep_from_params(row) for row in params]
+        expected = [_invariant_signature_reference(rep, pres) for rep in reps]
+        got = _row_checks(_units_of(reps, pres.generator_count), pres)[2]
+        assert got.tobytes() == np.array(expected).tobytes()
 
     def test_relator_residual_squares_like_scalar(self):
         # odd 27-bit components on a real part of 1: half of their squares
@@ -1370,6 +1383,11 @@ def _units_of(reps, n):
     """(n, 4, B) component rows of the representations' generator images."""
     return _components(np.array([[_components_of(q) for q in rep.images] for rep in reps],
                                 dtype=float).reshape(len(reps), n, 4))
+
+
+def _gaps(units):
+    """The irreducibility gap column of _row_checks, on a presentation without relators."""
+    return _row_checks(units, GroupPresentation(units.shape[0], (), (), ()))[1]
 
 
 def _point_bytes(points):
@@ -2091,8 +2109,8 @@ def _lm_minimize_reference(words, targets, params0, tol, on_step=None, coords=TA
         lam[idx[~conv & ~better]] *= 8.0
         if on_step is not None:
             on_step(idx, conv, better, params, F, cost, polish_left)
-    seg = F.reshape(B, len(words), 1, 4)
-    max_res = np.sqrt(seg @ seg.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3), initial=0.0)
+    seg = F.reshape(B, len(words), 4)
+    max_res = solver._norm(*seg.transpose(2, 0, 1)).max(axis=1, initial=0.0)
     return params, max_res
 
 
