@@ -25,8 +25,7 @@ from .geometry import (PillowcasePoint, PillowcasePolyline, _DISTINCT_TOL, _dist
                        pillowcase_distance, polyline_intersections, TWO_PI)
 from .presentations import (GluingMatrix, GroupPresentation, KnotExteriorModel,
                             _is_prime, concat, invert_word, pow_word, shift_word)
-from .solver import (ImagePoint, PillowcaseImage, SolverConfig,
-                     refine_representation, sample_pillowcase_image)
+from .solver import ImagePoint, PillowcaseImage, SolverConfig, refine_representation
 from .su2 import (Representation, align_boundary_to_i_axis, boundary_angles,
                   irreducibility_gap, relator_residual)
 
@@ -152,25 +151,22 @@ def _side2_angles(gluing: GluingMatrix, pt: PillowcasePoint) -> tuple[float, flo
             inv[1][0] * pt.alpha + inv[1][1] * pt.beta)
 
 
-def search_nonabelian_rep(spliced: SplicedManifold, config: SolverConfig | None = None,
-                          image1: PillowcaseImage | None = None,
-                          image2: PillowcaseImage | None = None) -> SpliceSearchResult:
+def search_nonabelian_rep(spliced: SplicedManifold, config: SolverConfig,
+                          image1: PillowcaseImage, image2: PillowcaseImage) -> SpliceSearchResult:
     """Search for a representation of the splice, non-abelian on both sides.
 
-    Both models are swept, image 2 is pushed through the gluing transform,
-    and every intersection with image 1 (_candidate_points; outside the
-    locus where both sides are forced abelian, and with a witness near it
-    on each side) seeds a joint refinement of the amalgamated presentation.
-    Success requires residual < tol on every relator and an irreducibility
-    gap above min_gap on each side's restriction; a result that is not
-    found carries the diagnostics of every candidate tried.  Both count
-    the candidates by source and drop reason (CandidateCounts).
+    image1 and image2 are the images of the two models, swept under config.
+    Image 2 is pushed through the gluing transform, and every intersection
+    with image 1 (_candidate_points; outside the locus where both sides are
+    forced abelian, and with a witness near it on each side) seeds a joint
+    refinement of the amalgamated presentation.  Success requires residual
+    < tol on every relator and an irreducibility gap above min_gap on each
+    side's restriction; a result that is not found carries the diagnostics
+    of every candidate tried.  Both count the candidates by source and drop
+    reason (CandidateCounts).
     """
-    config = config or SolverConfig()
-    img1 = image1 or sample_pillowcase_image(spliced.model1, config=config)
-    img2 = image2 or sample_pillowcase_image(spliced.model2, config=config)
     g = spliced.gluing
-    candidates = _candidate_points(img1, img2, g)
+    candidates = _candidate_points(image1, image2, g)
 
     dropped = Counter()
     live = []
@@ -182,8 +178,8 @@ def search_nonabelian_rep(spliced: SplicedManifold, config: SolverConfig | None 
             dropped["both_abelian"] += 1  # both restrictions would be forced abelian
             continue
         live.append((pt, (gamma, delta)))
-    recs1 = img1.nearest_witnesses([pt for pt, _ in live])
-    recs2 = img2.nearest_witnesses([canonicalize(*angles) for _, angles in live])
+    recs1 = image1.nearest_witnesses([pt for pt, _ in live])
+    recs2 = image2.nearest_witnesses([canonicalize(*angles) for _, angles in live])
     scored = []
     for (pt, angles), rec1, rec2 in zip(live, recs1, recs2):
         if rec1 is None or rec2 is None:
@@ -212,9 +208,9 @@ def search_nonabelian_rep(spliced: SplicedManifold, config: SolverConfig | None 
             return SpliceSearchResult(
                 found=True, representation=refined, residual=res,
                 gap=min(gap1, gap2), gap_side1=gap1, gap_side2=gap2,
-                boundary_point=bp, resolution=img1.resolution,
+                boundary_point=bp, resolution=image1.resolution,
                 diagnostics=tuple(diagnostics), candidates=counts)
-    return SpliceSearchResult(found=False, resolution=img1.resolution,
+    return SpliceSearchResult(found=False, resolution=image1.resolution,
                               diagnostics=tuple(diagnostics), candidates=counts)
 
 

@@ -390,13 +390,15 @@ class TestSpliceCommand:
         assert json.loads(out1)["found"] is True
 
     def test_legacy_job_keys_ignored(self, capsys, tmp_path):
+        fields = {"model1": "unknot", "model2": "unknot", "resolution": 10}
         job = tmp_path / "job.json"
-        job.write_text(json.dumps({
-            "model1": "trefoil", "model2": "trefoil", "gluing": "swap",
-            "resolution": 40, "seed": 1, "threads": 4, "deterministic": True}))
+        job.write_text(json.dumps(fields))
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps({**fields, "threads": 4, "deterministic": True}))
         code, out, _ = run(capsys, "splice", str(job))
-        assert code == EXIT_OK
-        assert json.loads(out)["found"] is True
+        legacy_code, legacy_out, _ = run(capsys, "splice", str(legacy))
+        assert (legacy_code, legacy_out) == (code, out)
+        assert code == EXIT_NOT_FOUND
 
     def test_job_sets_every_config_field(self, capsys, tmp_path, monkeypatch):
         from pillowcase import gluer
@@ -456,9 +458,7 @@ class TestSpliceCommand:
     @pytest.mark.parametrize("flag", ["--out", "--svg"])
     def test_unwritable_output_exit_2(self, capsys, tmp_path, flag):
         job = tmp_path / "job.json"
-        job.write_text(json.dumps({
-            "model1": "trefoil", "model2": "trefoil", "gluing": "swap",
-            "resolution": 40, "seed": 1}))
+        job.write_text(json.dumps({"model1": "unknot", "model2": "unknot", "resolution": 10}))
         path = tmp_path / "missing" / "out"
         code, out, err = run(capsys, "splice", str(job), flag, str(path))
         assert code == EXIT_BAD_INPUT
@@ -475,7 +475,7 @@ class TestSpliceCommand:
         assert "'resolution' must be int" in err
 
     def test_svg_reuses_search_images(self, capsys, tmp_path, monkeypatch):
-        from pillowcase import gluer, solver
+        from pillowcase import solver
         calls = []
 
         def counting_sweep(*args, **kwargs):
@@ -483,7 +483,6 @@ class TestSpliceCommand:
             return sample_pillowcase_image(*args, **kwargs)
 
         monkeypatch.setattr(solver, "sample_pillowcase_image", counting_sweep)
-        monkeypatch.setattr(gluer, "sample_pillowcase_image", counting_sweep)
         job = tmp_path / "job.json"
         job.write_text(json.dumps({
             "model1": "trefoil", "model2": "trefoil-neg", "gluing": "skew:3",
