@@ -973,7 +973,7 @@ class TestDiscoveryAndTracking:
         model = KnotExteriorModel(name="point", presentation=pres)
         img = image(model, 200)
         assert [r.witness for r in img.points] == [rep]
-        assert img.sweep.discovery_rows == img.sweep.tracks_started == 0
+        assert img.sweep == solver.SweepStats(discovery_nodes=26)
 
     @pytest.mark.parametrize("resolution", [2, 3, 25, 48, 49, 50, 73, 100, 200, 1000])
     def test_discovery_nodes(self, resolution):
