@@ -608,58 +608,36 @@ def _by_gap(node) -> list[tuple[Representation, float]]:
     return [(rep, gap) for gap, _, rep in sorted(node, key=lambda e: (-e[0], e[1]))]
 
 
-def _meridian_targets(pres: GroupPresentation, alphas) -> np.ndarray:
-    """One LM target row per meridian angle: every relator 1, the meridian e^{i alpha}."""
-    relator_targets = [1.0, 0.0, 0.0, 0.0] * len(pres.relators)
-    return np.array([relator_targets + [math.cos(a), math.sin(a), 0.0, 0.0]
-                     for a in alphas]).reshape(len(alphas), -1)
+def _solve_nodes(pres: GroupPresentation, targets, params, nodes, kept,
+                 config: SolverConfig):
+    """One LM call on rows aimed at grid nodes, then their accept pass into kept.
 
-
-def _cold_solutions(pres: GroupPresentation, alphas, keys, config: SolverConfig):
-    """kept entry lists (see _distinct_solutions) of each node, from random restarts.
-
-    Node i solves rho(meridian) = e^{i alphas[i]} from config.restarts
-    starts drawn from default_rng([config.seed, keys[i]]).  The restarts of
-    all nodes run as the rows of one _lm_minimize call; rows evolve
-    independently, so every node's result is the one it gets alone.
+    Row k starts from params[k] and solves every relator = 1 and the
+    meridian = targets' row nodes[k] (one row per grid node); the rows then
+    go through _distinct_solutions on kept.  Returns the solved params and
+    each row's outcome.
     """
-    n = pres.generator_count
-    if n == 0:
-        rep = Representation(())
-        return [[(irreducibility_gap(rep), (), rep)] if abs(a) < 1e-12 else []
-                for a in alphas]
-    restarts = config.restarts
-    params0 = np.concatenate([
-        np.random.default_rng([config.seed, key & 0x7FFFFFFF])
-        .standard_normal((restarts, n, 4)) for key in keys])
-    targets = np.repeat(_meridian_targets(pres, alphas), restarts, axis=0)
-    params, max_res = _lm_minimize(list(pres.relators) + [pres.meridian], targets,
-                                   params0, config.tol)
-    kept = [[] for _ in alphas]
-    _distinct_solutions(pres, params, max_res, config,
-                        np.repeat(np.arange(len(alphas)), restarts), kept)
-    return kept
+    params, max_res = _lm_minimize(list(pres.relators) + [pres.meridian],
+                                   targets.take(nodes, axis=0), params, config.tol)
+    return params, _distinct_solutions(pres, params, max_res, config, nodes, kept)
 
 
-def _track(pres: GroupPresentation, grid, kept, discovery, config: SolverConfig) -> dict:
+def _track(pres: GroupPresentation, targets, kept, discovery, config: SolverConfig) -> dict:
     """Fill the grid nodes between discovery nodes by warm-started LM steps.
 
     Every solution kept at a discovery node starts one track into each
     neighbouring node that is not a discovery node.  A step is one
-    _lm_minimize batch with one row per live track, started from the
-    track's last solution and aimed at its next node's meridian angle.  The
-    rows then go through the accept pass of cold rows (_distinct_solutions
-    on kept).  A track stops when its row fails a check, when its solution
-    matches one already kept at that node, or at the end of the grid.  An
-    accepted track goes on through a discovery node too: that node's
-    restarts missed its branch.  Returns the track counts of SweepStats.
+    _solve_nodes call, as a discovery node's cold rows are, with one row per
+    live track, started from the track's last solution and aimed at its next
+    node's row of targets.  A track stops when its row fails a check, when
+    its solution matches one already kept at that node, or at the end of the
+    grid.  An accepted track goes on through a discovery node too: that
+    node's restarts missed its branch.  Returns the track counts of
+    SweepStats.
     """
     counts = dict(tracks_started=0, track_rows=0, track_stops_failed=0,
                   track_stops_matched=0, track_stops_grid_end=0, tracked_witnesses=0)
-    n = pres.generator_count
-    if n == 0:
-        return counts  # the one representation is an exact point; nothing moves
-    r = len(grid)
+    r = len(kept)
     is_discovery = np.zeros(r, dtype=bool)
     is_discovery[discovery] = True
     starts, nodes, steps = [], [], []
@@ -670,14 +648,11 @@ def _track(pres: GroupPresentation, grid, kept, discovery, config: SolverConfig)
                     starts.append([[q.w, q.x, q.y, q.z] for q in rep.images])
                     nodes.append(d + step)
                     steps.append(step)
-    params = np.array(starts, dtype=float).reshape(-1, n, 4)
+    params = np.array(starts, dtype=float).reshape(-1, pres.generator_count, 4)
     nodes, steps = np.array(nodes, dtype=np.intp), np.array(steps, dtype=np.intp)
     counts["tracks_started"] = len(nodes)
-    words = list(pres.relators) + [pres.meridian]
     while len(nodes):
-        targets = _meridian_targets(pres, grid[nodes].tolist())
-        params, max_res = _lm_minimize(words, targets, params, config.tol)
-        outcome = _distinct_solutions(pres, params, max_res, config, nodes, kept)
+        params, outcome = _solve_nodes(pres, targets, params, nodes, kept, config)
         accepted = outcome == _ACCEPTED
         following = nodes + steps
         live = accepted & (following >= 0) & (following < r)
@@ -945,10 +920,15 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
                             config: SolverConfig | None = None) -> PillowcaseImage:
     """Sweep the meridian angle over a uniform grid and image the solutions.
 
-    The discovery nodes (_discovery_nodes, at most pi / _DISCOVERY_PER_PI or
-    one grid step apart) are solved cold by _cold_solutions' random
-    restarts, node i keyed by i; every other node is filled by tracking the
-    discovery solutions (_track).  Each node's solutions are sorted by
+    The targets are one table per sweep, a row per grid node: every
+    relator 1 and the meridian e^{i alpha}.  The discovery nodes
+    (_discovery_nodes, at most pi / _DISCOVERY_PER_PI or one grid step
+    apart) are solved cold in one _solve_nodes call, node i from
+    config.restarts random starts drawn from default_rng([config.seed, i]);
+    every other node is filled by tracking the discovery solutions
+    (_track), one _solve_nodes call per step.  A model with no generators
+    has one representation, kept at alpha = 0, and nothing to solve or
+    track.  Each node's solutions are sorted by
     decreasing gap, then by their conjugation invariants.  Collects the boundary angles of
     every solution in one batch (_boundary_points) and its gap from the
     accept pass (_row_checks), both bitwise what su2.boundary_angles and
@@ -972,13 +952,22 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
 
     discovery = _discovery_nodes(resolution)
     kept = [[] for _ in range(resolution)]
-    cold = _cold_solutions(pres, [float(grid[i]) for i in discovery], discovery, config)
-    for i, node in zip(discovery, cold):
-        kept[i] = node
-    counts = _track(pres, grid, kept, discovery, config)
-    stats = SweepStats(discovery_nodes=len(discovery),
-                       discovery_rows=len(discovery) * config.restarts
-                       if pres.generator_count else 0, **counts)
+    n = pres.generator_count
+    if n == 0:
+        rep = Representation(())
+        kept[0].append((irreducibility_gap(rep), (), rep))
+        stats = SweepStats(discovery_nodes=len(discovery))
+    else:
+        relator_targets = [1.0, 0.0, 0.0, 0.0] * len(pres.relators)
+        targets = np.array([relator_targets + [math.cos(a), math.sin(a), 0.0, 0.0]
+                            for a in grid.tolist()])
+        params0 = np.concatenate([np.random.default_rng([config.seed, i])
+                                  .standard_normal((config.restarts, n, 4))
+                                  for i in discovery])
+        rows = np.repeat(discovery, config.restarts)
+        _solve_nodes(pres, targets, params0, rows, kept, config)
+        stats = SweepStats(discovery_nodes=len(discovery), discovery_rows=len(rows),
+                           **_track(pres, targets, kept, discovery, config))
 
     witnesses = [entry for node in kept for entry in _by_gap(node)]
     points = _boundary_points([rep for rep, _ in witnesses], pres)

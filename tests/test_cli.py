@@ -220,7 +220,7 @@ class TestImageCommand:
 
         def refuse(*_):
             raise AssertionError("a node was solved")
-        monkeypatch.setattr(solver, "_cold_solutions", refuse)
+        monkeypatch.setattr(solver, "_solve_nodes", refuse)
         path = tmp_path / "free.json"
         path.write_text(json.dumps(_FREE))
         code, out, err = run(capsys, "image", str(path), "--resolution", "10")

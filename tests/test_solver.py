@@ -57,15 +57,17 @@ def klein_image():
 def _sweep(pres, alphas, keys, config):
     """(solution, irreducibility gap) pairs at each meridian angle alphas[i], per node.
 
-    The cold solve of solver._cold_solutions: config.restarts random
-    restarts per node, drawn from default_rng([config.seed, keys[i]]), then
-    the accept and dedup pass.  Each node's solutions are sorted by
-    decreasing gap, then by their conjugation invariants.  The image sweep
-    solves only its discovery nodes cold and tracks the rest; run over
-    every node, this is the all-node cold reference that tracking is
-    tested against.
+    The cold solve of the image sweep's discovery nodes: config.restarts
+    random restarts per node, drawn from default_rng([config.seed, keys[i]]),
+    one _lm_minimize call, then the accept and dedup pass.  Each node's
+    solutions are sorted by decreasing gap, then by their conjugation
+    invariants.  The image sweep solves only its discovery nodes cold and
+    tracks the rest; run over every node, this is the all-node cold
+    reference that tracking is tested against.
     """
-    return [solver._by_gap(node) for node in solver._cold_solutions(pres, alphas, keys, config)]
+    words, targets, params0 = _sweep_rows(pres, alphas, keys, config)
+    params, max_res = _lm_minimize(words, targets, params0, config.tol)
+    return _node_solutions(pres, params, max_res, config, len(alphas))
 
 
 def _solve(pres, alpha):
@@ -968,8 +970,6 @@ class TestDiscoveryAndTracking:
     def test_zero_generators(self):
         pres = GroupPresentation(0, (), (), ())
         rep = Representation(())
-        assert _sweep(pres, [0.0, PI], [0, 1], CFG) == [
-            [(rep, irreducibility_gap(rep))], []]
         model = KnotExteriorModel(name="point", presentation=pres)
         img = image(model, 200)
         assert [r.witness for r in img.points] == [rep]
@@ -1066,6 +1066,21 @@ class TestDiscoveryAndTracking:
         assert all(by_node.get(i) for i in range(200))
         # a fresh sweep, not the shared image, counts the same
         assert sample_pillowcase_image(model, 200, CFG).sweep == s
+
+    def test_every_row_goes_through_one_node_solve(self, monkeypatch):
+        # the discovery rows are the first call, then one call per tracking step
+        rows = []
+        inner = solver._solve_nodes
+
+        def recording(pres, targets, params, nodes, kept, config):
+            rows.append(len(nodes))
+            return inner(pres, targets, params, nodes, kept, config)
+
+        monkeypatch.setattr(solver, "_solve_nodes", recording)
+        sweep = sample_pillowcase_image(torus_knot_model(2, 3), 100, CFG).sweep
+        assert len(rows) > 2
+        assert rows[0] == sweep.discovery_rows
+        assert sum(rows[1:]) == sweep.track_rows
 
     @pytest.mark.parametrize("name, resolution, seed, digest", [
         ("trefoil", 200, 0, "9d1f4d2174a838f71be80b5dfa285b467e22794649cc917d2d0a57819d49822a"),
