@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -89,10 +90,13 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverConfig":
-        """Config from a JSON object; unknown keys or mistyped values raise ValueError.
+        """Config from a JSON object; anything else, unknown keys or mistyped values raise ValueError.
 
-        Int fields take ints only (not bools); float fields take ints or floats.
+        Int fields take ints only (not bools); float fields take floats, and
+        ints up to the largest float.
         """
+        if not isinstance(data, dict):
+            raise ValueError(f"solver config must be a JSON object, got {type(data).__name__}")
         fields = cls.__dataclass_fields__
         extra = set(data) - set(fields)
         if extra:
@@ -103,6 +107,8 @@ class SolverConfig:
             if isinstance(value, bool) or not isinstance(value, allowed):
                 raise ValueError(f"solver config {key!r} must be {kind.__name__}, "
                                  f"got {value!r}")
+            if kind is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise ValueError(f"solver config {key!r} is an int beyond float range")
         return cls(**data)
 
     @classmethod

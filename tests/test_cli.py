@@ -272,9 +272,11 @@ class TestImageCommand:
 
     @pytest.mark.parametrize("text", ['{"threads": 2}', '{"tol": 1e-9,',
                                       '{"restarts": "5"}', '{"restarts": true}',
-                                      '{"tol": "1e-9"}'],
+                                      '{"tol": "1e-9"}', '[]', '["tol"]',
+                                      '{"tol": 1' + '0' * 400 + '}'],
                              ids=["unknown-key", "invalid-json", "str-for-int",
-                                  "bool-for-int", "str-for-float"])
+                                  "bool-for-int", "str-for-float", "array-empty", "array",
+                                  "int-beyond-float"])
     def test_malformed_config_exit_2(self, capsys, tmp_path, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
@@ -473,6 +475,11 @@ class TestSpliceCommand:
         code, _, err = run(capsys, "splice", str(job))
         assert code == EXIT_BAD_INPUT
         assert "'resolution' must be int" in err
+        job.write_text('{"model1": "unknot", "model2": "unknot", "resolution": 10, '
+                       '"tol": 1' + '0' * 400 + '}')
+        code, _, err = run(capsys, "splice", str(job))
+        assert code == EXIT_BAD_INPUT
+        assert err == "error: invalid job: solver config 'tol' is an int beyond float range\n"
 
     def test_svg_reuses_search_images(self, capsys, tmp_path, monkeypatch):
         from pillowcase import solver
