@@ -104,30 +104,35 @@ def parse_gluing(spec, model1: KnotExteriorModel | None = None,
         raise ContractError(str(exc)) from exc
 
 
-def _config_from_args(args, job: dict | None = None) -> SolverConfig:
-    """Solver config: the --config file, then job fields, then CLI flags.
+def _config_from_args(args) -> SolverConfig:
+    """Solver config of the image command: the --config file, then the flags.
 
-    Job fields and flags named after a SolverConfig field set it; any other
-    job key is ignored.
+    A flag named after a SolverConfig field sets it.
     """
     from .solver import SolverConfig
-    path = getattr(args, "config", None)
     try:
-        config = SolverConfig.from_json(path) if path else SolverConfig()
-    except (OSError, TypeError, ValueError) as exc:
-        raise InputError(f"invalid solver config {path}: {exc}") from exc
-    names = SolverConfig.__dataclass_fields__
-    if job:
-        fields = {k: job[k] for k in names if k in job}
-        try:
-            config = SolverConfig.from_dict({**asdict(config), **fields})
-        except ValueError as exc:
-            raise InputError(f"invalid job: {exc}") from exc
-    flags = {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
+        config = SolverConfig.from_json(args.config) if args.config else SolverConfig()
+    except (OSError, ValueError) as exc:
+        raise InputError(f"invalid solver config {args.config}: {exc}") from exc
+    flags = {k: getattr(args, k) for k in SolverConfig.__dataclass_fields__
+             if getattr(args, k, None) is not None}
     try:
         return replace(config, **flags)
     except ValueError as exc:
         raise InputError(f"invalid option: {exc}") from exc
+
+
+def _config_from_job(job: dict) -> SolverConfig:
+    """Solver config of a splice job: its keys named after a SolverConfig field.
+
+    Any other job key is ignored.
+    """
+    from .solver import SolverConfig
+    try:
+        return SolverConfig.from_dict({k: job[k] for k in SolverConfig.__dataclass_fields__
+                                       if k in job})
+    except ValueError as exc:
+        raise InputError(f"invalid job: {exc}") from exc
 
 
 def _write(path: str, text: str) -> None:
@@ -302,10 +307,11 @@ def cmd_splice(args) -> int:
     except ContractError as exc:
         # a malformed gluing makes the whole job malformed
         raise InputError(str(exc)) from exc
-    config = _config_from_args(args, job)
+    config = _config_from_job(job)
     spliced = splice(m1, m2, g)
     img1 = _image(m1, config)
-    img2 = _image(m2, config)
+    # a sweep is deterministic, so a self-splice reads its one image twice
+    img2 = img1 if m2 == m1 else _image(m2, config)
     result = search_nonabelian_rep(spliced, config, image1=img1, image2=img2)
     payload = {
         "model1": m1.name,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,10 +60,18 @@ _DISCOVERY_PER_PI = 24
 #: corner_diagnostics reports irreducible witnesses closer than this to a corner
 _CORNER_RADIUS = 0.05
 
+#: the most restarts per discovery node, and grid nodes, a sweep takes (the
+#: int32 range).  Discovery node i draws its restarts from
+#: default_rng([seed, i]), which is the stream of the retired
+#: default_rng([seed, key & 0x7FFFFFFF]) only for i < 2**31.
+_MAX_COUNT = 2**31 - 1
+
 _CONFIG_RANGES = (
     ("tol", ">", 0), ("restarts", ">=", 1), ("seed", ">=", 0),
     ("resolution", ">=", 2), ("min_gap", ">=", 0),
+    ("restarts", "<=", _MAX_COUNT), ("resolution", "<=", _MAX_COUNT),
 )
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 @dataclass(frozen=True)
@@ -78,8 +87,8 @@ class SolverConfig:
     def __post_init__(self):
         for name, op, bound in _CONFIG_RANGES:
             value = getattr(self, name)
-            # a NaN fails both comparisons, so it is out of range too
-            in_range = value > bound if op == ">" else value >= bound
+            # a NaN fails every comparison, so it is out of range too
+            in_range = _COMPARE[op](value, bound)
             if isinstance(self.__dataclass_fields__[name].default, float):
                 # inf meets a lower bound, but no tolerance or gap can use it
                 in_range = in_range and value < math.inf
@@ -510,45 +519,19 @@ def _dist_to_one(q):
                    + np.float_power(y, 2) + np.float_power(z, 2))
 
 
-def _commutator(a, b, tables, ka, kb):
-    """((a * b) * a^-1) * b^-1 on (4, B) rows, where tables letter ka is a and kb is b."""
-    out = a.copy()
-    for k in (kb, -ka, -kb):
-        _qstep(out, tables[k], tables.terms, out)
-    return out
-
-
-def _boundary_points(reps, pres: GroupPresentation) -> list:
-    """su2.boundary_angles of each representation, bit for bit.
-
-    The peripheral products, their commutator defect and imaginary norms
-    are batched; su2.peripheral_point reads each point from them on Python
-    floats (math.atan2, as np.arctan2 need not round as libm does).  The
-    first point, in order, whose holonomies do not commute raises
-    NonCommutingPeripheralsError with su2's message.
-    """
-    # the shape is spelled out: with no points or no generators, -1 is ambiguous
-    tables = _LetterTables(_components(np.array(
-        [[(q.w, q.x, q.y, q.z) for q in rep.images] for rep in reps],
-        dtype=float).reshape(len(reps), pres.generator_count, 4)))
-    ml = np.stack([_unit(_word_product(tables, pres.meridian)),
-                   _unit(_word_product(tables, pres.longitude))])
-    peripheral = _LetterTables(ml)
-    defect = _dist_to_one(_commutator(ml[0], ml[1], peripheral, 1, 2))
-    imag = np.sqrt(np.float_power(ml[:, 1], 2) + np.float_power(ml[:, 2], 2)
-                   + np.float_power(ml[:, 3], 2))
-    cols = np.concatenate([ml.reshape(8, len(reps)), imag, defect[None]])
-    return [peripheral_point(c[:4], c[4:8], *c[8:]) for c in cols.T.tolist()]
-
-
 def _row_checks(units, pres: GroupPresentation):
-    """(relator residual, irreducibility gap, invariants) of (n, 4, B) unit component rows.
+    """(relator residual, irreducibility gap, invariants, peripheral) of (n, 4, B) unit rows.
 
     The residual is su2.relator_residual and the gap su2.irreducibility_gap,
     bit for bit.  The conjugation invariants, one column each, are the
     generator and pair-product traces, then the meridian's w and |x|.  All
-    three read one _LetterTables: each pair product g_i * g_j gives its
+    of these read one _LetterTables: each pair product g_i * g_j gives its
     trace and goes on to the pair's commutator, (g_i * g_j) * g_i^-1 * g_j^-1.
+    The 11 peripheral columns are the arguments of su2.peripheral_point as
+    su2.boundary_angles computes them: the unit meridian (the invariants'
+    own) and longitude, their imaginary norms, and the distance from 1 of
+    their commutator ((m * l) * m^-1) * l^-1, stepped on a _LetterTables
+    of m and l.
     """
     n = units.shape[0]
     tables = _LetterTables(units)
@@ -565,9 +548,18 @@ def _row_checks(units, pres: GroupPresentation):
             comm = _qstep(pair, tables[-(i + 1)], tables.terms, np.empty_like(pair))
             d = _dist_to_one(_qstep(comm, tables[-(j + 1)], tables.terms, comm))
             gap = np.where(d > gap, d, gap)  # max(gap, d), as Python takes it
-    w, x, _, _ = _unit(_word_product(tables, pres.meridian))
-    cols += [w, np.abs(x)]
-    return residual, gap, np.stack(cols, axis=1)
+    ml = np.stack([_unit(_word_product(tables, pres.meridian)),
+                   _unit(_word_product(tables, pres.longitude))])
+    cols += [ml[0, 0], np.abs(ml[0, 1])]
+    peripheral = _LetterTables(ml)
+    comm = ml[0].copy()
+    for k in (2, -1, -2):
+        _qstep(comm, peripheral[k], peripheral.terms, comm)
+    imag = np.sqrt(np.float_power(ml[:, 1], 2) + np.float_power(ml[:, 2], 2)
+                   + np.float_power(ml[:, 3], 2))
+    # the shape is spelled out: with no rows, -1 is ambiguous
+    peri = np.concatenate([ml.reshape(8, tables.rows), imag, _dist_to_one(comm)[None]])
+    return residual, gap, np.stack(cols, axis=1), peri.T
 
 
 #: outcomes of an LM row in _distinct_solutions
@@ -584,34 +576,35 @@ def _distinct_solutions(pres: GroupPresentation, params, max_res, config: Solver
     does.  An accepted row is dropped as matched when its conjugation
     invariants match a solution already kept at its node, whether an earlier
     row's or one kept before the call.  kept[node] is the list of
-    (irreducibility gap, invariants, solution) entries of the node, and each
-    new solution is appended to it.  Rows are taken in order; their relator
-    residuals, gaps and invariants come from one _row_checks call.  Returns
-    each row's outcome: _ACCEPTED, _FAILED or _MATCHED.
+    (irreducibility gap, invariants, solution, peripheral columns) entries
+    of the node, and each new solution is appended to it.  Rows are taken
+    in order; their relator residuals, gaps, invariants and peripheral
+    columns come from one _row_checks call.  Returns each row's outcome:
+    _ACCEPTED, _FAILED or _MATCHED.
     """
     outcome = np.full(len(params), _FAILED)
     # ~(r >= tol) rather than r < tol, so a NaN residual passes as it does
     # in the scalar checks
     rows = np.nonzero(~(max_res >= config.tol))[0]
     units = np.stack(_unit(_components(params[rows]).swapaxes(0, 1)), axis=1)
-    residual, gaps, sigs = _row_checks(units, pres)
-    gaps, sigs = gaps.tolist(), sigs.tolist()
+    residual, gaps, sigs, peri = _row_checks(units, pres)
+    gaps, sigs, peri = gaps.tolist(), sigs.tolist(), peri.tolist()
     for k in np.nonzero(~(residual >= config.tol))[0].tolist():
         sig = tuple(sigs[k])
         node = kept[node_of[rows[k]]]
         if any(all(abs(u - v) < _SIGNATURE_TOL for u, v in zip(sig, other))
-               for _, other, _ in node):
+               for _, other, _, _ in node):
             outcome[rows[k]] = _MATCHED
             continue
         rep = Representation(tuple(UnitQuaternion(*q) for q in units[:, :, k]))
-        node.append((gaps[k], sig, rep))
+        node.append((gaps[k], sig, rep, peri[k]))
         outcome[rows[k]] = _ACCEPTED
     return outcome
 
 
-def _by_gap(node) -> list[tuple[Representation, float]]:
-    """(solution, gap) pairs of a node's kept entries, by decreasing gap, then invariants."""
-    return [(rep, gap) for gap, _, rep in sorted(node, key=lambda e: (-e[0], e[1]))]
+def _by_gap(node) -> list:
+    """A node's kept entries, by decreasing gap, then invariants."""
+    return sorted(node, key=lambda e: (-e[0], e[1]))
 
 
 def _solve_nodes(pres: GroupPresentation, targets, params, nodes, kept,
@@ -650,7 +643,7 @@ def _track(pres: GroupPresentation, targets, kept, discovery, config: SolverConf
     for d in discovery:
         for step in (-1, 1):
             if 0 <= d + step < r and not is_discovery[d + step]:
-                for _, _, rep in kept[d]:
+                for _, _, rep, _ in kept[d]:
                     starts.append([[q.w, q.x, q.y, q.z] for q in rep.images])
                     nodes.append(d + step)
                     steps.append(step)
@@ -933,18 +926,22 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
     config.restarts random starts drawn from default_rng([config.seed, i]);
     every other node is filled by tracking the discovery solutions
     (_track), one _solve_nodes call per step.  A model with no generators
-    has one representation, kept at alpha = 0, and nothing to solve or
-    track.  Each node's solutions are sorted by
-    decreasing gap, then by their conjugation invariants.  Collects the boundary angles of
-    every solution in one batch (_boundary_points) and its gap from the
-    accept pass (_row_checks), both bitwise what su2.boundary_angles and
-    su2.irreducibility_gap give; attaches the analytically enumerated
-    reducible lines, and chains nearby numeric points into arcs (isolated
-    points are reported separately).  The image's sweep field counts the
-    discovery and tracking work.  The reducible lines come first: a model
-    whose lines are not defined (see _line_forms) raises ModelInvalidError
-    before any node is solved, so a model that also has non-commuting
-    peripheral holonomies reports the H1 fault.
+    has one representation, which goes through the accept pass alone, as
+    one row at alpha = 0, and nothing to solve or track.  Each node's kept
+    entries are read in _by_gap's order: by decreasing gap, then by their
+    conjugation invariants.  Every image point is read from its entry,
+    which holds what the accept pass (_row_checks) computed for the row:
+    its gap and the peripheral columns of su2.peripheral_point, so the
+    points and gaps are bitwise what su2.boundary_angles and
+    su2.irreducibility_gap give.  The first point, in that order, whose
+    holonomies do not commute raises NonCommutingPeripheralsError.
+    Attaches the analytically enumerated reducible lines, and chains nearby
+    numeric points into arcs (isolated points are reported separately).
+    The image's sweep field counts the discovery and tracking work.  The
+    reducible lines come first: a model whose lines are not defined (see
+    _line_forms) raises ModelInvalidError before any node is solved, so a
+    model that also has non-commuting peripheral holonomies reports the H1
+    fault.
     """
     config = config or SolverConfig()
     if resolution is None:
@@ -960,8 +957,7 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
     kept = [[] for _ in range(resolution)]
     n = pres.generator_count
     if n == 0:
-        rep = Representation(())
-        kept[0].append((irreducibility_gap(rep), (), rep))
+        _distinct_solutions(pres, np.empty((1, 0, 4)), np.zeros(1), config, [0], kept)
         stats = SweepStats(discovery_nodes=len(discovery))
     else:
         relator_targets = [1.0, 0.0, 0.0, 0.0] * len(pres.relators)
@@ -975,10 +971,8 @@ def sample_pillowcase_image(model: KnotExteriorModel, resolution: int | None = N
         stats = SweepStats(discovery_nodes=len(discovery), discovery_rows=len(rows),
                            **_track(pres, targets, kept, discovery, config))
 
-    witnesses = [entry for node in kept for entry in _by_gap(node)]
-    points = _boundary_points([rep for rep, _ in witnesses], pres)
-    records = [ImagePoint(point=pt, witness=rep, gap=gap)
-               for pt, (rep, gap) in zip(points, witnesses)]
+    records = [ImagePoint(point=peripheral_point(c[:4], c[4:8], *c[8:]), witness=rep, gap=gap)
+               for node in kept for gap, _, rep, c in _by_gap(node)]
     # points sitting on an analytic line are kept as witnesses but do not
     # seed numeric arcs of their own
     chainable = [r for r in records if r.gap > IRREDUCIBLE_GAP

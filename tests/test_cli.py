@@ -12,7 +12,7 @@ from pillowcase.cli import (EXIT_BAD_INPUT, EXIT_CONTRACT, EXIT_NOT_FOUND,
                             EXIT_OK, load_model, main, parse_gluing)
 from pillowcase.families import builtin_model, torus_knot_model
 from pillowcase.geometry import PillowcasePoint, PillowcasePolyline, canonicalize
-from pillowcase.gluer import search_nonabelian_rep
+from pillowcase.gluer import search_nonabelian_rep, splice
 from pillowcase.presentations import GluingMatrix
 from pillowcase.render import (_fold_curve_paths, _xy, image_to_csv, image_to_svg,
                                mark_points, polylines_to_svg)
@@ -286,9 +286,11 @@ class TestImageCommand:
 
     @pytest.mark.parametrize("name, value", [
         ("restarts", "-1"), ("restarts", "0"), ("seed", "-1"), ("resolution", "1"),
-        ("tol", "0"), ("tol", "-1e-9"), ("tol", "nan"), ("tol", "inf")],
+        ("tol", "0"), ("tol", "-1e-9"), ("tol", "nan"), ("tol", "inf"),
+        ("restarts", "1" + "0" * 400), ("resolution", "1" + "0" * 400)],
         ids=["restarts-negative", "restarts-zero", "seed-negative", "resolution-1",
-             "tol-zero", "tol-negative", "tol-nan", "tol-inf"])
+             "tol-zero", "tol-negative", "tol-nan", "tol-inf", "restarts-huge",
+             "resolution-huge"])
     def test_out_of_range_flag_exit_2(self, capsys, name, value):
         code, out, err = run(capsys, "image", "unknot", f"--{name}={value}")
         assert code == EXIT_BAD_INPUT
@@ -297,8 +299,10 @@ class TestImageCommand:
 
     @pytest.mark.parametrize("text", [
         '{"tol": -1.0}', '{"min_gap": -0.5}', '{"resolution": 0}',
-        '{"tol": 1e999}', '{"min_gap": 1e999}'],
-        ids=["tol", "min_gap", "resolution", "tol-inf", "min_gap-inf"])
+        '{"tol": 1e999}', '{"min_gap": 1e999}', '{"resolution": 1' + '0' * 400 + '}',
+        '{"restarts": 1' + '0' * 400 + '}'],
+        ids=["tol", "min_gap", "resolution", "tol-inf", "min_gap-inf", "resolution-huge",
+             "restarts-huge"])
     def test_out_of_range_config_exit_2(self, capsys, tmp_path, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
@@ -338,6 +342,11 @@ class TestImageCommand:
                              ("resolution", 1), ("min_gap", -1e-300)]:
             with pytest.raises(ValueError, match=f"'{field}' must be"):
                 SolverConfig(**{field: value})
+        # the counts fit in an int32
+        SolverConfig(restarts=2**31 - 1, resolution=2**31 - 1)
+        for field in ("restarts", "resolution"):
+            with pytest.raises(ValueError, match=f"'{field}' must be <= 2147483647, got"):
+                SolverConfig(**{field: 2**31})
         # the float fields are finite too; a huge int is finite
         SolverConfig(tol=1e308, min_gap=10 ** 400)
         for field in ("tol", "min_gap"):
@@ -480,6 +489,46 @@ class TestSpliceCommand:
         code, _, err = run(capsys, "splice", str(job))
         assert code == EXIT_BAD_INPUT
         assert err == "error: invalid job: solver config 'tol' is an int beyond float range\n"
+        for field in ("resolution", "restarts"):
+            job.write_text(f'{{"model1": "unknot", "model2": "unknot", "{field}": 1'
+                           + '0' * 400 + '}')
+            code, out, err = run(capsys, "splice", str(job))
+            assert (code, out) == (EXIT_BAD_INPUT, "")
+            assert err == (f"error: invalid job: solver config {field!r} must be "
+                           f"<= 2147483647, got 1{'0' * 400}\n")
+
+    def test_self_splice_sweeps_once(self, capsys, tmp_path, monkeypatch):
+        from pillowcase import solver
+        calls = []
+
+        def counting_sweep(*args, **kwargs):
+            calls.append(args[0].name)
+            return sample_pillowcase_image(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "sample_pillowcase_image", counting_sweep)
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({
+            "model1": "trefoil", "model2": "trefoil", "gluing": "swap",
+            "resolution": 40, "seed": 1}))
+        code, out, _ = run(capsys, "splice", str(job))
+        assert code == EXIT_OK
+        assert calls == ["torus(2,3)"]
+        # the same answer as from two images swept apart
+        cfg = SolverConfig(resolution=40, seed=1)
+        model = load_model("trefoil")
+        img1, img2 = (sample_pillowcase_image(model, config=cfg) for _ in range(2))
+        assert img1 is not img2
+        result = search_nonabelian_rep(splice(model, model, GluingMatrix.swap()), cfg,
+                                       image1=img1, image2=img2)
+        expected = {
+            "model1": "torus(2,3)", "model2": "torus(2,3)",
+            "gluing": {"a": 0, "b": 1, "p": 1, "c": 0}, "resolution": 40, "seed": 1,
+            "found": True,
+            "representation": [[q.w, q.x, q.y, q.z] for q in result.representation.images],
+            "boundary_point": list(result.boundary_point.as_tuple()),
+            "residual": result.residual, "gap": result.gap,
+            "gap_side1": result.gap_side1, "gap_side2": result.gap_side2}
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
     def test_svg_reuses_search_images(self, capsys, tmp_path, monkeypatch):
         from pillowcase import solver

@@ -32,10 +32,10 @@ from pillowcase.solver import (ImagePoint, PillowcaseImage, SolverConfig,
                                _chain_points, _line_forms, _line_polyline,
                                _project_endpoint_cuts, _LetterTables, _qstep,
                                _rep_from_params, _row_checks, _solve_rows,
-                               _word_product, _boundary_points, _Workspace)
+                               _word_product, _Workspace)
 from pillowcase.su2 import (NonCommutingPeripheralsError, Representation,
                             UnitQuaternion, boundary_angles, evaluate_word,
-                            irreducibility_gap, relator_residual)
+                            irreducibility_gap, peripheral_point, relator_residual)
 
 from images import image
 from oracles import reps_near
@@ -1307,7 +1307,7 @@ def _node_solutions(pres, params, max_res, config, nodes):
     kept = [[] for _ in range(nodes)]
     _distinct_solutions(pres, params, max_res, config,
                         np.repeat(np.arange(nodes), len(params) // nodes), kept)
-    return [solver._by_gap(node) for node in kept]
+    return [[(rep, gap) for gap, _, rep, _ in solver._by_gap(node)] for node in kept]
 
 
 def _matches_reference(pres, params, max_res, nodes):
@@ -1325,6 +1325,21 @@ def _assert_residuals_bitwise(pres, params):
     units = _components(np.array([[_components_of(q) for q in rep.images] for rep in reps]))
     expected = [relator_residual(rep, pres) for rep in reps]
     assert _row_checks(units, pres)[0].tolist() == expected
+
+
+def _assert_peripheral_bitwise(pres, params):
+    """_row_checks' peripheral columns against the scalar holonomies of su2.boundary_angles."""
+    reps = [_rep_from_params(row) for row in params]
+    expected = []
+    for rep in reps:
+        m = evaluate_word(rep, pres.meridian)
+        l = evaluate_word(rep, pres.longitude)
+        comm = m * l * m.inverse() * l.inverse()
+        expected.append(_components_of(m) + _components_of(l)
+                        + (m.imag_norm(), l.imag_norm(), comm.dist_to_one()))
+    got = _row_checks(_units_of(reps, pres.generator_count), pres)[3]
+    assert got.shape == (len(reps), 11)
+    assert got.tobytes() == np.array(expected).tobytes()
 
 
 _ACCEPT_PRESENTATIONS = pytest.mark.parametrize("pres", [
@@ -1357,6 +1372,13 @@ class TestAcceptPass:
         got = _row_checks(_units_of(reps, pres.generator_count), pres)[2]
         assert got.tobytes() == np.array(expected).tobytes()
 
+    @_ACCEPT_PRESENTATIONS
+    def test_peripheral_columns_bitwise(self, pres):
+        # every row, solution or not; signed-zero generators give holonomy
+        # components of both zero signs
+        _assert_peripheral_bitwise(
+            pres, _random_stacks(np.random.default_rng(10), 1000, pres.generator_count))
+
     def test_relator_residual_squares_like_scalar(self):
         # odd 27-bit components on a real part of 1: half of their squares
         # are rounding ties, where x * x and the scalar ** part ways
@@ -1365,6 +1387,15 @@ class TestAcceptPass:
         params[:, 0, 0] = 1.0
         params[:, 0, 1:3] = (rng.integers(2**26, 2**27, (1000, 2)) | 1) * 2.0**-56
         _assert_residuals_bitwise(unknot_model().presentation.with_relator((1,)), params)
+
+    def test_peripheral_norms_square_like_scalar(self):
+        # the same rounding ties as above, in the meridian and longitude of
+        # the free group on them
+        rng = np.random.default_rng(11)
+        params = np.zeros((1000, 2, 4))
+        params[:, :, 0] = 1.0
+        params[:, :, 1:3] = (rng.integers(2**26, 2**27, (1000, 2, 2)) | 1) * 2.0**-56
+        _assert_peripheral_bitwise(GroupPresentation(2, (), (1,), (2,)), params)
 
     def test_constructed_rows(self):
         model = torus_knot_model(2, 3)
@@ -1405,6 +1436,12 @@ def _gaps(units):
     return _row_checks(units, GroupPresentation(units.shape[0], (), (), ()))[1]
 
 
+def _peripheral_points(reps, pres):
+    """su2.peripheral_point of each representation's peripheral columns from _row_checks."""
+    cols = _row_checks(_units_of(reps, pres.generator_count), pres)[3]
+    return [peripheral_point(c[:4], c[4:8], *c[8:]) for c in cols.tolist()]
+
+
 def _point_bytes(points):
     return [struct.pack("<2d", p.alpha, p.beta) for p in points]
 
@@ -1414,7 +1451,7 @@ def _float_bytes(values):
 
 
 class TestBatchedDiagnostics:
-    """_boundary_points and _gaps against su2.boundary_angles and irreducibility_gap."""
+    """_peripheral_points and _gaps against su2.boundary_angles and irreducibility_gap."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("model,resolution", [
@@ -1428,7 +1465,7 @@ class TestBatchedDiagnostics:
         reps = [r.witness for r in img.points]
         assert len(reps) > 0
         expected = [boundary_angles(rep, pres) for rep in reps]
-        assert _point_bytes(_boundary_points(reps, pres)) == _point_bytes(expected)
+        assert _point_bytes(_peripheral_points(reps, pres)) == _point_bytes(expected)
         assert _point_bytes(r.point for r in img.points) == _point_bytes(expected)
         gaps = [irreducibility_gap(rep) for rep in reps]
         assert _float_bytes(_gaps(_units_of(reps, pres.generator_count)).tolist()) == \
@@ -1440,7 +1477,7 @@ class TestBatchedDiagnostics:
     def test_central_holonomies_read_exact_angles(self, model):
         pres = model.presentation
         reps = [r.witness for r in image(model, 60).points]
-        points = _boundary_points(reps, pres)
+        points = _peripheral_points(reps, pres)
         central = 0
         for rep, pt in zip(reps, points):
             for word, angle in ((pres.meridian, pt.alpha), (pres.longitude, pt.beta)):
@@ -1452,7 +1489,7 @@ class TestBatchedDiagnostics:
         one = UnitQuaternion(1.0, -0.0, 0.0, -0.0)
         minus = UnitQuaternion(-1.0, 0.0, -0.0, 0.0)
         reps = [Representation((q,) * pres.generator_count) for q in (one, minus)]
-        assert _point_bytes(_boundary_points(reps, pres)) == \
+        assert _point_bytes(_peripheral_points(reps, pres)) == \
             _point_bytes(boundary_angles(rep, pres) for rep in reps)
 
     def test_nan_commutators_skipped_as_by_max(self):
@@ -1468,13 +1505,13 @@ class TestBatchedDiagnostics:
 
     def test_empty_batch(self):
         pres = torus_knot_model(2, 3).presentation
-        assert _boundary_points([], pres) == []
+        assert _peripheral_points([], pres) == []
         assert _gaps(np.empty((2, 4, 0))).shape == (0,)
 
     def test_zero_generator_presentation(self):
         pres = GroupPresentation(0, (), (), ())
         reps = [Representation(())] * 3
-        assert _boundary_points(reps, pres) == [boundary_angles(rep, pres) for rep in reps]
+        assert _peripheral_points(reps, pres) == [boundary_angles(rep, pres) for rep in reps]
         assert _float_bytes(_gaps(_units_of(reps, 0)).tolist()) == \
             _float_bytes(irreducibility_gap(rep) for rep in reps)
 
@@ -1487,12 +1524,12 @@ class TestBatchedDiagnostics:
                    for _ in range(2)]
         params = np.concatenate([np.array(on_axis), rng.standard_normal((6, 2, 4))])
         reps = [_rep_from_params(row) for row in params]
-        assert _boundary_points(reps[:2], pres) == [boundary_angles(r, pres) for r in reps[:2]]
+        assert _peripheral_points(reps[:2], pres) == [boundary_angles(r, pres) for r in reps[:2]]
         with pytest.raises(NonCommutingPeripheralsError) as scalar:
             for rep in reps:
                 boundary_angles(rep, pres)
         with pytest.raises(NonCommutingPeripheralsError) as batched:
-            _boundary_points(reps, pres)
+            _peripheral_points(reps, pres)
         assert str(batched.value) == str(scalar.value)
         # the message names row 2's defect, not a later row's
         with pytest.raises(NonCommutingPeripheralsError) as later:
